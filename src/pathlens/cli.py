@@ -121,13 +121,7 @@ def parse_lambda_grid(spec: str | None) -> np.ndarray:
 def load_base(args, stats) -> LinearModel:
     if args.base is None or args.base == "zero":
         return LinearModel.zeros(stats.feature_names)
-    try:
-        payload = json.loads(Path(args.base).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InputError(f"cannot read base model {args.base}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{args.base}: invalid JSON ({exc})") from exc
-    return model_from_json(payload, stats.feature_names)
+    return load_model_file(args.base, stats)
 
 
 def load_model_file(path: str, stats) -> LinearModel:

@@ -10,9 +10,21 @@ and r = g - G beta0, expanding the squares gives the normal equations
 
     H delta = b,   H_jl = w_max(j,l) * G_{i_j, i_l},   b_j = w_j * r_{i_j},
 
-which this module solves directly (minimum-norm when H is singular). The
-construction is validated against an independent finite-difference
-minimizer in the test suite before anything downstream relies on it.
+which this module solves directly (minimum-norm when H is singular).
+
+A pinned endpoint (the path must end exactly at a target model) is handled
+by eliminating the constraint. The last write to each touched coordinate c
+is fixed, since the deltas of c must sum to (target - base)_c, and every
+earlier write is free. So delta = delta_p + P t, where delta_p holds
+(target - base)_c at the last write to each c, and column j of P is
+e_j - e_last(i_j) for each earlier position j (zero at the last writes).
+Substituting gives the reduced PSD system P'HP t = P'(b - H delta_p). A 1
+on its diagonal at the last-write positions keeps it K x K with t = 0
+there, so free and pinned patterns share one batched solve.
+
+The construction is validated against independent oracles (a
+finite-difference minimizer, and SVD null-space elimination for pinned
+endpoints) in the test suite before anything downstream relies on it.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ import numpy as np
 
 from .errors import InfeasibleError, InputError
 from .paths import CoordinatePath, WeightSchedule, cost_sequence
-from .regression import LinearModel, SufficientStats, cost_of_many
+from .regression import LinearModel, SufficientStats, cost_of, cost_of_many
 
 
 def as_weights(schedule, K: int) -> np.ndarray:
@@ -48,6 +60,18 @@ def check_index_vector(iv, d: int) -> np.ndarray:
     return iv
 
 
+def check_endpoint(stats: SufficientStats, base: LinearModel, iv: np.ndarray,
+                   target: LinearModel) -> None:
+    """Raise unless the index vector can carry base to target."""
+    if target.d != stats.d:
+        raise InputError("target dimension does not match stats")
+    missing = np.setdiff1d(np.nonzero(target.coefficients - base.coefficients)[0], iv)
+    if missing.size:
+        raise InfeasibleError(
+            f"target changes coordinates {missing.tolist()} that the index vector never touches"
+        )
+
+
 def tail_weights(alpha: np.ndarray) -> np.ndarray:
     """w_j = alpha_j + ... + alpha_K."""
     return np.cumsum(alpha[::-1])[::-1]
@@ -55,11 +79,8 @@ def tail_weights(alpha: np.ndarray) -> np.ndarray:
 
 def build_system(stats: SufficientStats, base: np.ndarray, iv: np.ndarray, alpha: np.ndarray):
     """Assemble (H, b) of the inner normal equations for one index vector."""
-    w = tail_weights(alpha)
-    W = np.minimum.outer(w, w)  # w is non-increasing, so w[max(j,l)] = min(w_j, w_l)
-    H = W * stats.gram[np.ix_(iv, iv)]
-    b = w * stats.residual_cross(base)[iv]
-    return H, b
+    H, b = build_systems_batch(stats, base, iv[None], alpha)
+    return H[0], b[0]
 
 
 def path_from_deltas(base: LinearModel, iv: np.ndarray, delta: np.ndarray) -> CoordinatePath:
@@ -106,53 +127,19 @@ def solve_free(stats: SufficientStats, base: LinearModel, iv, schedule):
     return delta, objective_of(stats, base, iv, delta, alpha)
 
 
-def _endpoint_constraints(base: np.ndarray, target: np.ndarray, iv: np.ndarray):
-    """Constraint rows: per distinct coordinate c in iv, sum of its deltas
-    must equal (target - base)_c; any off-pattern difference is infeasible."""
-    K = iv.shape[0]
-    diff = target - base
-    missing = [int(c) for c in np.nonzero(diff)[0] if c not in set(iv.tolist())]
-    if missing:
-        raise InfeasibleError(
-            f"target changes coordinates {missing} that the index vector never touches"
-        )
-    coords = sorted(set(iv.tolist()))
-    A = np.zeros((len(coords), K))
-    v = np.zeros(len(coords))
-    for row, c in enumerate(coords):
-        A[row, iv == c] = 1.0
-        v[row] = diff[c]
-    return A, v
-
-
 def solve_fixed_endpoint(stats: SufficientStats, base: LinearModel, iv, schedule,
                          target: LinearModel):
     """Minimize C(i, .) subject to the path ending exactly at `target`.
 
-    Solved by eliminating the (full-row-rank) endpoint constraints: delta =
-    delta_p + Z t with Z spanning the constraint null space, then the
-    reduced PSD system in t (minimum-norm if singular). Raises
+    The one-pattern case of solve_patterns (see the module docstring; the
+    reduced system is solved minimum-norm if singular). Raises
     InfeasibleError when the index pattern cannot reach the target.
     """
     iv = check_index_vector(iv, stats.d)
     K = iv.shape[0]
     alpha = as_weights(schedule, K)
-    if target.d != stats.d:
-        raise InputError("target dimension does not match stats")
-    A, v = _endpoint_constraints(base.coefficients, target.coefficients, iv)
-    H, b = build_system(stats, base.coefficients, iv, alpha)
-    # Rows of A are disjoint indicators, so A A' = diag(counts).
-    counts = A.sum(axis=1)
-    delta_p = A.T @ (v / counts)
-    nullity = K - A.shape[0]
-    if nullity > 0:
-        _, _, vt = np.linalg.svd(A)
-        Z = vt[A.shape[0]:].T
-        rhs = Z.T @ (b - H @ delta_p)
-        t, *_ = np.linalg.lstsq(Z.T @ H @ Z, rhs, rcond=None)
-        delta = delta_p + Z @ t
-    else:
-        delta = delta_p
+    check_endpoint(stats, base, iv, target)
+    delta = solve_patterns(stats, base.coefficients, iv[None], alpha, target.coefficients)[0][0]
     return delta, objective_of(stats, base, iv, delta, alpha)
 
 
@@ -187,8 +174,10 @@ def build_systems_batch(stats: SufficientStats, base: np.ndarray, ivs: np.ndarra
                         alpha: np.ndarray):
     """(H, b) stacks for a (B, K) batch of index vectors."""
     w = tail_weights(alpha)
-    W = np.minimum.outer(w, w)
-    H = W[None, :, :] * stats.gram[ivs[:, :, None], ivs[:, None, :]]
+    W = np.minimum.outer(w, w)  # w is non-increasing, so w[max(j,l)] = min(w_j, w_l)
+    # One flat gather: cheaper than 2-D fancy indexing on the small batches
+    # local_improvement builds every iteration.
+    H = W[None, :, :] * stats.gram.ravel()[ivs[:, :, None] * stats.d + ivs[:, None, :]]
     b = w[None, :] * stats.residual_cross(base)[ivs]
     return H, b
 
@@ -205,6 +194,47 @@ def solve_batch(H: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i in range(H.shape[0]):
         out[i] = _solve_psd(H[i], b[i])
     return out
+
+
+def solve_patterns(stats: SufficientStats, base: np.ndarray, ivs: np.ndarray, alpha: np.ndarray,
+                   target: np.ndarray | None = None):
+    """Optimal step sizes and attained objectives for a (B, K) batch of
+    index vectors.
+
+    With a target, the endpoint is pinned by the elimination described in
+    the module docstring; rows that leave a coordinate where target and base
+    differ untouched cannot reach it and get zero steps and objective +inf.
+    The objective is the quadratic
+    sum(alpha) * cost(base) - 2 b.delta + delta'H delta at the solved delta,
+    which is the path objective at any delta, stationary or not.
+    """
+    if target is not None:
+        touched = np.zeros((ivs.shape[0], stats.d), dtype=bool)
+        touched[np.arange(ivs.shape[0])[:, None], ivs] = True
+        reach = touched[:, np.nonzero(target - base)[0]].all(axis=1)
+        if not reach.all():
+            deltas, vals = np.zeros(ivs.shape), np.full(ivs.shape[0], np.inf)
+            if reach.any():
+                deltas[reach], vals[reach] = solve_patterns(stats, base, ivs[reach], alpha, target)
+            return deltas, vals
+    H, b = build_systems_batch(stats, base, ivs, alpha)
+    if target is None:
+        delta = solve_batch(H, b)
+    else:
+        K = ivs.shape[1]
+        pos = np.arange(K)
+        same = ivs[:, :, None] == ivs[:, None, :]
+        last = K - 1 - np.argmax(same[:, :, ::-1], axis=2)  # last write to each step's coordinate
+        free = last != pos
+        P = free[:, None, :] * (np.eye(K) - (pos[None, :, None] == last[:, None, :]))
+        delta_p = np.where(free, 0.0, (target - base)[ivs])
+        Hr = P.transpose(0, 2, 1) @ H @ P
+        Hr[:, pos, pos] += ~free
+        rhs = np.einsum("bkj,bk->bj", P, b - np.einsum("bkl,bl->bk", H, delta_p))
+        delta = delta_p + np.einsum("bkj,bj->bk", P, solve_batch(Hr, rhs))
+    Hd = np.einsum("bkl,bl->bk", H, delta)
+    vals = float(alpha.sum()) * cost_of(stats, base) + np.einsum("bk,bk->b", Hd - 2.0 * b, delta)
+    return delta, vals
 
 
 def batch_objectives(stats: SufficientStats, base: np.ndarray, ivs: np.ndarray,

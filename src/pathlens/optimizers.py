@@ -2,12 +2,16 @@
 
 exact_path enumerates every index vector in {0..d-1}^K and solves the inner
 quadratic exactly for each, so it is globally optimal for the configured
-objective. Enumeration at scale runs through an incremental Cholesky
-recursion: the inner system's factor for a pattern extends the factor of
-its prefix, and the recursion only ever needs the fixed-size summaries
-Q = B'B, u = B'y, ssq = ||y||^2 per tree node (B = L^{-1} G[pattern, :]),
-so whole levels are expanded as flat array operations. Candidates sharing
-an optimal objective resolve to the lexicographically smallest pattern.
+objective. Free endpoints with positive weights and a positive-definite gram
+run through an incremental Cholesky recursion: the inner system's factor for
+a pattern extends the factor of its prefix, and the recursion only ever
+needs the fixed-size summaries Q = B'B, u = B'y, ssq = ||y||^2 per tree node
+(B = L^{-1} G[pattern, :]), so whole levels are expanded as flat array
+operations. Every other case, pinned endpoints included, runs through one
+chunked enumerator of batched inner solves (inner.solve_patterns) that ranks
+candidates by their attained objective; there, objectives within 1e-12
+(relative) are ties. Candidates sharing an optimal objective resolve to the
+lexicographically smallest pattern.
 
 local_improvement is a batch-q local search warm-started from the greedy
 pattern: each iteration redraws q random step positions and exhaustively
@@ -27,13 +31,12 @@ from .errors import BudgetError, InfeasibleError, InputError
 from .inner import (
     as_weights,
     batch_objectives,
-    build_systems_batch,
+    check_endpoint,
     check_index_vector,
     greedy_step,
     path_from_deltas,
-    solve_batch,
-    solve_fixed_endpoint,
     solve_free,
+    solve_patterns,
     tail_weights,
 )
 from .paths import CoordinatePath, WeightSchedule, model_complexity, weighted_loss
@@ -41,6 +44,8 @@ from .regression import LinearModel, SufficientStats, cost_of, ols
 
 DEFAULT_BUDGET = 10_000_000
 _SEGMENT_CAP = 2_000_000  # max leaves expanded per enumeration segment
+_CHUNK_ENTRIES = 150_000  # K*K system entries per _enum_direct chunk (~4k patterns at K=6)
+_TIE_RTOL = 1e-12  # objectives this close (relative) are ties, kept by the earlier candidate
 _PIVOT_RTOL = 1e-10
 
 
@@ -109,19 +114,28 @@ def direct_path(stats: SufficientStats, base: LinearModel, K: int) -> Coordinate
         raise InputError(
             f"K={K} exceeds the {len(remaining)} coordinates where OLS differs from the base"
         )
-    current = base
-    steps = []
-    for _ in range(K):
-        best = None
-        for i in remaining:
-            c = cost_of(stats, current.with_coordinate(i, target.coefficients[i]).coefficients)
-            if best is None or c < best[0]:
-                best = (c, i)
-        _, i = best
-        current = current.with_coordinate(i, float(target.coefficients[i]))
-        steps.append((i, float(target.coefficients[i])))
-        remaining.remove(i)
+    steps = [(i, float(target.coefficients[i]))
+             for i in _install_order(stats, base, target, remaining, K)]
     return CoordinatePath(base, tuple(steps))
+
+
+def _install_order(stats: SufficientStats, base: LinearModel, target: LinearModel,
+                   coords, n: int) -> list[int]:
+    """The first n of `coords` to set to their target values, each the one
+    whose installation gives the lowest immediate cost (ties break to the
+    lowest index)."""
+    current = base
+    remaining = sorted(int(i) for i in coords)
+    order = []
+    for _ in range(n):
+        _, i = min(
+            (cost_of(stats, current.with_coordinate(i, target.coefficients[i]).coefficients), i)
+            for i in remaining
+        )
+        order.append(i)
+        current = current.with_coordinate(i, float(target.coefficients[i]))
+        remaining.remove(i)
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +158,8 @@ def _enum_free_fast(stats: SufficientStats, base: np.ndarray, K: int, alpha: np.
     """Exhaustive free-endpoint search via the incremental factor recursion.
 
     Requires strictly positive weights and a positive-definite gram matrix;
-    raises _PivotBreakdown otherwise so the caller can fall back to the
-    direct per-candidate solver.
+    raises _PivotBreakdown otherwise so the caller can fall back to
+    _enum_direct.
     """
     G = stats.gram
     d = stats.d
@@ -236,43 +250,39 @@ def _iv_chunks(d: int, K: int, chunk: int):
         yield np.asarray(block, dtype=int)
 
 
-def _enum_free_direct(stats: SufficientStats, base: np.ndarray, K: int, alpha: np.ndarray):
-    """Chunked per-candidate solves; handles zero weights and singular grams."""
-    d = stats.d
-    S = float(alpha.sum())
-    c0 = cost_of(stats, base)
-    chunk = max(256, int(1_500_000 / max(K * K, 1)))
-    best_val, best_iv = math.inf, None
-    for ivs in _iv_chunks(d, K, chunk):
-        H, b = build_systems_batch(stats, base, ivs, alpha)
-        delta = solve_batch(H, b)
-        vals = S * c0 - np.einsum("bk,bk->b", b, delta)
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val = float(vals[j])
-            best_iv = ivs[j].copy()
-    return best_val, best_iv
+def _beats(value: float, incumbent: float) -> bool:
+    """True iff value is lower than incumbent by more than a tie."""
+    return value + _TIE_RTOL * abs(value) < incumbent
 
 
-def _enum_fixed(stats: SufficientStats, base: LinearModel, K: int, alpha: np.ndarray,
-                target: LinearModel):
-    """Enumerate patterns that can reach `target`, inner-solving each."""
-    d = stats.d
-    support = np.nonzero(target.coefficients - base.coefficients)[0]
-    if len(support) > K:
-        raise InfeasibleError(
-            f"target differs from base in {len(support)} coordinates; K={K} steps cannot reach it"
-        )
-    best = None  # (objective, iv, delta)
-    for ivs in _iv_chunks(d, K, 8192):
-        feasible = np.ones(ivs.shape[0], dtype=bool)
-        for c in support:
-            feasible &= (ivs == c).any(axis=1)
-        for iv in ivs[feasible]:
-            delta, obj = solve_fixed_endpoint(stats, base, iv, alpha, target)
-            if best is None or obj < best[0]:
-                best = (obj, iv.copy(), delta)
-    if best is None:
+def _first_best(vals: np.ndarray) -> int:
+    """Index of the first value tied with the minimum."""
+    low = vals.min()
+    return int(np.argmax(vals <= low + _TIE_RTOL * abs(low)))
+
+
+def _enum_direct(stats: SufficientStats, base: LinearModel, K: int, alpha: np.ndarray,
+                 endpoint: LinearModel | None = None):
+    """Chunked batched solves of every pattern, free or pinned to `endpoint`.
+
+    Handles zero weights and singular grams. Candidates are ranked by their
+    attained objective; returns (objective, iv, delta) of the
+    lexicographically first best pattern.
+    """
+    if endpoint is not None:
+        changed = model_complexity(base, endpoint)
+        if changed > K:
+            raise InfeasibleError(
+                f"target differs from base in {changed} coordinates; K={K} steps cannot reach it"
+            )
+    target = None if endpoint is None else endpoint.coefficients
+    best = (math.inf, None, None)
+    for ivs in _iv_chunks(stats.d, K, max(256, _CHUNK_ENTRIES // (K * K))):
+        deltas, vals = solve_patterns(stats, base.coefficients, ivs, alpha, target)
+        j = _first_best(vals)
+        if _beats(vals[j], best[0]):
+            best = (float(vals[j]), ivs[j].copy(), deltas[j].copy())
+    if best[1] is None:
         raise InfeasibleError("no index pattern of this length reaches the target")
     return best
 
@@ -334,20 +344,16 @@ def exact_path(stats: SufficientStats, base: LinearModel, cfg: OptimizerConfig) 
         _, iv, delta = _enum_unit(stats, base, K, alpha, cfg.endpoint)
         return path_from_deltas(base, iv, delta)
 
-    if cfg.endpoint is not None:
-        _, iv, delta = _enum_fixed(stats, base, K, alpha, cfg.endpoint)
-        return path_from_deltas(base, iv, delta)
-
-    eigs = np.linalg.eigvalsh(stats.gram)
-    pd_ok = eigs[0] > 1e-10 * max(eigs[-1], 0.0) and np.all(alpha > 0)
-    if pd_ok:
-        try:
-            _, iv = _enum_free_fast(stats, base.coefficients, K, alpha)
-        except _PivotBreakdown:
-            _, iv = _enum_free_direct(stats, base.coefficients, K, alpha)
-    else:
-        _, iv = _enum_free_direct(stats, base.coefficients, K, alpha)
-    delta, _ = solve_free(stats, base, iv, alpha)
+    if cfg.endpoint is None and np.all(alpha > 0):
+        eigs = np.linalg.eigvalsh(stats.gram)
+        if eigs[0] > 1e-10 * max(eigs[-1], 0.0):
+            try:
+                _, iv = _enum_free_fast(stats, base.coefficients, K, alpha)
+                delta, _ = solve_free(stats, base, iv, alpha)
+                return path_from_deltas(base, iv, delta)
+            except _PivotBreakdown:
+                pass
+    _, iv, delta = _enum_direct(stats, base, K, alpha, cfg.endpoint)
     return path_from_deltas(base, iv, delta)
 
 
@@ -368,27 +374,8 @@ def _default_iv0(stats: SufficientStats, base: LinearModel, cfg: OptimizerConfig
         )
     if len(support) == 0:
         return np.zeros(cfg.K, dtype=int)
-    order = []
-    current = base
-    remaining = list(support)
-    while remaining:
-        costs = [
-            (cost_of(stats, current.with_coordinate(i, cfg.endpoint.coefficients[i]).coefficients), i)
-            for i in remaining
-        ]
-        _, i = min(costs)
-        order.append(i)
-        current = current.with_coordinate(i, float(cfg.endpoint.coefficients[i]))
-        remaining.remove(i)
+    order = _install_order(stats, base, cfg.endpoint, support, len(support))
     return np.resize(np.asarray(order, dtype=int), cfg.K)
-
-
-def _inner_objective(stats, base, iv, alpha, endpoint):
-    if endpoint is None:
-        _, obj = solve_free(stats, base, iv, alpha)
-    else:
-        _, obj = solve_fixed_endpoint(stats, base, iv, alpha, endpoint)
-    return obj
 
 
 def local_improvement(stats: SufficientStats, base: LinearModel, cfg: OptimizerConfig,
@@ -414,12 +401,12 @@ def local_improvement(stats: SufficientStats, base: LinearModel, cfg: OptimizerC
     if cfg.step_mode != "continuous":
         raise InputError("local_improvement supports continuous steps only")
 
-    best_obj = _inner_objective(stats, base, iv, alpha, cfg.endpoint)
-    best_iv = iv.copy()
-    free = cfg.endpoint is None
-    if free:
-        S = float(alpha.sum())
-        c0 = cost_of(stats, base.coefficients)
+    target = None
+    if cfg.endpoint is not None:
+        check_endpoint(stats, base, iv, cfg.endpoint)
+        target = cfg.endpoint.coefficients
+    deltas, vals = solve_patterns(stats, base.coefficients, iv[None], alpha, target)
+    best_obj, best_iv, best_delta = float(vals[0]), iv, deltas[0]
     assignments = np.asarray(list(itertools.product(range(stats.d), repeat=cfg.q)), dtype=int)
     rng = np.random.default_rng(cfg.seed)
     stale = 0
@@ -427,31 +414,16 @@ def local_improvement(stats: SufficientStats, base: LinearModel, cfg: OptimizerC
         positions = np.sort(rng.choice(K, size=cfg.q, replace=False))
         ivs = np.repeat(best_iv[None, :], assignments.shape[0], axis=0)
         ivs[:, positions] = assignments
-        if free:
-            H, b = build_systems_batch(stats, base.coefficients, ivs, alpha)
-            deltas = solve_batch(H, b)
-            vals = S * c0 - np.einsum("bk,bk->b", b, deltas)
-        else:
-            vals = np.full(ivs.shape[0], math.inf)
-            for idx, cand in enumerate(ivs):
-                try:
-                    vals[idx] = _inner_objective(stats, base, cand, alpha, cfg.endpoint)
-                except InfeasibleError:
-                    pass
+        deltas, vals = solve_patterns(stats, base.coefficients, ivs, alpha, target)
         j = int(np.argmin(vals))
         if vals[j] < best_obj - 1e-12:
-            best_obj = float(vals[j])
-            best_iv = ivs[j].copy()
+            best_obj, best_iv, best_delta = float(vals[j]), ivs[j], deltas[j]
             stale = 0
         else:
             stale += 1
             if cfg.patience is not None and stale >= cfg.patience:
                 break
-    if free:
-        delta, _ = solve_free(stats, base, best_iv, alpha)
-    else:
-        delta, _ = solve_fixed_endpoint(stats, base, best_iv, alpha, cfg.endpoint)
-    return path_from_deltas(base, best_iv, delta)
+    return path_from_deltas(base, best_iv, best_delta)
 
 
 # ---------------------------------------------------------------------------
@@ -474,26 +446,14 @@ def best_explanation(stats: SufficientStats, base: LinearModel, target: LinearMo
     if complexity == 0:
         # Extra steps can only add nonnegative weighted cost terms.
         return CoordinatePath(base, ())
-    best = None  # (loss, K, iv, delta)
+    best = (math.inf, None)  # (loss, path); ties keep the shorter path
     for K in range(complexity, K_max + 1):
         cfg = OptimizerConfig(K=K, schedule=schedule, endpoint=target, budget=budget)
-        n_cand = _candidate_count(stats.d, cfg)
-        if n_cand > budget:
-            raise BudgetError(
-                f"explanation search at K={K} needs {n_cand:,} inner solves, over the "
-                f"budget of {budget:,}"
-            )
-        alpha = as_weights(schedule, K)
-        try:
-            obj, iv, delta = _enum_fixed(stats, base, K, alpha, target)
-        except InfeasibleError:
-            continue
-        if best is None or obj < best[0]:
-            best = (obj, K, iv, delta)
-    if best is None:
-        raise InfeasibleError("no explanation found up to K_max")
-    _, _, iv, delta = best
-    return path_from_deltas(base, iv, delta)
+        path = exact_path(stats, base, cfg)
+        loss = weighted_loss(stats, path, schedule)
+        if _beats(loss, best[0]):
+            best = (loss, path)
+    return best[1]
 
 
 def explanation_loss(stats: SufficientStats, base: LinearModel, target: LinearModel,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,7 +68,8 @@ def solve_tradeoff(stats: SufficientStats, base: LinearModel, schedule: WeightSc
 
     The K=0 candidate is the empty path with value cost(base). Ties across
     lengths resolve to the shorter path. `cfg` carries optimizer knobs
-    (seed, q, T, budget); its K/schedule/endpoint fields are ignored.
+    (seed, q, T, budget, patience); its K/schedule/endpoint fields are
+    ignored and steps are continuous.
     """
     if lam < 0:
         raise InputError("lambda must be >= 0")
@@ -80,15 +81,8 @@ def solve_tradeoff(stats: SufficientStats, base: LinearModel, schedule: WeightSc
     best = (cost(stats, base), CoordinatePath(base, ()), 0)  # value, path, K
     for K in range(1, K_max + 1):
         weights = WeightSchedule.explicit(_scalarized_weights(schedule, lam, K))
-        kcfg = OptimizerConfig(
-            K=K,
-            schedule=weights,
-            seed=base_cfg.seed + K,
-            q=min(base_cfg.q, K),
-            T=base_cfg.T,
-            budget=base_cfg.budget,
-            patience=base_cfg.patience,
-        )
+        kcfg = replace(base_cfg, K=K, schedule=weights, endpoint=None, step_mode="continuous",
+                       seed=base_cfg.seed + K, q=min(base_cfg.q, K))
         if solver == "exact":
             path = exact_path(stats, base, kcfg)
         else:
@@ -183,15 +177,8 @@ def expected_cost_path(stats: SufficientStats, base: LinearModel, p,
     schedule = WeightSchedule.distribution(p)
     K_max = len(schedule.values)
     base_cfg = cfg if cfg is not None else OptimizerConfig(K=0, schedule=schedule)
-    kcfg = OptimizerConfig(
-        K=K_max,
-        schedule=schedule,
-        seed=base_cfg.seed,
-        q=min(base_cfg.q, max(K_max, 1)),
-        T=base_cfg.T,
-        budget=base_cfg.budget,
-        patience=base_cfg.patience,
-    )
+    kcfg = replace(base_cfg, K=K_max, schedule=schedule, endpoint=None, step_mode="continuous",
+                   q=min(base_cfg.q, max(K_max, 1)))
     if solver == "exact":
         return exact_path(stats, base, kcfg)
     if solver == "local":

@@ -57,12 +57,7 @@ class CoordinatePath:
 
 def materialize(path: CoordinatePath) -> list[LinearModel]:
     """The K models along a path (base excluded), in step order."""
-    beta = path.base.coefficients.copy()
-    out = []
-    for idx, val in path.steps:
-        beta[idx] = val
-        out.append(LinearModel(beta.copy(), path.base.feature_names))
-    return out
+    return [LinearModel(beta, path.base.feature_names) for beta in materialize_array(path)]
 
 
 def materialize_array(path: CoordinatePath) -> np.ndarray:

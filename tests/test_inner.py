@@ -17,7 +17,7 @@ from pathlens import (
 from pathlens.inner import build_system, path_from_deltas, tail_weights
 from pathlens.paths import cost_sequence
 from conftest import TOY_OLS, random_stats
-from oracles import eval_objective, fd_gradient
+from oracles import eval_objective, fd_gradient, svd_fixed_endpoint
 
 
 GAMMA1 = WeightSchedule.geometric(1.0)
@@ -142,6 +142,45 @@ class TestSolveFixedEndpoint:
             Z = vt[len(coords):].T
             if Z.shape[1]:
                 assert np.linalg.norm(Z.T @ grad) <= 1e-7 * max(1.0, abs(obj))
+
+    def test_matches_svd_oracle(self):
+        # Nonzero bases, repeated coordinates, touched coordinates the target
+        # leaves alone, and (odd trials) zero weights, which make reduced
+        # systems singular. There the minimum-norm step sizes of the two
+        # eliminations differ, so only objectives and endpoints compare.
+        rng = np.random.default_rng(9)
+        singular = 0
+        for trial in range(300):
+            d = int(rng.integers(1, 5))
+            stats = random_stats(trial + 200, d=d)
+            K = int(rng.integers(1, 6))
+            iv = rng.integers(0, d, size=K)
+            base = rng.standard_normal(d) * 0.5
+            target = base.copy()
+            for c in set(iv.tolist()):
+                if rng.random() < 0.7:
+                    target[c] = rng.standard_normal()
+            alpha = rng.uniform(0.1, 2.0, size=K)
+            if trial % 2:
+                alpha[rng.random(K) < 0.5] = 0.0
+                if not np.any(alpha > 0):
+                    alpha[-1] = 1.0
+            names = stats.feature_names
+            delta, obj = solve_fixed_endpoint(
+                stats, LinearModel(base, names), iv, alpha, LinearModel(target, names)
+            )
+            ref_delta, ref_obj, is_singular = svd_fixed_endpoint(stats, base, iv, alpha, target)
+            assert abs(obj - ref_obj) <= 1e-9 * abs(ref_obj)
+            final = base.copy()
+            np.add.at(final, iv, delta)
+            assert np.max(np.abs(final - target)) <= 1e-12 * max(1.0, np.max(np.abs(target)))
+            if is_singular:
+                singular += 1
+            else:
+                assert np.max(np.abs(delta - ref_delta)) <= 1e-9 * max(
+                    1.0, np.max(np.abs(ref_delta))
+                )
+        assert singular >= 30
 
 
 class TestGreedyStep:

@@ -22,9 +22,10 @@ from pathlens import (
     solve_free,
     weighted_loss,
 )
-from pathlens.optimizers import _enum_free_direct, _enum_free_fast
+from pathlens.optimizers import _enum_direct, _enum_free_fast
 from pathlens.inner import as_weights
 from conftest import TOY_OLS, random_stats
+from oracles import brute_force_explanation
 
 GAMMA1 = WeightSchedule.geometric(1.0)
 
@@ -144,7 +145,9 @@ class TestEnumerationEngines:
         rng = np.random.default_rng(seed)
         alpha = as_weights(rng.uniform(0.1, 2.0, size=K), K)
         v_fast, iv_fast = _enum_free_fast(stats, base, K, alpha)
-        v_direct, iv_direct = _enum_free_direct(stats, base, K, alpha)
+        v_direct, iv_direct, _ = _enum_direct(
+            stats, LinearModel(base, stats.feature_names), K, alpha
+        )
         assert v_fast == pytest.approx(v_direct, rel=1e-8, abs=1e-10)
         assert np.array_equal(iv_fast, iv_direct)
 
@@ -154,7 +157,9 @@ class TestEnumerationEngines:
         base = rng.standard_normal(3) * 0.5
         alpha = as_weights(rng.uniform(0.1, 2.0, size=4), 4)
         v_fast, iv_fast = _enum_free_fast(stats, base, 4, alpha)
-        v_direct, iv_direct = _enum_free_direct(stats, base, 4, alpha)
+        v_direct, iv_direct, _ = _enum_direct(
+            stats, LinearModel(base, stats.feature_names), 4, alpha
+        )
         assert v_fast == pytest.approx(v_direct, rel=1e-8, abs=1e-10)
         assert np.array_equal(iv_fast, iv_direct)
 
@@ -326,3 +331,33 @@ class TestBestExplanation:
         target = LinearModel(TOY_OLS, toy_stats.feature_names)
         with pytest.raises(InfeasibleError, match="complexity"):
             best_explanation(toy_stats, toy_zero, target, GAMMA1, 1)
+
+    def test_matches_brute_force_oracle(self):
+        # Geometric, positive explicit, and zero-weight schedules; ties
+        # (common with zero weights) must go to the shortest, then
+        # lexicographically first, pattern.
+        rng = np.random.default_rng(11)
+        for trial in range(30):
+            d = 2 + trial % 3
+            K_max = 4 if d == 4 else 5
+            stats = random_stats(trial + 500, d=d)
+            base = rng.standard_normal(d) * 0.5 * (trial % 2)
+            target = base.copy()
+            changed = rng.choice(d, int(rng.integers(1, min(d, 3) + 1)), replace=False)
+            target[changed] = rng.standard_normal(changed.shape[0])
+            weights = rng.uniform(0.1, 2.0, K_max)
+            if trial % 3 == 2:
+                weights[1:][rng.random(K_max - 1) < 0.5] = 0.0
+            if trial % 3 == 0:
+                schedule = WeightSchedule.geometric(0.8)
+            else:
+                schedule = WeightSchedule.explicit(weights)
+            names = stats.feature_names
+            path = best_explanation(
+                stats, LinearModel(base, names), LinearModel(target, names), schedule, K_max
+            )
+            ref_obj, ref_iv = brute_force_explanation(
+                stats, base, target, schedule.weights, K_max
+            )
+            assert tuple(i for i, _ in path.steps) == ref_iv
+            assert weighted_loss(stats, path, schedule) == pytest.approx(ref_obj, rel=1e-9)

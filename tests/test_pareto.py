@@ -109,6 +109,15 @@ class TestSweep:
         report = sweep(toy_stats, toy_zero, GAMMA1, [0.1, 1.0, 10.0], 2, solver="local", cfg=cfg)
         assert len(report.points) >= 1
 
+    def test_cfg_endpoint_is_ignored(self, toy_stats, toy_zero):
+        grid = np.logspace(-2, 2, 9)
+        target = ols(toy_stats)
+        plain_cfg = OptimizerConfig(K=0, schedule=GAMMA1)
+        pinned_cfg = OptimizerConfig(K=0, schedule=GAMMA1, endpoint=target)
+        plain = sweep(toy_stats, toy_zero, GAMMA1, grid, 2, cfg=plain_cfg)
+        pinned = sweep(toy_stats, toy_zero, GAMMA1, grid, 2, cfg=pinned_cfg)
+        assert front_to_json(pinned) == front_to_json(plain)
+
 
 class TestBruteForceValidation:
     def test_sweep_points_undominated_on_grid(self, toy_stats, toy_zero):
