@@ -148,8 +148,6 @@ def render_path_table(stats, path: CoordinatePath, precision: int) -> str:
     for idx, _ in path.steps:
         if idx not in cols:
             cols.append(idx)
-    if not cols:
-        cols = []
     costs = cost_sequence(stats, path)
     base_cost = cost(stats, path.base)
 

@@ -10,7 +10,10 @@ and r = g - G beta0, expanding the squares gives the normal equations
 
     H delta = b,   H_jl = w_max(j,l) * G_{i_j, i_l},   b_j = w_j * r_{i_j},
 
-which this module solves directly (minimum-norm when H is singular).
+which this module solves directly. One batched solver (solve_batch) serves
+every inner solve, of one pattern or many: a batched LU solve, a residual
+guard on every item, and one batched minimum-norm solve for the items that
+are singular or fail the guard.
 
 A pinned endpoint (the path must end exactly at a target model) is handled
 by eliminating the constraint. The last write to each touched coordinate c
@@ -77,12 +80,6 @@ def tail_weights(alpha: np.ndarray) -> np.ndarray:
     return np.cumsum(alpha[::-1])[::-1]
 
 
-def build_system(stats: SufficientStats, base: np.ndarray, iv: np.ndarray, alpha: np.ndarray):
-    """Assemble (H, b) of the inner normal equations for one index vector."""
-    H, b = build_systems_batch(stats, base, iv[None], alpha)
-    return H[0], b[0]
-
-
 def path_from_deltas(base: LinearModel, iv: np.ndarray, delta: np.ndarray) -> CoordinatePath:
     """Turn (index vector, step magnitudes) into a stored-value path."""
     beta = base.coefficients.copy()
@@ -91,20 +88,6 @@ def path_from_deltas(base: LinearModel, iv: np.ndarray, delta: np.ndarray) -> Co
         beta[i] += dv
         steps.append((int(i), float(beta[i])))
     return CoordinatePath(base, tuple(steps))
-
-
-def _solve_psd(H: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a PSD system; minimum-norm solution if singular."""
-    try:
-        delta = np.linalg.solve(H, b)
-        if np.all(np.isfinite(delta)):
-            # Guard against a numerically singular solve slipping through.
-            if np.linalg.norm(H @ delta - b) <= 1e-6 * (np.linalg.norm(b) + 1.0):
-                return delta
-    except np.linalg.LinAlgError:
-        pass
-    delta, *_ = np.linalg.lstsq(H, b, rcond=None)
-    return delta
 
 
 def objective_of(stats: SufficientStats, base: LinearModel, iv, delta, alpha) -> float:
@@ -116,14 +99,13 @@ def objective_of(stats: SufficientStats, base: LinearModel, iv, delta, alpha) ->
 def solve_free(stats: SufficientStats, base: LinearModel, iv, schedule):
     """Globally minimize C(i, .) with a free endpoint.
 
-    Returns (delta, objective); the objective is evaluated on the
-    materialized path so it agrees exactly with weighted_loss.
+    The one-pattern case of solve_patterns. Returns (delta, objective);
+    the objective is evaluated on the materialized path so it agrees
+    exactly with weighted_loss.
     """
     iv = check_index_vector(iv, stats.d)
-    K = iv.shape[0]
-    alpha = as_weights(schedule, K)
-    H, b = build_system(stats, base.coefficients, iv, alpha)
-    delta = _solve_psd(H, b)
+    alpha = as_weights(schedule, iv.shape[0])
+    delta = solve_patterns(stats, base.coefficients, iv[None], alpha)[0][0]
     return delta, objective_of(stats, base, iv, delta, alpha)
 
 
@@ -182,18 +164,45 @@ def build_systems_batch(stats: SufficientStats, base: np.ndarray, ivs: np.ndarra
     return H, b
 
 
-def solve_batch(H: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched PSD solve with per-item minimum-norm fallback."""
+def solve_batch(H: np.ndarray, b: np.ndarray):
+    """Solve a (B, K, K) stack of PSD systems H delta = b; returns (delta, H delta).
+
+    One batched LU solve. Every item must then pass the residual guard
+    ||H delta - b|| <= 1e-6 (||b|| + 1); items that are exactly singular (LU
+    hits a zero pivot), non-finite or fail the guard get the minimum-norm
+    solution instead, with lstsq's default cut-off K * eps.
+    """
     try:
         delta = np.linalg.solve(H, b[..., None])[..., 0]
-        if np.all(np.isfinite(delta)):
-            return delta
     except np.linalg.LinAlgError:
-        pass
-    out = np.empty_like(b)
-    for i in range(H.shape[0]):
-        out[i] = _solve_psd(H[i], b[i])
-    return out
+        # A zero pivot in one item fails the whole stack. slogdet runs the same
+        # LU, so its sign is 0 exactly on those items and the rest solve as before.
+        delta = np.full_like(b, np.nan)
+        ok = np.linalg.slogdet(H)[0] != 0
+        delta[ok] = np.linalg.solve(H[ok], b[ok, :, None])[..., 0]
+    Hd = np.einsum("bkl,bl->bk", H, delta)
+    r = Hd - b
+    res = np.sqrt(np.einsum("bk,bk->b", r, r))
+    # The bound is at least 1e-6, so ||b|| matters only when a residual exceeds that.
+    if not res.max(initial=0.0) <= 1e-6:
+        bad = ~(res <= 1e-6 * (np.sqrt(np.einsum("bk,bk->b", b, b)) + 1.0))
+        pinv = np.linalg.pinv(H[bad], rcond=H.shape[-1] * np.finfo(H.dtype).eps, hermitian=True)
+        delta[bad] = (pinv @ b[bad, :, None])[..., 0]
+        Hd[bad] = np.einsum("bkl,bl->bk", H[bad], delta[bad])
+    return delta, Hd
+
+
+def attained_objectives(stats: SufficientStats, base: np.ndarray, alpha: np.ndarray,
+                        H: np.ndarray, b: np.ndarray, delta: np.ndarray, Hd=None) -> np.ndarray:
+    """Path objectives of a batch of systems (H, b) at step sizes delta.
+
+    The quadratic sum(alpha) * cost(base) - 2 b.delta + delta'H delta equals
+    the path objective at any delta, stationary or not. Pass Hd = H delta
+    when it is already known.
+    """
+    if Hd is None:
+        Hd = np.einsum("bkl,bl->bk", H, delta)
+    return float(alpha.sum()) * cost_of(stats, base) + np.einsum("bk,bk->b", Hd - 2.0 * b, delta)
 
 
 def solve_patterns(stats: SufficientStats, base: np.ndarray, ivs: np.ndarray, alpha: np.ndarray,
@@ -204,9 +213,7 @@ def solve_patterns(stats: SufficientStats, base: np.ndarray, ivs: np.ndarray, al
     With a target, the endpoint is pinned by the elimination described in
     the module docstring; rows that leave a coordinate where target and base
     differ untouched cannot reach it and get zero steps and objective +inf.
-    The objective is the quadratic
-    sum(alpha) * cost(base) - 2 b.delta + delta'H delta at the solved delta,
-    which is the path objective at any delta, stationary or not.
+    Objectives are attained_objectives at the solved delta.
     """
     if target is not None:
         touched = np.zeros((ivs.shape[0], stats.d), dtype=bool)
@@ -219,7 +226,7 @@ def solve_patterns(stats: SufficientStats, base: np.ndarray, ivs: np.ndarray, al
             return deltas, vals
     H, b = build_systems_batch(stats, base, ivs, alpha)
     if target is None:
-        delta = solve_batch(H, b)
+        delta, Hd = solve_batch(H, b)
     else:
         K = ivs.shape[1]
         pos = np.arange(K)
@@ -231,20 +238,6 @@ def solve_patterns(stats: SufficientStats, base: np.ndarray, ivs: np.ndarray, al
         Hr = P.transpose(0, 2, 1) @ H @ P
         Hr[:, pos, pos] += ~free
         rhs = np.einsum("bkj,bk->bj", P, b - np.einsum("bkl,bl->bk", H, delta_p))
-        delta = delta_p + np.einsum("bkj,bj->bk", P, solve_batch(Hr, rhs))
-    Hd = np.einsum("bkl,bl->bk", H, delta)
-    vals = float(alpha.sum()) * cost_of(stats, base) + np.einsum("bk,bk->b", Hd - 2.0 * b, delta)
-    return delta, vals
-
-
-def batch_objectives(stats: SufficientStats, base: np.ndarray, ivs: np.ndarray,
-                     deltas: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Direct objective evaluation for a batch of (iv, delta) candidates."""
-    B, K = ivs.shape
-    betas = np.repeat(base[None, :], B, axis=0)
-    out = np.zeros(B)
-    rows = np.arange(B)
-    for k in range(K):
-        betas[rows, ivs[:, k]] += deltas[:, k]
-        out += alpha[k] * cost_of_many(stats, betas)
-    return out
+        delta = delta_p + np.einsum("bkj,bj->bk", P, solve_batch(Hr, rhs)[0])
+        Hd = None
+    return delta, attained_objectives(stats, base, alpha, H, b, delta, Hd)

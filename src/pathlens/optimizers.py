@@ -30,7 +30,8 @@ import numpy as np
 from .errors import BudgetError, InfeasibleError, InputError
 from .inner import (
     as_weights,
-    batch_objectives,
+    attained_objectives,
+    build_systems_batch,
     check_endpoint,
     check_index_vector,
     greedy_step,
@@ -255,10 +256,14 @@ def _beats(value: float, incumbent: float) -> bool:
     return value + _TIE_RTOL * abs(value) < incumbent
 
 
-def _first_best(vals: np.ndarray) -> int:
-    """Index of the first value tied with the minimum."""
+def _keep_best(best, vals: np.ndarray, ivs: np.ndarray, deltas: np.ndarray):
+    """The incumbent (objective, iv, delta), or the first candidate tied with
+    the chunk's minimum if that beats it."""
     low = vals.min()
-    return int(np.argmax(vals <= low + _TIE_RTOL * abs(low)))
+    j = int(np.argmax(vals <= low + _TIE_RTOL * abs(low)))
+    if _beats(vals[j], best[0]):
+        return float(vals[j]), ivs[j].copy(), deltas[j].copy()
+    return best
 
 
 def _enum_direct(stats: SufficientStats, base: LinearModel, K: int, alpha: np.ndarray,
@@ -279,9 +284,7 @@ def _enum_direct(stats: SufficientStats, base: LinearModel, K: int, alpha: np.nd
     best = (math.inf, None, None)
     for ivs in _iv_chunks(stats.d, K, max(256, _CHUNK_ENTRIES // (K * K))):
         deltas, vals = solve_patterns(stats, base.coefficients, ivs, alpha, target)
-        j = _first_best(vals)
-        if _beats(vals[j], best[0]):
-            best = (float(vals[j]), ivs[j].copy(), deltas[j].copy())
+        best = _keep_best(best, vals, ivs, deltas)
     if best[1] is None:
         raise InfeasibleError("no index pattern of this length reaches the target")
     return best
@@ -289,10 +292,13 @@ def _enum_direct(stats: SufficientStats, base: LinearModel, K: int, alpha: np.nd
 
 def _enum_unit(stats: SufficientStats, base: LinearModel, K: int, alpha: np.ndarray,
                target: LinearModel | None):
-    """Unit-step search: each step changes one coefficient by -1, 0, or +1."""
+    """Unit-step search: each step changes one coefficient by -1, 0, or +1.
+
+    Candidates are ranked like _enum_direct's, by their attained objective.
+    """
     d = stats.d
     signs = np.asarray(list(itertools.product((-1.0, 0.0, 1.0), repeat=K)))
-    best = None  # (objective, iv, delta)
+    best = (math.inf, None, None)
     for ivs in _iv_chunks(d, K, max(1, 200_000 // max(len(signs), 1))):
         B = ivs.shape[0]
         ivs_rep = np.repeat(ivs, len(signs), axis=0)
@@ -306,11 +312,10 @@ def _enum_unit(stats: SufficientStats, base: LinearModel, K: int, alpha: np.ndar
             ivs_rep, deltas = ivs_rep[keep], deltas[keep]
             if ivs_rep.shape[0] == 0:
                 continue
-        vals = batch_objectives(stats, base.coefficients, ivs_rep, deltas, alpha)
-        j = int(np.argmin(vals))
-        if best is None or vals[j] < best[0]:
-            best = (float(vals[j]), ivs_rep[j].copy(), deltas[j].copy())
-    if best is None:
+        H, b = build_systems_batch(stats, base.coefficients, ivs_rep, alpha)
+        vals = attained_objectives(stats, base.coefficients, alpha, H, b, deltas)
+        best = _keep_best(best, vals, ivs_rep, deltas)
+    if best[1] is None:
         raise InfeasibleError("no unit-step pattern of this length reaches the target")
     return best
 
@@ -391,6 +396,8 @@ def local_improvement(stats: SufficientStats, base: LinearModel, cfg: OptimizerC
     K = cfg.K
     if K == 0:
         return exact_path(stats, base, cfg)
+    if cfg.step_mode != "continuous":
+        raise InputError("local_improvement supports continuous steps only")
     if iv0 is None:
         iv = _default_iv0(stats, base, cfg)
     else:
@@ -398,8 +405,6 @@ def local_improvement(stats: SufficientStats, base: LinearModel, cfg: OptimizerC
         if iv.shape[0] != K:
             raise InputError(f"iv0 has length {iv.shape[0]}, expected K={K}")
     alpha = as_weights(cfg.schedule, K)
-    if cfg.step_mode != "continuous":
-        raise InputError("local_improvement supports continuous steps only")
 
     target = None
     if cfg.endpoint is not None:

@@ -102,23 +102,16 @@ def solve_tradeoff(stats: SufficientStats, base: LinearModel, schedule: WeightSc
     )
 
 
+def _dominates(a, b) -> bool:
+    """True iff the (interp_loss, cost) pair a dominates b by more than 1e-12."""
+    (la, ca), (lb, cb) = a, b
+    return la <= lb + 1e-12 and ca <= cb + 1e-12 and (la < lb - 1e-12 or ca < cb - 1e-12)
+
+
 def _drop_dominated(points: list[ParetoPoint]) -> list[ParetoPoint]:
-    keep = []
-    for p in points:
-        dominated = False
-        for q in points:
-            if q is p:
-                continue
-            if (
-                q.cost <= p.cost + 1e-12
-                and q.interp_loss <= p.interp_loss + 1e-12
-                and (q.cost < p.cost - 1e-12 or q.interp_loss < p.interp_loss - 1e-12)
-            ):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(p)
-    return keep
+    pairs = [(p.interp_loss, p.cost) for p in points]
+    return [p for i, p in enumerate(points)
+            if not any(j != i and _dominates(q, pairs[i]) for j, q in enumerate(pairs))]
 
 
 def sweep(stats: SufficientStats, base: LinearModel, schedule: WeightSchedule,
@@ -139,7 +132,11 @@ def sweep(stats: SufficientStats, base: LinearModel, schedule: WeightSchedule,
         raise InputError("lambda grid values must be >= 0")
     grid = np.sort(grid)
     if workers is None:
-        workers = int(os.environ.get("PATHLENS_THREADS", "1"))
+        raw = os.environ.get("PATHLENS_THREADS", "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise InputError(f"PATHLENS_THREADS must be an integer, got {raw!r}") from None
     workers = max(1, min(workers, grid.shape[0]))
 
     def solve_one(lam):
@@ -227,13 +224,10 @@ def check_front_rows(rows) -> list[str]:
     """
     problems = []
     rows = [(float(a), float(b)) for a, b in rows]
-    for i, (la, ca) in enumerate(rows):
-        for j, (lb, cb) in enumerate(rows):
-            if i == j:
-                continue
-            if lb <= la + 1e-12 and cb <= ca + 1e-12 and (lb < la - 1e-12 or cb < ca - 1e-12):
-                problems.append(f"row {i + 1} is dominated by row {j + 1}")
-                break
+    for i, row in enumerate(rows):
+        j = next((j for j, other in enumerate(rows) if j != i and _dominates(other, row)), None)
+        if j is not None:
+            problems.append(f"row {i + 1} is dominated by row {j + 1}")
     for i in range(1, len(rows)):
         if rows[i][0] < rows[i - 1][0] - 1e-12:
             problems.append(f"rows {i} and {i + 1} are not sorted by interp_loss")

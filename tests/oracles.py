@@ -27,6 +27,23 @@ def eval_objective(stats, base, iv, delta, alpha):
     return total
 
 
+def batch_objectives(stats, base, ivs, deltas, alpha):
+    """eval_objective for a (B, K) batch of (iv, delta) candidates at once."""
+    B, K = ivs.shape
+    betas = np.repeat(np.asarray(base, dtype=float)[None, :], B, axis=0)
+    out = np.zeros(B)
+    rows = np.arange(B)
+    for k in range(K):
+        betas[rows, ivs[:, k]] += deltas[:, k]
+        mse = (
+            stats.target_second_moment
+            - 2.0 * (betas @ stats.cross)
+            + np.einsum("bd,bd->b", betas @ stats.gram, betas)
+        )
+        out += alpha[k] * mse
+    return out
+
+
 def fd_gradient(stats, base, iv, delta, alpha, h=1e-6):
     """Central-difference gradient of the path objective in delta."""
     delta = np.asarray(delta, dtype=float)

@@ -14,7 +14,13 @@ from pathlens import (
     stats_from_moments,
     weighted_loss,
 )
-from pathlens.inner import build_system, path_from_deltas, tail_weights
+from pathlens.inner import (
+    build_systems_batch,
+    path_from_deltas,
+    solve_batch,
+    solve_patterns,
+    tail_weights,
+)
 from pathlens.paths import cost_sequence
 from conftest import TOY_OLS, random_stats
 from oracles import eval_objective, fd_gradient, svd_fixed_endpoint
@@ -82,7 +88,7 @@ class TestSolveFree:
             K = int(rng.integers(1, 6))
             iv = rng.integers(0, 4, size=K)
             alpha = rng.uniform(0.0, 2.0, size=K)
-            H, _ = build_system(stats, np.zeros(4), iv, alpha)
+            H = build_systems_batch(stats, np.zeros(4), iv[None], alpha)[0][0]
             assert np.min(np.linalg.eigvalsh(H)) >= -1e-10 * max(np.max(np.abs(H)), 1.0)
 
     def test_repeated_indices_minimum_norm(self, toy_stats, toy_zero):
@@ -96,6 +102,55 @@ class TestSolveFree:
     def test_all_zero_schedule_rejected(self, toy_stats, toy_zero):
         with pytest.raises(InputError, match="positive"):
             solve_free(toy_stats, toy_zero, [0, 1], [0.0, 0.0])
+
+
+class TestSolveBatch:
+    def test_mixed_batch(self):
+        # One stack of nonsingular, exactly singular and finite-but-inaccurate
+        # systems: only the nonsingular ones keep their LU solution.
+        stats = random_stats(5, d=3)
+        H_ok, b_ok = build_systems_batch(
+            stats, np.zeros(3), np.array([[0, 1, 2], [2, 0, 1], [1, 1, 2]]),
+            np.array([1.0, 0.5, 0.25]),
+        )
+        # A zero first weight and a repeated coordinate make rows 0 and 1 equal.
+        H_sing, b_sing = build_systems_batch(
+            stats, np.zeros(3), np.array([[0, 0, 1], [2, 2, 2]]), np.array([0.0, 1.0, 1.0])
+        )
+        rng = np.random.default_rng(1)
+        v = rng.standard_normal(3)
+        H_bad, b_bad = np.outer(v, v)[None], rng.standard_normal(3)[None]
+        H = np.concatenate([H_ok, H_sing, H_bad])
+        b = np.concatenate([b_ok, b_sing, b_bad])
+        for i in range(3, 5):
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(H[i], b[i])
+        lu = np.linalg.solve(H[5], b[5])
+        assert np.all(np.isfinite(lu))
+        assert np.linalg.norm(H[5] @ lu - b[5]) > 1e-6 * (np.linalg.norm(b[5]) + 1.0)
+
+        delta, Hd = solve_batch(H, b)
+        assert np.array_equal(Hd, np.einsum("bkl,bl->bk", H, delta))
+        for i in range(3):
+            assert np.array_equal(delta[i], np.linalg.solve(H[i], b[i]))
+        for i in range(3, 6):
+            ref = np.linalg.lstsq(H[i], b[i], rcond=None)[0]
+            assert np.max(np.abs(delta[i] - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_solve_free_is_one_pattern_case(self):
+        rng = np.random.default_rng(10)
+        for seed in range(30):
+            d = int(rng.integers(1, 5))
+            stats = random_stats(seed + 300, d=d)
+            base = LinearModel(rng.standard_normal(d) * 0.5, stats.feature_names)
+            K = int(rng.integers(1, 6))
+            iv = rng.integers(0, d, size=K)
+            alpha = rng.uniform(0.0, 2.0, size=K)
+            alpha[-1] += 0.1
+            delta, obj = solve_free(stats, base, iv, alpha)
+            deltas, vals = solve_patterns(stats, base.coefficients, iv[None], alpha)
+            assert np.array_equal(delta, deltas[0])
+            assert abs(obj - vals[0]) <= 1e-9 * max(1.0, abs(obj))
 
 
 class TestSolveFixedEndpoint:

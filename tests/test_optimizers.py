@@ -25,7 +25,7 @@ from pathlens import (
 from pathlens.optimizers import _enum_direct, _enum_free_fast
 from pathlens.inner import as_weights
 from conftest import TOY_OLS, random_stats
-from oracles import brute_force_explanation
+from oracles import batch_objectives, brute_force_explanation
 
 GAMMA1 = WeightSchedule.geometric(1.0)
 
@@ -97,8 +97,6 @@ class TestExactPath:
         for _ in range(100_000 // 100):
             ivs = rng.integers(0, 3, size=(100, 3))
             deltas = rng.standard_normal((100, 3)) * 1.5
-            from pathlens.inner import batch_objectives
-
             vals = batch_objectives(stats, base.coefficients, ivs, deltas, alpha)
             best = min(best, float(vals.min()))
         assert obj <= best + 1e-9
@@ -226,6 +224,13 @@ class TestLocalImprovement:
         assert weighted_loss(toy_stats, path, GAMMA1) >= weighted_loss(
             toy_stats, exact, GAMMA1
         ) - 1e-9
+
+    def test_unit_mode_rejected_before_endpoint_check(self, toy_stats, toy_zero):
+        # An unreachable endpoint must not mask the unsupported step mode.
+        target = LinearModel(TOY_OLS, toy_stats.feature_names)
+        cfg = OptimizerConfig(K=1, schedule=GAMMA1, endpoint=target, step_mode="unit")
+        with pytest.raises(InputError, match="continuous steps only"):
+            local_improvement(toy_stats, toy_zero, cfg)
 
     def test_q_larger_than_k_rejected(self):
         with pytest.raises(InputError, match="q="):
