@@ -7,7 +7,14 @@ run through an incremental Cholesky recursion: the inner system's factor for
 a pattern extends the factor of its prefix, and the recursion only ever
 needs the fixed-size summaries Q = B'B, u = B'y, ssq = ||y||^2 per tree node
 (B = L^{-1} G[pattern, :]), so whole levels are expanded as flat array
-operations. Every other case, pinned endpoints included, runs through one
+operations. The first steps of a pattern pick a segment root; below each
+root the levels are expanded breadth-first down to the last regular level.
+That level and the fused last two steps then run over blocks of parent
+nodes, about _BLOCK_LEAVES leaves each, with in-place arithmetic, so their
+temporaries stay in cache. Every objective is computed with the same
+operations whatever the block size, and blocks keep the running best with a
+strict <, so exact ties resolve to the lexicographically first pattern.
+Every other case, pinned endpoints included, runs through one
 chunked enumerator of batched inner solves (inner.solve_patterns) that ranks
 candidates by their attained objective; there, objectives within 1e-12
 (relative) are ties. Candidates sharing an optimal objective resolve to the
@@ -44,7 +51,8 @@ from .paths import CoordinatePath, WeightSchedule, model_complexity, weighted_lo
 from .regression import LinearModel, SufficientStats, cost_of, ols
 
 DEFAULT_BUDGET = 10_000_000
-_SEGMENT_CAP = 2_000_000  # max leaves expanded per enumeration segment
+_SEGMENT_CAP = 2_000_000  # max leaves under one root: sets the root count, not peak memory
+_BLOCK_LEAVES = 50_000  # leaves per block of the last levels (~400 KB temporaries, fit L2)
 _CHUNK_ENTRIES = 150_000  # K*K system entries per _enum_direct chunk (~4k patterns at K=6)
 _TIE_RTOL = 1e-12  # objectives this close (relative) are ties, kept by the earlier candidate
 _PIVOT_RTOL = 1e-10
@@ -155,6 +163,78 @@ def _candidate_count(d: int, cfg: OptimizerConfig) -> int:
     return n
 
 
+def _grow(QT, uT, ssq, G, gd, r, wm, children_q):
+    """Expand every node by one step on each coordinate.
+
+    Nodes run along the last axis, QT (d, d, N) and uT (d, N), so every
+    broadcast operand is a contiguous row. The d*N children come back in
+    the same layout, child c of node p at c*N + p; their QT and uT are
+    None unless children_q (they are not needed after the last step).
+    """
+    d, N = uT.shape
+    dQ = np.einsum("iin->in", QT)
+    piv2 = wm * gd[:, None] - wm * wm * dQ
+    if np.any(piv2 <= _PIVOT_RTOL * wm * gd[:, None]):
+        raise _PivotBreakdown
+    piv = np.sqrt(piv2)
+    ynew = (wm * r[:, None] - wm * uT) / piv
+    ssq = (ssq[None, :] + ynew * ynew).reshape(d * N)
+    if not children_q:
+        return None, None, ssq
+    row = ((G[:, :, None] - wm * QT) / piv[:, None, :]).transpose(1, 0, 2)
+    QTc = np.multiply(row[:, None, :, :], row[None, :, :, :])
+    QTc += QT[:, :, None, :]
+    uTc = np.multiply(row, ynew[None, :, :])
+    uTc += uT[:, None, :]
+    return QTc.reshape(d, d, d * N), uTc.reshape(d, d * N), ssq
+
+
+def _fused_leaves(QT, uT, ssq, G, gd, r, w1, w2, top):
+    """Objectives of every two-step completion of each node, as vals[c1, c2, n].
+
+    The last two steps in one pass, evaluated in place in two (d, d, N)
+    buffers, in _grow's layout. Each value goes through the same operations
+    in the same order whatever N is, so it does not depend on how the nodes
+    are blocked.
+    """
+    dQ = np.einsum("iin->in", QT)
+    piv1 = np.multiply(w1 * w1, dQ)
+    np.subtract(w1 * gd[:, None], piv1, out=piv1)
+    if np.any(piv1 <= _PIVOT_RTOL * w1 * gd[:, None]):
+        raise _PivotBreakdown
+    np.sqrt(piv1, out=piv1)
+    y1 = np.multiply(w1, uT)
+    np.subtract(w1 * r[:, None], y1, out=y1)
+    y1 /= piv1
+    row = np.multiply(w1, QT)
+    np.subtract(G[:, :, None], row, out=row)
+    row /= piv1[:, None, :]
+    piv2 = np.multiply(row, row)
+    piv2 += dQ[None, :, :]
+    piv2 *= w2 * w2
+    np.subtract(w2 * gd[None, :, None], piv2, out=piv2)
+    if np.any(piv2 <= _PIVOT_RTOL * w2 * gd[None, :, None]):
+        raise _PivotBreakdown
+    y2 = row
+    y2 *= y1[:, None, :]
+    y2 += uT[None, :, :]
+    y2 *= w2
+    np.subtract(w2 * r[None, :, None], y2, out=y2)
+    y2 /= np.sqrt(piv2, out=piv2)
+    y1 *= y1
+    np.subtract((top - ssq)[None, :], y1, out=y1)
+    y2 *= y2
+    return np.subtract(y1[:, None, :], y2, out=y2)
+
+
+def _lexicographic(a: np.ndarray, d: int, levels: int) -> np.ndarray:
+    """Reorder the last axis of `a` (the nodes `levels` _grow steps made,
+    the newest step slowest) so that the first step varies slowest."""
+    k = a.ndim - 1
+    a = a.reshape(a.shape[:k] + (d,) * levels)
+    return a.transpose(*range(k), *range(a.ndim - 1, k - 1, -1)).reshape(a.shape[:k] + (-1,))
+
+
 def _enum_free_fast(stats: SufficientStats, base: np.ndarray, K: int, alpha: np.ndarray):
     """Exhaustive free-endpoint search via the incremental factor recursion.
 
@@ -177,8 +257,13 @@ def _enum_free_fast(stats: SufficientStats, base: np.ndarray, K: int, alpha: np.
     while d ** (K - t) > _SEGMENT_CAP:
         t += 1
     t = min(t, stop)
+    # Levels t..split-1 are expanded breadth-first; the rest runs per block
+    # of level-`split` nodes, each block yielding about _BLOCK_LEAVES leaves.
+    split = max(t, stop - 1)
+    leaves_per_node = d ** (K - split)
+    block = max(1, _BLOCK_LEAVES // leaves_per_node)
 
-    best_val, best_iv = math.inf, None
+    best_val, best_root, best_leaf = math.inf, None, 0
     for root in itertools.product(range(d), repeat=t):
         riv = np.asarray(root, dtype=np.intp)
         if t:
@@ -190,65 +275,42 @@ def _enum_free_fast(stats: SufficientStats, base: np.ndarray, K: int, alpha: np.
             Linv = np.linalg.inv(L)
             B0 = Linv @ G[riv, :]
             y0 = Linv @ (w[:t] * r[riv])
-            Q = np.ascontiguousarray((B0.T @ B0)[None])
-            u = np.ascontiguousarray((B0.T @ y0)[None])
+            QT = np.ascontiguousarray((B0.T @ B0)[:, :, None])
+            uT = np.ascontiguousarray((B0.T @ y0)[:, None])
             ssq = np.array([float(y0 @ y0)])
         else:
-            Q = np.zeros((1, d, d))
-            u = np.zeros((1, d))
+            QT = np.zeros((d, d, 1))
+            uT = np.zeros((d, 1))
             ssq = np.zeros(1)
-        N = 1
-        for m in range(t, stop):
-            wm = w[m]
-            dQ = np.einsum("ncc->nc", Q)
-            piv2 = wm * gd[None, :] - wm * wm * dQ
-            if np.any(piv2 <= _PIVOT_RTOL * wm * gd[None, :]):
-                raise _PivotBreakdown
-            piv = np.sqrt(piv2)
-            ynew = (wm * r[None, :] - wm * u) / piv
-            ssq = (ssq[:, None] + ynew * ynew).reshape(N * d)
-            if m + 1 < K:
-                row = (G[None, :, :] - wm * Q) / piv[:, :, None]
-                Q = (Q[:, None, :, :] + row[:, :, :, None] * row[:, :, None, :]).reshape(
-                    N * d, d, d
-                )
-                u = (u[:, None, :] + row * ynew[:, :, None]).reshape(N * d, d)
-            N *= d
-        if fuse:
-            w1, w2 = w[K - 2], w[K - 1]
-            dQ = np.einsum("ncc->nc", Q)
-            piv1sq = w1 * gd[None, :] - w1 * w1 * dQ
-            if np.any(piv1sq <= _PIVOT_RTOL * w1 * gd[None, :]):
-                raise _PivotBreakdown
-            piv1 = np.sqrt(piv1sq)
-            y1 = (w1 * r[None, :] - w1 * u) / piv1
-            row = (G[None, :, :] - w1 * Q) / piv1[:, :, None]
-            dQ2 = dQ[:, None, :] + row * row
-            piv2sq = w2 * gd[None, None, :] - w2 * w2 * dQ2
-            if np.any(piv2sq <= _PIVOT_RTOL * w2 * gd[None, None, :]):
-                raise _PivotBreakdown
-            u2 = u[:, None, :] + row * y1[:, :, None]
-            y2 = (w2 * r[None, None, :] - w2 * u2) / np.sqrt(piv2sq)
-            vals = (S * c0 - ssq[:, None, None]) - y1[:, :, None] ** 2 - y2**2
-            vals = vals.reshape(-1)
-        else:
-            vals = S * c0 - ssq
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val = float(vals[j])
-            nsuf = K - t
-            digits = tuple(int(j // d ** (nsuf - 1 - p)) % d for p in range(nsuf))
-            best_iv = root + digits
-    return best_val, np.asarray(best_iv, dtype=int)
+        for m in range(t, split):
+            QT, uT, ssq = _grow(QT, uT, ssq, G, gd, r, w[m], True)
+        if split > t:
+            QT, uT, ssq = (_lexicographic(a, d, split - t) for a in (QT, uT, ssq))
+        for p0 in range(0, ssq.shape[0], block):
+            QTb, uTb, sb = QT[:, :, p0:p0 + block], uT[:, p0:p0 + block], ssq[p0:p0 + block]
+            node_axes = (d,) * (stop - split) + sb.shape
+            for m in range(split, stop):
+                QTb, uTb, sb = _grow(QTb, uTb, sb, G, gd, r, w[m], m + 1 < K)
+            if fuse:
+                vals = _fused_leaves(QTb, uTb, sb, G, gd, r, w[K - 2], w[K - 1], S * c0)
+            else:
+                vals = S * c0 - sb
+            vals = vals.reshape(-1, *node_axes).T  # leaves in lexicographic order
+            low = vals.min()
+            if low < best_val:
+                best_val = float(low)
+                best_root, best_leaf = root, p0 * leaves_per_node + int(np.argmin(vals))
+    nsuf = K - t
+    digits = tuple(best_leaf // d ** (nsuf - 1 - p) % d for p in range(nsuf))
+    return best_val, np.asarray(best_root + digits, dtype=int)
 
 
 def _iv_chunks(d: int, K: int, chunk: int):
-    it = itertools.product(range(d), repeat=K)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        yield np.asarray(block, dtype=int)
+    """All d**K index vectors in lexicographic order, `chunk` rows at a time."""
+    radix = d ** np.arange(K - 1, -1, -1)
+    total = d**K
+    for s in range(0, total, chunk):
+        yield np.arange(s, min(s + chunk, total))[:, None] // radix % d
 
 
 def _beats(value: float, incumbent: float) -> bool:

@@ -20,12 +20,14 @@ from pathlens import (
     materialize,
     ols,
     solve_free,
+    stats_from_moments,
     weighted_loss,
 )
-from pathlens.optimizers import _enum_direct, _enum_free_fast
-from pathlens.inner import as_weights
+from pathlens import optimizers
+from pathlens.optimizers import _enum_direct, _enum_free_fast, _iv_chunks, _PivotBreakdown
+from pathlens.inner import as_weights, path_from_deltas
 from conftest import TOY_OLS, random_stats
-from oracles import batch_objectives, brute_force_explanation
+from oracles import batch_objectives, brute_force_explanation, unblocked_enum_free_fast
 
 GAMMA1 = WeightSchedule.geometric(1.0)
 
@@ -161,11 +163,86 @@ class TestEnumerationEngines:
         assert v_fast == pytest.approx(v_direct, rel=1e-8, abs=1e-10)
         assert np.array_equal(iv_fast, iv_direct)
 
+    def test_blocked_matches_unblocked_oracle(self, monkeypatch):
+        # Small segment caps and blocks run t > 0 roots and many blocks per
+        # root; the fixed cases add d = 1, K <= 2 and one parent per block.
+        rng = np.random.default_rng(4)
+        cases = [(1, 5, 1, 1), (1, 3, 2_000_000, 50_000), (3, 1, 2_000_000, 1),
+                 (4, 2, 1, 1), (3, 2, 2_000_000, 5), (3, 6, 9, 1), (4, 5, 2_000_000, 16)]
+        for _ in range(100):
+            d = int(rng.integers(1, 6))
+            K = int(rng.integers(1, 8))
+            cases.append((d, K, int(rng.choice([1, d, d * d, 50, 2_000_000])),
+                          int(rng.choice([1, 2, 5, 64, 50_000]))))
+        for seed, (d, K, cap, block) in enumerate(cases):
+            stats = random_stats(seed + 200, d=d)
+            base = rng.standard_normal(d) * 0.5
+            alpha = as_weights(rng.uniform(0.1, 2.0, size=K), K)
+            monkeypatch.setattr(optimizers, "_SEGMENT_CAP", cap)
+            monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", block)
+            try:
+                expected = unblocked_enum_free_fast(stats, base, K, alpha, segment_cap=cap)
+            except _PivotBreakdown:
+                with pytest.raises(_PivotBreakdown):
+                    _enum_free_fast(stats, base, K, alpha)
+                continue
+            value, iv = _enum_free_fast(stats, base, K, alpha)
+            assert value == expected[0], (d, K, cap, block)
+            assert np.array_equal(iv, expected[1]), (d, K, cap, block)
+
+    @pytest.mark.parametrize("d,K", [(3, 4), (4, 4), (2, 5)])
+    def test_ties_across_blocks_resolve_to_first_pattern(self, monkeypatch, d, K):
+        # With G = I and equal cross moments, relabeling the coordinates maps
+        # each pattern to one with exactly the same objective, so every
+        # optimum is tied with patterns in later blocks.
+        names = tuple(f"x{i}" for i in range(d))
+        stats = stats_from_moments(np.eye(d), np.full(d, 0.5), 2.0, names)
+        base = LinearModel.zeros(names)
+        alpha = as_weights(np.ones(K), K)
+        monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", 1)  # one parent per block
+        _, iv = _enum_free_fast(stats, base.coefficients, K, alpha)
+        _, iv_direct, _ = _enum_direct(stats, base, K, alpha)
+        assert np.array_equal(iv, iv_direct)
+        relabeled = (iv + 1) % d
+        assert relabeled.tolist() > iv.tolist()
+        assert solve_free(stats, base, relabeled, alpha)[1] == pytest.approx(
+            solve_free(stats, base, iv, alpha)[1], rel=1e-12
+        )
+
+    def test_pivot_breakdown_in_small_blocks_falls_back(self, monkeypatch):
+        # A near-zero weight at position K-2 makes the last pivot of every
+        # pattern that repeats its last coordinate vanish.
+        monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", 1)
+        stats = random_stats(7, d=3)
+        base = LinearModel.zeros(stats.feature_names)
+        schedule = WeightSchedule.explicit([1.0, 1.0, 1e-14, 1.0])
+        alpha = as_weights(schedule, 4)
+        with pytest.raises(_PivotBreakdown):
+            _enum_free_fast(stats, base.coefficients, 4, alpha)
+        path = exact_path(stats, base, OptimizerConfig(K=4, schedule=schedule))
+        _, iv, delta = _enum_direct(stats, base, 4, alpha)
+        assert path.steps == path_from_deltas(base, iv, delta).steps
+
     def test_zero_weight_schedule_uses_direct_engine(self, toy_stats, toy_zero):
         # alpha with zeros makes the system singular; exact_path must still work.
         cfg = OptimizerConfig(K=2, schedule=WeightSchedule.explicit([0.0, 1.0]))
         path = exact_path(toy_stats, toy_zero, cfg)
         assert cost(toy_stats, path.final) <= cost(toy_stats, ols(toy_stats)) + 1e-8
+
+
+@pytest.mark.parametrize("d,K,chunk", [
+    (1, 1, 3), (1, 4, 2), (3, 1, 2), (3, 4, 7), (2, 3, 8),
+    (6, 6, max(256, optimizers._CHUNK_ENTRIES // 36)),  # _enum_direct's chunk at K=6
+    (4, 6, max(1, 200_000 // 3**6)),  # _enum_unit's chunk at K=6
+])
+def test_iv_chunks_match_itertools_product(d, K, chunk):
+    expected = np.asarray(list(itertools.product(range(d), repeat=K)), dtype=int)
+    chunks = list(_iv_chunks(d, K, chunk))
+    assert [c.shape for c in chunks] == [
+        (min(chunk, len(expected) - s), K) for s in range(0, len(expected), chunk)
+    ]
+    assert all(c.dtype == expected.dtype for c in chunks)
+    assert np.array_equal(np.concatenate(chunks), expected)
 
 
 class TestLocalImprovement:
