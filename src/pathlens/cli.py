@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BudgetError, InfeasibleError, InputError
+from .errors import BudgetError, InfeasibleError, InputError, not_utf8
 from .optimizers import (
     OptimizerConfig,
     best_explanation,
@@ -57,14 +57,22 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def read_text(path, what: str = "") -> str:
+    """A UTF-8 input file's text; InputError if it cannot be read or decoded."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {what}{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
+
+
 def load_stats(args):
     if (args.input is None) == (args.moments is None):
         raise InputError("provide exactly one input source: --input CSV or --moments JSON")
     if args.moments is not None:
         try:
-            payload = json.loads(Path(args.moments).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise InputError(f"cannot read {args.moments}: {exc}") from exc
+            payload = json.loads(read_text(args.moments))
         except json.JSONDecodeError as exc:
             raise InputError(f"{args.moments}: invalid JSON ({exc})") from exc
         for key in ("gram", "cross", "tsm"):
@@ -126,9 +134,7 @@ def load_base(args, stats) -> LinearModel:
 
 def load_model_file(path: str, stats) -> LinearModel:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InputError(f"cannot read model {path}: {exc}") from exc
+        payload = json.loads(read_text(path, "model "))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
     return model_from_json(payload, stats.feature_names)
@@ -327,10 +333,7 @@ def cmd_verify(args) -> int:
     if args.input is None:
         raise InputError("verify needs --input FILE (front CSV/JSON or path JSON)")
     path = Path(args.input)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    text = read_text(path)
 
     problems: list[str] = []
     if path.suffix == ".csv":
@@ -338,11 +341,11 @@ def cmd_verify(args) -> int:
         if not lines or lines[0] != FRONT_CSV_HEADER:
             raise InputError(f"{path}: expected header '{FRONT_CSV_HEADER}'")
         rows = []
-        for ln in lines[1:]:
+        for i, ln in enumerate(lines[1:], start=1):
             cells = ln.split(",")
             if len(cells) != 4:
                 raise InputError(f"{path}: malformed row '{ln}'")
-            rows.append((cells[0], cells[1]))
+            rows.append(_front_row(path, i, cells[0], cells[1]))
         problems = check_front_rows(rows)
         kind = f"front CSV ({len(rows)} points)"
     else:
@@ -351,10 +354,19 @@ def cmd_verify(args) -> int:
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: invalid JSON ({exc})") from exc
         if isinstance(payload, dict) and "points" in payload:
-            rows = [(pt["interp_loss"], pt["cost"]) for pt in payload["points"]]
+            if not isinstance(payload["points"], list):
+                raise InputError(f"{path}: 'points' is not a list")
+            rows = []
+            for i, pt in enumerate(payload["points"], start=1):
+                if not isinstance(pt, dict) or "interp_loss" not in pt or "cost" not in pt:
+                    raise InputError(f"{path}: point {i} is not an object with "
+                                     "'interp_loss' and 'cost'")
+                rows.append(_front_row(path, i, pt["interp_loss"], pt["cost"]))
             problems = check_front_rows(rows)
             kind = f"front JSON ({len(rows)} points)"
         elif isinstance(payload, dict) and "base" in payload and "steps" in payload:
+            if not isinstance(payload["steps"], list):
+                raise InputError(f"{path}: 'steps' is not a list")
             if canonical_json(payload) != text:
                 problems.append("file is not in canonical form (round-trip differs)")
             for s, step in enumerate(payload["steps"]):
@@ -369,6 +381,16 @@ def cmd_verify(args) -> int:
         return 1
     print(f"verified {kind}: OK")
     return 0
+
+
+def _front_row(path, i: int, interp_loss, cost) -> tuple[float, float]:
+    try:
+        return float(interp_loss), float(cost)
+    except (TypeError, ValueError):
+        raise InputError(
+            f"{path}: point {i}: interp_loss {interp_loss!r} and cost {cost!r} "
+            "must be numbers"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

@@ -15,3 +15,9 @@ class InfeasibleError(PathlensError):
 
 class BudgetError(PathlensError):
     """Enumeration would exceed the configured candidate budget (CLI exit code 3)."""
+
+
+def not_utf8(path, exc: UnicodeDecodeError) -> InputError:
+    """The InputError for a file whose bytes do not decode as UTF-8."""
+    bad = exc.object[exc.start : exc.end]
+    return InputError(f"{path}: not valid UTF-8 ({exc.reason}: {bad!r})")

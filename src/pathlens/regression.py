@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, not_utf8
 
 # Relative tolerance for accepting slightly negative eigenvalues / costs
 # caused by floating-point roundoff.
@@ -195,10 +196,19 @@ class SufficientStats:
 def load_csv(path, target: str) -> Dataset:
     """Load an RFC-4180 CSV with a header row into a Dataset.
 
+    The header is read with the csv module. The body is parsed in one call
+    to numpy's C text reader, whose result is kept only if it raised and
+    warned nothing, has one column per header name, at least one row, and
+    only finite values. Any other body, and any file holding one of the
+    ASCII separators 0x1C-0x1F, goes to the row loop instead: that loop
+    gives every error its row, column and cell, and it reads the cells
+    that Python's float() accepts and numpy does not (``1_0``, non-ASCII
+    digits).
+
     Parameters
     ----------
     path : str or Path
-        CSV file; every cell must parse as a finite real number.
+        CSV file in UTF-8; every cell must parse as a finite real number.
     target : str
         Header name of the target column, removed from the features.
     """
@@ -206,44 +216,93 @@ def load_csv(path, target: str) -> Dataset:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            dupes = sorted({h for h in header if header.count(h) > 1})
-            raise InputError(f"{path}: duplicate column names {dupes}")
-        if target not in header:
-            raise InputError(f"{path}: target column '{target}' not found in header")
-        tcol = header.index(target)
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise InputError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
-            vals = []
-            for j, cell in enumerate(row):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise InputError(
-                        f"{path}: row {i}, column '{header[j]}': cannot parse '{cell}' as a number"
-                    ) from None
-                if not math.isfinite(v):
-                    raise InputError(f"{path}: row {i}, column '{header[j]}': non-finite value")
-                vals.append(v)
-            rows.append(vals)
-    if not rows:
-        raise InputError(f"{path}: no data rows")
-    data = np.array(rows, dtype=float)
+    try:
+        with fh:
+            reader = csv.reader(fh)
+            header = _read_header(reader, path, target)
+            data = _parse_body(path, reader.line_num, len(header))
+            if data is None:
+                data = _parse_rows(reader, header, path)
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
+    tcol = header.index(target)
     mask = np.ones(len(header), dtype=bool)
     mask[tcol] = False
     names = tuple(h for h, keep in zip(header, mask) if keep)
     return Dataset(data[:, mask], data[:, tcol], names)
+
+
+def _read_header(reader, path, target: str) -> list[str]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError(f"{path}: file is empty") from None
+    header = [h.strip() for h in header]
+    if len(set(header)) != len(header):
+        dupes = sorted({h for h in header if header.count(h) > 1})
+        raise InputError(f"{path}: duplicate column names {dupes}")
+    if target not in header:
+        raise InputError(f"{path}: target column '{target}' not found in header")
+    return header
+
+
+# numpy strips the ASCII information separators around a number, as it
+# strips spaces; float() does not. A file holding one goes to the row loop.
+_SEPARATORS = tuple(bytes([c]) for c in range(0x1C, 0x20))
+
+
+def _holds_separator(path) -> bool:
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            if any(sep in block for sep in _SEPARATORS):
+                return True
+    return False
+
+
+def _parse_body(path, skiprows: int, ncols: int) -> np.ndarray | None:
+    """The body below the first skiprows lines in one C parse, or None.
+
+    Given the path rather than an open file, numpy reads the file itself,
+    which is faster. None means the row loop must parse the body.
+    """
+    if _holds_separator(path):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = np.loadtxt(path, delimiter=",", comments=None, quotechar='"',
+                              skiprows=skiprows, ndmin=2, encoding="utf-8")
+    except UnicodeDecodeError:
+        raise  # the row loop would fail on it too
+    except (ValueError, Warning):
+        return None
+    if data.shape[0] and data.shape[1] == ncols and np.isfinite(data).all():
+        return data
+    return None
+
+
+def _parse_rows(reader, header: list[str], path) -> np.ndarray:
+    rows = []
+    for i, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(header):
+            raise InputError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
+        vals = []
+        for j, cell in enumerate(row):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise InputError(
+                    f"{path}: row {i}, column '{header[j]}': cannot parse '{cell}' as a number"
+                ) from None
+            if not math.isfinite(v):
+                raise InputError(f"{path}: row {i}, column '{header[j]}': non-finite value")
+            vals.append(v)
+        rows.append(vals)
+    if not rows:
+        raise InputError(f"{path}: no data rows")
+    return np.array(rows, dtype=float)
 
 
 def standardize(ds: Dataset) -> tuple[Dataset, Scaling]:

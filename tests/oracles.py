@@ -7,9 +7,11 @@ a parabolic line search, and pinned endpoints are solved by SVD null-space
 elimination of the endpoint constraints on normal equations assembled here.
 The one exception is unblocked_enum_free_fast, the breadth-first form of the
 exact search's incremental factor recursion, kept as the reference for its
-blocked form.
+blocked form. rowwise_load_csv is the pure-Python CSV reader that load_csv's
+one-call numpy parse must match.
 """
 
+import csv
 import itertools
 import math
 
@@ -17,7 +19,8 @@ import numpy as np
 
 from pathlens.inner import tail_weights
 from pathlens.optimizers import _PIVOT_RTOL, _PivotBreakdown
-from pathlens.regression import cost_of
+from pathlens.errors import InputError
+from pathlens.regression import Dataset, cost_of
 
 
 def eval_objective(stats, base, iv, delta, alpha):
@@ -257,3 +260,49 @@ def unblocked_enum_free_fast(stats, base, K, alpha, segment_cap=2_000_000):
             digits = tuple(int(j // d ** (nsuf - 1 - p)) % d for p in range(nsuf))
             best_iv = root + digits
     return best_val, np.asarray(best_iv, dtype=int)
+
+
+def rowwise_load_csv(path, target):
+    """load_csv as a csv.reader row loop with float() per cell."""
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot open {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InputError(f"{path}: file is empty") from None
+        header = [h.strip() for h in header]
+        if len(set(header)) != len(header):
+            dupes = sorted({h for h in header if header.count(h) > 1})
+            raise InputError(f"{path}: duplicate column names {dupes}")
+        if target not in header:
+            raise InputError(f"{path}: target column '{target}' not found in header")
+        tcol = header.index(target)
+        rows = []
+        for i, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(header):
+                raise InputError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
+            vals = []
+            for j, cell in enumerate(row):
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise InputError(
+                        f"{path}: row {i}, column '{header[j]}': cannot parse '{cell}' as a number"
+                    ) from None
+                if not math.isfinite(v):
+                    raise InputError(f"{path}: row {i}, column '{header[j]}': non-finite value")
+                vals.append(v)
+            rows.append(vals)
+    if not rows:
+        raise InputError(f"{path}: no data rows")
+    data = np.array(rows, dtype=float)
+    mask = np.ones(len(header), dtype=bool)
+    mask[tcol] = False
+    names = tuple(h for h, keep in zip(header, mask) if keep)
+    return Dataset(data[:, mask], data[:, tcol], names)

@@ -114,6 +114,22 @@ class TestPath:
         assert code == 2
         assert "column 'a'" in err
 
+    @pytest.mark.parametrize(
+        "blob, source",
+        [
+            (b"a,caf\xe9,y\n1,2,3\n4,5,7\n", "--input"),
+            (b"a,b,y\n" + b"1,2,3\n4,5,7\n" * 2000 + b"\xe9,5,7\n", "--input"),
+            (b'{"gram": [[1.0]], "cross": [0.5], "tsm": 1.0, "names": ["caf\xe9"]}', "--moments"),
+        ],
+        ids=["csv_header", "csv_body", "moments"],
+    )
+    def test_non_utf8_input_exits_2(self, capsys, tmp_path, blob, source):
+        f = tmp_path / "bad.dat"
+        f.write_bytes(blob)
+        code, _, err = run(capsys, "stats", source, str(f), "--target", "y")
+        assert code == 2
+        assert "not valid UTF-8" in err
+
     def test_unit_mode_defaults_to_free_endpoint(self, capsys, toy_moments):
         code, out, _ = run(
             capsys, "path", "exact", "--moments", toy_moments, "--K", "2",
@@ -291,6 +307,28 @@ class TestVerifyPathArtifact:
         run(capsys, "path", "exact", "--moments", toy_moments, "--K", "2", "--out", str(out_file))
         code, out, _ = run(capsys, "verify", "--input", str(out_file))
         assert code == 0 and "OK" in out
+
+    @pytest.mark.parametrize(
+        "name, text, where",
+        [
+            ("f.json", '{"points": [{"cost": 1.0}]}', "point 1"),
+            ("f.json", '{"points": [5]}', "point 1"),
+            ("f.json", '{"points": {"cost": 1.0}}', "'points'"),
+            ("f.json", '{"points": [{"interp_loss": 0.0, "cost": 1.0}, '
+                       '{"interp_loss": 0.5, "cost": "low"}]}', "point 2"),
+            ("f.json", '{"points": [{"interp_loss": null, "cost": 1.0}]}', "point 1"),
+            ("f.csv", "interp_loss,cost,K,lambda\n0.0,1.0,0,1\nx,0.5,1,0.5\n", "point 2"),
+            ("f.json", '{"base": [0.0], "steps": 3}', "'steps'"),
+        ],
+        ids=["missing_key", "not_an_object", "points_not_a_list", "non_numeric_cost",
+             "null_loss", "csv_non_numeric_loss", "steps_not_a_list"],
+    )
+    def test_malformed_artifact_exits_2(self, capsys, tmp_path, name, text, where):
+        f = tmp_path / name
+        f.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, "verify", "--input", str(f))
+        assert code == 2
+        assert where in err
 
     def test_non_canonical_rejected(self, capsys, tmp_path):
         f = tmp_path / "p.json"

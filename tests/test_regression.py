@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pathlens import (
     Dataset,
@@ -13,7 +15,9 @@ from pathlens import (
     standardize,
     stats_from_moments,
 )
+from pathlens import regression
 from conftest import TOY_OLS, random_dataset, random_stats
+from oracles import rowwise_load_csv
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -58,6 +62,99 @@ class TestLoadCsv:
     def test_ragged_row(self, tmp_path):
         with pytest.raises(InputError, match="row 2"):
             load_csv(write(tmp_path, "a,b,y\n1,2\n"), "y")
+
+
+def load_outcome(loader, path):
+    """A loader's result as comparable bytes, or its exception's type and message."""
+    try:
+        ds = loader(path, "y")
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ds.features.shape, ds.features.tobytes(), ds.target.tobytes(), ds.feature_names
+
+
+def assert_matches_rowwise(path):
+    """load_csv equals the row-loop oracle bitwise, or fails with its message."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = load_outcome(load_csv, path)
+        want = load_outcome(rowwise_load_csv, path)
+    assert got == want
+
+
+# Each case is decided either by numpy's one-call parse or by the row loop;
+# both must give the oracle's outcome.
+ROWWISE_CASES = {
+    "crlf": "a,b,y\r\n1,2,3\r\n4,5,6\r\n",
+    "cr_only": "a,y\r1,2\r3,4\r",
+    "no_final_newline": "a,y\n1,2\n3,4",
+    "blank_lines": "a,y\n\n1,2\n\n3,4\n\n",
+    "whitespace_lines": "a,y\n1,2\n  \n\t\n3,4\n",
+    "row_number_after_blank_lines": "a,y\n1,2\n\n  \n3,x\n",
+    "quoted_cells": 'a,y\n"1","2"\n"-0.5",3\n',
+    "padded_cells": "a,y\n 1 ,\t2\n3  , 4\n",
+    "unit_separator_padding": "a,y\n1,2\n3\x1f,4\n",
+    "record_separator_padding": "a,y\n1,\x1e2\n",
+    "space_before_quote": 'a,y\n "1",2\n',
+    "signs_and_extremes": "a,y\n+.5,-0\n1.5e-400,0.1\n",
+    "underscore": "a,y\n1_0,2\n3,4\n",
+    "arabic_indic_digit": "a,y\n\u0661,2\n3,4\n",
+    "inf": "a,y\n1,2\ninf,4\n",
+    "nan": "a,y\n1,2\n3,nan\n",
+    "overflow": "a,y\n1,2\n1e400,4\n",
+    "ragged_row": "a,b,y\n1,2,3\n4,5\n",
+    "every_row_one_wider": "a,y\n1,2,3\n4,5,6\n",
+    "single_row": "a,y\n1,2\n",
+    "header_only": "a,y\n",
+    "header_only_no_newline": "a,y",
+    "comment_line": "a,y\n# note\n1,2\n",
+    "quoted_header_two_lines": '"a\nb",y\n1,2\n3,4\n',
+    "quoted_header_two_lines_bad_cell": '"a\nb",y\n1,2\n3,x\n',
+    "target_only": "y\n1\n2\n",
+}
+
+
+@pytest.mark.parametrize("text", ROWWISE_CASES.values(), ids=ROWWISE_CASES.keys())
+def test_load_csv_matches_rowwise_oracle(tmp_path, text):
+    f = tmp_path / "data.csv"
+    f.write_bytes(text.encode("utf-8"))
+    assert_matches_rowwise(f)
+
+
+CELLS = ["1", "-2.5", "+.5", "-0", "1e400", "1.5e-400", "3.25e-7", " 4 ", "\t5", '"6"',
+         '"7" ', '"8"9', "1_0", "\u0661", "nan", "inf", "", " ", "#3", "x", '"1,2"',
+         '"1\n2"', '1"2', '" 1"', "\xa01", "\x1c1", "2\x1f", "0x10", "1.", ".", "1E-3"]
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    ncols=st.integers(1, 3),
+    rows=st.lists(
+        st.one_of(
+            st.lists(st.sampled_from(CELLS), min_size=1, max_size=4).map(",".join),
+            st.sampled_from(["", " ", " \t"]),
+        ),
+        max_size=6,
+    ),
+    eol=st.sampled_from(["\n", "\r\n", "\r"]),
+    final_eol=st.booleans(),
+)
+def test_load_csv_matches_rowwise_property(tmp_path, ncols, rows, eol, final_eol):
+    header = ",".join([f"x{i}" for i in range(ncols - 1)] + ["y"])
+    f = tmp_path / "data.csv"
+    f.write_bytes((eol.join([header, *rows]) + (eol if final_eol else "")).encode("utf-8"))
+    assert_matches_rowwise(f)
+
+
+def test_clean_body_skips_row_loop(tmp_path, monkeypatch):
+    def row_loop(*args):
+        raise AssertionError("row loop ran on a clean body")
+
+    monkeypatch.setattr(regression, "_parse_rows", row_loop)
+    ds = load_csv(write(tmp_path, 'a,b,y\r\n"1", 2 ,3\r\n\r\n4,5,6\r\n'), "y")
+    assert np.array_equal(ds.features, [[1, 2], [4, 5]])
+    ds = load_csv(write(tmp_path, '"a\nb",y\n1,2\n'), "y")
+    assert ds.feature_names == ("a\nb",) and np.array_equal(ds.features, [[1]])
 
 
 class TestStandardize:

@@ -16,8 +16,9 @@ ROOT = Path(__file__).resolve().parents[1]
         ["toy_tradeoff.py"],
         ["heuristic_benchmark.py", "--instances", "1", "--d", "4", "--K", "4", "--T", "10",
          "--patience", "5"],
+        ["bench.py", "--rows", "50", "--repeats", "3", "--out", "bench.json"],
     ],
-    ids=["toy_tradeoff", "heuristic_benchmark"],
+    ids=["toy_tradeoff", "heuristic_benchmark", "bench"],
 )
 def test_script_runs(argv, tmp_path):
     env = dict(os.environ)
