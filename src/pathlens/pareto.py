@@ -219,11 +219,10 @@ def front_to_csv(report: FrontReport) -> str:
 def check_front_rows(rows) -> list[str]:
     """Re-verify a deserialized front: pairwise non-domination and sorting.
 
-    rows: sequence of (interp_loss, cost) pairs. Returns a list of
-    human-readable violations (empty = verified).
+    rows: sequence of (interp_loss, cost) pairs of floats. Returns a list
+    of human-readable violations (empty = verified).
     """
     problems = []
-    rows = [(float(a), float(b)) for a, b in rows]
     for i, row in enumerate(rows):
         j = next((j for j, other in enumerate(rows) if j != i and _dominates(other, row)), None)
         if j is not None:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 
@@ -199,11 +201,12 @@ def load_csv(path, target: str) -> Dataset:
     The header is read with the csv module. The body is parsed in one call
     to numpy's C text reader, whose result is kept only if it raised and
     warned nothing, has one column per header name, at least one row, and
-    only finite values. Any other body, and any file holding one of the
-    ASCII separators 0x1C-0x1F, goes to the row loop instead: that loop
-    gives every error its row, column and cell, and it reads the cells
-    that Python's float() accepts and numpy does not (``1_0``, non-ASCII
-    digits).
+    only finite values. Any other body, any input that is not a regular
+    file (a pipe, say) or whose name ends in a suffix numpy decompresses,
+    and any file holding one of the ASCII separators 0x1C-0x1F, goes to
+    the row loop instead: that loop gives every error its row, column and
+    cell, and it reads the cells that Python's float() accepts and numpy
+    does not (``1_0``, non-ASCII digits).
 
     Parameters
     ----------
@@ -220,7 +223,7 @@ def load_csv(path, target: str) -> Dataset:
         with fh:
             reader = csv.reader(fh)
             header = _read_header(reader, path, target)
-            data = _parse_body(path, reader.line_num, len(header))
+            data = _parse_body(fh, path, reader.line_num, len(header))
             if data is None:
                 data = _parse_rows(reader, header, path)
     except UnicodeDecodeError as exc:
@@ -259,13 +262,21 @@ def _holds_separator(path) -> bool:
     return False
 
 
-def _parse_body(path, skiprows: int, ncols: int) -> np.ndarray | None:
+# Suffixes of a path that numpy's loadtxt opens through a decompressor.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _parse_body(fh, path, skiprows: int, ncols: int) -> np.ndarray | None:
     """The body below the first skiprows lines in one C parse, or None.
 
-    Given the path rather than an open file, numpy reads the file itself,
-    which is faster. None means the row loop must parse the body.
+    Given the path rather than the open file fh, numpy reads the file
+    itself, which is faster. It reopens the path, so this is done only for
+    a regular file that numpy reads as plain text: a pipe cannot be read a
+    second time. None means the row loop must parse the rest of fh.
     """
-    if _holds_separator(path):
+    if (not stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            or os.path.splitext(path)[1] in _COMPRESSED_SUFFIXES
+            or _holds_separator(path)):
         return None
     try:
         with warnings.catch_warnings():

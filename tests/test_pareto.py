@@ -190,7 +190,7 @@ class TestSerialization:
         lines = text.strip().splitlines()
         assert lines[0] == "interp_loss,cost,K,lambda"
         assert len(lines) == len(report.points) + 1
-        rows = [(ln.split(",")[0], ln.split(",")[1]) for ln in lines[1:]]
+        rows = [(float(ln.split(",")[0]), float(ln.split(",")[1])) for ln in lines[1:]]
         assert check_front_rows(rows) == []
         payload = front_to_json(report)
         assert len(payload["points"]) == len(report.points)

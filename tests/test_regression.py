@@ -1,3 +1,5 @@
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -144,6 +146,55 @@ def test_load_csv_matches_rowwise_property(tmp_path, ncols, rows, eol, final_eol
     f = tmp_path / "data.csv"
     f.write_bytes((eol.join([header, *rows]) + (eol if final_eol else "")).encode("utf-8"))
     assert_matches_rowwise(f)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_plain_text_with_compressed_suffix(tmp_path, suffix):
+    f = tmp_path / f"data.csv{suffix}"
+    f.write_text("a,y\n1,2\n3,4\n", encoding="utf-8")
+    assert_matches_rowwise(f)
+    assert np.array_equal(load_csv(f, "y").features, [[1], [3]])
+
+
+def load_from_fifo(loader, path, text):
+    """A loader's outcome on a named pipe that a writer thread feeds text.
+
+    Once the text is written, the writer keeps opening the pipe without
+    blocking, so a loader that opens it a second time finds it empty
+    instead of waiting for a writer for ever.
+    """
+    os.mkfifo(path)
+    done = threading.Event()
+
+    def feed():
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        while not done.wait(0.01):
+            try:
+                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # no reader is waiting
+                pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return load_outcome(loader, path)
+    finally:
+        done.set()
+        writer.join(timeout=10)
+        os.unlink(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_pipe_is_read_to_the_end(tmp_path):
+    rows = 2000  # ~20 KB, more than one read buffer
+    text = "a,b,y\n" + "".join(f"{i},{i / 7!r},{-i}\n" for i in range(rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = load_from_fifo(load_csv, tmp_path / "pipe", text)
+        want = load_from_fifo(rowwise_load_csv, tmp_path / "pipe", text)
+    assert got == want
+    assert got[0] == (rows, 2)
 
 
 def test_clean_body_skips_row_loop(tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ["toy_tradeoff.py"],
         ["heuristic_benchmark.py", "--instances", "1", "--d", "4", "--K", "4", "--T", "10",
          "--patience", "5"],
-        ["bench.py", "--rows", "50", "--repeats", "3", "--out", "bench.json"],
+        ["bench.py", "--rows", "50"],
     ],
     ids=["toy_tradeoff", "heuristic_benchmark", "bench"],
 )
