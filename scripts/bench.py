@@ -1,22 +1,30 @@
 #!/usr/bin/env python3
 """Time pathlens layer by layer and write the medians to BENCH_<topic>.json.
 
-Only the ingestion layer is measured so far: load_csv, standardize and
-compute_stats on seeded CSVs written to a temporary directory (by default
-100k rows x 21 and x 7 columns, the last column the target, and the x 7
-file again with a whitespace-only last line). Each layer's time is the
-median over REPEATS runs. The result is written to BENCH_ingestion.json in
-the current directory.
+Two topics, chosen with --topic; each number is the median over REPEATS
+runs, and the result goes to BENCH_<topic>.json in the current directory.
+
+ingestion (the default): load_csv, standardize and compute_stats on seeded
+CSVs written to a temporary directory (by default 100k rows x 21 and x 7
+columns, the last column the target, and the x 7 file again with a
+whitespace-only last line).
+
+tradeoff: sweep on a seeded instance (d = 6, n = 100) with K_max = 6 over
+the default 61-value lambda grid, gamma = 1, one worker, also per
+(lambda, K) solve; and the exact search's fast kernel (_enum_free_fast)
+with one weight row of unit weights at d = 6, K = 10 (60.5M patterns), in
+patterns per second. --K-max and --K shrink both for a quick run.
 
 To record the numbers from before a change, run the script with the older
 code first, e.g. from a checkout of the parent commit, then with the new
 code, which keeps the first run's numbers as "before":
 
-    PYTHONPATH=../parent/src python3 scripts/bench.py
-    PYTHONPATH=src python3 scripts/bench.py --before BENCH_ingestion.json
+    PYTHONPATH=../parent/src python3 scripts/bench.py --topic tradeoff
+    PYTHONPATH=src python3 scripts/bench.py --topic tradeoff --before BENCH_tradeoff.json
 """
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -28,14 +36,23 @@ from pathlib import Path
 
 import numpy as np
 
-from pathlens import compute_stats, load_csv, standardize
+from pathlens import (
+    Dataset,
+    LinearModel,
+    WeightSchedule,
+    compute_stats,
+    default_lambda_grid,
+    load_csv,
+    standardize,
+    sweep,
+)
+from pathlens.optimizers import _enum_free_fast
 
 # (columns, text after the last row). numpy's reader rejects a
 # whitespace-only line, so load_csv parses that file with its row loop.
 INSTANCES = ((21, ""), (7, ""), (7, " \n"))
 REPEATS = 9
 SEED = 0
-OUT = "BENCH_ingestion.json"
 
 
 def write_csv(path: Path, rows: int, cols: int, seed: int, tail: str):
@@ -67,15 +84,25 @@ def time_ingestion(path: Path) -> dict:
     return {layer: statistics.median(ts) for layer, ts in times.items()}
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--rows", type=int, default=100_000, help="CSV rows (default 100000)")
-    ap.add_argument("--before", help="an earlier output of this script, kept as 'before'")
-    args = ap.parse_args(argv)
-    if args.rows < 2:
-        ap.error("--rows must be at least 2")
+def median_seconds(fn) -> float:
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
 
+
+def machine() -> dict:
+    return {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+    }
+
+
+def ingestion(args) -> list:
     instances = []
     with tempfile.TemporaryDirectory() as tmp:
         for k, (cols, tail) in enumerate(INSTANCES):
@@ -93,31 +120,94 @@ def main(argv=None) -> int:
             })
             print(f"{args.rows} x {cols}, tail {tail!r}: " + "  ".join(
                 f"{layer} {s:.4f} s" for layer, s in median_s.items()))
+    return instances
 
-    report = {
-        "topic": "ingestion",
-        "machine": {
-            "nproc": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
-        "repeats": REPEATS,
-        "instances": instances,
-    }
+
+def tradeoff_stats(d: int, n: int = 100, seed: int = SEED):
+    """Standardized moments of seeded correlated data, as in
+    heuristic_benchmark.py."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d)) @ (np.eye(d) + 0.3 * rng.standard_normal((d, d)))
+    beta = rng.standard_normal(d)
+    y = X @ beta + rng.standard_normal(n) * 0.5 * np.std(X @ beta)
+    X = (X - X.mean(axis=0)) / X.std(axis=0)
+    y = (y - y.mean()) / y.std()
+    return compute_stats(Dataset(X, y, tuple(f"x{i + 1}" for i in range(d))))
+
+
+def tradeoff(args) -> list:
+    d = 6
+    stats = tradeoff_stats(d)
+    base = LinearModel.zeros(stats.feature_names)
+    schedule = WeightSchedule.geometric(1.0)
+    grid = default_lambda_grid()
+    sweep_s = median_seconds(
+        lambda: sweep(stats, base, schedule, grid, args.K_max, workers=1))
+    alpha = np.ones(args.K)
+    # Before it took weight rows, _enum_free_fast took one weight vector.
+    if "alphas" in inspect.signature(_enum_free_fast).parameters:
+        alpha = alpha[None]
+    kernel_s = median_seconds(
+        lambda: _enum_free_fast(stats, np.zeros(d), args.K, alpha))
+    solves = len(grid) * args.K_max
+    print(f"sweep, d={d}, K_max={args.K_max}, {len(grid)} lambdas, 1 worker: {sweep_s:.4f} s, "
+          f"{sweep_s / solves * 1e3:.3f} ms per (lambda, K)")
+    print(f"_enum_free_fast, d={d}, K={args.K}, one row: {kernel_s:.4f} s, "
+          f"{d**args.K / kernel_s / 1e6:.1f}M patterns/s")
+    return [
+        {"instance": {"layer": "sweep", "seed": SEED, "n": 100, "d": d, "K_max": args.K_max,
+                      "lambdas": len(grid), "workers": 1, "schedule": schedule.describe()},
+         "median_s": sweep_s, "per_solve_s": sweep_s / solves},
+        {"instance": {"layer": "_enum_free_fast", "seed": SEED, "n": 100, "d": d, "K": args.K,
+                      "rows": 1, "schedule": "unit weights"},
+         "median_s": kernel_s, "patterns_per_s": d**args.K / kernel_s},
+    ]
+
+
+def instance_key(topic: str, instance: dict):
+    if topic == "ingestion":
+        return instance["rows"], instance["cols"], instance.get("tail", ""), instance["seed"]
+    return instance["instance"]
+
+
+def describe(topic: str, instance: dict) -> str:
+    if topic == "ingestion":
+        return f"{instance['rows']} x {instance['cols']}, tail {instance['tail']!r}: load_csv"
+    return instance["instance"]["layer"]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--topic", choices=("ingestion", "tradeoff"), default="ingestion")
+    ap.add_argument("--rows", type=int, default=100_000,
+                    help="ingestion: CSV rows (default 100000)")
+    ap.add_argument("--K-max", type=int, default=6, help="tradeoff: sweep K_max (default 6)")
+    ap.add_argument("--K", type=int, default=10,
+                    help="tradeoff: kernel path length (default 10)")
+    ap.add_argument("--before", help="an earlier output of this script, kept as 'before'")
+    args = ap.parse_args(argv)
+    if args.rows < 2:
+        ap.error("--rows must be at least 2")
+    if args.K < 1 or args.K_max < 1:
+        ap.error("--K and --K-max must be at least 1")
+
+    instances = ingestion(args) if args.topic == "ingestion" else tradeoff(args)
+    report = {"topic": args.topic, "machine": machine(), "repeats": REPEATS,
+              "instances": instances}
     if args.before:
         before = json.loads(Path(args.before).read_text(encoding="utf-8"))
-        shapes = [(i["rows"], i["cols"], i.get("tail", ""), i["seed"])
-                  for i in before["instances"]]
-        if shapes != [(i["rows"], i["cols"], i["tail"], i["seed"]) for i in instances]:
-            ap.error(f"--before {args.before} measured other instances: {shapes}")
+        keys = [instance_key(args.topic, i) for i in before["instances"]]
+        if keys != [instance_key(args.topic, i) for i in instances]:
+            ap.error(f"--before {args.before} measured other instances: {keys}")
         report["before"] = {"machine": before["machine"], "instances": before["instances"]}
         for now, old in zip(instances, before["instances"]):
-            ratio = now["median_s"]["load_csv"] / old["median_s"]["load_csv"]
-            print(f"{now['rows']} x {now['cols']}, tail {now['tail']!r}: "
-                  f"load_csv {ratio:.2f}x of before")
-    Path(OUT).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"written to {OUT}")
+            ratio = (now["median_s"]["load_csv"] / old["median_s"]["load_csv"]
+                     if args.topic == "ingestion" else now["median_s"] / old["median_s"])
+            print(f"{describe(args.topic, now)} {ratio:.2f}x of before")
+    out = f"BENCH_{args.topic}.json"
+    Path(out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"written to {out}")
     return 0
 
 

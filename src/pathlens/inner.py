@@ -40,16 +40,17 @@ from .regression import LinearModel, SufficientStats, cost_of, cost_of_many
 
 
 def as_weights(schedule, K: int) -> np.ndarray:
-    """Accept a WeightSchedule or a raw weight array; validate for K steps."""
+    """Accept a WeightSchedule, a raw weight array or a stack of weight rows
+    (L, K); validate each for K steps."""
     if isinstance(schedule, WeightSchedule):
         alpha = schedule.weights(K)
     else:
         alpha = np.asarray(schedule, dtype=float)
-        if alpha.shape != (K,):
+        if alpha.shape[-1:] != (K,) or alpha.ndim > 2:
             raise InputError(f"expected {K} weights, got shape {alpha.shape}")
     if np.any(alpha < 0) or not np.all(np.isfinite(alpha)):
         raise InputError("step weights must be finite and >= 0")
-    if K > 0 and not np.any(alpha > 0):
+    if K > 0 and not np.all(np.any(alpha > 0, axis=-1)):
         raise InputError("at least one step weight must be positive")
     return alpha
 
@@ -76,8 +77,8 @@ def check_endpoint(stats: SufficientStats, base: LinearModel, iv: np.ndarray,
 
 
 def tail_weights(alpha: np.ndarray) -> np.ndarray:
-    """w_j = alpha_j + ... + alpha_K."""
-    return np.cumsum(alpha[::-1])[::-1]
+    """w_j = alpha_j + ... + alpha_K, along the last axis."""
+    return np.cumsum(alpha[..., ::-1], axis=-1)[..., ::-1]
 
 
 def path_from_deltas(base: LinearModel, iv: np.ndarray, delta: np.ndarray) -> CoordinatePath:
@@ -154,13 +155,15 @@ def greedy_step(stats: SufficientStats, current: LinearModel) -> tuple[int, floa
 
 def build_systems_batch(stats: SufficientStats, base: np.ndarray, ivs: np.ndarray,
                         alpha: np.ndarray):
-    """(H, b) stacks for a (B, K) batch of index vectors."""
+    """(H, b) stacks for a (B, K) batch of index vectors, under one weight
+    vector alpha (K,) or one weight row per item (B, K)."""
     w = tail_weights(alpha)
-    W = np.minimum.outer(w, w)  # w is non-increasing, so w[max(j,l)] = min(w_j, w_l)
+    # w is non-increasing, so w[max(j,l)] = min(w_j, w_l)
+    W = np.minimum(w[..., :, None], w[..., None, :])
     # One flat gather: cheaper than 2-D fancy indexing on the small batches
     # local_improvement builds every iteration.
-    H = W[None, :, :] * stats.gram.ravel()[ivs[:, :, None] * stats.d + ivs[:, None, :]]
-    b = w[None, :] * stats.residual_cross(base)[ivs]
+    H = W * stats.gram.ravel()[ivs[:, :, None] * stats.d + ivs[:, None, :]]
+    b = w * stats.residual_cross(base)[ivs]
     return H, b
 
 

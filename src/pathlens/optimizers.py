@@ -14,6 +14,10 @@ nodes, about _BLOCK_LEAVES leaves each, with in-place arithmetic, so their
 temporaries stay in cache. Every objective is computed with the same
 operations whatever the block size, and blocks keep the running best with a
 strict <, so exact ties resolve to the lexicographically first pattern.
+The recursion takes a stack of weight rows and carries them on a leading
+array axis, so one pass serves many schedules of the same length (the
+tradeoff sweep's grid, see exact_free_paths); each row's objectives are
+bitwise those of a pass of its own.
 Every other case, pinned endpoints included, runs through one
 chunked enumerator of batched inner solves (inner.solve_patterns) that ranks
 candidates by their attained objective; there, objectives within 1e-12
@@ -43,7 +47,7 @@ from .inner import (
     check_index_vector,
     greedy_step,
     path_from_deltas,
-    solve_free,
+    solve_batch,
     solve_patterns,
     tail_weights,
 )
@@ -51,8 +55,9 @@ from .paths import CoordinatePath, WeightSchedule, model_complexity, weighted_lo
 from .regression import LinearModel, SufficientStats, cost_of, ols
 
 DEFAULT_BUDGET = 10_000_000
-_SEGMENT_CAP = 2_000_000  # max leaves under one root: sets the root count, not peak memory
+_SEGMENT_CAP = 2_000_000  # max leaves under one root, over a pass's rows: sets roots and rows
 _BLOCK_LEAVES = 50_000  # leaves per block of the last levels (~400 KB temporaries, fit L2)
+_BLOCK_ROW_NODES = 64  # parent nodes of each weight row a block holds, at least
 _CHUNK_ENTRIES = 150_000  # K*K system entries per _enum_direct chunk (~4k patterns at K=6)
 _TIE_RTOL = 1e-12  # objectives this close (relative) are ties, kept by the earlier candidate
 _PIVOT_RTOL = 1e-10
@@ -153,7 +158,24 @@ def _install_order(stats: SufficientStats, base: LinearModel, target: LinearMode
 
 
 class _PivotBreakdown(Exception):
-    """Internal: the incremental factorization hit a non-positive pivot."""
+    """Internal: the incremental factorization hit a non-positive pivot.
+
+    `rows` holds the weight rows (indices into the stack passed to
+    _enum_free_fast) whose pivots broke down; other rows may break down
+    later in the same enumeration.
+    """
+
+    def __init__(self, rows=()):
+        super().__init__(rows)
+        self.rows = np.asarray(rows, dtype=np.intp)
+
+
+def _check_pivots(piv: np.ndarray, floor: np.ndarray) -> None:
+    """Raise _PivotBreakdown for the weight rows (leading axis) holding a
+    pivot at or below its floor."""
+    bad = piv <= floor
+    if bad.any():
+        raise _PivotBreakdown(np.flatnonzero(bad.reshape(bad.shape[0], -1).any(axis=1)))
 
 
 def _candidate_count(d: int, cfg: OptimizerConfig) -> int:
@@ -166,65 +188,65 @@ def _candidate_count(d: int, cfg: OptimizerConfig) -> int:
 def _grow(QT, uT, ssq, G, gd, r, wm, children_q):
     """Expand every node by one step on each coordinate.
 
-    Nodes run along the last axis, QT (d, d, N) and uT (d, N), so every
-    broadcast operand is a contiguous row. The d*N children come back in
-    the same layout, child c of node p at c*N + p; their QT and uT are
-    None unless children_q (they are not needed after the last step).
+    Weight rows run along the first axis and nodes along the last, QT
+    (L, d, d, N) and uT (L, d, N), with the step's weight wm shaped
+    (L, 1, 1), so every broadcast operand is a contiguous row. The d*N
+    children come back in the same layout, child c of node p at c*N + p;
+    their QT and uT are None unless children_q (they are not needed after
+    the last step).
     """
-    d, N = uT.shape
-    dQ = np.einsum("iin->in", QT)
+    L, d, N = uT.shape
+    dQ = np.einsum("...iin->...in", QT)
     piv2 = wm * gd[:, None] - wm * wm * dQ
-    if np.any(piv2 <= _PIVOT_RTOL * wm * gd[:, None]):
-        raise _PivotBreakdown
+    _check_pivots(piv2, _PIVOT_RTOL * wm * gd[:, None])
     piv = np.sqrt(piv2)
     ynew = (wm * r[:, None] - wm * uT) / piv
-    ssq = (ssq[None, :] + ynew * ynew).reshape(d * N)
+    ssq = (ssq[:, None, :] + ynew * ynew).reshape(L, d * N)
     if not children_q:
         return None, None, ssq
-    row = ((G[:, :, None] - wm * QT) / piv[:, None, :]).transpose(1, 0, 2)
-    QTc = np.multiply(row[:, None, :, :], row[None, :, :, :])
-    QTc += QT[:, :, None, :]
-    uTc = np.multiply(row, ynew[None, :, :])
-    uTc += uT[:, None, :]
-    return QTc.reshape(d, d, d * N), uTc.reshape(d, d * N), ssq
+    row = ((G[:, :, None] - wm[..., None] * QT) / piv[:, :, None, :]).transpose(0, 2, 1, 3)
+    QTc = np.multiply(row[:, :, None, :, :], row[:, None, :, :, :])
+    QTc += QT[:, :, :, None, :]
+    uTc = np.multiply(row, ynew[:, None, :, :])
+    uTc += uT[:, :, None, :]
+    return QTc.reshape(L, d, d, d * N), uTc.reshape(L, d, d * N), ssq
 
 
 def _fused_leaves(QT, uT, ssq, G, gd, r, w1, w2, top):
-    """Objectives of every two-step completion of each node, as vals[c1, c2, n].
+    """Objectives of every two-step completion of each node, as vals[l, c1, c2, n].
 
-    The last two steps in one pass, evaluated in place in two (d, d, N)
-    buffers, in _grow's layout. Each value goes through the same operations
-    in the same order whatever N is, so it does not depend on how the nodes
-    are blocked.
+    The last two steps in one pass, evaluated in place in two (L, d, d, N)
+    buffers, in _grow's layout; w1 and w2 are shaped (L, 1, 1) and top (L,).
+    Each value goes through the same operations in the same order whatever
+    L and N are, so it does not depend on how rows and nodes are blocked.
     """
-    dQ = np.einsum("iin->in", QT)
+    w1q, w2q = w1[..., None], w2[..., None]
+    dQ = np.einsum("...iin->...in", QT)
     piv1 = np.multiply(w1 * w1, dQ)
     np.subtract(w1 * gd[:, None], piv1, out=piv1)
-    if np.any(piv1 <= _PIVOT_RTOL * w1 * gd[:, None]):
-        raise _PivotBreakdown
+    _check_pivots(piv1, _PIVOT_RTOL * w1 * gd[:, None])
     np.sqrt(piv1, out=piv1)
     y1 = np.multiply(w1, uT)
     np.subtract(w1 * r[:, None], y1, out=y1)
     y1 /= piv1
-    row = np.multiply(w1, QT)
+    row = np.multiply(w1q, QT)
     np.subtract(G[:, :, None], row, out=row)
-    row /= piv1[:, None, :]
+    row /= piv1[:, :, None, :]
     piv2 = np.multiply(row, row)
-    piv2 += dQ[None, :, :]
-    piv2 *= w2 * w2
-    np.subtract(w2 * gd[None, :, None], piv2, out=piv2)
-    if np.any(piv2 <= _PIVOT_RTOL * w2 * gd[None, :, None]):
-        raise _PivotBreakdown
+    piv2 += dQ[:, None, :, :]
+    piv2 *= w2q * w2q
+    np.subtract(w2q * gd[None, :, None], piv2, out=piv2)
+    _check_pivots(piv2, _PIVOT_RTOL * w2q * gd[None, :, None])
     y2 = row
-    y2 *= y1[:, None, :]
-    y2 += uT[None, :, :]
-    y2 *= w2
-    np.subtract(w2 * r[None, :, None], y2, out=y2)
+    y2 *= y1[:, :, None, :]
+    y2 += uT[:, None, :, :]
+    y2 *= w2q
+    np.subtract(w2q * r[None, :, None], y2, out=y2)
     y2 /= np.sqrt(piv2, out=piv2)
     y1 *= y1
-    np.subtract((top - ssq)[None, :], y1, out=y1)
+    np.subtract((top[:, None] - ssq)[:, None, :], y1, out=y1)
     y2 *= y2
-    return np.subtract(y1[:, None, :], y2, out=y2)
+    return np.subtract(y1[:, :, None, :], y2, out=y2)
 
 
 def _lexicographic(a: np.ndarray, d: int, levels: int) -> np.ndarray:
@@ -235,21 +257,34 @@ def _lexicographic(a: np.ndarray, d: int, levels: int) -> np.ndarray:
     return a.transpose(*range(k), *range(a.ndim - 1, k - 1, -1)).reshape(a.shape[:k] + (-1,))
 
 
-def _enum_free_fast(stats: SufficientStats, base: np.ndarray, K: int, alpha: np.ndarray):
-    """Exhaustive free-endpoint search via the incremental factor recursion.
+def _root(G, r, w, riv):
+    """QT (d, d, 1), uT (d, 1), ssq (1,) of the pattern prefix riv under tail
+    weights w, by a Cholesky factorization of its inner system."""
+    t = riv.shape[0]
+    H = np.minimum.outer(w[:t], w[:t]) * G[np.ix_(riv, riv)]
+    Linv = np.linalg.inv(np.linalg.cholesky(H))
+    B0 = Linv @ G[riv, :]
+    y0 = Linv @ (w[:t] * r[riv])
+    return (np.ascontiguousarray((B0.T @ B0)[:, :, None]),
+            np.ascontiguousarray((B0.T @ y0)[:, None]), np.array([float(y0 @ y0)]))
 
-    Requires strictly positive weights and a positive-definite gram matrix;
-    raises _PivotBreakdown otherwise so the caller can fall back to
-    _enum_direct.
+
+def _enum_free_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np.ndarray):
+    """Exhaustive free-endpoint search via the incremental factor recursion,
+    for every row of a stack of weight rows alphas (L, K) at once.
+
+    Returns each row's optimal objective (L,) and pattern (L, K). A row's
+    results are bitwise those of a one-row call: the rows share every array
+    operation along a leading axis but no arithmetic. Requires strictly
+    positive weights and a positive-definite gram matrix; raises
+    _PivotBreakdown, naming the rows that broke down, otherwise, so the
+    caller can fall back to _enum_direct for them.
     """
     G = stats.gram
     d = stats.d
     r = stats.residual_cross(base)
     c0 = cost_of(stats, base)
     gd = np.ascontiguousarray(np.diag(G))
-    w = tail_weights(alpha)
-    S = float(alpha.sum())
-    W = np.minimum.outer(w, w)
 
     fuse = K >= 2
     stop = K - 2 if fuse else K
@@ -258,51 +293,71 @@ def _enum_free_fast(stats: SufficientStats, base: np.ndarray, K: int, alpha: np.
         t += 1
     t = min(t, stop)
     # Levels t..split-1 are expanded breadth-first; the rest runs per block
-    # of level-`split` nodes, each block yielding about _BLOCK_LEAVES leaves.
+    # of level-`split` nodes, each block yielding about _BLOCK_LEAVES leaves
+    # over all rows.
     split = max(t, stop - 1)
     leaves_per_node = d ** (K - split)
-    block = max(1, _BLOCK_LEAVES // leaves_per_node)
+    # Rows per pass: at most _SEGMENT_CAP leaves below one root, and blocks
+    # that hold _BLOCK_ROW_NODES nodes of each row (or all of a row's), so
+    # the inner loops along the node axis stay long.
+    row_nodes = min(d ** (split - t), _BLOCK_ROW_NODES)
+    per_pass = max(1, min(_SEGMENT_CAP // d ** (K - t),
+                          _BLOCK_LEAVES // (leaves_per_node * row_nodes)))
+    L = alphas.shape[0]
+    if L > per_pass:
+        parts = []
+        for g0 in range(0, L, per_pass):
+            try:
+                parts.append(_enum_free_fast(stats, base, K, alphas[g0:g0 + per_pass]))
+            except _PivotBreakdown as exc:
+                raise _PivotBreakdown(exc.rows + g0) from None
+        return tuple(np.concatenate(part) for part in zip(*parts))
 
-    best_val, best_root, best_leaf = math.inf, None, 0
+    w = tail_weights(alphas)
+    wb = w[:, :, None, None]  # step m's weights, shaped (L, 1, 1), are wb[:, m]
+    top = np.array([float(a.sum()) for a in alphas]) * c0  # each row summed as a one-row call
+    block = max(1, _BLOCK_LEAVES // (leaves_per_node * L))
+
+    best_val = np.full(L, math.inf)
+    best_root, best_leaf = [None] * L, [0] * L
     for root in itertools.product(range(d), repeat=t):
         riv = np.asarray(root, dtype=np.intp)
         if t:
-            H = W[:t, :t] * G[np.ix_(riv, riv)]
-            try:
-                L = np.linalg.cholesky(H)
-            except np.linalg.LinAlgError:
-                raise _PivotBreakdown from None
-            Linv = np.linalg.inv(L)
-            B0 = Linv @ G[riv, :]
-            y0 = Linv @ (w[:t] * r[riv])
-            QT = np.ascontiguousarray((B0.T @ B0)[:, :, None])
-            uT = np.ascontiguousarray((B0.T @ y0)[:, None])
-            ssq = np.array([float(y0 @ y0)])
+            parts, broken = [], []
+            for j, wj in enumerate(w):
+                try:
+                    parts.append(_root(G, r, wj, riv))
+                except np.linalg.LinAlgError:
+                    broken.append(j)
+            if broken:
+                raise _PivotBreakdown(broken)
+            QT, uT, ssq = (np.stack(a) for a in zip(*parts))
         else:
-            QT = np.zeros((d, d, 1))
-            uT = np.zeros((d, 1))
-            ssq = np.zeros(1)
+            QT = np.zeros((L, d, d, 1))
+            uT = np.zeros((L, d, 1))
+            ssq = np.zeros((L, 1))
         for m in range(t, split):
-            QT, uT, ssq = _grow(QT, uT, ssq, G, gd, r, w[m], True)
+            QT, uT, ssq = _grow(QT, uT, ssq, G, gd, r, wb[:, m], True)
         if split > t:
             QT, uT, ssq = (_lexicographic(a, d, split - t) for a in (QT, uT, ssq))
-        for p0 in range(0, ssq.shape[0], block):
-            QTb, uTb, sb = QT[:, :, p0:p0 + block], uT[:, p0:p0 + block], ssq[p0:p0 + block]
-            node_axes = (d,) * (stop - split) + sb.shape
+        for p0 in range(0, ssq.shape[1], block):
+            QTb, uTb, sb = QT[..., p0:p0 + block], uT[..., p0:p0 + block], ssq[:, p0:p0 + block]
+            node_axes = (d,) * (stop - split) + sb.shape[1:]
             for m in range(split, stop):
-                QTb, uTb, sb = _grow(QTb, uTb, sb, G, gd, r, w[m], m + 1 < K)
+                QTb, uTb, sb = _grow(QTb, uTb, sb, G, gd, r, wb[:, m], m + 1 < K)
             if fuse:
-                vals = _fused_leaves(QTb, uTb, sb, G, gd, r, w[K - 2], w[K - 1], S * c0)
+                vals = _fused_leaves(QTb, uTb, sb, G, gd, r, wb[:, K - 2], wb[:, K - 1], top)
             else:
-                vals = S * c0 - sb
-            vals = vals.reshape(-1, *node_axes).T  # leaves in lexicographic order
-            low = vals.min()
-            if low < best_val:
-                best_val = float(low)
-                best_root, best_leaf = root, p0 * leaves_per_node + int(np.argmin(vals))
+                vals = top[:, None] - sb
+            low = vals.reshape(L, -1).min(axis=1)
+            for j in np.flatnonzero(low < best_val):
+                best_val[j] = low[j]
+                leaves = vals[j].reshape(-1, *node_axes).T  # lexicographic order
+                best_root[j], best_leaf[j] = root, p0 * leaves_per_node + int(np.argmin(leaves))
     nsuf = K - t
-    digits = tuple(best_leaf // d ** (nsuf - 1 - p) % d for p in range(nsuf))
-    return best_val, np.asarray(best_root + digits, dtype=int)
+    ivs = [root + tuple(leaf // d ** (nsuf - 1 - p) % d for p in range(nsuf))
+           for root, leaf in zip(best_root, best_leaf)]
+    return best_val, np.asarray(ivs, dtype=int).reshape(L, K)
 
 
 def _iv_chunks(d: int, K: int, chunk: int):
@@ -399,29 +454,60 @@ def exact_path(stats: SufficientStats, base: LinearModel, cfg: OptimizerConfig) 
         ):
             raise InfeasibleError("K=0 cannot reach a target different from the base")
         return CoordinatePath(base, ())
-    n_cand = _candidate_count(stats.d, cfg)
-    if n_cand > cfg.budget:
-        raise BudgetError(
-            f"exact search needs {n_cand:,} inner solves, over the budget of "
-            f"{cfg.budget:,}; raise the budget or use local_improvement"
-        )
+    _check_budget(_candidate_count(stats.d, cfg), cfg.budget)
     alpha = as_weights(cfg.schedule, K)
 
     if cfg.step_mode == "unit":
         _, iv, delta = _enum_unit(stats, base, K, alpha, cfg.endpoint)
         return path_from_deltas(base, iv, delta)
+    if cfg.endpoint is not None:
+        _, iv, delta = _enum_direct(stats, base, K, alpha, cfg.endpoint)
+        return path_from_deltas(base, iv, delta)
+    return exact_free_paths(stats, base, alpha[None], cfg.budget)[0]
 
-    if cfg.endpoint is None and np.all(alpha > 0):
+
+def _check_budget(n_cand: int, budget: int) -> None:
+    if n_cand > budget:
+        raise BudgetError(
+            f"exact search needs {n_cand:,} inner solves, over the budget of "
+            f"{budget:,}; raise the budget or use local_improvement"
+        )
+
+
+def exact_free_paths(stats: SufficientStats, base: LinearModel, alphas: np.ndarray,
+                     budget: int = DEFAULT_BUDGET) -> list[CoordinatePath]:
+    """exact_path with a free endpoint and continuous steps, under each row
+    of a stack of weight rows alphas (L, K), K >= 1, as its schedule.
+
+    Rows with strictly positive weights on a positive-definite gram share
+    one _enum_free_fast pass, and their chosen patterns one batched solve;
+    every path is bitwise the one a one-row call returns. Other rows, and
+    rows whose factorization breaks down, run _enum_direct one at a time.
+    """
+    K = alphas.shape[1]
+    _check_budget(stats.d**K, budget)
+    alphas = as_weights(alphas, K)
+    paths = [None] * alphas.shape[0]
+    rows = np.flatnonzero(np.all(alphas > 0, axis=1))
+    if rows.size:
         eigs = np.linalg.eigvalsh(stats.gram)
-        if eigs[0] > 1e-10 * max(eigs[-1], 0.0):
-            try:
-                _, iv = _enum_free_fast(stats, base.coefficients, K, alpha)
-                delta, _ = solve_free(stats, base, iv, alpha)
-                return path_from_deltas(base, iv, delta)
-            except _PivotBreakdown:
-                pass
-    _, iv, delta = _enum_direct(stats, base, K, alpha, cfg.endpoint)
-    return path_from_deltas(base, iv, delta)
+        if not eigs[0] > 1e-10 * max(eigs[-1], 0.0):
+            rows = rows[:0]
+    while rows.size:
+        try:
+            _, ivs = _enum_free_fast(stats, base.coefficients, K, alphas[rows])
+        except _PivotBreakdown as exc:
+            rows = np.delete(rows, exc.rows)
+            continue
+        H, b = build_systems_batch(stats, base.coefficients, ivs, alphas[rows])
+        for j, iv, delta in zip(rows, ivs, solve_batch(H, b)[0]):
+            paths[j] = path_from_deltas(base, iv, delta)
+        break
+    for j, path in enumerate(paths):
+        if path is None:
+            _, iv, delta = _enum_direct(stats, base, K, alphas[j])
+            paths[j] = path_from_deltas(base, iv, delta)
+    return paths
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,12 @@ Sweeping lam over a grid traces the weighted-sum-reachable part of the
 Pareto front between final cost and interpretability loss; points inside
 non-convex gaps of the true front are not reachable this way and no attempt
 is made to fill them.
+
+Only the weights change with lam, so the exact solver serves a whole grid
+with one enumeration per K: the scalarized weight rows of every grid value
+go through optimizers.exact_free_paths together, and each value gets
+exactly the path a solve for that value alone returns. solve_tradeoff is
+the one-value case of the same grid solver.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError
-from .optimizers import OptimizerConfig, exact_path, local_improvement
+from .optimizers import OptimizerConfig, exact_free_paths, exact_path, local_improvement
 from .paths import CoordinatePath, WeightSchedule, path_to_json, weighted_loss
 from .regression import LinearModel, SufficientStats, cost
 
@@ -54,13 +60,6 @@ class FrontReport:
     metadata: dict
 
 
-def _scalarized_weights(schedule: WeightSchedule, lam: float, K: int) -> np.ndarray:
-    alpha = schedule.weights(K)
-    out = lam * alpha
-    out[-1] += 1.0
-    return out
-
-
 def solve_tradeoff(stats: SufficientStats, base: LinearModel, schedule: WeightSchedule,
                    lam: float, K_max: int, solver: str = "exact",
                    cfg: OptimizerConfig | None = None) -> ParetoPoint:
@@ -73,33 +72,50 @@ def solve_tradeoff(stats: SufficientStats, base: LinearModel, schedule: WeightSc
     """
     if lam < 0:
         raise InputError("lambda must be >= 0")
+    return _solve_grid(stats, base, schedule, np.array([lam], dtype=float), K_max, solver, cfg)[0]
+
+
+def _solve_grid(stats: SufficientStats, base: LinearModel, schedule: WeightSchedule,
+                lams: np.ndarray, K_max: int, solver: str,
+                cfg: OptimizerConfig | None) -> list[ParetoPoint]:
+    """solve_tradeoff at every value of lams (>= 0), in order.
+
+    Per length K the scalarized weight rows of all values are built at
+    once; the exact solver enumerates the patterns once for all of them
+    (optimizers.exact_free_paths), the local solver runs per value.
+    """
     if K_max < 0:
         raise InputError("K_max must be >= 0")
     if solver not in ("exact", "local"):
         raise InputError("solver must be 'exact' or 'local'")
     base_cfg = cfg if cfg is not None else OptimizerConfig(K=0, schedule=schedule)
-    best = (cost(stats, base), CoordinatePath(base, ()), 0)  # value, path, K
+    best = [(cost(stats, base), CoordinatePath(base, ()), 0)] * len(lams)  # value, path, K
     for K in range(1, K_max + 1):
-        weights = WeightSchedule.explicit(_scalarized_weights(schedule, lam, K))
-        kcfg = replace(base_cfg, K=K, schedule=weights, endpoint=None, step_mode="continuous",
+        alphas = lams[:, None] * schedule.weights(K)
+        alphas[:, -1] += 1.0
+        weights = [WeightSchedule.explicit(a) for a in alphas]
+        kcfg = replace(base_cfg, K=K, endpoint=None, step_mode="continuous",
                        seed=base_cfg.seed + K, q=min(base_cfg.q, K))
         if solver == "exact":
-            path = exact_path(stats, base, kcfg)
+            paths = exact_free_paths(stats, base, alphas, kcfg.budget)
         else:
-            path = local_improvement(stats, base, kcfg)
-        value = weighted_loss(stats, path, weights)
-        if value < best[0]:
-            best = (value, path, K)
-    _, path, K = best
-    model = path.final
-    return ParetoPoint(
-        model=model,
-        cost=cost(stats, model),
-        interp_loss=weighted_loss(stats, path, schedule),
-        K=K,
-        lam=float(lam),
-        path=path,
-    )
+            paths = [local_improvement(stats, base, replace(kcfg, schedule=s)) for s in weights]
+        for j, (path, s) in enumerate(zip(paths, weights)):
+            value = weighted_loss(stats, path, s)
+            if value < best[j][0]:
+                best[j] = (value, path, K)
+    points = []
+    for lam, (_, path, K) in zip(lams, best):
+        model = path.final
+        points.append(ParetoPoint(
+            model=model,
+            cost=cost(stats, model),
+            interp_loss=weighted_loss(stats, path, schedule),
+            K=K,
+            lam=float(lam),
+            path=path,
+        ))
+    return points
 
 
 def _dominates(a, b) -> bool:
@@ -119,11 +135,13 @@ def sweep(stats: SufficientStats, base: LinearModel, schedule: WeightSchedule,
           cfg: OptimizerConfig | None = None, workers: int | None = None) -> FrontReport:
     """Trace the front by solving the tradeoff at every grid value.
 
-    Duplicate models across lambdas are merged keeping the smallest lambda;
-    dominated points are dropped; points are sorted by interp_loss.
-    `workers` (default: the PATHLENS_THREADS env var, else 1) parallelizes
-    over lambda values; results are merged by grid index so the report is
-    identical regardless of scheduling.
+    The exact solver makes one batched enumeration per K for all grid values
+    (see the module docstring). Duplicate models across lambdas are merged
+    keeping the smallest lambda; dominated points are dropped; points are
+    sorted by interp_loss. `workers` (default: the PATHLENS_THREADS env var,
+    else 1) splits the sorted grid into that many contiguous chunks, each
+    solved by one batched call in its own thread; results are merged in grid
+    order, so the report is identical for any number of workers.
     """
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.ndim != 1 or grid.shape[0] == 0:
@@ -139,14 +157,15 @@ def sweep(stats: SufficientStats, base: LinearModel, schedule: WeightSchedule,
             raise InputError(f"PATHLENS_THREADS must be an integer, got {raw!r}") from None
     workers = max(1, min(workers, grid.shape[0]))
 
-    def solve_one(lam):
-        return solve_tradeoff(stats, base, schedule, lam, K_max, solver, cfg)
+    def solve_chunk(lams):
+        return _solve_grid(stats, base, schedule, lams, K_max, solver, cfg)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve_one, grid))
+            chunks = pool.map(solve_chunk, np.array_split(grid, workers))
+            results = [point for chunk in chunks for point in chunk]
     else:
-        results = [solve_one(lam) for lam in grid]
+        results = solve_chunk(grid)
 
     seen = {}
     for point in results:  # ascending lambda, so first wins = smallest lambda

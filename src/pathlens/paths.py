@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .regression import LinearModel, SufficientStats, cost_of_many
+from .regression import LinearModel, SufficientStats, cost_of_many, parse_floats
 
 MODEL_JSON_HINT = '{"coefficients": [...], "features": [...]}'
 
@@ -216,11 +216,11 @@ def model_from_json(payload: dict, feature_names) -> LinearModel:
     names = tuple(feature_names)
     if not isinstance(payload, dict) or "coefficients" not in payload:
         raise InputError(f"model JSON must look like {MODEL_JSON_HINT}")
-    coeffs = np.array(payload["coefficients"], dtype=float)
+    coeffs = parse_floats(payload["coefficients"], "coefficients")
     given = payload.get("features")
     if given is not None:
-        if list(given) != list(names):
-            raise InputError(f"model features {list(given)} do not match dataset {list(names)}")
+        if not isinstance(given, (list, tuple)) or list(given) != list(names):
+            raise InputError(f"model features {given!r} do not match dataset {list(names)}")
     if coeffs.shape != (len(names),):
-        raise InputError(f"model has {coeffs.shape[0]} coefficients, expected {len(names)}")
+        raise InputError(f"model coefficients have shape {coeffs.shape}, expected ({len(names)},)")
     return LinearModel(coeffs, names)

@@ -34,6 +34,17 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return out
 
 
+def parse_floats(value, key: str) -> np.ndarray:
+    """A JSON value as a float array; InputError naming `key` if it is not
+    numbers or nested lists of numbers of one shape."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(
+            f"'{key}' must be a number or a rectangular list of numbers ({exc})"
+        ) from None
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """A dense regression dataset: feature matrix, target vector, names."""
@@ -354,12 +365,19 @@ def stats_from_moments(gram, cross, target_second_moment, feature_names=None) ->
     moments are jointly realizable: otherwise some model would get a
     negative cost and the least-squares solve would be inconsistent.
     """
-    gram = np.array(gram, dtype=float)
-    cross = np.array(cross, dtype=float)
+    gram = parse_floats(gram, "gram")
+    cross = parse_floats(cross, "cross")
+    tsm = parse_floats(target_second_moment, "tsm")
+    if tsm.ndim:
+        raise InputError(f"'tsm' must be a number, got shape {tsm.shape}")
     d = cross.shape[0] if cross.ndim == 1 else 0
     if feature_names is None:
         feature_names = tuple(f"x{i + 1}" for i in range(d))
-    stats = SufficientStats(gram, cross, target_second_moment, tuple(feature_names))
+    try:
+        feature_names = tuple(feature_names)
+    except TypeError:
+        raise InputError("'names' must be a list of feature names") from None
+    stats = SufficientStats(gram, cross, float(tsm), feature_names)
     aug = np.zeros((stats.d + 1, stats.d + 1))
     aug[: stats.d, : stats.d] = stats.gram
     aug[-1, : stats.d] = stats.cross

@@ -8,19 +8,32 @@ elimination of the endpoint constraints on normal equations assembled here.
 The one exception is unblocked_enum_free_fast, the breadth-first form of the
 exact search's incremental factor recursion, kept as the reference for its
 blocked form. rowwise_load_csv is the pure-Python CSV reader that load_csv's
-one-call numpy parse must match.
+one-call numpy parse must match. per_lambda_sweep is the tradeoff sweep
+that solves one exact_path (or local_improvement) per lambda and length,
+the reference for the sweep that enumerates once per length.
 """
 
 import csv
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
 from pathlens.inner import tail_weights
-from pathlens.optimizers import _PIVOT_RTOL, _PivotBreakdown
+from pathlens.optimizers import (
+    _PIVOT_RTOL,
+    OptimizerConfig,
+    _PivotBreakdown,
+    exact_path,
+    local_improvement,
+)
 from pathlens.errors import InputError
-from pathlens.regression import Dataset, cost_of
+from pathlens.pareto import FrontReport, ParetoPoint, _drop_dominated
+from pathlens.paths import CoordinatePath, WeightSchedule, weighted_loss
+from pathlens.regression import Dataset, cost, cost_of
 
 
 def eval_objective(stats, base, iv, delta, alpha):
@@ -306,3 +319,87 @@ def rowwise_load_csv(path, target):
     mask[tcol] = False
     names = tuple(h for h, keep in zip(header, mask) if keep)
     return Dataset(data[:, mask], data[:, tcol], names)
+
+
+def _scalarized_weights(schedule, lam, K):
+    alpha = schedule.weights(K)
+    out = lam * alpha
+    out[-1] += 1.0
+    return out
+
+
+def per_lambda_solve_tradeoff(stats, base, schedule, lam, K_max, solver="exact", cfg=None):
+    """pareto.solve_tradeoff as one exact_path (or local_improvement) per length."""
+    if lam < 0:
+        raise InputError("lambda must be >= 0")
+    if K_max < 0:
+        raise InputError("K_max must be >= 0")
+    if solver not in ("exact", "local"):
+        raise InputError("solver must be 'exact' or 'local'")
+    base_cfg = cfg if cfg is not None else OptimizerConfig(K=0, schedule=schedule)
+    best = (cost(stats, base), CoordinatePath(base, ()), 0)  # value, path, K
+    for K in range(1, K_max + 1):
+        weights = WeightSchedule.explicit(_scalarized_weights(schedule, lam, K))
+        kcfg = replace(base_cfg, K=K, schedule=weights, endpoint=None, step_mode="continuous",
+                       seed=base_cfg.seed + K, q=min(base_cfg.q, K))
+        if solver == "exact":
+            path = exact_path(stats, base, kcfg)
+        else:
+            path = local_improvement(stats, base, kcfg)
+        value = weighted_loss(stats, path, weights)
+        if value < best[0]:
+            best = (value, path, K)
+    _, path, K = best
+    model = path.final
+    return ParetoPoint(
+        model=model,
+        cost=cost(stats, model),
+        interp_loss=weighted_loss(stats, path, schedule),
+        K=K,
+        lam=float(lam),
+        path=path,
+    )
+
+
+def per_lambda_sweep(stats, base, schedule, lambda_grid, K_max, solver="exact", cfg=None,
+                     workers=None):
+    """pareto.sweep with per_lambda_solve_tradeoff at each grid value, in
+    threads over the values."""
+    grid = np.asarray(lambda_grid, dtype=float)
+    if grid.ndim != 1 or grid.shape[0] == 0:
+        raise InputError("lambda grid must be a nonempty 1-d sequence")
+    if np.any(grid < 0):
+        raise InputError("lambda grid values must be >= 0")
+    grid = np.sort(grid)
+    if workers is None:
+        raw = os.environ.get("PATHLENS_THREADS", "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise InputError(f"PATHLENS_THREADS must be an integer, got {raw!r}") from None
+    workers = max(1, min(workers, grid.shape[0]))
+
+    def solve_one(lam):
+        return per_lambda_solve_tradeoff(stats, base, schedule, lam, K_max, solver, cfg)
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(solve_one, grid))
+    else:
+        results = [solve_one(lam) for lam in grid]
+
+    seen = {}
+    for point in results:  # ascending lambda, so first wins = smallest lambda
+        key = (point.K, tuple(np.round(point.model.coefficients, 10)))
+        if key not in seen:
+            seen[key] = point
+    points = _drop_dominated(list(seen.values()))
+    points.sort(key=lambda p: (p.interp_loss, p.cost))
+    metadata = {
+        "schedule": schedule.describe(),
+        "lambda_grid": [float(v) for v in grid],
+        "K_max": int(K_max),
+        "solver": solver,
+        "selected_K": [int(p.K) for p in results],
+    }
+    return FrontReport(tuple(points), metadata)

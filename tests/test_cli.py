@@ -63,6 +63,26 @@ class TestStats:
         assert code == 2
         assert "exactly one input source" in err
 
+    @pytest.mark.parametrize(
+        "moments, key",
+        [
+            ({"gram": "abc", "cross": [0.5], "tsm": 1.0}, "'gram'"),
+            ({"gram": [[1, 0], [0]], "cross": [0.5, 0.1], "tsm": 1.0}, "'gram'"),
+            ({"gram": [[1.0]], "cross": {"a": 1}, "tsm": 1.0}, "'cross'"),
+            ({"gram": [[1.0]], "cross": [0.5], "tsm": "x"}, "'tsm'"),
+            ({"gram": [[1.0]], "cross": [0.5], "tsm": [1.0, 2.0]}, "'tsm'"),
+            ({"gram": [[1.0]], "cross": [0.5], "tsm": 1.0, "names": 5}, "'names'"),
+        ],
+        ids=["gram_string", "gram_ragged", "cross_object", "tsm_string", "tsm_list",
+             "names_number"],
+    )
+    def test_malformed_moments_exit_2(self, capsys, tmp_path, moments, key):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(moments), encoding="utf-8")
+        code, _, err = run(capsys, "stats", "--moments", str(f))
+        assert code == 2
+        assert key in err
+
 
 class TestPath:
     def test_exact_defaults_to_ols_endpoint(self, capsys, toy_moments):
@@ -129,6 +149,29 @@ class TestPath:
         code, _, err = run(capsys, "stats", source, str(f), "--target", "y")
         assert code == 2
         assert "not valid UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "model, key",
+        [
+            ({"coefficients": "x"}, "'coefficients'"),
+            ({"coefficients": [1.0, [2.0]]}, "'coefficients'"),
+            ({"coefficients": 5}, "shape ()"),
+            ({"coefficients": [1.0, 0.0], "features": 5}, "features 5"),
+        ],
+        ids=["string", "ragged", "scalar", "features_number"],
+    )
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(("explain", "--K", "2"), "--model"), (("path", "greedy", "--K", "1"), "--base")],
+        ids=["explain", "base"],
+    )
+    def test_malformed_model_exits_2(self, capsys, toy_moments, tmp_path, model, key, argv,
+                                     flag):
+        f = tmp_path / "model.json"
+        f.write_text(json.dumps(model), encoding="utf-8")
+        code, _, err = run(capsys, *argv, "--moments", toy_moments, flag, str(f))
+        assert code == 2
+        assert key in err
 
     def test_unit_mode_defaults_to_free_endpoint(self, capsys, toy_moments):
         code, out, _ = run(

@@ -144,7 +144,7 @@ class TestEnumerationEngines:
         base = np.zeros(d)
         rng = np.random.default_rng(seed)
         alpha = as_weights(rng.uniform(0.1, 2.0, size=K), K)
-        v_fast, iv_fast = _enum_free_fast(stats, base, K, alpha)
+        (v_fast,), (iv_fast,) = _enum_free_fast(stats, base, K, alpha[None])
         v_direct, iv_direct, _ = _enum_direct(
             stats, LinearModel(base, stats.feature_names), K, alpha
         )
@@ -156,7 +156,7 @@ class TestEnumerationEngines:
         rng = np.random.default_rng(99)
         base = rng.standard_normal(3) * 0.5
         alpha = as_weights(rng.uniform(0.1, 2.0, size=4), 4)
-        v_fast, iv_fast = _enum_free_fast(stats, base, 4, alpha)
+        (v_fast,), (iv_fast,) = _enum_free_fast(stats, base, 4, alpha[None])
         v_direct, iv_direct, _ = _enum_direct(
             stats, LinearModel(base, stats.feature_names), 4, alpha
         )
@@ -184,9 +184,9 @@ class TestEnumerationEngines:
                 expected = unblocked_enum_free_fast(stats, base, K, alpha, segment_cap=cap)
             except _PivotBreakdown:
                 with pytest.raises(_PivotBreakdown):
-                    _enum_free_fast(stats, base, K, alpha)
+                    _enum_free_fast(stats, base, K, alpha[None])
                 continue
-            value, iv = _enum_free_fast(stats, base, K, alpha)
+            (value,), (iv,) = _enum_free_fast(stats, base, K, alpha[None])
             assert value == expected[0], (d, K, cap, block)
             assert np.array_equal(iv, expected[1]), (d, K, cap, block)
 
@@ -200,7 +200,7 @@ class TestEnumerationEngines:
         base = LinearModel.zeros(names)
         alpha = as_weights(np.ones(K), K)
         monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", 1)  # one parent per block
-        _, iv = _enum_free_fast(stats, base.coefficients, K, alpha)
+        _, (iv,) = _enum_free_fast(stats, base.coefficients, K, alpha[None])
         _, iv_direct, _ = _enum_direct(stats, base, K, alpha)
         assert np.array_equal(iv, iv_direct)
         relabeled = (iv + 1) % d
@@ -218,10 +218,77 @@ class TestEnumerationEngines:
         schedule = WeightSchedule.explicit([1.0, 1.0, 1e-14, 1.0])
         alpha = as_weights(schedule, 4)
         with pytest.raises(_PivotBreakdown):
-            _enum_free_fast(stats, base.coefficients, 4, alpha)
+            _enum_free_fast(stats, base.coefficients, 4, alpha[None])
         path = exact_path(stats, base, OptimizerConfig(K=4, schedule=schedule))
         _, iv, delta = _enum_direct(stats, base, 4, alpha)
         assert path.steps == path_from_deltas(base, iv, delta).steps
+
+    def test_weight_rows_match_one_row_calls(self, monkeypatch):
+        # Each row of a multi-row call must equal its own one-row call: same
+        # objective bit for bit and same pattern. A row with a zero or
+        # near-zero weight breaks down; the call must name it (and no row
+        # that does not break down alone), and the rest must run without it.
+        # Small
+        # segment caps, blocks and row-node minimums run t > 0 roots, passes
+        # of one and of several rows, and one parent per block. The fixed
+        # cases put several rows in one pass with t > 0 and one parent per
+        # block: (d, K, _SEGMENT_CAP, _BLOCK_LEAVES, _BLOCK_ROW_NODES).
+        rng = np.random.default_rng(11)
+        cases = [(4, 6, 768, 192, 1), (3, 5, 20, 18, 1), (2, 4, 2_000_000, 64, 1),
+                 (3, 4, 1, 1, 64), (2, 6, 4, 1, 64), (4, 4, 2_000_000, 1, 64),
+                 (1, 3, 1, 1, 64), (3, 1, 2_000_000, 1, 64), (2, 2, 2_000_000, 64, 64)]
+        for _ in range(40):
+            d = int(rng.integers(1, 5))
+            cases.append((d, int(rng.integers(1, 7)),
+                          int(rng.choice([1, d, d * d, 50, 2_000_000])),
+                          int(rng.choice([1, 2, 5, 64, 50_000])), int(rng.choice([1, 64]))))
+        broke = 0
+        for seed, (d, K, cap, block, row_nodes) in enumerate(cases):
+            stats = random_stats(seed + 400, d=d)
+            base = rng.standard_normal(d) * 0.5
+            alphas = rng.uniform(0.1, 2.0, size=(int(rng.integers(2, 6)), K))
+            if K >= 3 and seed % 3 == 0:
+                alphas[int(rng.integers(len(alphas))), K - 2] = 1e-14
+            elif K >= 2 and seed % 3 == 1:  # equal first two tail weights: fails at the root
+                alphas[int(rng.integers(len(alphas))), 0] = 0.0
+            monkeypatch.setattr(optimizers, "_SEGMENT_CAP", cap)
+            monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", block)
+            monkeypatch.setattr(optimizers, "_BLOCK_ROW_NODES", row_nodes)
+            alone = []
+            for a in alphas:
+                try:
+                    alone.append(_enum_free_fast(stats, base, K, a[None]))
+                except _PivotBreakdown:
+                    alone.append(None)
+            rows = np.arange(len(alphas))
+            while True:
+                try:
+                    values, ivs = _enum_free_fast(stats, base, K, alphas[rows])
+                    break
+                except _PivotBreakdown as exc:
+                    named = rows[exc.rows]
+                    assert named.size and all(alone[j] is None for j in named), (d, K, cap)
+                    rows = np.delete(rows, exc.rows)
+                    broke += 1
+            assert [j for j in range(len(alphas)) if alone[j] is None] == sorted(
+                set(range(len(alphas))) - set(rows.tolist()))
+            for j, value, iv in zip(rows, values, ivs):
+                assert value == alone[j][0][0], (d, K, cap, block)
+                assert np.array_equal(iv, alone[j][1][0]), (d, K, cap, block)
+        assert broke > 0
+
+    def test_weight_rows_resolve_ties_to_first_pattern(self, monkeypatch):
+        # As test_ties_across_blocks_resolve_to_first_pattern, with several
+        # weight rows in one call.
+        d, K = 3, 4
+        names = tuple(f"x{i}" for i in range(d))
+        stats = stats_from_moments(np.eye(d), np.full(d, 0.5), 2.0, names)
+        base = LinearModel.zeros(names)
+        alphas = np.array([[1.0, 1.0, 1.0, 1.0], [0.2, 0.5, 1.0, 2.0], [3.0, 1.0, 0.5, 0.1]])
+        monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", 1)
+        _, ivs = _enum_free_fast(stats, base.coefficients, K, alphas)
+        for a, iv in zip(alphas, ivs):
+            assert np.array_equal(iv, _enum_direct(stats, base, K, a)[1])
 
     def test_zero_weight_schedule_uses_direct_engine(self, toy_stats, toy_zero):
         # alpha with zeros makes the system singular; exact_path must still work.

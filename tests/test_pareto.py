@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathlens import (
     InputError,
     LinearModel,
     OptimizerConfig,
     WeightSchedule,
+    Dataset,
+    compute_stats,
     cost,
     default_lambda_grid,
     exact_path,
@@ -16,7 +19,10 @@ from pathlens import (
     sweep,
     weighted_loss,
 )
+from pathlens.cli import canonical_json
 from pathlens.pareto import check_front_rows, front_to_csv, front_to_json
+from conftest import random_dataset, random_stats
+from oracles import per_lambda_solve_tradeoff, per_lambda_sweep
 
 GAMMA1 = WeightSchedule.geometric(1.0)
 
@@ -117,6 +123,102 @@ class TestSweep:
         plain = sweep(toy_stats, toy_zero, GAMMA1, grid, 2, cfg=plain_cfg)
         pinned = sweep(toy_stats, toy_zero, GAMMA1, grid, 2, cfg=pinned_cfg)
         assert front_to_json(pinned) == front_to_json(plain)
+
+
+def front_artifacts(report):
+    return canonical_json(front_to_json(report)), front_to_csv(report)
+
+
+def collinear_stats(seed, d):
+    """Moments of data whose last feature repeats the first up to 1e-9 noise."""
+    X, y = random_dataset(seed, d=d)
+    X[:, -1] = X[:, 0] + 1e-9 * np.random.default_rng(seed).standard_normal(X.shape[0])
+    return compute_stats(Dataset(X, y, tuple(f"x{i + 1}" for i in range(d))))
+
+
+SCHEDULES = {
+    "gamma1": GAMMA1,
+    "gamma0.7": WeightSchedule.geometric(0.7),
+    "zero_middle": WeightSchedule.explicit([1.0, 0.0, 0.5, 0.0]),
+    "zero_first": WeightSchedule.explicit([0.0, 1.0, 0.0, 2.0]),
+}
+# Mostly values where paths of length >= 2 win, so their step sizes reach
+# the front; 0 and 1e-13 give zero-weight and breakdown rows.
+LAMBDAS = st.one_of(st.sampled_from([0.0, 1e-13, 1e-3, 0.05, 0.3, 1.0, 40.0]),
+                    st.floats(-3.0, 1.0).map(lambda e: 10.0**e))
+
+
+class TestPerLambdaOracle:
+    """The sweep that enumerates once per length must write the same front,
+    byte for byte, as one exact_path (or local_improvement) per lambda and
+    length."""
+
+    @staticmethod
+    def check(seed, d, K_max, grid, schedule="gamma1", nonzero_base=False, collinear=False,
+              solver="exact", workers=1):
+        stats = collinear_stats(seed, d) if collinear else random_stats(seed, d=d)
+        rng = np.random.default_rng(seed)
+        base = LinearModel(rng.standard_normal(d) * nonzero_base, stats.feature_names)
+        cfg = OptimizerConfig(K=0, schedule=GAMMA1, T=8, seed=seed)
+        args = (stats, base, SCHEDULES[schedule], grid, K_max, solver, cfg)
+        expected = front_artifacts(per_lambda_sweep(*args))
+        assert front_artifacts(sweep(*args, workers=workers)) == expected
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # lambda = 0 gives zero weights on all but the last step.
+            dict(grid=[0.0, 0.5, 2.0]),
+            dict(grid=[0.7]),
+            dict(grid=[1.0, 0.1, 1.0, 0.1, 5.0, 5.0]),
+            dict(grid=[30.0, 0.01, 2.0, 0.2, 0.05]),
+            # Weights within 1e-10 of each other break the factorization of
+            # patterns that repeat a coordinate, in those rows only.
+            dict(grid=[1e-13, 0.1, 1e-12, 3.0]),
+            dict(schedule="zero_middle", K_max=4),
+            dict(schedule="zero_first", K_max=4),
+            dict(collinear=True),
+            dict(nonzero_base=True, schedule="gamma0.7"),
+            dict(solver="local"),
+        ],
+        ids=["lambda_zero", "one_value", "duplicates", "unsorted", "tiny_lambda",
+             "zero_middle_weights", "zero_first_weights", "collinear", "nonzero_base",
+             "local"],
+    )
+    def test_front_matches_oracle(self, case, workers):
+        case = dict(case)
+        grid = case.pop("grid", list(np.logspace(-3, 3, 13)))
+        self.check(21, 4, case.pop("K_max", 3), grid, workers=workers, **case)
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 10_000), d=st.integers(3, 4), K_max=st.integers(2, 3),
+           grid=st.lists(LAMBDAS, min_size=2, max_size=12),
+           schedule=st.sampled_from(sorted(SCHEDULES)), nonzero_base=st.booleans(),
+           collinear=st.sampled_from([False, False, False, True]),
+           solver=st.sampled_from(["exact", "exact", "exact", "local"]),
+           workers=st.integers(1, 3))
+    def test_front_matches_oracle_property(self, seed, d, K_max, grid, schedule, nonzero_base,
+                                           collinear, solver, workers):
+        self.check(seed, d, K_max, grid, schedule, nonzero_base, collinear, solver, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_thousand_value_grid(self, workers):
+        stats = random_stats(8, d=4)
+        base = LinearModel.zeros(stats.feature_names)
+        grid = np.random.default_rng(8).permutation(np.logspace(-4, 4, 1000))
+        expected = front_artifacts(per_lambda_sweep(stats, base, GAMMA1, grid, 3))
+        assert front_artifacts(sweep(stats, base, GAMMA1, grid, 3, workers=workers)) == expected
+
+    def test_solve_tradeoff_matches_oracle(self):
+        stats = random_stats(9, d=4)
+        base = LinearModel.zeros(stats.feature_names)
+        for lam in (0.0, 1e-13, 0.02, 1.0, 500.0):
+            point = solve_tradeoff(stats, base, GAMMA1, lam, 3)
+            expected = per_lambda_solve_tradeoff(stats, base, GAMMA1, lam, 3)
+            assert (point.K, point.lam, point.cost, point.interp_loss, point.path.steps) == (
+                expected.K, expected.lam, expected.cost, expected.interp_loss,
+                expected.path.steps)
 
 
 class TestBruteForceValidation:

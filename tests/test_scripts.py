@@ -17,8 +17,9 @@ ROOT = Path(__file__).resolve().parents[1]
         ["heuristic_benchmark.py", "--instances", "1", "--d", "4", "--K", "4", "--T", "10",
          "--patience", "5"],
         ["bench.py", "--rows", "50"],
+        ["bench.py", "--topic", "tradeoff", "--K", "4", "--K-max", "2"],
     ],
-    ids=["toy_tradeoff", "heuristic_benchmark", "bench"],
+    ids=["toy_tradeoff", "heuristic_benchmark", "bench", "bench_tradeoff"],
 )
 def test_script_runs(argv, tmp_path):
     env = dict(os.environ)
