@@ -13,7 +13,9 @@ and r = g - G beta0, expanding the squares gives the normal equations
 which this module solves directly. One batched solver (solve_batch) serves
 every inner solve, of one pattern or many: a batched LU solve, a residual
 guard on every item, and one batched minimum-norm solve for the items that
-are singular or fail the guard.
+are singular or fail the guard. solve_patterns also re-solves minimum-norm
+the items whose objective is lost to rounding (a numerically singular
+system LU solved without complaint).
 
 A pinned endpoint (the path must end exactly at a target model) is handled
 by eliminating the constraint. The last write to each touched coordinate c
@@ -32,11 +34,16 @@ endpoints) in the test suite before anything downstream relies on it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InfeasibleError, InputError
 from .paths import CoordinatePath, WeightSchedule, cost_sequence
 from .regression import LinearModel, SufficientStats, cost_of, cost_of_many
+
+_OBJECTIVE_RTOL = 1e-9  # objective rounding allowed, relative to max(1, base objective)
+_EPS = float(np.finfo(float).eps)
 
 
 def as_weights(schedule, K: int) -> np.ndarray:
@@ -189,10 +196,16 @@ def solve_batch(H: np.ndarray, b: np.ndarray):
     # The bound is at least 1e-6, so ||b|| matters only when a residual exceeds that.
     if not res.max(initial=0.0) <= 1e-6:
         bad = ~(res <= 1e-6 * (np.sqrt(np.einsum("bk,bk->b", b, b)) + 1.0))
-        pinv = np.linalg.pinv(H[bad], rcond=H.shape[-1] * np.finfo(H.dtype).eps, hermitian=True)
-        delta[bad] = (pinv @ b[bad, :, None])[..., 0]
+        delta[bad] = min_norm_solve(H[bad], b[bad])
         Hd[bad] = np.einsum("bkl,bl->bk", H[bad], delta[bad])
     return delta, Hd
+
+
+def min_norm_solve(H: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm solutions of a (B, K, K) stack of PSD systems, with
+    lstsq's default cut-off K * eps."""
+    pinv = np.linalg.pinv(H, rcond=H.shape[-1] * np.finfo(H.dtype).eps, hermitian=True)
+    return (pinv @ b[..., None])[..., 0]
 
 
 def attained_objectives(stats: SufficientStats, base: np.ndarray, alpha: np.ndarray,
@@ -208,6 +221,32 @@ def attained_objectives(stats: SufficientStats, base: np.ndarray, alpha: np.ndar
     return float(alpha.sum()) * cost_of(stats, base) + np.einsum("bk,bk->b", Hd - 2.0 * b, delta)
 
 
+def _lost_to_rounding(stats: SufficientStats, base: np.ndarray, alpha: np.ndarray,
+                      H: np.ndarray, delta: np.ndarray, A: np.ndarray):
+    """(mask, tol) of the items whose attained objective rounding may move
+    by more than tol and whose solved system A is singular at working
+    precision (beyond lstsq's cut-off K * eps), or (None, None) if none are.
+
+    The rounding error is about K eps (sum_k |delta_k| sqrt(H_kk))^2. By
+    Cauchy-Schwarz that is at most K eps ||delta_b||^2 tr(H_b), which two dot
+    products bound for the whole batch, so the usual case skips the per-item
+    sums. A system inside the cut-off keeps its LU solution: the
+    minimum-norm one would differ only by rounding.
+    """
+    K = delta.shape[1]
+    scale = K * _EPS
+    bound = scale * K * float(np.vdot(delta, delta)) * math.sqrt(float(np.vdot(H, H)))
+    if not bound > _OBJECTIVE_RTOL:
+        return None, None  # _OBJECTIVE_RTOL is the least tol
+    tol = _OBJECTIVE_RTOL * max(1.0, float(alpha.sum()) * cost_of(stats, base))
+    spread = np.einsum("bk,bk->b", np.abs(delta), np.sqrt(H.reshape(-1, K * K)[:, ::K + 1]))
+    bad = scale * spread * spread > tol
+    if bad.any():
+        eigs = np.linalg.eigvalsh(A[bad])
+        bad[bad] = eigs[:, 0] <= scale * eigs[:, -1]
+    return (bad, tol) if bad.any() else (None, None)
+
+
 def solve_patterns(stats: SufficientStats, base: np.ndarray, ivs: np.ndarray, alpha: np.ndarray,
                    target: np.ndarray | None = None):
     """Optimal step sizes and attained objectives for a (B, K) batch of
@@ -216,7 +255,8 @@ def solve_patterns(stats: SufficientStats, base: np.ndarray, ivs: np.ndarray, al
     With a target, the endpoint is pinned by the elimination described in
     the module docstring; rows that leave a coordinate where target and base
     differ untouched cannot reach it and get zero steps and objective +inf.
-    Objectives are attained_objectives at the solved delta.
+    Objectives are attained_objectives at the solved delta; items whose
+    objective is below rounding noise are re-solved minimum-norm first.
     """
     if target is not None:
         touched = np.zeros((ivs.shape[0], stats.d), dtype=bool)
@@ -227,11 +267,11 @@ def solve_patterns(stats: SufficientStats, base: np.ndarray, ivs: np.ndarray, al
             if reach.any():
                 deltas[reach], vals[reach] = solve_patterns(stats, base, ivs[reach], alpha, target)
             return deltas, vals
+    K = ivs.shape[1]
     H, b = build_systems_batch(stats, base, ivs, alpha)
     if target is None:
         delta, Hd = solve_batch(H, b)
     else:
-        K = ivs.shape[1]
         pos = np.arange(K)
         same = ivs[:, :, None] == ivs[:, None, :]
         last = K - 1 - np.argmax(same[:, :, ::-1], axis=2)  # last write to each step's coordinate
@@ -243,4 +283,19 @@ def solve_patterns(stats: SufficientStats, base: np.ndarray, ivs: np.ndarray, al
         rhs = np.einsum("bkj,bk->bj", P, b - np.einsum("bkl,bl->bk", H, delta_p))
         delta = delta_p + np.einsum("bkj,bj->bk", P, solve_batch(Hr, rhs)[0])
         Hd = None
-    return delta, attained_objectives(stats, base, alpha, H, b, delta, Hd)
+    vals = attained_objectives(stats, base, alpha, H, b, delta, Hd)
+    # A numerically singular system that LU does not flag can put delta far
+    # along a null direction, where the quadratic form cancels: its objective
+    # is then rounding noise, often a large negative value that wins the
+    # search. Such items get the minimum-norm solution; an objective is a
+    # weighted sum of mean-squared errors, so any still below -tol get +inf.
+    bad, tol = _lost_to_rounding(stats, base, alpha, H, delta, H if target is None else Hr)
+    if bad is not None:
+        if target is None:
+            delta[bad] = min_norm_solve(H[bad], b[bad])
+        else:
+            delta[bad] = delta_p[bad] + np.einsum(
+                "bkj,bj->bk", P[bad], min_norm_solve(Hr[bad], rhs[bad]))
+        vals[bad] = attained_objectives(stats, base, alpha, H[bad], b[bad], delta[bad])
+        vals[bad & (vals < -tol)] = np.inf
+    return delta, vals

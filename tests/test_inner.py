@@ -1,11 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from pathlens import (
+    Dataset,
     InfeasibleError,
     InputError,
     LinearModel,
     WeightSchedule,
+    compute_stats,
     cost,
     greedy_step,
     ols,
@@ -22,7 +26,7 @@ from pathlens.inner import (
     tail_weights,
 )
 from pathlens.paths import cost_sequence
-from conftest import TOY_OLS, random_stats
+from conftest import TOY_OLS, random_dataset, random_stats
 from oracles import eval_objective, fd_gradient, svd_fixed_endpoint
 
 
@@ -136,6 +140,24 @@ class TestSolveBatch:
         for i in range(3, 6):
             ref = np.linalg.lstsq(H[i], b[i], rcond=None)[0]
             assert np.max(np.abs(delta[i] - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    def test_numerically_singular_gram(self):
+        # x3 repeats x1 up to 1e-9 noise, so the gram is singular at working
+        # precision, yet LU factors some pattern systems without complaint and
+        # puts their step sizes near 1e9 along the null direction, where the
+        # quadratic form cancels to a large negative objective.
+        X, y = random_dataset(196, d=3)
+        X[:, 2] = X[:, 0] + 1e-9 * np.random.default_rng(196).standard_normal(X.shape[0])
+        stats = compute_stats(Dataset(X, y, ("x1", "x2", "x3")))
+        base = LinearModel.zeros(stats.feature_names)
+        ivs = np.array(list(itertools.product(range(3), repeat=3)))
+        alpha = np.array([0.0, 0.05, 1.0])
+        deltas, vals = solve_patterns(stats, base.coefficients, ivs, alpha)
+        assert np.all(vals >= -1e-9)
+        assert np.max(np.abs(deltas)) < 1e3
+        for iv, delta, val in zip(ivs, deltas, vals):
+            path = path_from_deltas(base, iv, delta)
+            assert val == pytest.approx(alpha @ cost_sequence(stats, path), abs=1e-8)
 
     def test_solve_free_is_one_pattern_case(self):
         rng = np.random.default_rng(10)

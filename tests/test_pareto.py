@@ -202,6 +202,13 @@ class TestPerLambdaOracle:
                                            collinear, solver, workers):
         self.check(seed, d, K_max, grid, schedule, nonzero_base, collinear, solver, workers)
 
+    def test_collinear_zero_first_weights(self):
+        # A zero first weight leaves step 1 free, and on a gram singular at
+        # working precision its inner solve ran off to coefficients near 1e9,
+        # whose cost cancels to a negative value: the path won with a
+        # clamped objective of 0 and cost() then raised InputError.
+        self.check(196, 3, 3, [0.0, 0.05], schedule="zero_first", collinear=True)
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_thousand_value_grid(self, workers):
         stats = random_stats(8, d=4)
