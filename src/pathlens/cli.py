@@ -189,6 +189,19 @@ def write_out(path: str, text: str):
     Path(path).write_text(text, encoding="utf-8")
 
 
+def report_path(args, stats, path: CoordinatePath, schedule: WeightSchedule,
+                loss_label: str | None) -> int:
+    """Print the path's table and, under loss_label, its weighted loss; write
+    it to --out if given."""
+    print(render_path_table(stats, path, args.precision))
+    if loss_label is not None:
+        print(f"{loss_label}: {weighted_loss(stats, path, schedule):.{args.precision}f}")
+    if args.out:
+        write_out(args.out, canonical_json(path_to_json(path)))
+        print(f"path written to {args.out}")
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -229,6 +242,11 @@ def _resolve_endpoint(args, stats) -> LinearModel | None:
     return load_model_file(choice, stats)
 
 
+def search_q(args, K: int) -> int:
+    """--q, or the default batch size min(2, K) for local search."""
+    return args.q if args.q is not None else min(2, max(K, 1))
+
+
 def cmd_path(args) -> int:
     stats, _ = load_stats(args)
     schedule = parse_schedule(args)
@@ -239,28 +257,21 @@ def cmd_path(args) -> int:
         path = direct_path(stats, base, args.K)
     else:
         endpoint = _resolve_endpoint(args, stats)
-        q = args.q if args.q is not None else min(2, max(args.K, 1))
         cfg = OptimizerConfig(
             K=args.K,
             schedule=schedule,
             endpoint=endpoint,
             step_mode=args.step_mode,
             seed=args.seed,
-            q=q,
+            q=search_q(args, args.K),
             T=args.T,
         )
         if args.method == "exact":
             path = exact_path(stats, base, cfg)
         else:
             path = local_improvement(stats, base, cfg)
-    print(render_path_table(stats, path, args.precision))
-    if path.K > 0:
-        loss = weighted_loss(stats, path, schedule)
-        print(f"steps: {path.K}  weighted loss [{schedule.describe()}]: {loss:.{args.precision}f}")
-    if args.out:
-        write_out(args.out, canonical_json(path_to_json(path)))
-        print(f"path written to {args.out}")
-    return 0
+    label = f"steps: {path.K}  weighted loss [{schedule.describe()}]" if path.K > 0 else None
+    return report_path(args, stats, path, schedule, label)
 
 
 def cmd_explain(args) -> int:
@@ -269,13 +280,8 @@ def cmd_explain(args) -> int:
     base = load_base(args, stats)
     target = load_model_file(args.model, stats) if args.model else ols(stats)
     path = best_explanation(stats, base, target, schedule, args.K)
-    print(render_path_table(stats, path, args.precision))
-    loss = weighted_loss(stats, path, schedule)
-    print(f"best explanation: {path.K} steps, loss [{schedule.describe()}]: {loss:.{args.precision}f}")
-    if args.out:
-        write_out(args.out, canonical_json(path_to_json(path)))
-        print(f"path written to {args.out}")
-    return 0
+    return report_path(args, stats, path, schedule,
+                       f"best explanation: {path.K} steps, loss [{schedule.describe()}]")
 
 
 def cmd_pareto(args) -> int:
@@ -283,8 +289,8 @@ def cmd_pareto(args) -> int:
     schedule = parse_schedule(args)
     base = load_base(args, stats)
     grid = parse_lambda_grid(args.lambda_grid)
-    q = args.q if args.q is not None else min(2, max(args.K, 1))
-    cfg = OptimizerConfig(K=0, schedule=schedule, seed=args.seed, q=max(q, 1), T=args.T)
+    cfg = OptimizerConfig(K=0, schedule=schedule, seed=args.seed, q=search_q(args, args.K),
+                          T=args.T)
     report = sweep(stats, base, schedule, grid, args.K, solver=args.solver, cfg=cfg)
     print(f"front points: {len(report.points)}")
     hist = {}
@@ -316,17 +322,10 @@ def cmd_expected_cost(args) -> int:
         raise InputError("--dist is required for expected-cost")
     schedule = WeightSchedule.distribution(_parse_floats(args.dist, "--dist"))
     base = load_base(args, stats)
-    K = len(schedule.values)
-    q = args.q if args.q is not None else min(2, K)
-    cfg = OptimizerConfig(K=0, schedule=schedule, seed=args.seed, q=q, T=args.T)
+    cfg = OptimizerConfig(K=0, schedule=schedule, seed=args.seed,
+                          q=search_q(args, len(schedule.values)), T=args.T)
     path = expected_cost_path(stats, base, schedule.values, solver=args.solver, cfg=cfg)
-    print(render_path_table(stats, path, args.precision))
-    expected = weighted_loss(stats, path, schedule)
-    print(f"expected cost E_k[mse]: {expected:.{args.precision}f}")
-    if args.out:
-        write_out(args.out, canonical_json(path_to_json(path)))
-        print(f"path written to {args.out}")
-    return 0
+    return report_path(args, stats, path, schedule, "expected cost E_k[mse]")
 
 
 def cmd_verify(args) -> int:
@@ -398,6 +397,13 @@ def _front_row(path, i: int, interp_loss, cost) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="pathlens", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -408,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--moments", help="moments JSON path")
         p.add_argument("--no-standardize", action="store_true",
                        help="skip standardization of CSV input")
-        p.add_argument("--precision", type=int, default=4, help="table decimals (default 4)")
+        p.add_argument("--precision", type=nonnegative_int, default=4,
+                       help="table decimals (default 4)")
         p.add_argument("--out", help="output artifact path")
 
     def add_schedule(p):

@@ -2,26 +2,29 @@
 
 exact_path enumerates every index vector in {0..d-1}^K and solves the inner
 quadratic exactly for each, so it is globally optimal for the configured
-objective. Free endpoints with positive weights and a positive-definite gram
-run through an incremental Cholesky recursion: the inner system's factor for
-a pattern extends the factor of its prefix, and the recursion only ever
-needs the fixed-size summaries Q = B'B, u = B'y, ssq = ||y||^2 per tree node
-(B = L^{-1} G[pattern, :]), so whole levels are expanded as flat array
-operations. The first steps of a pattern pick a segment root; below each
-root the levels are expanded breadth-first down to the last regular level.
-That level and the fused last two steps then run over blocks of parent
-nodes, about _BLOCK_LEAVES leaves each, with in-place arithmetic, so their
-temporaries stay in cache. Every objective is computed with the same
+objective. Two exhaustive enumerators do the work. Free endpoints with
+continuous steps, positive weights and a positive-definite gram run through
+an incremental Cholesky recursion (_enum_free_fast): the inner system's
+factor for a pattern extends the factor of its prefix, and the recursion
+only ever needs the fixed-size summaries Q = B'B, u = B'y, ssq = ||y||^2 per
+tree node (B = L^{-1} G[pattern, :]), so whole levels are expanded as flat
+array operations. The first steps of a pattern pick a segment root; below
+each root the levels are expanded breadth-first down to the last regular
+level. That level and the fused last two steps then run over blocks of
+parent nodes, about _BLOCK_LEAVES leaves each, with in-place arithmetic, so
+their temporaries stay in cache. Every objective is computed with the same
 operations whatever the block size, and blocks keep the running best with a
 strict <, so exact ties resolve to the lexicographically first pattern.
 The recursion takes a stack of weight rows and carries them on a leading
 array axis, so one pass serves many schedules of the same length (the
 tradeoff sweep's grid, see exact_free_paths); each row's objectives are
-bitwise those of a pass of its own.
-Every other case, pinned endpoints included, runs through one
-chunked enumerator of batched inner solves (inner.solve_patterns) that ranks
-candidates by their attained objective; there, objectives within 1e-12
-(relative) are ties. Candidates sharing an optimal objective resolve to the
+bitwise those of a pass of its own. Rows whose factorization breaks down
+are marked, and fall back to the other enumerator.
+Every other case, pinned endpoints and unit steps included, runs through one
+chunked enumerator (_enum_direct) that ranks candidates by their attained
+objective: continuous steps by batched inner solves (inner.solve_patterns),
+unit steps with no solve. There, objectives within 1e-12 (relative) are
+ties. Candidates sharing an optimal objective resolve to the
 lexicographically smallest pattern.
 
 local_improvement is a batch-q local search warm-started from the greedy
@@ -157,25 +160,12 @@ def _install_order(stats: SufficientStats, base: LinearModel, target: LinearMode
 # ---------------------------------------------------------------------------
 
 
-class _PivotBreakdown(Exception):
-    """Internal: the incremental factorization hit a non-positive pivot.
-
-    `rows` holds the weight rows (indices into the stack passed to
-    _enum_free_fast) whose pivots broke down; other rows may break down
-    later in the same enumeration.
-    """
-
-    def __init__(self, rows=()):
-        super().__init__(rows)
-        self.rows = np.asarray(rows, dtype=np.intp)
-
-
-def _check_pivots(piv: np.ndarray, floor: np.ndarray) -> None:
-    """Raise _PivotBreakdown for the weight rows (leading axis) holding a
-    pivot at or below its floor."""
+def _mark_broken(broken: np.ndarray, piv: np.ndarray, floor: np.ndarray) -> None:
+    """Set broken[l] for each weight row l (leading axis) holding a pivot at
+    or below its floor."""
     bad = piv <= floor
     if bad.any():
-        raise _PivotBreakdown(np.flatnonzero(bad.reshape(bad.shape[0], -1).any(axis=1)))
+        broken |= bad.reshape(bad.shape[0], -1).any(axis=1)
 
 
 def _candidate_count(d: int, cfg: OptimizerConfig) -> int:
@@ -185,7 +175,7 @@ def _candidate_count(d: int, cfg: OptimizerConfig) -> int:
     return n
 
 
-def _grow(QT, uT, ssq, G, gd, r, wm, children_q):
+def _grow(QT, uT, ssq, G, gd, r, wm, children_q, broken):
     """Expand every node by one step on each coordinate.
 
     Weight rows run along the first axis and nodes along the last, QT
@@ -193,12 +183,12 @@ def _grow(QT, uT, ssq, G, gd, r, wm, children_q):
     (L, 1, 1), so every broadcast operand is a contiguous row. The d*N
     children come back in the same layout, child c of node p at c*N + p;
     their QT and uT are None unless children_q (they are not needed after
-    the last step).
+    the last step). Rows whose pivots break down are marked in broken.
     """
     L, d, N = uT.shape
     dQ = np.einsum("...iin->...in", QT)
     piv2 = wm * gd[:, None] - wm * wm * dQ
-    _check_pivots(piv2, _PIVOT_RTOL * wm * gd[:, None])
+    _mark_broken(broken, piv2, _PIVOT_RTOL * wm * gd[:, None])
     piv = np.sqrt(piv2)
     ynew = (wm * r[:, None] - wm * uT) / piv
     ssq = (ssq[:, None, :] + ynew * ynew).reshape(L, d * N)
@@ -212,19 +202,20 @@ def _grow(QT, uT, ssq, G, gd, r, wm, children_q):
     return QTc.reshape(L, d, d, d * N), uTc.reshape(L, d, d * N), ssq
 
 
-def _fused_leaves(QT, uT, ssq, G, gd, r, w1, w2, top):
+def _fused_leaves(QT, uT, ssq, G, gd, r, w1, w2, top, broken):
     """Objectives of every two-step completion of each node, as vals[l, c1, c2, n].
 
     The last two steps in one pass, evaluated in place in two (L, d, d, N)
     buffers, in _grow's layout; w1 and w2 are shaped (L, 1, 1) and top (L,).
     Each value goes through the same operations in the same order whatever
     L and N are, so it does not depend on how rows and nodes are blocked.
+    Rows whose pivots break down are marked in broken.
     """
     w1q, w2q = w1[..., None], w2[..., None]
     dQ = np.einsum("...iin->...in", QT)
     piv1 = np.multiply(w1 * w1, dQ)
     np.subtract(w1 * gd[:, None], piv1, out=piv1)
-    _check_pivots(piv1, _PIVOT_RTOL * w1 * gd[:, None])
+    _mark_broken(broken, piv1, _PIVOT_RTOL * w1 * gd[:, None])
     np.sqrt(piv1, out=piv1)
     y1 = np.multiply(w1, uT)
     np.subtract(w1 * r[:, None], y1, out=y1)
@@ -236,7 +227,7 @@ def _fused_leaves(QT, uT, ssq, G, gd, r, w1, w2, top):
     piv2 += dQ[:, None, :, :]
     piv2 *= w2q * w2q
     np.subtract(w2q * gd[None, :, None], piv2, out=piv2)
-    _check_pivots(piv2, _PIVOT_RTOL * w2q * gd[None, :, None])
+    _mark_broken(broken, piv2, _PIVOT_RTOL * w2q * gd[None, :, None])
     y2 = row
     y2 *= y1[:, :, None, :]
     y2 += uT[:, None, :, :]
@@ -259,26 +250,32 @@ def _lexicographic(a: np.ndarray, d: int, levels: int) -> np.ndarray:
 
 def _root(G, r, w, riv):
     """QT (d, d, 1), uT (d, 1), ssq (1,) of the pattern prefix riv under tail
-    weights w, by a Cholesky factorization of its inner system."""
+    weights w, by a Cholesky factorization of its inner system; all NaN if
+    the factorization fails."""
     t = riv.shape[0]
     H = np.minimum.outer(w[:t], w[:t]) * G[np.ix_(riv, riv)]
-    Linv = np.linalg.inv(np.linalg.cholesky(H))
+    try:
+        Linv = np.linalg.inv(np.linalg.cholesky(H))
+    except np.linalg.LinAlgError:
+        Linv = np.full((t, t), np.nan)
     B0 = Linv @ G[riv, :]
     y0 = Linv @ (w[:t] * r[riv])
     return (np.ascontiguousarray((B0.T @ B0)[:, :, None]),
             np.ascontiguousarray((B0.T @ y0)[:, None]), np.array([float(y0 @ y0)]))
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # broken rows' arithmetic is discarded
 def _enum_free_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np.ndarray):
     """Exhaustive free-endpoint search via the incremental factor recursion,
     for every row of a stack of weight rows alphas (L, K) at once.
 
-    Returns each row's optimal objective (L,) and pattern (L, K). A row's
-    results are bitwise those of a one-row call: the rows share every array
-    operation along a leading axis but no arithmetic. Requires strictly
-    positive weights and a positive-definite gram matrix; raises
-    _PivotBreakdown, naming the rows that broke down, otherwise, so the
-    caller can fall back to _enum_direct for them.
+    Returns each row's optimal objective (L,), its pattern (L, K), and a
+    mask broken (L,) of the rows whose factorization hit a non-positive
+    pivot; their objective and pattern mean nothing, and the caller solves
+    them another way (_enum_direct). A row's results are bitwise those of a
+    one-row call: the rows share every array operation along a leading axis
+    but no arithmetic. Strictly positive weights and a positive-definite
+    gram matrix keep rows from breaking down.
     """
     G = stats.gram
     d = stats.d
@@ -305,12 +302,8 @@ def _enum_free_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np
                           _BLOCK_LEAVES // (leaves_per_node * row_nodes)))
     L = alphas.shape[0]
     if L > per_pass:
-        parts = []
-        for g0 in range(0, L, per_pass):
-            try:
-                parts.append(_enum_free_fast(stats, base, K, alphas[g0:g0 + per_pass]))
-            except _PivotBreakdown as exc:
-                raise _PivotBreakdown(exc.rows + g0) from None
+        parts = [_enum_free_fast(stats, base, K, alphas[g0:g0 + per_pass])
+                 for g0 in range(0, L, per_pass)]
         return tuple(np.concatenate(part) for part in zip(*parts))
 
     w = tail_weights(alphas)
@@ -319,34 +312,29 @@ def _enum_free_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np
     block = max(1, _BLOCK_LEAVES // (leaves_per_node * L))
 
     best_val = np.full(L, math.inf)
-    best_root, best_leaf = [None] * L, [0] * L
+    best_root, best_leaf = [(0,) * t] * L, [0] * L
+    broken = np.zeros(L, dtype=bool)
     for root in itertools.product(range(d), repeat=t):
         riv = np.asarray(root, dtype=np.intp)
         if t:
-            parts, broken = [], []
-            for j, wj in enumerate(w):
-                try:
-                    parts.append(_root(G, r, wj, riv))
-                except np.linalg.LinAlgError:
-                    broken.append(j)
-            if broken:
-                raise _PivotBreakdown(broken)
-            QT, uT, ssq = (np.stack(a) for a in zip(*parts))
+            QT, uT, ssq = (np.stack(a) for a in zip(*(_root(G, r, wj, riv) for wj in w)))
+            broken |= np.isnan(ssq[:, 0])
         else:
             QT = np.zeros((L, d, d, 1))
             uT = np.zeros((L, d, 1))
             ssq = np.zeros((L, 1))
         for m in range(t, split):
-            QT, uT, ssq = _grow(QT, uT, ssq, G, gd, r, wb[:, m], True)
+            QT, uT, ssq = _grow(QT, uT, ssq, G, gd, r, wb[:, m], True, broken)
         if split > t:
             QT, uT, ssq = (_lexicographic(a, d, split - t) for a in (QT, uT, ssq))
         for p0 in range(0, ssq.shape[1], block):
             QTb, uTb, sb = QT[..., p0:p0 + block], uT[..., p0:p0 + block], ssq[:, p0:p0 + block]
             node_axes = (d,) * (stop - split) + sb.shape[1:]
             for m in range(split, stop):
-                QTb, uTb, sb = _grow(QTb, uTb, sb, G, gd, r, wb[:, m], m + 1 < K)
+                QTb, uTb, sb = _grow(QTb, uTb, sb, G, gd, r, wb[:, m], m + 1 < K, broken)
             if fuse:
-                vals = _fused_leaves(QTb, uTb, sb, G, gd, r, wb[:, K - 2], wb[:, K - 1], top)
+                vals = _fused_leaves(QTb, uTb, sb, G, gd, r, wb[:, K - 2], wb[:, K - 1], top,
+                                     broken)
             else:
                 vals = top[:, None] - sb
             low = vals.reshape(L, -1).min(axis=1)
@@ -357,7 +345,7 @@ def _enum_free_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np
     nsuf = K - t
     ivs = [root + tuple(leaf // d ** (nsuf - 1 - p) % d for p in range(nsuf))
            for root, leaf in zip(best_root, best_leaf)]
-    return best_val, np.asarray(ivs, dtype=int).reshape(L, K)
+    return best_val, np.asarray(ivs, dtype=int).reshape(L, K), broken
 
 
 def _iv_chunks(d: int, K: int, chunk: int):
@@ -384,56 +372,45 @@ def _keep_best(best, vals: np.ndarray, ivs: np.ndarray, deltas: np.ndarray):
 
 
 def _enum_direct(stats: SufficientStats, base: LinearModel, K: int, alpha: np.ndarray,
-                 endpoint: LinearModel | None = None):
-    """Chunked batched solves of every pattern, free or pinned to `endpoint`.
+                 endpoint: LinearModel | None = None, unit: bool = False):
+    """Chunked exhaustive search of every pattern, free or pinned to `endpoint`.
 
-    Handles zero weights and singular grams. Candidates are ranked by their
-    attained objective; returns (objective, iv, delta) of the
-    lexicographically first best pattern.
+    Continuous steps solve each pattern's inner problem in batches, which
+    handles zero weights and singular grams. Unit steps change one
+    coefficient by -1, 0 or +1: each pattern is paired with all 3^K sign
+    vectors and scored with no solve, and a pinned candidate that misses the
+    target scores +inf. Candidates are ranked by their attained objective;
+    returns (objective, iv, delta) of the lexicographically first best one.
     """
     if endpoint is not None:
-        changed = model_complexity(base, endpoint)
-        if changed > K:
-            raise InfeasibleError(
-                f"target differs from base in {changed} coordinates; K={K} steps cannot reach it"
-            )
+        _check_reachable(base, endpoint, K)
     target = None if endpoint is None else endpoint.coefficients
+    if unit:
+        signs = np.asarray(list(itertools.product((-1.0, 0.0, 1.0), repeat=K)))
+        chunk = max(1, 200_000 // len(signs))
+    else:
+        chunk = max(256, _CHUNK_ENTRIES // (K * K))
     best = (math.inf, None, None)
-    for ivs in _iv_chunks(stats.d, K, max(256, _CHUNK_ENTRIES // (K * K))):
-        deltas, vals = solve_patterns(stats, base.coefficients, ivs, alpha, target)
+    for ivs in _iv_chunks(stats.d, K, chunk):
+        if unit:
+            deltas = np.tile(signs, (ivs.shape[0], 1))
+            ivs = np.repeat(ivs, len(signs), axis=0)
+            hit = slice(None)
+            if target is not None:
+                finals = np.repeat(base.coefficients[None, :], ivs.shape[0], axis=0)
+                rows = np.arange(ivs.shape[0])
+                for k in range(K):
+                    finals[rows, ivs[:, k]] += deltas[:, k]
+                hit = np.all(np.abs(finals - target[None, :]) <= 1e-9, axis=1)
+            vals = np.full(ivs.shape[0], math.inf)
+            H, b = build_systems_batch(stats, base.coefficients, ivs[hit], alpha)
+            vals[hit] = attained_objectives(stats, base.coefficients, alpha, H, b, deltas[hit])
+        else:
+            deltas, vals = solve_patterns(stats, base.coefficients, ivs, alpha, target)
         best = _keep_best(best, vals, ivs, deltas)
     if best[1] is None:
-        raise InfeasibleError("no index pattern of this length reaches the target")
-    return best
-
-
-def _enum_unit(stats: SufficientStats, base: LinearModel, K: int, alpha: np.ndarray,
-               target: LinearModel | None):
-    """Unit-step search: each step changes one coefficient by -1, 0, or +1.
-
-    Candidates are ranked like _enum_direct's, by their attained objective.
-    """
-    d = stats.d
-    signs = np.asarray(list(itertools.product((-1.0, 0.0, 1.0), repeat=K)))
-    best = (math.inf, None, None)
-    for ivs in _iv_chunks(d, K, max(1, 200_000 // max(len(signs), 1))):
-        B = ivs.shape[0]
-        ivs_rep = np.repeat(ivs, len(signs), axis=0)
-        deltas = np.tile(signs, (B, 1))
-        if target is not None:
-            finals = np.repeat(base.coefficients[None, :], ivs_rep.shape[0], axis=0)
-            rows = np.arange(ivs_rep.shape[0])
-            for k in range(K):
-                finals[rows, ivs_rep[:, k]] += deltas[:, k]
-            keep = np.all(np.abs(finals - target.coefficients[None, :]) <= 1e-9, axis=1)
-            ivs_rep, deltas = ivs_rep[keep], deltas[keep]
-            if ivs_rep.shape[0] == 0:
-                continue
-        H, b = build_systems_batch(stats, base.coefficients, ivs_rep, alpha)
-        vals = attained_objectives(stats, base.coefficients, alpha, H, b, deltas)
-        best = _keep_best(best, vals, ivs_rep, deltas)
-    if best[1] is None:
-        raise InfeasibleError("no unit-step pattern of this length reaches the target")
+        kind = "unit-step" if unit else "index"
+        raise InfeasibleError(f"no {kind} pattern of this length reaches the target")
     return best
 
 
@@ -449,21 +426,23 @@ def exact_path(stats: SufficientStats, base: LinearModel, cfg: OptimizerConfig) 
     if base.d != stats.d:
         raise InputError("base dimension does not match stats")
     if K == 0:
-        if cfg.endpoint is not None and not np.array_equal(
-            cfg.endpoint.coefficients, base.coefficients
-        ):
-            raise InfeasibleError("K=0 cannot reach a target different from the base")
+        if cfg.endpoint is not None:
+            _check_reachable(base, cfg.endpoint, 0)
         return CoordinatePath(base, ())
     _check_budget(_candidate_count(stats.d, cfg), cfg.budget)
     alpha = as_weights(cfg.schedule, K)
+    if cfg.endpoint is None and cfg.step_mode == "continuous":
+        return exact_free_paths(stats, base, alpha[None], cfg.budget)[0]
+    _, iv, delta = _enum_direct(stats, base, K, alpha, cfg.endpoint, cfg.step_mode == "unit")
+    return path_from_deltas(base, iv, delta)
 
-    if cfg.step_mode == "unit":
-        _, iv, delta = _enum_unit(stats, base, K, alpha, cfg.endpoint)
-        return path_from_deltas(base, iv, delta)
-    if cfg.endpoint is not None:
-        _, iv, delta = _enum_direct(stats, base, K, alpha, cfg.endpoint)
-        return path_from_deltas(base, iv, delta)
-    return exact_free_paths(stats, base, alpha[None], cfg.budget)[0]
+
+def _check_reachable(base: LinearModel, target: LinearModel, K: int) -> None:
+    changed = model_complexity(base, target)
+    if changed > K:
+        raise InfeasibleError(
+            f"target differs from base in {changed} coordinates; K={K} steps cannot reach it"
+        )
 
 
 def _check_budget(n_cand: int, budget: int) -> None:
@@ -482,7 +461,7 @@ def exact_free_paths(stats: SufficientStats, base: LinearModel, alphas: np.ndarr
     Rows with strictly positive weights on a positive-definite gram share
     one _enum_free_fast pass, and their chosen patterns one batched solve;
     every path is bitwise the one a one-row call returns. Other rows, and
-    rows whose factorization breaks down, run _enum_direct one at a time.
+    the rows that pass marks as broken, run _enum_direct one at a time.
     """
     K = alphas.shape[1]
     _check_budget(stats.d**K, budget)
@@ -493,16 +472,12 @@ def exact_free_paths(stats: SufficientStats, base: LinearModel, alphas: np.ndarr
         eigs = np.linalg.eigvalsh(stats.gram)
         if not eigs[0] > 1e-10 * max(eigs[-1], 0.0):
             rows = rows[:0]
-    while rows.size:
-        try:
-            _, ivs = _enum_free_fast(stats, base.coefficients, K, alphas[rows])
-        except _PivotBreakdown as exc:
-            rows = np.delete(rows, exc.rows)
-            continue
+    if rows.size:
+        _, ivs, broken = _enum_free_fast(stats, base.coefficients, K, alphas[rows])
+        rows, ivs = rows[~broken], ivs[~broken]
         H, b = build_systems_batch(stats, base.coefficients, ivs, alphas[rows])
         for j, iv, delta in zip(rows, ivs, solve_batch(H, b)[0]):
             paths[j] = path_from_deltas(base, iv, delta)
-        break
     for j, path in enumerate(paths):
         if path is None:
             _, iv, delta = _enum_direct(stats, base, K, alphas[j])
@@ -520,11 +495,8 @@ def _default_iv0(stats: SufficientStats, base: LinearModel, cfg: OptimizerConfig
         return np.asarray([i for i, _ in greedy_path(stats, base, cfg.K).steps], dtype=int)
     # Endpoint mode needs the support covered; install it in direct-path
     # order, then cycle to fill the remaining slots.
+    _check_reachable(base, cfg.endpoint, cfg.K)
     support = np.nonzero(cfg.endpoint.coefficients - base.coefficients)[0]
-    if len(support) > cfg.K:
-        raise InfeasibleError(
-            f"target differs in {len(support)} coordinates; K={cfg.K} steps cannot reach it"
-        )
     if len(support) == 0:
         return np.zeros(cfg.K, dtype=int)
     order = _install_order(stats, base, cfg.endpoint, support, len(support))

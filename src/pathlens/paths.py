@@ -204,13 +204,6 @@ def path_from_json(payload: dict, feature_names) -> CoordinatePath:
     return CoordinatePath(base, tuple(steps))
 
 
-def model_to_json(model: LinearModel) -> dict:
-    return {
-        "coefficients": [float(v) for v in model.coefficients],
-        "features": list(model.feature_names),
-    }
-
-
 def model_from_json(payload: dict, feature_names) -> LinearModel:
     """Parse a model from JSON; features, when present, must match by name."""
     names = tuple(feature_names)

@@ -23,13 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from pathlens.inner import tail_weights
-from pathlens.optimizers import (
-    _PIVOT_RTOL,
-    OptimizerConfig,
-    _PivotBreakdown,
-    exact_path,
-    local_improvement,
-)
+from pathlens.optimizers import _PIVOT_RTOL, OptimizerConfig, exact_path, local_improvement
 from pathlens.errors import InputError
 from pathlens.pareto import FrontReport, ParetoPoint, _drop_dominated
 from pathlens.paths import CoordinatePath, WeightSchedule, weighted_loss
@@ -189,12 +183,17 @@ def brute_force_explanation(stats, base, target, alpha_of, K_max):
     return next((obj, iv) for obj, iv in found if obj <= low + 1e-12 * abs(low))
 
 
+class PivotBreakdown(Exception):
+    """unblocked_enum_free_fast hit a non-positive pivot."""
+
+
 def unblocked_enum_free_fast(stats, base, K, alpha, segment_cap=2_000_000):
     """optimizers._enum_free_fast with every level of each segment expanded
     breadth-first and the fused last two levels run on the whole segment at
     once. Segments have at most segment_cap leaves (the root count follows
     from it, as in _enum_free_fast with _SEGMENT_CAP = segment_cap).
-    Returns (objective, pattern); raises _PivotBreakdown as it does."""
+    Returns (objective, pattern); raises PivotBreakdown where it marks the
+    row broken."""
     G = stats.gram
     d = stats.d
     r = stats.residual_cross(base)
@@ -219,7 +218,7 @@ def unblocked_enum_free_fast(stats, base, K, alpha, segment_cap=2_000_000):
             try:
                 L = np.linalg.cholesky(H)
             except np.linalg.LinAlgError:
-                raise _PivotBreakdown from None
+                raise PivotBreakdown from None
             Linv = np.linalg.inv(L)
             B0 = Linv @ G[riv, :]
             y0 = Linv @ (w[:t] * r[riv])
@@ -236,7 +235,7 @@ def unblocked_enum_free_fast(stats, base, K, alpha, segment_cap=2_000_000):
             dQ = np.einsum("ncc->nc", Q)
             piv2 = wm * gd[None, :] - wm * wm * dQ
             if np.any(piv2 <= _PIVOT_RTOL * wm * gd[None, :]):
-                raise _PivotBreakdown
+                raise PivotBreakdown
             piv = np.sqrt(piv2)
             ynew = (wm * r[None, :] - wm * u) / piv
             ssq = (ssq[:, None] + ynew * ynew).reshape(N * d)
@@ -252,14 +251,14 @@ def unblocked_enum_free_fast(stats, base, K, alpha, segment_cap=2_000_000):
             dQ = np.einsum("ncc->nc", Q)
             piv1sq = w1 * gd[None, :] - w1 * w1 * dQ
             if np.any(piv1sq <= _PIVOT_RTOL * w1 * gd[None, :]):
-                raise _PivotBreakdown
+                raise PivotBreakdown
             piv1 = np.sqrt(piv1sq)
             y1 = (w1 * r[None, :] - w1 * u) / piv1
             row = (G[None, :, :] - w1 * Q) / piv1[:, :, None]
             dQ2 = dQ[:, None, :] + row * row
             piv2sq = w2 * gd[None, None, :] - w2 * w2 * dQ2
             if np.any(piv2sq <= _PIVOT_RTOL * w2 * gd[None, None, :]):
-                raise _PivotBreakdown
+                raise PivotBreakdown
             u2 = u[:, None, :] + row * y1[:, :, None]
             y2 = (w2 * r[None, None, :] - w2 * u2) / np.sqrt(piv2sq)
             vals = (S * c0 - ssq[:, None, None]) - y1[:, :, None] ** 2 - y2**2

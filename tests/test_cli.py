@@ -290,6 +290,17 @@ class TestPareto:
         assert code == 1
         assert "dominated" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("pareto", "--K", "2", "--q", "0"),
+        ("pareto", "--K", "2", "--q", "-4"),
+        ("path", "local", "--K", "2", "--q", "0"),
+        ("expected-cost", "--dist", "0.5,0.5", "--q", "0"),
+    ])
+    def test_nonpositive_q_exits_2(self, capsys, toy_moments, argv):
+        code, _, err = run(capsys, *argv, "--moments", toy_moments)
+        assert code == 2
+        assert "q must be >= 1" in err
+
 
 class TestFormatting:
     def test_precision_flag(self, capsys, toy_moments):
@@ -298,6 +309,15 @@ class TestFormatting:
         )
         assert code == 0
         assert "2.04" in out and "2.0400" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ("stats",), ("path", "exact", "--K", "2"), ("explain", "--K", "2"),
+    ])
+    def test_negative_precision_exits_2(self, capsys, toy_moments, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--moments", toy_moments, "--precision", "-1"])
+        assert exc.value.code == 2
+        assert "--precision: must be >= 0" in capsys.readouterr().err
 
     def test_front_json_is_canonical(self, capsys, toy_moments, tmp_path):
         out_base = str(tmp_path / "front")

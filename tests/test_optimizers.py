@@ -24,10 +24,15 @@ from pathlens import (
     weighted_loss,
 )
 from pathlens import optimizers
-from pathlens.optimizers import _enum_direct, _enum_free_fast, _iv_chunks, _PivotBreakdown
+from pathlens.optimizers import _enum_direct, _enum_free_fast, _iv_chunks
 from pathlens.inner import as_weights, path_from_deltas
 from conftest import TOY_OLS, random_stats
-from oracles import batch_objectives, brute_force_explanation, unblocked_enum_free_fast
+from oracles import (
+    PivotBreakdown,
+    batch_objectives,
+    brute_force_explanation,
+    unblocked_enum_free_fast,
+)
 
 GAMMA1 = WeightSchedule.geometric(1.0)
 
@@ -144,10 +149,11 @@ class TestEnumerationEngines:
         base = np.zeros(d)
         rng = np.random.default_rng(seed)
         alpha = as_weights(rng.uniform(0.1, 2.0, size=K), K)
-        (v_fast,), (iv_fast,) = _enum_free_fast(stats, base, K, alpha[None])
+        (v_fast,), (iv_fast,), (broken,) = _enum_free_fast(stats, base, K, alpha[None])
         v_direct, iv_direct, _ = _enum_direct(
             stats, LinearModel(base, stats.feature_names), K, alpha
         )
+        assert not broken
         assert v_fast == pytest.approx(v_direct, rel=1e-8, abs=1e-10)
         assert np.array_equal(iv_fast, iv_direct)
 
@@ -156,16 +162,21 @@ class TestEnumerationEngines:
         rng = np.random.default_rng(99)
         base = rng.standard_normal(3) * 0.5
         alpha = as_weights(rng.uniform(0.1, 2.0, size=4), 4)
-        (v_fast,), (iv_fast,) = _enum_free_fast(stats, base, 4, alpha[None])
+        (v_fast,), (iv_fast,), (broken,) = _enum_free_fast(stats, base, 4, alpha[None])
         v_direct, iv_direct, _ = _enum_direct(
             stats, LinearModel(base, stats.feature_names), 4, alpha
         )
+        assert not broken
         assert v_fast == pytest.approx(v_direct, rel=1e-8, abs=1e-10)
         assert np.array_equal(iv_fast, iv_direct)
 
     def test_blocked_matches_unblocked_oracle(self, monkeypatch):
         # Small segment caps and blocks run t > 0 roots and many blocks per
         # root; the fixed cases add d = 1, K <= 2 and one parent per block.
+        # Each case also runs with a weight that breaks the factorization:
+        # a first weight too small to change the tail weights (repeated
+        # coordinates fail at the root or the next pivot) or a near-zero
+        # weight at K-2 (the fused step's last pivot).
         rng = np.random.default_rng(4)
         cases = [(1, 5, 1, 1), (1, 3, 2_000_000, 50_000), (3, 1, 2_000_000, 1),
                  (4, 2, 1, 1), (3, 2, 2_000_000, 5), (3, 6, 9, 1), (4, 5, 2_000_000, 16)]
@@ -174,21 +185,30 @@ class TestEnumerationEngines:
             K = int(rng.integers(1, 8))
             cases.append((d, K, int(rng.choice([1, d, d * d, 50, 2_000_000])),
                           int(rng.choice([1, 2, 5, 64, 50_000]))))
+        broke = 0
         for seed, (d, K, cap, block) in enumerate(cases):
             stats = random_stats(seed + 200, d=d)
             base = rng.standard_normal(d) * 0.5
             alpha = as_weights(rng.uniform(0.1, 2.0, size=K), K)
             monkeypatch.setattr(optimizers, "_SEGMENT_CAP", cap)
             monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", block)
-            try:
-                expected = unblocked_enum_free_fast(stats, base, K, alpha, segment_cap=cap)
-            except _PivotBreakdown:
-                with pytest.raises(_PivotBreakdown):
-                    _enum_free_fast(stats, base, K, alpha[None])
-                continue
-            (value,), (iv,) = _enum_free_fast(stats, base, K, alpha[None])
-            assert value == expected[0], (d, K, cap, block)
-            assert np.array_equal(iv, expected[1]), (d, K, cap, block)
+            tiny = alpha.copy()
+            if seed % 2 and K >= 3:
+                tiny[K - 2] = 1e-14
+            else:
+                tiny[0] = 1e-20
+            for a in (alpha, tiny) if K >= 2 else (alpha,):
+                (value,), (iv,), (broken,) = _enum_free_fast(stats, base, K, a[None])
+                try:
+                    expected = unblocked_enum_free_fast(stats, base, K, a, segment_cap=cap)
+                except PivotBreakdown:
+                    assert broken, (d, K, cap, block)
+                    broke += 1
+                    continue
+                assert not broken, (d, K, cap, block)
+                assert value == expected[0], (d, K, cap, block)
+                assert np.array_equal(iv, expected[1]), (d, K, cap, block)
+        assert broke > 0
 
     @pytest.mark.parametrize("d,K", [(3, 4), (4, 4), (2, 5)])
     def test_ties_across_blocks_resolve_to_first_pattern(self, monkeypatch, d, K):
@@ -200,7 +220,7 @@ class TestEnumerationEngines:
         base = LinearModel.zeros(names)
         alpha = as_weights(np.ones(K), K)
         monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", 1)  # one parent per block
-        _, (iv,) = _enum_free_fast(stats, base.coefficients, K, alpha[None])
+        _, (iv,), _ = _enum_free_fast(stats, base.coefficients, K, alpha[None])
         _, iv_direct, _ = _enum_direct(stats, base, K, alpha)
         assert np.array_equal(iv, iv_direct)
         relabeled = (iv + 1) % d
@@ -217,20 +237,39 @@ class TestEnumerationEngines:
         base = LinearModel.zeros(stats.feature_names)
         schedule = WeightSchedule.explicit([1.0, 1.0, 1e-14, 1.0])
         alpha = as_weights(schedule, 4)
-        with pytest.raises(_PivotBreakdown):
-            _enum_free_fast(stats, base.coefficients, 4, alpha[None])
+        assert _enum_free_fast(stats, base.coefficients, 4, alpha[None])[2].tolist() == [True]
         path = exact_path(stats, base, OptimizerConfig(K=4, schedule=schedule))
         _, iv, delta = _enum_direct(stats, base, 4, alpha)
         assert path.steps == path_from_deltas(base, iv, delta).steps
 
+    def test_marked_rows_fall_back_to_direct(self, monkeypatch):
+        # exact_free_paths must solve a row _enum_free_fast marks as broken
+        # with _enum_direct, and never use that row's pattern.
+        stats = random_stats(8, d=3)
+        base = LinearModel.zeros(stats.feature_names)
+        alphas = np.array([[1.0, 0.5, 2.0], [0.3, 1.0, 1.0], [2.0, 2.0, 0.1]])
+        expected = optimizers.exact_free_paths(stats, base, alphas)
+        fast = optimizers._enum_free_fast
+
+        def mark_middle_row(*args):
+            values, ivs, broken = fast(*args)
+            ivs[1] = (ivs[1] + 1) % 3
+            broken[1] = True
+            return values, ivs, broken
+
+        monkeypatch.setattr(optimizers, "_enum_free_fast", mark_middle_row)
+        paths = optimizers.exact_free_paths(stats, base, alphas)
+        _, iv, delta = _enum_direct(stats, base, 3, alphas[1])
+        assert paths[1].steps == path_from_deltas(base, iv, delta).steps
+        assert paths[0].steps == expected[0].steps and paths[2].steps == expected[2].steps
+
     def test_weight_rows_match_one_row_calls(self, monkeypatch):
         # Each row of a multi-row call must equal its own one-row call: same
         # objective bit for bit and same pattern. A row with a zero or
-        # near-zero weight breaks down; the call must name it (and no row
-        # that does not break down alone), and the rest must run without it.
-        # Small
-        # segment caps, blocks and row-node minimums run t > 0 roots, passes
-        # of one and of several rows, and one parent per block. The fixed
+        # near-zero weight breaks down; the call must mark it, and no row
+        # that does not break down alone. Small segment caps, blocks and
+        # row-node minimums run t > 0 roots, passes of one and of several
+        # rows, and one parent per block. The fixed
         # cases put several rows in one pass with t > 0 and one parent per
         # block: (d, K, _SEGMENT_CAP, _BLOCK_LEAVES, _BLOCK_ROW_NODES).
         rng = np.random.default_rng(11)
@@ -254,27 +293,13 @@ class TestEnumerationEngines:
             monkeypatch.setattr(optimizers, "_SEGMENT_CAP", cap)
             monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", block)
             monkeypatch.setattr(optimizers, "_BLOCK_ROW_NODES", row_nodes)
-            alone = []
-            for a in alphas:
-                try:
-                    alone.append(_enum_free_fast(stats, base, K, a[None]))
-                except _PivotBreakdown:
-                    alone.append(None)
-            rows = np.arange(len(alphas))
-            while True:
-                try:
-                    values, ivs = _enum_free_fast(stats, base, K, alphas[rows])
-                    break
-                except _PivotBreakdown as exc:
-                    named = rows[exc.rows]
-                    assert named.size and all(alone[j] is None for j in named), (d, K, cap)
-                    rows = np.delete(rows, exc.rows)
-                    broke += 1
-            assert [j for j in range(len(alphas)) if alone[j] is None] == sorted(
-                set(range(len(alphas))) - set(rows.tolist()))
-            for j, value, iv in zip(rows, values, ivs):
-                assert value == alone[j][0][0], (d, K, cap, block)
-                assert np.array_equal(iv, alone[j][1][0]), (d, K, cap, block)
+            alone = [_enum_free_fast(stats, base, K, a[None]) for a in alphas]
+            values, ivs, broken = _enum_free_fast(stats, base, K, alphas)
+            assert broken.tolist() == [bool(b[2][0]) for b in alone], (d, K, cap, block)
+            broke += int(broken.sum())
+            for j in np.flatnonzero(~broken):
+                assert values[j] == alone[j][0][0], (d, K, cap, block)
+                assert np.array_equal(ivs[j], alone[j][1][0]), (d, K, cap, block)
         assert broke > 0
 
     def test_weight_rows_resolve_ties_to_first_pattern(self, monkeypatch):
@@ -286,7 +311,7 @@ class TestEnumerationEngines:
         base = LinearModel.zeros(names)
         alphas = np.array([[1.0, 1.0, 1.0, 1.0], [0.2, 0.5, 1.0, 2.0], [3.0, 1.0, 0.5, 0.1]])
         monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", 1)
-        _, ivs = _enum_free_fast(stats, base.coefficients, K, alphas)
+        _, ivs, _ = _enum_free_fast(stats, base.coefficients, K, alphas)
         for a, iv in zip(alphas, ivs):
             assert np.array_equal(iv, _enum_direct(stats, base, K, a)[1])
 
@@ -300,7 +325,7 @@ class TestEnumerationEngines:
 @pytest.mark.parametrize("d,K,chunk", [
     (1, 1, 3), (1, 4, 2), (3, 1, 2), (3, 4, 7), (2, 3, 8),
     (6, 6, max(256, optimizers._CHUNK_ENTRIES // 36)),  # _enum_direct's chunk at K=6
-    (4, 6, max(1, 200_000 // 3**6)),  # _enum_unit's chunk at K=6
+    (4, 6, max(1, 200_000 // 3**6)),  # _enum_direct's unit-step chunk at K=6
 ])
 def test_iv_chunks_match_itertools_product(d, K, chunk):
     expected = np.asarray(list(itertools.product(range(d), repeat=K)), dtype=int)
@@ -392,24 +417,37 @@ class TestUnitMode:
             assert np.sum(np.abs(model.coefficients - prev)) in (0.0, 1.0)
             prev = model.coefficients
 
-    def test_matches_brute_force(self):
-        stats = random_stats(42, d=2)
+    @pytest.mark.parametrize("seed,d,K,weights,target", [
+        (42, 2, 3, None, None),
+        (44, 3, 3, None, None),
+        (45, 2, 4, None, None),
+        (46, 3, 3, None, [1.0, -1.0, 0.0]),
+        (47, 2, 4, None, [2.0, -1.0]),
+        (48, 3, 4, [0.5, 1.0, 2.0, 1.0], [0.0, 1.0, 1.0]),
+        (49, 3, 3, [1.0, 0.0, 1.0], None),
+    ], ids=["seed42", "seed44", "seed45", "pinned46", "pinned47", "pinned48", "zero_weight49"])
+    def test_matches_brute_force(self, seed, d, K, weights, target):
+        stats = random_stats(seed, d=d)
         base = LinearModel.zeros(stats.feature_names)
-        K = 3
-        cfg = OptimizerConfig(K=K, schedule=GAMMA1, step_mode="unit")
+        schedule = GAMMA1 if weights is None else WeightSchedule.explicit(weights)
+        endpoint = None if target is None else LinearModel(np.array(target), stats.feature_names)
+        cfg = OptimizerConfig(K=K, schedule=schedule, step_mode="unit", endpoint=endpoint)
         path = exact_path(stats, base, cfg)
-        obj = weighted_loss(stats, path, GAMMA1)
-        alpha = GAMMA1.weights(K)
+        obj = weighted_loss(stats, path, schedule)
+        alpha = schedule.weights(K)
         best = np.inf
-        for iv in itertools.product(range(2), repeat=K):
+        for iv in itertools.product(range(d), repeat=K):
             for signs in itertools.product((-1.0, 0.0, 1.0), repeat=K):
                 beta = base.coefficients.copy()
                 total = 0.0
                 for k in range(K):
                     beta[iv[k]] += signs[k]
                     total += alpha[k] * cost(stats, LinearModel(beta.copy(), stats.feature_names))
-                best = min(best, total)
+                if endpoint is None or np.array_equal(beta, endpoint.coefficients):
+                    best = min(best, total)
         assert obj == pytest.approx(best, abs=1e-9)
+        if endpoint is not None:
+            assert np.array_equal(path.final.coefficients, endpoint.coefficients)
 
     def test_unit_endpoint(self):
         stats = random_stats(43, d=2)
