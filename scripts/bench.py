@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time pathlens layer by layer and write the medians to BENCH_<topic>.json.
 
-Two topics, chosen with --topic; each number is the median over REPEATS
+Three topics, chosen with --topic; each number is the median over REPEATS
 runs, and the result goes to BENCH_<topic>.json in the current directory.
 
 ingestion (the default): load_csv, standardize and compute_stats on seeded
@@ -14,6 +14,19 @@ the default 61-value lambda grid, gamma = 1, one worker, also per
 (lambda, K) solve; and the exact search's fast kernel (_enum_free_fast)
 with one weight row of unit weights at d = 6, K = 10 (60.5M patterns), in
 patterns per second. --K-max and --K shrink both for a quick run.
+
+local: local_improvement, q = 2 under unit weights, on seeded instances
+(n = 100): pinned to the least-squares fit at d = 5, K = 6, T = 100 (as
+the benchmark's explain workload runs it); free at d = 6, K = 9, T = 100
+(as its search workload does); free at d = 6, K = 10, T = 600, patience
+120 (the setting of acceptance criterion 4). Each instance also records
+the loss of the path found, and with --before the script refuses to
+write if a loss differs from the earlier run's: a faster search that
+returns another path is a bug.
+
+BLAS threads are left as the environment sets them (the machine record
+notes OPENBLAS_NUM_THREADS); set it to 1 for numbers comparable with the
+benchmark in bench/, which pins it.
 
 To record the numbers from before a change, run the script with the older
 code first, e.g. from a checkout of the parent commit, then with the new
@@ -39,12 +52,16 @@ import numpy as np
 from pathlens import (
     Dataset,
     LinearModel,
+    OptimizerConfig,
     WeightSchedule,
     compute_stats,
     default_lambda_grid,
     load_csv,
+    local_improvement,
+    ols,
     standardize,
     sweep,
+    weighted_loss,
 )
 from pathlens.optimizers import _enum_free_fast
 
@@ -99,6 +116,7 @@ def machine() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
 
 
@@ -164,6 +182,32 @@ def tradeoff(args) -> list:
     ]
 
 
+# (d, K, T, patience, endpoint, search seed); q = 2 throughout.
+LOCAL_INSTANCES = ((5, 6, 100, None, "ols", 0), (6, 9, 100, None, "free", 1000),
+                   (6, 10, 600, 120, "free", 1000))
+
+
+def local(args) -> list:
+    schedule = WeightSchedule.geometric(1.0)
+    instances = []
+    for d, K, T, patience, endpoint, seed in LOCAL_INSTANCES:
+        stats = tradeoff_stats(d)
+        base = LinearModel.zeros(stats.feature_names)
+        cfg = OptimizerConfig(K=K, schedule=schedule, q=2, T=T, seed=seed, patience=patience,
+                              endpoint=ols(stats) if endpoint == "ols" else None)
+        path = local_improvement(stats, base, cfg)
+        record = {
+            "instance": {"layer": "local_improvement", "seed": SEED, "n": 100, "d": d, "K": K,
+                         "q": 2, "T": T, "patience": patience, "endpoint": endpoint,
+                         "search_seed": seed, "schedule": schedule.describe()},
+            "median_s": median_seconds(lambda: local_improvement(stats, base, cfg)),
+            "loss": weighted_loss(stats, path, schedule),
+        }
+        print(f"{describe('local', record)}: {record['median_s'] * 1e3:.2f} ms")
+        instances.append(record)
+    return instances
+
+
 def instance_key(topic: str, instance: dict):
     if topic == "ingestion":
         return instance["rows"], instance["cols"], instance.get("tail", ""), instance["seed"]
@@ -173,13 +217,18 @@ def instance_key(topic: str, instance: dict):
 def describe(topic: str, instance: dict) -> str:
     if topic == "ingestion":
         return f"{instance['rows']} x {instance['cols']}, tail {instance['tail']!r}: load_csv"
-    return instance["instance"]["layer"]
+    inst = instance["instance"]
+    if topic == "local":
+        return (f"local_improvement, d={inst['d']}, K={inst['K']}, T={inst['T']}, "
+                f"patience={inst['patience']}, endpoint {inst['endpoint']}")
+    return inst["layer"]
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--topic", choices=("ingestion", "tradeoff"), default="ingestion")
+    ap.add_argument("--topic", choices=("ingestion", "tradeoff", "local"),
+                    default="ingestion")
     ap.add_argument("--rows", type=int, default=100_000,
                     help="ingestion: CSV rows (default 100000)")
     ap.add_argument("--K-max", type=int, default=6, help="tradeoff: sweep K_max (default 6)")
@@ -192,7 +241,7 @@ def main(argv=None) -> int:
     if args.K < 1 or args.K_max < 1:
         ap.error("--K and --K-max must be at least 1")
 
-    instances = ingestion(args) if args.topic == "ingestion" else tradeoff(args)
+    instances = {"ingestion": ingestion, "tradeoff": tradeoff, "local": local}[args.topic](args)
     report = {"topic": args.topic, "machine": machine(), "repeats": REPEATS,
               "instances": instances}
     if args.before:
@@ -202,6 +251,9 @@ def main(argv=None) -> int:
             ap.error(f"--before {args.before} measured other instances: {keys}")
         report["before"] = {"machine": before["machine"], "instances": before["instances"]}
         for now, old in zip(instances, before["instances"]):
+            if "loss" in now and now["loss"] != old["loss"]:
+                ap.error(f"{describe(args.topic, now)} found another path than --before "
+                         f"{args.before}: loss {now['loss']!r}, before {old['loss']!r}")
             ratio = (now["median_s"]["load_csv"] / old["median_s"]["load_csv"]
                      if args.topic == "ingestion" else now["median_s"] / old["median_s"])
             print(f"{describe(args.topic, now)} {ratio:.2f}x of before")

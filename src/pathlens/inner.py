@@ -34,8 +34,6 @@ endpoints) in the test suite before anything downstream relies on it.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import InfeasibleError, InputError
@@ -228,14 +226,18 @@ def _lost_to_rounding(stats: SufficientStats, base: np.ndarray, alpha: np.ndarra
     precision (beyond lstsq's cut-off K * eps), or (None, None) if none are.
 
     The rounding error is about K eps (sum_k |delta_k| sqrt(H_kk))^2. By
-    Cauchy-Schwarz that is at most K eps ||delta_b||^2 tr(H_b), which two dot
-    products bound for the whole batch, so the usual case skips the per-item
-    sums. A system inside the cut-off keeps its LU solution: the
-    minimum-norm one would differ only by rounding.
+    Cauchy-Schwarz that is at most K eps ||delta_b||^2 tr(H_b), and
+    H_kk = w_k G_{i_k i_k} makes tr(H_b) at most K max(w) max(diag G). So
+    one sum of squares over the batch bounds every item, and the usual case
+    skips the per-item sums. A system inside the cut-off keeps its LU
+    solution: the minimum-norm one would differ only by rounding. The sum is
+    an einsum reduction, not a BLAS dot product: over a large batch that can
+    wake BLAS's thread pool, which costs more than the sum itself.
     """
     K = delta.shape[1]
     scale = K * _EPS
-    bound = scale * K * float(np.vdot(delta, delta)) * math.sqrt(float(np.vdot(H, H)))
+    h_max = float(tail_weights(alpha).max()) * float(np.diag(stats.gram).max())
+    bound = scale * K * h_max * float(np.einsum("bk,bk->", delta, delta))
     if not bound > _OBJECTIVE_RTOL:
         return None, None  # _OBJECTIVE_RTOL is the least tol
     tol = _OBJECTIVE_RTOL * max(1.0, float(alpha.sum()) * cost_of(stats, base))

@@ -30,7 +30,13 @@ lexicographically smallest pattern.
 local_improvement is a batch-q local search warm-started from the greedy
 pattern: each iteration redraws q random step positions and exhaustively
 rescans all d^q coordinate reassignments, keeping the best (improvements
-accumulate across iterations).
+accumulate across iterations). Its iterations are scored a window at a
+time, the candidates of several consecutive iterations in one
+solve_patterns call, then replayed in order; an improvement ends the window
+and the iterations after it are scored again against the new incumbent.
+Positions are drawn in iteration order and never depend on results, and
+solve_patterns computes each item on its own, so the path is bitwise that
+of one call per iteration.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ _SEGMENT_CAP = 2_000_000  # max leaves under one root, over a pass's rows: sets 
 _BLOCK_LEAVES = 50_000  # leaves per block of the last levels (~400 KB temporaries, fit L2)
 _BLOCK_ROW_NODES = 64  # parent nodes of each weight row a block holds, at least
 _CHUNK_ENTRIES = 150_000  # K*K system entries per _enum_direct chunk (~4k patterns at K=6)
+_WINDOW_CANDIDATES = 512  # local_improvement candidates per solve_patterns call, at most
 _TIE_RTOL = 1e-12  # objectives this close (relative) are ties, kept by the earlier candidate
 _PIVOT_RTOL = 1e-10
 
@@ -509,9 +516,24 @@ def local_improvement(stats: SufficientStats, base: LinearModel, cfg: OptimizerC
 
     Per iteration, draw q step positions uniformly without replacement and
     scan all d^q coordinate reassignments of those positions, inner-solving
-    each candidate; a candidate replaces the incumbent only when it improves
-    the objective by more than 1e-12 (guards against cycling). Improvements
-    carry over to the next iteration. Reproducible for a fixed cfg.seed.
+    each candidate; the first best candidate replaces the incumbent only
+    when it improves the objective by more than 1e-12 (guards against
+    cycling). Improvements carry over to the next iteration, and cfg.patience
+    consecutive iterations without one end the search. Reproducible for a
+    fixed cfg.seed.
+
+    Iterations are scored a window at a time: the candidates of several
+    consecutive iterations, each built against the current incumbent, go
+    through one solve_patterns call, and the iterations are then replayed in
+    order under the rules above. An iteration's positions never depend on
+    results, so they are drawn in iteration order into a queue. An
+    improvement ends its window: the rest of the window was built against
+    the old incumbent, so its queued positions are scored again against the
+    new one. A window holds one iteration after an improvement (or at the
+    start) and twice as many after a window without one, up to
+    _WINDOW_CANDIDATES candidates. solve_patterns computes each item on its
+    own, so every candidate's objective, and hence the path, is bitwise that
+    of a search that solves one iteration per call.
     """
     K = cfg.K
     if K == 0:
@@ -533,21 +555,36 @@ def local_improvement(stats: SufficientStats, base: LinearModel, cfg: OptimizerC
     deltas, vals = solve_patterns(stats, base.coefficients, iv[None], alpha, target)
     best_obj, best_iv, best_delta = float(vals[0]), iv, deltas[0]
     assignments = np.asarray(list(itertools.product(range(stats.d), repeat=cfg.q)), dtype=int)
+    m = assignments.shape[0]
+    cap = max(1, _WINDOW_CANDIDATES // m)
     rng = np.random.default_rng(cfg.seed)
-    stale = 0
-    for _ in range(cfg.T):
-        positions = np.sort(rng.choice(K, size=cfg.q, replace=False))
-        ivs = np.repeat(best_iv[None, :], assignments.shape[0], axis=0)
-        ivs[:, positions] = assignments
+    queue = []  # drawn positions of the iterations not yet replayed
+    done = stale = 0
+    width = 1
+    while done < cfg.T:
+        n = min(width, cfg.T - done)
+        while len(queue) < n:
+            queue.append(np.sort(rng.choice(K, size=cfg.q, replace=False)))
+        ivs = np.repeat(best_iv[None, :], n * m, axis=0)
+        rows = np.arange(n * m)[:, None]
+        ivs[rows, np.repeat(queue[:n], m, axis=0)] = np.tile(assignments, (n, 1))
         deltas, vals = solve_patterns(stats, base.coefficients, ivs, alpha, target)
-        j = int(np.argmin(vals))
-        if vals[j] < best_obj - 1e-12:
+        js = np.argmin(vals.reshape(n, m), axis=1) + m * np.arange(n)
+        hits = np.flatnonzero(vals[js] < best_obj - 1e-12)
+        t = int(hits[0]) if hits.size else n  # iterations without improvement first
+        if cfg.patience is not None and t and stale + t >= cfg.patience:
+            break  # patience ran out within the window, before any improvement
+        if t == n:
+            stale += n
+            width = min(2 * width, cap)
+        else:
+            j = js[t]
             best_obj, best_iv, best_delta = float(vals[j]), ivs[j], deltas[j]
             stale = 0
-        else:
-            stale += 1
-            if cfg.patience is not None and stale >= cfg.patience:
-                break
+            width = 1
+            n = t + 1  # the rest of the window is scored again
+        done += n
+        del queue[:n]
     return path_from_deltas(base, best_iv, best_delta)
 
 
@@ -563,6 +600,8 @@ def best_explanation(stats: SufficientStats, base: LinearModel, target: LinearMo
     model_complexity .. K_max. The path's weighted_loss is the model's
     interpretability loss (a lower bound holds only up to K_max; longer
     explanations are not searched)."""
+    if K_max < 0:
+        raise InputError("K_max must be >= 0")
     complexity = model_complexity(base, target)
     if K_max < complexity:
         raise InfeasibleError(

@@ -43,3 +43,13 @@ def random_stats(seed, n=60, d=4, mix=0.4):
     y = (y - y.mean()) / y.std()
     names = tuple(f"x{i + 1}" for i in range(d))
     return compute_stats(Dataset(X, y, names))
+
+
+def collinear_stats(seed, d=4, noise=1e-9):
+    """Moments of data whose last feature repeats the first up to `noise`
+    times standard normal noise."""
+    from pathlens import Dataset, compute_stats
+
+    X, y = random_dataset(seed, d=d)
+    X[:, -1] = X[:, 0] + noise * np.random.default_rng(seed).standard_normal(X.shape[0])
+    return compute_stats(Dataset(X, y, tuple(f"x{i + 1}" for i in range(d))))

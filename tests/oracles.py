@@ -5,12 +5,15 @@ evaluated by materializing paths and summing weighted model costs, free
 minimization is plain gradient descent with finite-difference gradients and
 a parabolic line search, and pinned endpoints are solved by SVD null-space
 elimination of the endpoint constraints on normal equations assembled here.
-The one exception is unblocked_enum_free_fast, the breadth-first form of the
+The exceptions are unblocked_enum_free_fast, the breadth-first form of the
 exact search's incremental factor recursion, kept as the reference for its
-blocked form. rowwise_load_csv is the pure-Python CSV reader that load_csv's
-one-call numpy parse must match. per_lambda_sweep is the tradeoff sweep
-that solves one exact_path (or local_improvement) per lambda and length,
-the reference for the sweep that enumerates once per length.
+blocked form, and iterwise_local_improvement, the local search with one
+solve_patterns call per iteration, kept as the reference for the search
+that scores windows of iterations in one call. rowwise_load_csv is the
+pure-Python CSV reader that load_csv's one-call numpy parse must match.
+per_lambda_sweep is the tradeoff sweep that solves one exact_path (or
+local_improvement) per lambda and length, the reference for the sweep that
+enumerates once per length.
 """
 
 import csv
@@ -22,8 +25,21 @@ from dataclasses import replace
 
 import numpy as np
 
-from pathlens.inner import tail_weights
-from pathlens.optimizers import _PIVOT_RTOL, OptimizerConfig, exact_path, local_improvement
+from pathlens.inner import (
+    as_weights,
+    check_endpoint,
+    check_index_vector,
+    path_from_deltas,
+    solve_patterns,
+    tail_weights,
+)
+from pathlens.optimizers import (
+    _PIVOT_RTOL,
+    OptimizerConfig,
+    _default_iv0,
+    exact_path,
+    local_improvement,
+)
 from pathlens.errors import InputError
 from pathlens.pareto import FrontReport, ParetoPoint, _drop_dominated
 from pathlens.paths import CoordinatePath, WeightSchedule, weighted_loss
@@ -402,3 +418,44 @@ def per_lambda_sweep(stats, base, schedule, lambda_grid, K_max, solver="exact", 
         "selected_K": [int(p.K) for p in results],
     }
     return FrontReport(tuple(points), metadata)
+
+
+def iterwise_local_improvement(stats, base, cfg, iv0=None):
+    """optimizers.local_improvement with one solve_patterns call per
+    iteration, each on that iteration's d^q candidates."""
+    K = cfg.K
+    if K == 0:
+        return exact_path(stats, base, cfg)
+    if cfg.step_mode != "continuous":
+        raise InputError("local_improvement supports continuous steps only")
+    if iv0 is None:
+        iv = _default_iv0(stats, base, cfg)
+    else:
+        iv = check_index_vector(iv0, stats.d)
+        if iv.shape[0] != K:
+            raise InputError(f"iv0 has length {iv.shape[0]}, expected K={K}")
+    alpha = as_weights(cfg.schedule, K)
+
+    target = None
+    if cfg.endpoint is not None:
+        check_endpoint(stats, base, iv, cfg.endpoint)
+        target = cfg.endpoint.coefficients
+    deltas, vals = solve_patterns(stats, base.coefficients, iv[None], alpha, target)
+    best_obj, best_iv, best_delta = float(vals[0]), iv, deltas[0]
+    assignments = np.asarray(list(itertools.product(range(stats.d), repeat=cfg.q)), dtype=int)
+    rng = np.random.default_rng(cfg.seed)
+    stale = 0
+    for _ in range(cfg.T):
+        positions = np.sort(rng.choice(K, size=cfg.q, replace=False))
+        ivs = np.repeat(best_iv[None, :], assignments.shape[0], axis=0)
+        ivs[:, positions] = assignments
+        deltas, vals = solve_patterns(stats, base.coefficients, ivs, alpha, target)
+        j = int(np.argmin(vals))
+        if vals[j] < best_obj - 1e-12:
+            best_obj, best_iv, best_delta = float(vals[j]), ivs[j], deltas[j]
+            stale = 0
+        else:
+            stale += 1
+            if cfg.patience is not None and stale >= cfg.patience:
+                break
+    return path_from_deltas(base, best_iv, best_delta)

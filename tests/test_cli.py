@@ -245,6 +245,11 @@ class TestExplain:
         assert code == 3
         assert "complexity" in err
 
+    def test_negative_k_exits_2(self, capsys, toy_moments):
+        code, _, err = run(capsys, "explain", "--moments", toy_moments, "--K", "-1")
+        assert code == 2
+        assert "K_max must be >= 0" in err
+
 
 class TestPareto:
     def test_histogram_and_artifacts(self, capsys, toy_moments, tmp_path):

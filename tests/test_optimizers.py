@@ -26,11 +26,12 @@ from pathlens import (
 from pathlens import optimizers
 from pathlens.optimizers import _enum_direct, _enum_free_fast, _iv_chunks
 from pathlens.inner import as_weights, path_from_deltas
-from conftest import TOY_OLS, random_stats
+from conftest import TOY_OLS, collinear_stats, random_stats
 from oracles import (
     PivotBreakdown,
     batch_objectives,
     brute_force_explanation,
+    iterwise_local_improvement,
     unblocked_enum_free_fast,
 )
 
@@ -404,6 +405,65 @@ class TestLocalImprovement:
     def test_q_larger_than_k_rejected(self):
         with pytest.raises(InputError, match="q="):
             OptimizerConfig(K=2, schedule=GAMMA1, q=3)
+
+
+def path_bits(path):
+    """A path's base and steps with every float as its exact bit pattern."""
+    return ([float.hex(float(c)) for c in path.base.coefficients],
+            [(i, float.hex(v)) for i, v in path.steps])
+
+
+# (d, K, q, T, patience, pinned, weights, iv0, collinear); pinned endpoints
+# are the least-squares fit, weights None means unit weights. A poor start
+# improves often, so some windows of several iterations hold more than one
+# improving iteration.
+WINDOW_CASES = {
+    "free_q1": (4, 5, 1, 60, None, False, None, None, False),
+    "free_q2": (5, 6, 2, 100, None, False, None, None, False),
+    "free_q3": (4, 5, 3, 40, None, False, None, None, False),
+    "pinned_q1": (4, 5, 1, 60, None, True, None, None, False),
+    "pinned_q2": (5, 6, 2, 100, None, True, None, None, False),
+    "pinned_q3": (3, 5, 3, 40, None, True, None, None, False),
+    "T0": (4, 4, 2, 0, None, False, None, None, False),
+    "T1": (4, 4, 2, 1, None, False, None, None, False),
+    "T1_pinned": (4, 4, 2, 1, None, True, None, None, False),
+    "T600": (4, 6, 2, 600, None, False, None, None, False),
+    "T600_patience": (6, 8, 2, 600, 40, False, None, None, False),
+    "patience1": (5, 6, 2, 100, 1, False, None, None, False),
+    "patience1_pinned": (5, 6, 2, 100, 1, True, None, None, False),
+    "patience5_q1": (5, 7, 1, 200, 5, False, None, None, False),
+    "iv0": (4, 5, 2, 60, None, False, None, [3, 3, 2, 1, 0], False),
+    "iv0_pinned": (4, 6, 2, 60, 10, True, None, [3, 0, 2, 1, 0, 1], False),
+    "poor_start_q1": (6, 9, 1, 100, None, False, None, [0] * 9, False),
+    "poor_start_q1_pinned": (5, 7, 1, 100, None, True, None, [0, 1, 2, 3, 4, 0, 1], False),
+    "poor_start_q2_pinned": (6, 9, 2, 100, None, True, None, [0, 1, 2, 3, 4, 5, 0, 1, 2],
+                             False),
+    "zero_weight": (5, 5, 2, 100, None, False, [1.0, 0.0, 0.0, 0.0, 1.0], None, False),
+    "zero_weight_pinned": (4, 6, 2, 100, None, True, [0.0, 1.0, 0.0, 2.0, 0.0, 1.0], None,
+                           False),
+    "collinear": (4, 6, 2, 100, None, False, None, None, True),
+    "collinear_zero_weight": (4, 4, 2, 100, None, False, [1.0, 0.0, 0.0, 1.0], None, True),
+    "collinear_pinned": (4, 5, 2, 100, None, True, None, None, True),
+}
+
+
+@pytest.mark.parametrize("cap", [None, 1, 60], ids=["cap_default", "cap1", "cap60"])
+@pytest.mark.parametrize("case", list(WINDOW_CASES))
+def test_windows_match_iterwise_oracle(case, cap, monkeypatch):
+    """Windowed local search returns bitwise the path of the search that
+    solves one iteration per call, whatever the window cap."""
+    if cap is not None:
+        monkeypatch.setattr(optimizers, "_WINDOW_CANDIDATES", cap)
+    d, K, q, T, patience, pinned, weights, iv0, collinear = WINDOW_CASES[case]
+    for seed in range(2):
+        stats = (collinear_stats(70 + seed, d, noise=1e-7) if collinear
+                 else random_stats(70 + seed, d=d))
+        base = LinearModel.zeros(stats.feature_names)
+        schedule = GAMMA1 if weights is None else WeightSchedule.explicit(weights)
+        cfg = OptimizerConfig(K=K, schedule=schedule, q=q, T=T, seed=seed, patience=patience,
+                              endpoint=ols(stats) if pinned else None)
+        path = local_improvement(stats, base, cfg, iv0=iv0)
+        assert path_bits(path) == path_bits(iterwise_local_improvement(stats, base, cfg, iv0))
 
 
 class TestUnitMode:

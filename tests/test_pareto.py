@@ -7,8 +7,6 @@ from pathlens import (
     LinearModel,
     OptimizerConfig,
     WeightSchedule,
-    Dataset,
-    compute_stats,
     cost,
     default_lambda_grid,
     exact_path,
@@ -21,7 +19,7 @@ from pathlens import (
 )
 from pathlens.cli import canonical_json
 from pathlens.pareto import check_front_rows, front_to_csv, front_to_json
-from conftest import random_dataset, random_stats
+from conftest import collinear_stats, random_stats
 from oracles import per_lambda_solve_tradeoff, per_lambda_sweep
 
 GAMMA1 = WeightSchedule.geometric(1.0)
@@ -127,13 +125,6 @@ class TestSweep:
 
 def front_artifacts(report):
     return canonical_json(front_to_json(report)), front_to_csv(report)
-
-
-def collinear_stats(seed, d):
-    """Moments of data whose last feature repeats the first up to 1e-9 noise."""
-    X, y = random_dataset(seed, d=d)
-    X[:, -1] = X[:, 0] + 1e-9 * np.random.default_rng(seed).standard_normal(X.shape[0])
-    return compute_stats(Dataset(X, y, tuple(f"x{i + 1}" for i in range(d))))
 
 
 SCHEDULES = {

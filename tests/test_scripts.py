@@ -18,8 +18,9 @@ ROOT = Path(__file__).resolve().parents[1]
          "--patience", "5"],
         ["bench.py", "--rows", "50"],
         ["bench.py", "--topic", "tradeoff", "--K", "4", "--K-max", "2"],
+        ["bench.py", "--topic", "local"],
     ],
-    ids=["toy_tradeoff", "heuristic_benchmark", "bench", "bench_tradeoff"],
+    ids=["toy_tradeoff", "heuristic_benchmark", "bench", "bench_tradeoff", "bench_local"],
 )
 def test_script_runs(argv, tmp_path):
     env = dict(os.environ)
