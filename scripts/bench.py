@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time pathlens layer by layer and write the medians to BENCH_<topic>.json.
 
-Three topics, chosen with --topic; each number is the median over REPEATS
+Four topics, chosen with --topic; each number is the median over REPEATS
 runs, and the result goes to BENCH_<topic>.json in the current directory.
 
 ingestion (the default): load_csv, standardize and compute_stats on seeded
@@ -23,6 +23,13 @@ the benchmark's explain workload runs it); free at d = 6, K = 9, T = 100
 the loss of the path found, and with --before the script refuses to
 write if a loss differs from the earlier run's: a faster search that
 returns another path is a bug.
+
+heuristic: local_improvement against exact_path on 20 seeded instances
+(seeds 0-19, n = 100, d = 6, K = 10, gamma = 1): each instance's exact loss
+and time, and for q = 1 and 2 (T = 600, patience 120, search seed
+1000 q + instance seed) the local search's loss, optimality gap and time.
+--K shrinks the paths for a quick run. With --before the script refuses to
+write if an exact loss differs from the earlier run's.
 
 BLAS threads are left as the environment sets them (the machine record
 notes OPENBLAS_NUM_THREADS); set it to 1 for numbers comparable with the
@@ -56,6 +63,7 @@ from pathlens import (
     WeightSchedule,
     compute_stats,
     default_lambda_grid,
+    exact_path,
     load_csv,
     local_improvement,
     ols,
@@ -142,8 +150,7 @@ def ingestion(args) -> list:
 
 
 def tradeoff_stats(d: int, n: int = 100, seed: int = SEED):
-    """Standardized moments of seeded correlated data, as in
-    heuristic_benchmark.py."""
+    """Standardized moments of seeded correlated data."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d)) @ (np.eye(d) + 0.3 * rng.standard_normal((d, d)))
     beta = rng.standard_normal(d)
@@ -208,6 +215,49 @@ def local(args) -> list:
     return instances
 
 
+HEURISTIC_INSTANCES = 20
+HEURISTIC_Q = (1, 2)
+
+
+def heuristic(args) -> list:
+    d, K = 6, args.K
+    schedule = WeightSchedule.geometric(1.0)
+    instances = []
+    for seed in range(HEURISTIC_INSTANCES):
+        stats = tradeoff_stats(d, seed=seed)
+        base = LinearModel.zeros(stats.feature_names)
+        cfg = OptimizerConfig(K=K, schedule=schedule, budget=10**8)
+        exact = weighted_loss(stats, exact_path(stats, base, cfg), schedule)
+        record = {
+            "instance": {"layer": "exact_path", "seed": seed, "n": 100, "d": d, "K": K,
+                         "schedule": schedule.describe()},
+            "median_s": median_seconds(lambda: exact_path(stats, base, cfg)),
+            "loss": exact,
+            "local": {},
+        }
+        for q in HEURISTIC_Q:
+            lcfg = OptimizerConfig(K=K, schedule=schedule, q=q, T=600, patience=120,
+                                   seed=1000 * q + seed)
+            loss = weighted_loss(stats, local_improvement(stats, base, lcfg), schedule)
+            record["local"][f"q={q}"] = {
+                "T": 600, "patience": 120, "search_seed": lcfg.seed, "loss": loss,
+                "gap_pct": 100 * (loss - exact) / exact,
+                "median_s": median_seconds(lambda: local_improvement(stats, base, lcfg)),
+            }
+        print(f"{describe('heuristic', record)}: exact {record['median_s']:.3f} s" + "".join(
+            f", {q} gap {r['gap_pct']:.4f}% in {r['median_s'] * 1e3:.1f} ms"
+            for q, r in record["local"].items()))
+        instances.append(record)
+    print(f"exact: median {statistics.median(i['median_s'] for i in instances):.3f} s")
+    for q in record["local"]:
+        gaps = [i["local"][q]["gap_pct"] for i in instances]
+        times = [i["local"][q]["median_s"] for i in instances]
+        print(f"{q}: median gap {statistics.median(gaps):.4f}%, max {max(gaps):.4f}%, "
+              f"within 0.1%: {sum(g <= 0.1 for g in gaps)}/{len(gaps)}, "
+              f"median time {statistics.median(times) * 1e3:.1f} ms")
+    return instances
+
+
 def instance_key(topic: str, instance: dict):
     if topic == "ingestion":
         return instance["rows"], instance["cols"], instance.get("tail", ""), instance["seed"]
@@ -218,6 +268,8 @@ def describe(topic: str, instance: dict) -> str:
     if topic == "ingestion":
         return f"{instance['rows']} x {instance['cols']}, tail {instance['tail']!r}: load_csv"
     inst = instance["instance"]
+    if topic == "heuristic":
+        return f"exact_path, d={inst['d']}, K={inst['K']}, seed {inst['seed']}"
     if topic == "local":
         return (f"local_improvement, d={inst['d']}, K={inst['K']}, T={inst['T']}, "
                 f"patience={inst['patience']}, endpoint {inst['endpoint']}")
@@ -227,21 +279,24 @@ def describe(topic: str, instance: dict) -> str:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--topic", choices=("ingestion", "tradeoff", "local"),
+    ap.add_argument("--topic", choices=("ingestion", "tradeoff", "local", "heuristic"),
                     default="ingestion")
     ap.add_argument("--rows", type=int, default=100_000,
                     help="ingestion: CSV rows (default 100000)")
     ap.add_argument("--K-max", type=int, default=6, help="tradeoff: sweep K_max (default 6)")
     ap.add_argument("--K", type=int, default=10,
-                    help="tradeoff: kernel path length (default 10)")
+                    help="tradeoff: kernel path length; heuristic: path length (default 10)")
     ap.add_argument("--before", help="an earlier output of this script, kept as 'before'")
     args = ap.parse_args(argv)
     if args.rows < 2:
         ap.error("--rows must be at least 2")
     if args.K < 1 or args.K_max < 1:
         ap.error("--K and --K-max must be at least 1")
+    if args.topic == "heuristic" and args.K < max(HEURISTIC_Q):
+        ap.error(f"--K must be at least {max(HEURISTIC_Q)} for the heuristic topic")
 
-    instances = {"ingestion": ingestion, "tradeoff": tradeoff, "local": local}[args.topic](args)
+    topics = {"ingestion": ingestion, "tradeoff": tradeoff, "local": local, "heuristic": heuristic}
+    instances = topics[args.topic](args)
     report = {"topic": args.topic, "machine": machine(), "repeats": REPEATS,
               "instances": instances}
     if args.before:

@@ -80,14 +80,13 @@ def load_stats(args):
                 raise InputError(f"{args.moments}: missing '{key}' key")
         return stats_from_moments(
             payload["gram"], payload["cross"], payload["tsm"], payload.get("names")
-        ), None
+        )
     if args.target is None:
         raise InputError("--target is required with --input")
     ds = load_csv(args.input, args.target)
-    scaling = None
     if not args.no_standardize:
-        ds, scaling = standardize(ds)
-    return compute_stats(ds), scaling
+        ds, _ = standardize(ds)
+    return compute_stats(ds)
 
 
 def parse_schedule(args) -> WeightSchedule:
@@ -208,7 +207,7 @@ def report_path(args, stats, path: CoordinatePath, schedule: WeightSchedule,
 
 
 def cmd_stats(args) -> int:
-    stats, _ = load_stats(args)
+    stats = load_stats(args)
     p = args.precision
     print(f"features ({stats.d}): {', '.join(stats.feature_names)}")
     print(f"cost of zero model: {stats.target_second_moment:.{p}f}")
@@ -248,7 +247,7 @@ def search_q(args, K: int) -> int:
 
 
 def cmd_path(args) -> int:
-    stats, _ = load_stats(args)
+    stats = load_stats(args)
     schedule = parse_schedule(args)
     base = load_base(args, stats)
     if args.method == "greedy":
@@ -275,7 +274,7 @@ def cmd_path(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    stats, _ = load_stats(args)
+    stats = load_stats(args)
     schedule = parse_schedule(args)
     base = load_base(args, stats)
     target = load_model_file(args.model, stats) if args.model else ols(stats)
@@ -285,7 +284,7 @@ def cmd_explain(args) -> int:
 
 
 def cmd_pareto(args) -> int:
-    stats, _ = load_stats(args)
+    stats = load_stats(args)
     schedule = parse_schedule(args)
     base = load_base(args, stats)
     grid = parse_lambda_grid(args.lambda_grid)
@@ -317,7 +316,7 @@ def cmd_pareto(args) -> int:
 
 
 def cmd_expected_cost(args) -> int:
-    stats, _ = load_stats(args)
+    stats = load_stats(args)
     if args.dist is None:
         raise InputError("--dist is required for expected-cost")
     schedule = WeightSchedule.distribution(_parse_floats(args.dist, "--dist"))

@@ -8,13 +8,15 @@ an incremental Cholesky recursion (_enum_free_fast): the inner system's
 factor for a pattern extends the factor of its prefix, and the recursion
 only ever needs the fixed-size summaries Q = B'B, u = B'y, ssq = ||y||^2 per
 tree node (B = L^{-1} G[pattern, :]), so whole levels are expanded as flat
-array operations. The first steps of a pattern pick a segment root; below
-each root the levels are expanded breadth-first down to the last regular
-level. That level and the fused last two steps then run over blocks of
-parent nodes, about _BLOCK_LEAVES leaves each, with in-place arithmetic, so
-their temporaries stay in cache. Every objective is computed with the same
-operations whatever the block size, and blocks keep the running best with a
-strict <, so exact ties resolve to the lexicographically first pattern.
+array operations. The first t levels are expanded for all d^t prefixes at
+once; each level-t node is a segment root, and below it the levels are
+expanded breadth-first down to the last regular level. That level and the
+fused last two steps then run over blocks of parent nodes, about
+_BLOCK_LEAVES leaves each, with in-place arithmetic, so their temporaries
+stay in cache. Every objective and every breakdown is computed with the same
+operations whatever t and the block size are (so whatever _SEGMENT_CAP and
+_BLOCK_LEAVES are), and blocks keep the running best with a strict <, so
+exact ties resolve to the lexicographically first pattern.
 The recursion takes a stack of weight rows and carries them on a leading
 array axis, so one pass serves many schedules of the same length (the
 tradeoff sweep's grid, see exact_free_paths); each row's objectives are
@@ -64,7 +66,7 @@ from .paths import CoordinatePath, WeightSchedule, model_complexity, weighted_lo
 from .regression import LinearModel, SufficientStats, cost_of, ols
 
 DEFAULT_BUDGET = 10_000_000
-_SEGMENT_CAP = 2_000_000  # max leaves under one root, over a pass's rows: sets roots and rows
+_SEGMENT_CAP = 2_000_000  # max leaves under one root, over a pass's rows; changes no result
 _BLOCK_LEAVES = 50_000  # leaves per block of the last levels (~400 KB temporaries, fit L2)
 _BLOCK_ROW_NODES = 64  # parent nodes of each weight row a block holds, at least
 _CHUNK_ENTRIES = 150_000  # K*K system entries per _enum_direct chunk (~4k patterns at K=6)
@@ -108,6 +110,8 @@ class OptimizerConfig:
             raise InputError("T must be >= 0")
         if self.budget < 1:
             raise InputError("budget must be >= 1")
+        if self.patience is not None and self.patience < 1:
+            raise InputError("patience must be >= 1")
 
 
 def greedy_path(stats: SufficientStats, base: LinearModel, K: int) -> CoordinatePath:
@@ -132,6 +136,8 @@ def direct_path(stats: SufficientStats, base: LinearModel, K: int) -> Coordinate
     """
     if K < 0:
         raise InputError("K must be >= 0")
+    if base.d != stats.d:
+        raise InputError("base dimension does not match stats")
     target = ols(stats)
     remaining = [i for i in range(stats.d) if base.coefficients[i] != target.coefficients[i]]
     if K > len(remaining):
@@ -255,34 +261,21 @@ def _lexicographic(a: np.ndarray, d: int, levels: int) -> np.ndarray:
     return a.transpose(*range(k), *range(a.ndim - 1, k - 1, -1)).reshape(a.shape[:k] + (-1,))
 
 
-def _root(G, r, w, riv):
-    """QT (d, d, 1), uT (d, 1), ssq (1,) of the pattern prefix riv under tail
-    weights w, by a Cholesky factorization of its inner system; all NaN if
-    the factorization fails."""
-    t = riv.shape[0]
-    H = np.minimum.outer(w[:t], w[:t]) * G[np.ix_(riv, riv)]
-    try:
-        Linv = np.linalg.inv(np.linalg.cholesky(H))
-    except np.linalg.LinAlgError:
-        Linv = np.full((t, t), np.nan)
-    B0 = Linv @ G[riv, :]
-    y0 = Linv @ (w[:t] * r[riv])
-    return (np.ascontiguousarray((B0.T @ B0)[:, :, None]),
-            np.ascontiguousarray((B0.T @ y0)[:, None]), np.array([float(y0 @ y0)]))
-
-
 @np.errstate(divide="ignore", invalid="ignore")  # broken rows' arithmetic is discarded
 def _enum_free_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np.ndarray):
     """Exhaustive free-endpoint search via the incremental factor recursion,
     for every row of a stack of weight rows alphas (L, K) at once.
 
     Returns each row's optimal objective (L,), its pattern (L, K), and a
-    mask broken (L,) of the rows whose factorization hit a non-positive
-    pivot; their objective and pattern mean nothing, and the caller solves
-    them another way (_enum_direct). A row's results are bitwise those of a
-    one-row call: the rows share every array operation along a leading axis
-    but no arithmetic. Strictly positive weights and a positive-definite
-    gram matrix keep rows from breaking down.
+    mask broken (L,) of the rows whose factorization hit a pivot at or
+    below _PIVOT_RTOL of its scale; their objective and pattern mean
+    nothing, and the caller solves them another way (_enum_direct). A row's
+    results are bitwise those of a one-row call: the rows share every array
+    operation along a leading axis but no arithmetic. The segment roots are
+    the level-t nodes of the same recursion (_grow from the empty pattern),
+    so objectives, patterns and broken marks are bitwise those of t = 0,
+    whatever _SEGMENT_CAP and _BLOCK_LEAVES are. Weights well above zero on
+    a well-conditioned gram matrix keep rows from breaking down.
     """
     G = stats.gram
     d = stats.d
@@ -318,18 +311,20 @@ def _enum_free_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np
     top = np.array([float(a.sum()) for a in alphas]) * c0  # each row summed as a one-row call
     block = max(1, _BLOCK_LEAVES // (leaves_per_node * L))
 
-    best_val = np.full(L, math.inf)
-    best_root, best_leaf = [(0,) * t] * L, [0] * L
+    # The t root levels grow for all d**t roots at once; then each root's
+    # subtree runs on its own.
+    QT = np.zeros((L, d, d, 1))
+    uT = np.zeros((L, d, 1))
+    ssq = np.zeros((L, 1))
     broken = np.zeros(L, dtype=bool)
-    for root in itertools.product(range(d), repeat=t):
-        riv = np.asarray(root, dtype=np.intp)
-        if t:
-            QT, uT, ssq = (np.stack(a) for a in zip(*(_root(G, r, wj, riv) for wj in w)))
-            broken |= np.isnan(ssq[:, 0])
-        else:
-            QT = np.zeros((L, d, d, 1))
-            uT = np.zeros((L, d, 1))
-            ssq = np.zeros((L, 1))
+    for m in range(t):
+        QT, uT, ssq = _grow(QT, uT, ssq, G, gd, r, wb[:, m], True, broken)
+    roots = [_lexicographic(a, d, t) for a in (QT, uT, ssq)]
+
+    best_val = np.full(L, math.inf)
+    best = np.zeros(L, dtype=np.int64)  # lexicographic index of each row's best pattern
+    for root in range(d**t):
+        QT, uT, ssq = (a[..., root:root + 1] for a in roots)
         for m in range(t, split):
             QT, uT, ssq = _grow(QT, uT, ssq, G, gd, r, wb[:, m], True, broken)
         if split > t:
@@ -348,19 +343,21 @@ def _enum_free_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np
             for j in np.flatnonzero(low < best_val):
                 best_val[j] = low[j]
                 leaves = vals[j].reshape(-1, *node_axes).T  # lexicographic order
-                best_root[j], best_leaf[j] = root, p0 * leaves_per_node + int(np.argmin(leaves))
-    nsuf = K - t
-    ivs = [root + tuple(leaf // d ** (nsuf - 1 - p) % d for p in range(nsuf))
-           for root, leaf in zip(best_root, best_leaf)]
-    return best_val, np.asarray(ivs, dtype=int).reshape(L, K), broken
+                best[j] = root * d ** (K - t) + p0 * leaves_per_node + int(np.argmin(leaves))
+    return best_val, _patterns(best, d, K), broken
+
+
+def _patterns(index: np.ndarray, d: int, K: int) -> np.ndarray:
+    """The index vectors (..., K) at the lexicographic positions `index` among
+    all d**K of them."""
+    return index[..., None] // d ** np.arange(K - 1, -1, -1) % d
 
 
 def _iv_chunks(d: int, K: int, chunk: int):
     """All d**K index vectors in lexicographic order, `chunk` rows at a time."""
-    radix = d ** np.arange(K - 1, -1, -1)
     total = d**K
     for s in range(0, total, chunk):
-        yield np.arange(s, min(s + chunk, total))[:, None] // radix % d
+        yield _patterns(np.arange(s, min(s + chunk, total)), d, K)
 
 
 def _beats(value: float, incumbent: float) -> bool:

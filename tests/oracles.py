@@ -203,13 +203,11 @@ class PivotBreakdown(Exception):
     """unblocked_enum_free_fast hit a non-positive pivot."""
 
 
-def unblocked_enum_free_fast(stats, base, K, alpha, segment_cap=2_000_000):
-    """optimizers._enum_free_fast with every level of each segment expanded
-    breadth-first and the fused last two levels run on the whole segment at
-    once. Segments have at most segment_cap leaves (the root count follows
-    from it, as in _enum_free_fast with _SEGMENT_CAP = segment_cap).
-    Returns (objective, pattern); raises PivotBreakdown where it marks the
-    row broken."""
+def unblocked_enum_free_fast(stats, base, K, alpha):
+    """optimizers._enum_free_fast with every level but the fused last two
+    expanded breadth-first from the empty pattern, and those two run on all
+    nodes at once. Returns (objective, pattern); raises PivotBreakdown where
+    it marks the row broken."""
     G = stats.gram
     d = stats.d
     r = stats.residual_cross(base)
@@ -217,77 +215,48 @@ def unblocked_enum_free_fast(stats, base, K, alpha, segment_cap=2_000_000):
     gd = np.ascontiguousarray(np.diag(G))
     w = tail_weights(alpha)
     S = float(alpha.sum())
-    W = np.minimum.outer(w, w)
 
     fuse = K >= 2
     stop = K - 2 if fuse else K
-    t = 0
-    while d ** (K - t) > segment_cap:
-        t += 1
-    t = min(t, stop)
-
-    best_val, best_iv = math.inf, None
-    for root in itertools.product(range(d), repeat=t):
-        riv = np.asarray(root, dtype=np.intp)
-        if t:
-            H = W[:t, :t] * G[np.ix_(riv, riv)]
-            try:
-                L = np.linalg.cholesky(H)
-            except np.linalg.LinAlgError:
-                raise PivotBreakdown from None
-            Linv = np.linalg.inv(L)
-            B0 = Linv @ G[riv, :]
-            y0 = Linv @ (w[:t] * r[riv])
-            Q = np.ascontiguousarray((B0.T @ B0)[None])
-            u = np.ascontiguousarray((B0.T @ y0)[None])
-            ssq = np.array([float(y0 @ y0)])
-        else:
-            Q = np.zeros((1, d, d))
-            u = np.zeros((1, d))
-            ssq = np.zeros(1)
-        N = 1
-        for m in range(t, stop):
-            wm = w[m]
-            dQ = np.einsum("ncc->nc", Q)
-            piv2 = wm * gd[None, :] - wm * wm * dQ
-            if np.any(piv2 <= _PIVOT_RTOL * wm * gd[None, :]):
-                raise PivotBreakdown
-            piv = np.sqrt(piv2)
-            ynew = (wm * r[None, :] - wm * u) / piv
-            ssq = (ssq[:, None] + ynew * ynew).reshape(N * d)
-            if m + 1 < K:
-                row = (G[None, :, :] - wm * Q) / piv[:, :, None]
-                Q = (Q[:, None, :, :] + row[:, :, :, None] * row[:, :, None, :]).reshape(
-                    N * d, d, d
-                )
-                u = (u[:, None, :] + row * ynew[:, :, None]).reshape(N * d, d)
-            N *= d
-        if fuse:
-            w1, w2 = w[K - 2], w[K - 1]
-            dQ = np.einsum("ncc->nc", Q)
-            piv1sq = w1 * gd[None, :] - w1 * w1 * dQ
-            if np.any(piv1sq <= _PIVOT_RTOL * w1 * gd[None, :]):
-                raise PivotBreakdown
-            piv1 = np.sqrt(piv1sq)
-            y1 = (w1 * r[None, :] - w1 * u) / piv1
-            row = (G[None, :, :] - w1 * Q) / piv1[:, :, None]
-            dQ2 = dQ[:, None, :] + row * row
-            piv2sq = w2 * gd[None, None, :] - w2 * w2 * dQ2
-            if np.any(piv2sq <= _PIVOT_RTOL * w2 * gd[None, None, :]):
-                raise PivotBreakdown
-            u2 = u[:, None, :] + row * y1[:, :, None]
-            y2 = (w2 * r[None, None, :] - w2 * u2) / np.sqrt(piv2sq)
-            vals = (S * c0 - ssq[:, None, None]) - y1[:, :, None] ** 2 - y2**2
-            vals = vals.reshape(-1)
-        else:
-            vals = S * c0 - ssq
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val = float(vals[j])
-            nsuf = K - t
-            digits = tuple(int(j // d ** (nsuf - 1 - p)) % d for p in range(nsuf))
-            best_iv = root + digits
-    return best_val, np.asarray(best_iv, dtype=int)
+    Q = np.zeros((1, d, d))
+    u = np.zeros((1, d))
+    ssq = np.zeros(1)
+    N = 1
+    for m in range(stop):
+        wm = w[m]
+        dQ = np.einsum("ncc->nc", Q)
+        piv2 = wm * gd[None, :] - wm * wm * dQ
+        if np.any(piv2 <= _PIVOT_RTOL * wm * gd[None, :]):
+            raise PivotBreakdown
+        piv = np.sqrt(piv2)
+        ynew = (wm * r[None, :] - wm * u) / piv
+        ssq = (ssq[:, None] + ynew * ynew).reshape(N * d)
+        if m + 1 < K:
+            row = (G[None, :, :] - wm * Q) / piv[:, :, None]
+            Q = (Q[:, None, :, :] + row[:, :, :, None] * row[:, :, None, :]).reshape(N * d, d, d)
+            u = (u[:, None, :] + row * ynew[:, :, None]).reshape(N * d, d)
+        N *= d
+    if fuse:
+        w1, w2 = w[K - 2], w[K - 1]
+        dQ = np.einsum("ncc->nc", Q)
+        piv1sq = w1 * gd[None, :] - w1 * w1 * dQ
+        if np.any(piv1sq <= _PIVOT_RTOL * w1 * gd[None, :]):
+            raise PivotBreakdown
+        piv1 = np.sqrt(piv1sq)
+        y1 = (w1 * r[None, :] - w1 * u) / piv1
+        row = (G[None, :, :] - w1 * Q) / piv1[:, :, None]
+        dQ2 = dQ[:, None, :] + row * row
+        piv2sq = w2 * gd[None, None, :] - w2 * w2 * dQ2
+        if np.any(piv2sq <= _PIVOT_RTOL * w2 * gd[None, None, :]):
+            raise PivotBreakdown
+        u2 = u[:, None, :] + row * y1[:, :, None]
+        y2 = (w2 * r[None, None, :] - w2 * u2) / np.sqrt(piv2sq)
+        vals = (S * c0 - ssq[:, None, None]) - y1[:, :, None] ** 2 - y2**2
+        vals = vals.reshape(-1)
+    else:
+        vals = S * c0 - ssq
+    j = int(np.argmin(vals))  # nodes are in lexicographic order
+    return float(vals[j]), np.asarray([j // d ** (K - 1 - p) % d for p in range(K)], dtype=int)
 
 
 def rowwise_load_csv(path, target):

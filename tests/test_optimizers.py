@@ -79,6 +79,13 @@ class TestDirectPath:
         with pytest.raises(InputError, match="exceeds"):
             direct_path(toy_stats, toy_zero, 3)
 
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_base_dimension_mismatch_rejected(self, d):
+        stats = random_stats(3, d=3)
+        base = LinearModel.zeros(tuple(f"x{i}" for i in range(d)))
+        with pytest.raises(InputError, match="base dimension does not match stats"):
+            direct_path(stats, base, 1)
+
 
 class TestExactPath:
     def test_toy_free_two_step(self, toy_stats, toy_zero):
@@ -172,12 +179,18 @@ class TestEnumerationEngines:
         assert np.array_equal(iv_fast, iv_direct)
 
     def test_blocked_matches_unblocked_oracle(self, monkeypatch):
-        # Small segment caps and blocks run t > 0 roots and many blocks per
-        # root; the fixed cases add d = 1, K <= 2 and one parent per block.
-        # Each case also runs with a weight that breaks the factorization:
-        # a first weight too small to change the tail weights (repeated
-        # coordinates fail at the root or the next pivot) or a near-zero
-        # weight at K-2 (the fused step's last pivot).
+        # Whatever _SEGMENT_CAP and _BLOCK_LEAVES are, the search must give
+        # the one breadth-first oracle's objective bit for bit and its
+        # pattern, and mark a row broken iff the oracle breaks down. Small
+        # segment caps and blocks run t > 0 roots and many blocks per root;
+        # the fixed cases add d = 1, K <= 2 and one parent per block. Each
+        # case also runs with a weight that breaks the factorization: a
+        # first weight too small to change the tail weights (repeated
+        # coordinates fail at the first pivot they share) or a near-zero
+        # weight at K-2 (the fused step's last pivot). The root cases put a
+        # 1e-12 weight at a step m with m + 1 < t, so that the pivot of a
+        # pattern repeating step m's coordinate at step m + 1, positive but
+        # below the breakdown floor, lies within the root levels.
         rng = np.random.default_rng(4)
         cases = [(1, 5, 1, 1), (1, 3, 2_000_000, 50_000), (3, 1, 2_000_000, 1),
                  (4, 2, 1, 1), (3, 2, 2_000_000, 5), (3, 6, 9, 1), (4, 5, 2_000_000, 16)]
@@ -186,30 +199,37 @@ class TestEnumerationEngines:
             K = int(rng.integers(1, 8))
             cases.append((d, K, int(rng.choice([1, d, d * d, 50, 2_000_000])),
                           int(rng.choice([1, 2, 5, 64, 50_000]))))
-        broke = 0
-        for seed, (d, K, cap, block) in enumerate(cases):
+        # (d, K, _SEGMENT_CAP, _BLOCK_LEAVES, root position of the 1e-12 weight)
+        root_cases = [(3, 6, 9, 50_000, 0), (3, 6, 9, 1, 1), (3, 6, 27, 5, 1),
+                      (2, 7, 4, 5, 3), (4, 5, 16, 64, 0), (4, 5, 16, 1, 1),
+                      (3, 7, 27, 16, 2), (2, 6, 1, 1, 2), (5, 4, 25, 64, 0)]
+        broke = root_broke = 0
+        for seed, (d, K, cap, block, *pos) in enumerate(cases + root_cases):
             stats = random_stats(seed + 200, d=d)
             base = rng.standard_normal(d) * 0.5
             alpha = as_weights(rng.uniform(0.1, 2.0, size=K), K)
             monkeypatch.setattr(optimizers, "_SEGMENT_CAP", cap)
             monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", block)
             tiny = alpha.copy()
-            if seed % 2 and K >= 3:
+            if pos:
+                tiny[pos[0]] = 1e-12
+            elif seed % 2 and K >= 3:
                 tiny[K - 2] = 1e-14
             else:
                 tiny[0] = 1e-20
-            for a in (alpha, tiny) if K >= 2 else (alpha,):
+            for a in ((tiny,) if pos else (alpha, tiny) if K >= 2 else (alpha,)):
                 (value,), (iv,), (broken,) = _enum_free_fast(stats, base, K, a[None])
                 try:
-                    expected = unblocked_enum_free_fast(stats, base, K, a, segment_cap=cap)
+                    expected = unblocked_enum_free_fast(stats, base, K, a)
                 except PivotBreakdown:
                     assert broken, (d, K, cap, block)
                     broke += 1
+                    root_broke += bool(pos)
                     continue
                 assert not broken, (d, K, cap, block)
                 assert value == expected[0], (d, K, cap, block)
                 assert np.array_equal(iv, expected[1]), (d, K, cap, block)
-        assert broke > 0
+        assert broke > root_broke == len(root_cases)
 
     @pytest.mark.parametrize("d,K", [(3, 4), (4, 4), (2, 5)])
     def test_ties_across_blocks_resolve_to_first_pattern(self, monkeypatch, d, K):
@@ -405,6 +425,11 @@ class TestLocalImprovement:
     def test_q_larger_than_k_rejected(self):
         with pytest.raises(InputError, match="q="):
             OptimizerConfig(K=2, schedule=GAMMA1, q=3)
+
+    @pytest.mark.parametrize("patience", [0, -1])
+    def test_patience_below_one_rejected(self, patience):
+        with pytest.raises(InputError, match="patience must be >= 1"):
+            OptimizerConfig(K=2, schedule=GAMMA1, patience=patience)
 
 
 def path_bits(path):

@@ -14,13 +14,12 @@ ROOT = Path(__file__).resolve().parents[1]
     "argv",
     [
         ["toy_tradeoff.py"],
-        ["heuristic_benchmark.py", "--instances", "1", "--d", "4", "--K", "4", "--T", "10",
-         "--patience", "5"],
         ["bench.py", "--rows", "50"],
         ["bench.py", "--topic", "tradeoff", "--K", "4", "--K-max", "2"],
         ["bench.py", "--topic", "local"],
+        ["bench.py", "--topic", "heuristic", "--K", "4"],
     ],
-    ids=["toy_tradeoff", "heuristic_benchmark", "bench", "bench_tradeoff", "bench_local"],
+    ids=["toy_tradeoff", "bench", "bench_tradeoff", "bench_local", "bench_heuristic"],
 )
 def test_script_runs(argv, tmp_path):
     env = dict(os.environ)
