@@ -119,8 +119,8 @@ def parse_lambda_grid(spec: str | None) -> np.ndarray:
             lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
         except ValueError as exc:
             raise InputError(f"--lambda-grid: cannot parse '{spec}'") from exc
-        if lo <= 0 or hi <= 0 or n < 1:
-            raise InputError("--lambda-grid log form needs LO, HI > 0 and N >= 1")
+        if not (0 < lo < np.inf and 0 < hi < np.inf and n >= 1):
+            raise InputError("--lambda-grid log form needs finite LO, HI > 0 and N >= 1")
         return np.logspace(np.log10(lo), np.log10(hi), n)
     return np.asarray(_parse_floats(spec, "--lambda-grid"), dtype=float)
 

@@ -69,6 +69,11 @@ def check_index_vector(iv, d: int) -> np.ndarray:
     return iv
 
 
+def check_base(stats: SufficientStats, base: LinearModel) -> None:
+    if base.d != stats.d:
+        raise InputError("base dimension does not match stats")
+
+
 def check_endpoint(stats: SufficientStats, base: LinearModel, iv: np.ndarray,
                    target: LinearModel) -> None:
     """Raise unless the index vector can carry base to target."""
@@ -109,6 +114,7 @@ def solve_free(stats: SufficientStats, base: LinearModel, iv, schedule):
     the objective is evaluated on the materialized path so it agrees
     exactly with weighted_loss.
     """
+    check_base(stats, base)
     iv = check_index_vector(iv, stats.d)
     alpha = as_weights(schedule, iv.shape[0])
     delta = solve_patterns(stats, base.coefficients, iv[None], alpha)[0][0]
@@ -123,6 +129,7 @@ def solve_fixed_endpoint(stats: SufficientStats, base: LinearModel, iv, schedule
     reduced system is solved minimum-norm if singular). Raises
     InfeasibleError when the index pattern cannot reach the target.
     """
+    check_base(stats, base)
     iv = check_index_vector(iv, stats.d)
     K = iv.shape[0]
     alpha = as_weights(schedule, K)

@@ -7,16 +7,15 @@ continuous steps, positive weights and a positive-definite gram run through
 an incremental Cholesky recursion (_enum_free_fast): the inner system's
 factor for a pattern extends the factor of its prefix, and the recursion
 only ever needs the fixed-size summaries Q = B'B, u = B'y, ssq = ||y||^2 per
-tree node (B = L^{-1} G[pattern, :]), so whole levels are expanded as flat
-array operations. The first t levels are expanded for all d^t prefixes at
-once; each level-t node is a segment root, and below it the levels are
-expanded breadth-first down to the last regular level. That level and the
-fused last two steps then run over blocks of parent nodes, about
-_BLOCK_LEAVES leaves each, with in-place arithmetic, so their temporaries
-stay in cache. Every objective and every breakdown is computed with the same
-operations whatever t and the block size are (so whatever _SEGMENT_CAP and
-_BLOCK_LEAVES are), and blocks keep the running best with a strict <, so
-exact ties resolve to the lexicographically first pattern.
+tree node (B = L^{-1} G[pattern, :]), so a level grows as flat array
+operations. The tree is walked depth-first in one recursion: it grows at
+most a chunk of parent nodes by one level, about _BLOCK_LEAVES leaves'
+worth, so the temporaries stay in cache, and descends into the children
+before it grows the next chunk; the fused last two steps score the leaves
+in place. Every objective and every breakdown is computed with the same
+operations whatever the chunk size is, and chunks keep the running best
+with a strict <, so exact ties resolve to the lexicographically first
+pattern.
 The recursion takes a stack of weight rows and carries them on a leading
 array axis, so one pass serves many schedules of the same length (the
 tradeoff sweep's grid, see exact_free_paths); each row's objectives are
@@ -54,6 +53,7 @@ from .inner import (
     as_weights,
     attained_objectives,
     build_systems_batch,
+    check_base,
     check_endpoint,
     check_index_vector,
     greedy_step,
@@ -66,9 +66,8 @@ from .paths import CoordinatePath, WeightSchedule, model_complexity, weighted_lo
 from .regression import LinearModel, SufficientStats, cost_of, ols
 
 DEFAULT_BUDGET = 10_000_000
-_SEGMENT_CAP = 2_000_000  # max leaves under one root, over a pass's rows; changes no result
-_BLOCK_LEAVES = 50_000  # leaves per block of the last levels (~400 KB temporaries, fit L2)
-_BLOCK_ROW_NODES = 64  # parent nodes of each weight row a block holds, at least
+_BLOCK_LEAVES = 50_000  # leaves below one chunk of parent nodes (~400 KB temporaries, fit L2)
+_BLOCK_ROW_NODES = 64  # parent nodes of each weight row a chunk holds, at least
 _CHUNK_ENTRIES = 150_000  # K*K system entries per _enum_direct chunk (~4k patterns at K=6)
 _WINDOW_CANDIDATES = 512  # local_improvement candidates per solve_patterns call, at most
 _TIE_RTOL = 1e-12  # objectives this close (relative) are ties, kept by the earlier candidate
@@ -136,8 +135,7 @@ def direct_path(stats: SufficientStats, base: LinearModel, K: int) -> Coordinate
     """
     if K < 0:
         raise InputError("K must be >= 0")
-    if base.d != stats.d:
-        raise InputError("base dimension does not match stats")
+    check_base(stats, base)
     target = ols(stats)
     remaining = [i for i in range(stats.d) if base.coefficients[i] != target.coefficients[i]]
     if K > len(remaining):
@@ -188,15 +186,15 @@ def _candidate_count(d: int, cfg: OptimizerConfig) -> int:
     return n
 
 
-def _grow(QT, uT, ssq, G, gd, r, wm, children_q, broken):
+def _grow(QT, uT, ssq, G, gd, r, wm, children_q, broken, out):
     """Expand every node by one step on each coordinate.
 
     Weight rows run along the first axis and nodes along the last, QT
     (L, d, d, N) and uT (L, d, N), with the step's weight wm shaped
     (L, 1, 1), so every broadcast operand is a contiguous row. The d*N
     children come back in the same layout, child c of node p at c*N + p;
-    their QT and uT are None unless children_q (they are not needed after
-    the last step). Rows whose pivots break down are marked in broken.
+    their QT (in out, (L, d, d, d, N)) and uT are None unless children_q
+    (not needed after the last step). Broken rows are marked in broken.
     """
     L, d, N = uT.shape
     dQ = np.einsum("...iin->...in", QT)
@@ -208,18 +206,19 @@ def _grow(QT, uT, ssq, G, gd, r, wm, children_q, broken):
     if not children_q:
         return None, None, ssq
     row = ((G[:, :, None] - wm[..., None] * QT) / piv[:, :, None, :]).transpose(0, 2, 1, 3)
-    QTc = np.multiply(row[:, :, None, :, :], row[:, None, :, :, :])
+    QTc = np.multiply(row[:, :, None, :, :], row[:, None, :, :, :], out=out)
     QTc += QT[:, :, :, None, :]
     uTc = np.multiply(row, ynew[:, None, :, :])
     uTc += uT[:, :, None, :]
     return QTc.reshape(L, d, d, d * N), uTc.reshape(L, d, d * N), ssq
 
 
-def _fused_leaves(QT, uT, ssq, G, gd, r, w1, w2, top, broken):
+def _fused_leaves(QT, uT, ssq, G, gd, r, w1, w2, top, broken, out):
     """Objectives of every two-step completion of each node, as vals[l, c1, c2, n].
 
-    The last two steps in one pass, evaluated in place in two (L, d, d, N)
-    buffers, in _grow's layout; w1 and w2 are shaped (L, 1, 1) and top (L,).
+    The last two steps in one pass, evaluated in place in the two buffers
+    out, shaped like QT (L, d, d, N), in _grow's layout; vals is out[0]. w1
+    and w2 are shaped (L, 1, 1) and top (L,).
     Each value goes through the same operations in the same order whatever
     L and N are, so it does not depend on how rows and nodes are blocked.
     Rows whose pivots break down are marked in broken.
@@ -233,10 +232,10 @@ def _fused_leaves(QT, uT, ssq, G, gd, r, w1, w2, top, broken):
     y1 = np.multiply(w1, uT)
     np.subtract(w1 * r[:, None], y1, out=y1)
     y1 /= piv1
-    row = np.multiply(w1q, QT)
+    row = np.multiply(w1q, QT, out=out[0])
     np.subtract(G[:, :, None], row, out=row)
     row /= piv1[:, :, None, :]
-    piv2 = np.multiply(row, row)
+    piv2 = np.multiply(row, row, out=out[1])
     piv2 += dQ[:, None, :, :]
     piv2 *= w2q * w2q
     np.subtract(w2q * gd[None, :, None], piv2, out=piv2)
@@ -253,12 +252,12 @@ def _fused_leaves(QT, uT, ssq, G, gd, r, w1, w2, top, broken):
     return np.subtract(y1[:, :, None, :], y2, out=y2)
 
 
-def _lexicographic(a: np.ndarray, d: int, levels: int) -> np.ndarray:
-    """Reorder the last axis of `a` (the nodes `levels` _grow steps made,
-    the newest step slowest) so that the first step varies slowest."""
-    k = a.ndim - 1
-    a = a.reshape(a.shape[:k] + (d,) * levels)
-    return a.transpose(*range(k), *range(a.ndim - 1, k - 1, -1)).reshape(a.shape[:k] + (-1,))
+def _lexicographic(a: np.ndarray, d: int) -> np.ndarray:
+    """`a` with its last axis, the children one _grow step made (child c of
+    node p at c*N + p), in lexicographic order (at p*d + c); always a copy,
+    as `a` may sit in a buffer that the next chunk reuses."""
+    lead = a.shape[:-1]
+    return a.reshape(lead + (d, -1)).swapaxes(-1, -2).copy().reshape(lead + (-1,))
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # broken rows' arithmetic is discarded
@@ -271,11 +270,10 @@ def _enum_free_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np
     below _PIVOT_RTOL of its scale; their objective and pattern mean
     nothing, and the caller solves them another way (_enum_direct). A row's
     results are bitwise those of a one-row call: the rows share every array
-    operation along a leading axis but no arithmetic. The segment roots are
-    the level-t nodes of the same recursion (_grow from the empty pattern),
-    so objectives, patterns and broken marks are bitwise those of t = 0,
-    whatever _SEGMENT_CAP and _BLOCK_LEAVES are. Weights well above zero on
-    a well-conditioned gram matrix keep rows from breaking down.
+    operation along a leading axis but no arithmetic. One depth-first
+    recursion grows `per` parent nodes at a time by one level and descends
+    into their children before the next chunk; every node grows once by the
+    same operations, so no result depends on the chunk sizes.
     """
     G = stats.gram
     d = stats.d
@@ -284,22 +282,12 @@ def _enum_free_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np
     gd = np.ascontiguousarray(np.diag(G))
 
     fuse = K >= 2
-    stop = K - 2 if fuse else K
-    t = 0
-    while d ** (K - t) > _SEGMENT_CAP:
-        t += 1
-    t = min(t, stop)
-    # Levels t..split-1 are expanded breadth-first; the rest runs per block
-    # of level-`split` nodes, each block yielding about _BLOCK_LEAVES leaves
-    # over all rows.
-    split = max(t, stop - 1)
-    leaves_per_node = d ** (K - split)
-    # Rows per pass: at most _SEGMENT_CAP leaves below one root, and blocks
-    # that hold _BLOCK_ROW_NODES nodes of each row (or all of a row's), so
-    # the inner loops along the node axis stay long.
-    row_nodes = min(d ** (split - t), _BLOCK_ROW_NODES)
-    per_pass = max(1, min(_SEGMENT_CAP // d ** (K - t),
-                          _BLOCK_LEAVES // (leaves_per_node * row_nodes)))
+    stop = K - 2 if fuse else K  # the level whose nodes are scored, with their leaves
+    below = d ** min(K, 3)  # leaves below one parent of the last grown level
+    # Rows per pass: chunks that hold _BLOCK_ROW_NODES parents of each row
+    # (or all of a row's), so the inner loops along the node axis stay long.
+    row_nodes = min(d ** (K - min(K, 3)), _BLOCK_ROW_NODES)
+    per_pass = max(1, _BLOCK_LEAVES // (below * row_nodes))
     L = alphas.shape[0]
     if L > per_pass:
         parts = [_enum_free_fast(stats, base, K, alphas[g0:g0 + per_pass])
@@ -309,41 +297,41 @@ def _enum_free_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np
     w = tail_weights(alphas)
     wb = w[:, :, None, None]  # step m's weights, shaped (L, 1, 1), are wb[:, m]
     top = np.array([float(a.sum()) for a in alphas]) * c0  # each row summed as a one-row call
-    block = max(1, _BLOCK_LEAVES // (leaves_per_node * L))
+    per = max(1, _BLOCK_LEAVES // (below * L))  # parent nodes grown at a time
+    # Each chunk's largest temporaries reuse these, so no page is mapped afresh per chunk.
+    work = np.empty((3, L * d * d * min(d * per, d**stop)))
 
-    # The t root levels grow for all d**t roots at once; then each root's
-    # subtree runs on its own.
-    QT = np.zeros((L, d, d, 1))
-    uT = np.zeros((L, d, 1))
-    ssq = np.zeros((L, 1))
+    def buf(i, shape):
+        return work[i, :math.prod(shape)].reshape(shape)
+
     broken = np.zeros(L, dtype=bool)
-    for m in range(t):
-        QT, uT, ssq = _grow(QT, uT, ssq, G, gd, r, wb[:, m], True, broken)
-    roots = [_lexicographic(a, d, t) for a in (QT, uT, ssq)]
-
     best_val = np.full(L, math.inf)
     best = np.zeros(L, dtype=np.int64)  # lexicographic index of each row's best pattern
-    for root in range(d**t):
-        QT, uT, ssq = (a[..., root:root + 1] for a in roots)
-        for m in range(t, split):
-            QT, uT, ssq = _grow(QT, uT, ssq, G, gd, r, wb[:, m], True, broken)
-        if split > t:
-            QT, uT, ssq = (_lexicographic(a, d, split - t) for a in (QT, uT, ssq))
-        for p0 in range(0, ssq.shape[1], block):
-            QTb, uTb, sb = QT[..., p0:p0 + block], uT[..., p0:p0 + block], ssq[:, p0:p0 + block]
-            node_axes = (d,) * (stop - split) + sb.shape[1:]
-            for m in range(split, stop):
-                QTb, uTb, sb = _grow(QTb, uTb, sb, G, gd, r, wb[:, m], m + 1 < K, broken)
-            if fuse:
-                vals = _fused_leaves(QTb, uTb, sb, G, gd, r, wb[:, K - 2], wb[:, K - 1], top,
-                                     broken)
-            else:
-                vals = top[:, None] - sb
+
+    def descend(m, QT, uT, ssq, first, node_axes=(1,)):
+        # The level-m nodes, the first at lexicographic index `first`.
+        if m == stop:  # score their leaves; node_axes makes the transpose lexicographic
+            vals = (_fused_leaves(QT, uT, ssq, G, gd, r, wb[:, K - 2], wb[:, K - 1], top, broken,
+                                  (buf(1, QT.shape), buf(2, QT.shape))) if fuse
+                    else top[:, None] - ssq)
             low = vals.reshape(L, -1).min(axis=1)
             for j in np.flatnonzero(low < best_val):
                 best_val[j] = low[j]
-                leaves = vals[j].reshape(-1, *node_axes).T  # lexicographic order
-                best[j] = root * d ** (K - t) + p0 * leaves_per_node + int(np.argmin(leaves))
+                leaves = vals[j].reshape(-1, *node_axes).T
+                best[j] = first * d ** (K - m) + int(np.argmin(leaves))
+            return
+        N = ssq.shape[1]
+        for p0 in range(0, N, per):
+            n = min(per, N - p0)
+            grown = _grow(QT[..., p0:p0 + n], uT[..., p0:p0 + n], ssq[:, p0:p0 + n], G, gd, r,
+                          wb[:, m], m + 1 < K, broken, buf(0, (L, d, d, d, n)))
+            if m + 1 < stop:
+                descend(m + 1, *(_lexicographic(a, d) for a in grown), (first + p0) * d)
+            else:  # the scored level keeps _grow's layout
+                descend(m + 1, *grown, (first + p0) * d, (d, n))
+
+    descend(0, np.zeros((L, d, d, 1)), np.zeros((L, d, 1)), np.zeros((L, 1)), 0)
+    del descend  # its closure refers to itself: free work now, not at the next gc
     return best_val, _patterns(best, d, K), broken
 
 
@@ -427,8 +415,7 @@ def exact_path(stats: SufficientStats, base: LinearModel, cfg: OptimizerConfig) 
     cfg.budget, and InfeasibleError if no candidate reaches the endpoint.
     """
     K = cfg.K
-    if base.d != stats.d:
-        raise InputError("base dimension does not match stats")
+    check_base(stats, base)
     if K == 0:
         if cfg.endpoint is not None:
             _check_reachable(base, cfg.endpoint, 0)
@@ -533,6 +520,7 @@ def local_improvement(stats: SufficientStats, base: LinearModel, cfg: OptimizerC
     of a search that solves one iteration per call.
     """
     K = cfg.K
+    check_base(stats, base)
     if K == 0:
         return exact_path(stats, base, cfg)
     if cfg.step_mode != "continuous":
@@ -596,9 +584,11 @@ def best_explanation(stats: SufficientStats, base: LinearModel, target: LinearMo
     """Cheapest path from base that ends exactly at target, over lengths
     model_complexity .. K_max. The path's weighted_loss is the model's
     interpretability loss (a lower bound holds only up to K_max; longer
-    explanations are not searched)."""
+    explanations are not searched). Raises BudgetError before any search if
+    the longest length's d**K_max patterns exceed the budget."""
     if K_max < 0:
         raise InputError("K_max must be >= 0")
+    check_base(stats, base)
     complexity = model_complexity(base, target)
     if K_max < complexity:
         raise InfeasibleError(
@@ -607,6 +597,7 @@ def best_explanation(stats: SufficientStats, base: LinearModel, target: LinearMo
     if complexity == 0:
         # Extra steps can only add nonnegative weighted cost terms.
         return CoordinatePath(base, ())
+    _check_budget(stats.d**K_max, budget)  # the longest length's count, before any search
     best = (math.inf, None)  # (loss, path); ties keep the shorter path
     for K in range(complexity, K_max + 1):
         cfg = OptimizerConfig(K=K, schedule=schedule, endpoint=target, budget=budget)

@@ -70,8 +70,8 @@ def solve_tradeoff(stats: SufficientStats, base: LinearModel, schedule: WeightSc
     (seed, q, T, budget, patience); its K/schedule/endpoint fields are
     ignored and steps are continuous.
     """
-    if lam < 0:
-        raise InputError("lambda must be >= 0")
+    if not 0 <= lam < np.inf:
+        raise InputError("lambda must be finite and >= 0")
     return _solve_grid(stats, base, schedule, np.array([lam], dtype=float), K_max, solver, cfg)[0]
 
 
@@ -146,8 +146,8 @@ def sweep(stats: SufficientStats, base: LinearModel, schedule: WeightSchedule,
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.ndim != 1 or grid.shape[0] == 0:
         raise InputError("lambda grid must be a nonempty 1-d sequence")
-    if np.any(grid < 0):
-        raise InputError("lambda grid values must be >= 0")
+    if not np.all((grid >= 0) & (grid < np.inf)):
+        raise InputError("lambda grid values must be finite and >= 0")
     grid = np.sort(grid)
     if workers is None:
         raw = os.environ.get("PATHLENS_THREADS", "1")

@@ -144,7 +144,8 @@ class WeightSchedule:
     def weights(self, K: int) -> np.ndarray:
         """Vector (alpha_1 .. alpha_K)."""
         if self.kind == "geometric":
-            return self.gamma ** np.arange(1, K + 1, dtype=float)
+            with np.errstate(over="ignore"):  # as_weights rejects the inf
+                return self.gamma ** np.arange(1, K + 1, dtype=float)
         if K > len(self.values):
             raise InputError(f"schedule defines only {len(self.values)} weights, asked for K={K}")
         return np.array(self.values[:K], dtype=float)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -305,6 +306,23 @@ class TestPareto:
         code, _, err = run(capsys, *argv, "--moments", toy_moments)
         assert code == 2
         assert "q must be >= 1" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("pareto", "--K", "2", "--lambda-grid", "log:1e-3:inf:5"), "finite LO, HI > 0"),
+        (("pareto", "--K", "2", "--lambda-grid", "log:nan:1:5"), "finite LO, HI > 0"),
+        (("pareto", "--K", "2", "--lambda-grid", "0.5,nan"), "lambda grid values must be finite"),
+        (("pareto", "--K", "2", "--lambda-grid", "inf"), "lambda grid values must be finite"),
+        (("explain", "--K", "2", "--gamma", "1e300"), "step weights must be finite"),
+        (("path", "exact", "--K", "2", "--gamma", "1e300"), "step weights must be finite"),
+    ])
+    def test_non_finite_weights_exit_2_without_warnings(self, capsys, toy_moments, argv,
+                                                         message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, *argv, "--moments", toy_moments)
+        assert code == 2
+        assert message in err
+        assert "Warning" not in err and not caught, [str(w.message) for w in caught]
 
 
 class TestFormatting:

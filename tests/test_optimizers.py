@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import numpy as np
@@ -19,6 +20,7 @@ from pathlens import (
     local_improvement,
     materialize,
     ols,
+    solve_fixed_endpoint,
     solve_free,
     stats_from_moments,
     weighted_loss,
@@ -85,6 +87,26 @@ class TestDirectPath:
         base = LinearModel.zeros(tuple(f"x{i}" for i in range(d)))
         with pytest.raises(InputError, match="base dimension does not match stats"):
             direct_path(stats, base, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda stats, base: exact_path(stats, base, OptimizerConfig(K=2, schedule=GAMMA1)),
+    lambda stats, base: local_improvement(
+        stats, base, OptimizerConfig(K=2, schedule=GAMMA1), iv0=[0, 1]),
+    lambda stats, base: local_improvement(
+        stats, base, OptimizerConfig(K=3, schedule=GAMMA1, endpoint=base)),
+    lambda stats, base: solve_free(stats, base, [0, 1], GAMMA1),
+    lambda stats, base: solve_fixed_endpoint(
+        stats, base, [0, 1], GAMMA1, LinearModel(np.ones(3), ("a", "b", "c"))),
+    lambda stats, base: best_explanation(stats, base, base, GAMMA1, 2),
+], ids=["exact_path", "local_iv0", "local_endpoint", "solve_free", "solve_fixed_endpoint",
+        "best_explanation_complexity0"])
+@pytest.mark.parametrize("d", [2, 4])
+def test_entry_points_reject_base_of_other_dimension(call, d):
+    stats = random_stats(3, d=3)
+    base = LinearModel(np.full(d, 0.5), tuple(f"x{i}" for i in range(d)))
+    with pytest.raises(InputError, match="base dimension does not match stats"):
+        call(stats, base)
 
 
 class TestExactPath:
@@ -179,36 +201,34 @@ class TestEnumerationEngines:
         assert np.array_equal(iv_fast, iv_direct)
 
     def test_blocked_matches_unblocked_oracle(self, monkeypatch):
-        # Whatever _SEGMENT_CAP and _BLOCK_LEAVES are, the search must give
-        # the one breadth-first oracle's objective bit for bit and its
-        # pattern, and mark a row broken iff the oracle breaks down. Small
-        # segment caps and blocks run t > 0 roots and many blocks per root;
-        # the fixed cases add d = 1, K <= 2 and one parent per block. Each
-        # case also runs with a weight that breaks the factorization: a
-        # first weight too small to change the tail weights (repeated
-        # coordinates fail at the first pivot they share) or a near-zero
-        # weight at K-2 (the fused step's last pivot). The root cases put a
-        # 1e-12 weight at a step m with m + 1 < t, so that the pivot of a
-        # pattern repeating step m's coordinate at step m + 1, positive but
-        # below the breakdown floor, lies within the root levels.
+        # Whatever _BLOCK_LEAVES is, the search must give the one
+        # breadth-first oracle's objective bit for bit and its pattern, and
+        # mark a row broken iff the oracle breaks down. Small chunks grow
+        # every level a few parents at a time; the fixed cases add d = 1,
+        # K <= 2 and one parent per chunk. Each case also runs with a weight
+        # that breaks the factorization: a first weight too small to change
+        # the tail weights (repeated coordinates fail at the first pivot
+        # they share) or a near-zero weight at K-2 (the fused step's last
+        # pivot). The upper-level cases put a 1e-12 weight at an early step
+        # m, so that the pivot of a pattern repeating step m's coordinate at
+        # step m + 1, positive but below the breakdown floor, lies in the
+        # levels above the last grown one.
         rng = np.random.default_rng(4)
-        cases = [(1, 5, 1, 1), (1, 3, 2_000_000, 50_000), (3, 1, 2_000_000, 1),
-                 (4, 2, 1, 1), (3, 2, 2_000_000, 5), (3, 6, 9, 1), (4, 5, 2_000_000, 16)]
+        cases = [(1, 5, 1), (1, 3, 50_000), (3, 1, 1), (4, 2, 1), (3, 2, 5), (3, 6, 1), (4, 5, 16)]
         for _ in range(100):
             d = int(rng.integers(1, 6))
             K = int(rng.integers(1, 8))
-            cases.append((d, K, int(rng.choice([1, d, d * d, 50, 2_000_000])),
-                          int(rng.choice([1, 2, 5, 64, 50_000]))))
-        # (d, K, _SEGMENT_CAP, _BLOCK_LEAVES, root position of the 1e-12 weight)
-        root_cases = [(3, 6, 9, 50_000, 0), (3, 6, 9, 1, 1), (3, 6, 27, 5, 1),
-                      (2, 7, 4, 5, 3), (4, 5, 16, 64, 0), (4, 5, 16, 1, 1),
-                      (3, 7, 27, 16, 2), (2, 6, 1, 1, 2), (5, 4, 25, 64, 0)]
-        broke = root_broke = 0
-        for seed, (d, K, cap, block, *pos) in enumerate(cases + root_cases):
+            rng.choice([1, d, d * d, 50, 2_000_000])  # unused; keeps the later draws fixed
+            cases.append((d, K, int(rng.choice([1, 2, 5, 64, 50_000]))))
+        # (d, K, _BLOCK_LEAVES, step of the 1e-12 weight)
+        upper_cases = [(3, 6, 50_000, 0), (3, 6, 1, 1), (3, 6, 5, 1),
+                       (2, 7, 5, 3), (4, 5, 64, 0), (4, 5, 1, 1),
+                       (3, 7, 16, 2), (2, 6, 1, 2), (5, 4, 64, 0)]
+        broke = upper_broke = 0
+        for seed, (d, K, block, *pos) in enumerate(cases + upper_cases):
             stats = random_stats(seed + 200, d=d)
             base = rng.standard_normal(d) * 0.5
             alpha = as_weights(rng.uniform(0.1, 2.0, size=K), K)
-            monkeypatch.setattr(optimizers, "_SEGMENT_CAP", cap)
             monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", block)
             tiny = alpha.copy()
             if pos:
@@ -222,14 +242,14 @@ class TestEnumerationEngines:
                 try:
                     expected = unblocked_enum_free_fast(stats, base, K, a)
                 except PivotBreakdown:
-                    assert broken, (d, K, cap, block)
+                    assert broken, (d, K, block)
                     broke += 1
-                    root_broke += bool(pos)
+                    upper_broke += bool(pos)
                     continue
-                assert not broken, (d, K, cap, block)
-                assert value == expected[0], (d, K, cap, block)
-                assert np.array_equal(iv, expected[1]), (d, K, cap, block)
-        assert broke > root_broke == len(root_cases)
+                assert not broken, (d, K, block)
+                assert value == expected[0], (d, K, block)
+                assert np.array_equal(iv, expected[1]), (d, K, block)
+        assert broke > upper_broke == len(upper_cases)
 
     @pytest.mark.parametrize("d,K", [(3, 4), (4, 4), (2, 5)])
     def test_ties_across_blocks_resolve_to_first_pattern(self, monkeypatch, d, K):
@@ -288,40 +308,51 @@ class TestEnumerationEngines:
         # Each row of a multi-row call must equal its own one-row call: same
         # objective bit for bit and same pattern. A row with a zero or
         # near-zero weight breaks down; the call must mark it, and no row
-        # that does not break down alone. Small segment caps, blocks and
-        # row-node minimums run t > 0 roots, passes of one and of several
-        # rows, and one parent per block. The fixed
-        # cases put several rows in one pass with t > 0 and one parent per
-        # block: (d, K, _SEGMENT_CAP, _BLOCK_LEAVES, _BLOCK_ROW_NODES).
+        # that does not break down alone. Small blocks and row-node minimums
+        # run passes of one and of several rows, and one parent per chunk.
+        # The fixed cases put several rows in one pass with one parent per
+        # chunk: (d, K, _BLOCK_LEAVES, _BLOCK_ROW_NODES).
         rng = np.random.default_rng(11)
-        cases = [(4, 6, 768, 192, 1), (3, 5, 20, 18, 1), (2, 4, 2_000_000, 64, 1),
-                 (3, 4, 1, 1, 64), (2, 6, 4, 1, 64), (4, 4, 2_000_000, 1, 64),
-                 (1, 3, 1, 1, 64), (3, 1, 2_000_000, 1, 64), (2, 2, 2_000_000, 64, 64)]
+        cases = [(4, 6, 192, 1), (3, 5, 18, 1), (2, 4, 64, 1),
+                 (3, 4, 1, 64), (2, 6, 1, 64), (4, 4, 1, 64),
+                 (1, 3, 1, 64), (3, 1, 1, 64), (2, 2, 64, 64)]
         for _ in range(40):
             d = int(rng.integers(1, 5))
-            cases.append((d, int(rng.integers(1, 7)),
-                          int(rng.choice([1, d, d * d, 50, 2_000_000])),
-                          int(rng.choice([1, 2, 5, 64, 50_000])), int(rng.choice([1, 64]))))
+            K = int(rng.integers(1, 7))
+            rng.choice([1, d, d * d, 50, 2_000_000])  # unused; keeps the later draws fixed
+            cases.append((d, K, int(rng.choice([1, 2, 5, 64, 50_000])), int(rng.choice([1, 64]))))
         broke = 0
-        for seed, (d, K, cap, block, row_nodes) in enumerate(cases):
+        for seed, (d, K, block, row_nodes) in enumerate(cases):
             stats = random_stats(seed + 400, d=d)
             base = rng.standard_normal(d) * 0.5
             alphas = rng.uniform(0.1, 2.0, size=(int(rng.integers(2, 6)), K))
             if K >= 3 and seed % 3 == 0:
                 alphas[int(rng.integers(len(alphas))), K - 2] = 1e-14
-            elif K >= 2 and seed % 3 == 1:  # equal first two tail weights: fails at the root
+            elif K >= 2 and seed % 3 == 1:  # equal first two tail weights: fails at step 2
                 alphas[int(rng.integers(len(alphas))), 0] = 0.0
-            monkeypatch.setattr(optimizers, "_SEGMENT_CAP", cap)
             monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", block)
             monkeypatch.setattr(optimizers, "_BLOCK_ROW_NODES", row_nodes)
             alone = [_enum_free_fast(stats, base, K, a[None]) for a in alphas]
             values, ivs, broken = _enum_free_fast(stats, base, K, alphas)
-            assert broken.tolist() == [bool(b[2][0]) for b in alone], (d, K, cap, block)
+            assert broken.tolist() == [bool(b[2][0]) for b in alone], (d, K, block)
             broke += int(broken.sum())
             for j in np.flatnonzero(~broken):
-                assert values[j] == alone[j][0][0], (d, K, cap, block)
-                assert np.array_equal(ivs[j], alone[j][1][0]), (d, K, cap, block)
+                assert values[j] == alone[j][0][0], (d, K, block)
+                assert np.array_equal(ivs[j], alone[j][1][0]), (d, K, block)
         assert broke > 0
+
+    @pytest.mark.parametrize("K", [1, 2, 5])
+    def test_leaves_no_reference_cycle(self, K):
+        # Garbage kept for the collector would hold the call's buffers past
+        # its return, and peak memory would grow from call to call.
+        stats = random_stats(12, d=4)
+        gc.collect()
+        gc.disable()
+        try:
+            _enum_free_fast(stats, np.zeros(4), K, np.ones((3, K)))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_weight_rows_resolve_ties_to_first_pattern(self, monkeypatch):
         # As test_ties_across_blocks_resolve_to_first_pattern, with several
@@ -603,6 +634,17 @@ class TestBestExplanation:
         target = LinearModel(TOY_OLS, toy_stats.feature_names)
         with pytest.raises(InfeasibleError, match="complexity"):
             best_explanation(toy_stats, toy_zero, target, GAMMA1, 1)
+
+    def test_over_budget_fails_before_any_search(self, toy_stats, toy_zero, monkeypatch):
+        # d**K_max = 32 is over the budget; the shorter lengths are not, but
+        # searching them first would spend what the budget forbids.
+        def no_search(*args):
+            raise AssertionError("exact_path ran before the budget check")
+
+        monkeypatch.setattr(optimizers, "exact_path", no_search)
+        target = LinearModel(TOY_OLS, toy_stats.feature_names)
+        with pytest.raises(BudgetError, match="32"):
+            best_explanation(toy_stats, toy_zero, target, GAMMA1, 5, budget=16)
 
     def test_matches_brute_force_oracle(self):
         # Geometric, positive explicit, and zero-weight schedules; ties

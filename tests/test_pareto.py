@@ -48,6 +48,13 @@ class TestSolveTradeoff:
         with pytest.raises(InputError):
             solve_tradeoff(toy_stats, toy_zero, GAMMA1, -0.5, 2)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda_rejected(self, toy_stats, toy_zero, lam):
+        with pytest.raises(InputError, match="lambda must be finite and >= 0"):
+            solve_tradeoff(toy_stats, toy_zero, GAMMA1, lam, 2)
+        with pytest.raises(InputError, match="lambda grid values must be finite and >= 0"):
+            sweep(toy_stats, toy_zero, GAMMA1, [0.5, lam], 2)
+
     def test_point_invariants(self, toy_stats, toy_zero):
         point = solve_tradeoff(toy_stats, toy_zero, GAMMA1, 0.3, 3)
         assert point.cost == pytest.approx(cost(toy_stats, point.model))
