@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time pathlens layer by layer and write the medians to BENCH_<topic>.json.
 
-Four topics, chosen with --topic; each number is the median over REPEATS
+Five topics, chosen with --topic; each number is the median over REPEATS
 runs, and the result goes to BENCH_<topic>.json in the current directory.
 
 ingestion (the default): load_csv, standardize and compute_stats on seeded
@@ -30,6 +30,15 @@ and time, and for q = 1 and 2 (T = 600, patience 120, search seed
 1000 q + instance seed) the local search's loss, optimality gap and time.
 --K shrinks the paths for a quick run. With --before the script refuses to
 write if an exact loss differs from the earlier run's.
+
+pinned: the exact search pinned to the least-squares fit, under unit
+weights, on seeded instances (n = 100): exact_path at d = 6, K = 8 (1.7M
+patterns), next to _enum_direct, the batched enumerator it replaced for
+pinned endpoints, on the same instance (5 runs each, alternating); and
+best_explanation at d = 5, K_max = 6 (as the benchmark's explain workload
+runs it) and 7. Each row records the path's loss and steps; with --before
+the script refuses to write if either differs from the earlier run's. --K
+and --K-max shrink the two for a quick run.
 
 BLAS threads are left as the environment sets them (the machine record
 notes OPENBLAS_NUM_THREADS); set it to 1 for numbers comparable with the
@@ -61,6 +70,7 @@ from pathlens import (
     LinearModel,
     OptimizerConfig,
     WeightSchedule,
+    best_explanation,
     compute_stats,
     default_lambda_grid,
     exact_path,
@@ -71,7 +81,11 @@ from pathlens import (
     sweep,
     weighted_loss,
 )
-from pathlens.optimizers import _enum_free_fast
+from pathlens import optimizers
+from pathlens.inner import path_from_deltas
+
+# The exact search's fast kernel was _enum_free_fast before it served pinned endpoints.
+_enum_fast = getattr(optimizers, "_enum_fast", None) or optimizers._enum_free_fast
 
 # (columns, text after the last row). numpy's reader rejects a
 # whitespace-only line, so load_csv parses that file with its row loop.
@@ -109,9 +123,9 @@ def time_ingestion(path: Path) -> dict:
     return {layer: statistics.median(ts) for layer, ts in times.items()}
 
 
-def median_seconds(fn) -> float:
+def median_seconds(fn, repeats: int = REPEATS) -> float:
     times = []
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
@@ -169,11 +183,11 @@ def tradeoff(args) -> list:
     sweep_s = median_seconds(
         lambda: sweep(stats, base, schedule, grid, args.K_max, workers=1))
     alpha = np.ones(args.K)
-    # Before it took weight rows, _enum_free_fast took one weight vector.
-    if "alphas" in inspect.signature(_enum_free_fast).parameters:
+    # Before it took weight rows, the kernel took one weight vector.
+    if "alphas" in inspect.signature(_enum_fast).parameters:
         alpha = alpha[None]
     kernel_s = median_seconds(
-        lambda: _enum_free_fast(stats, np.zeros(d), args.K, alpha))
+        lambda: _enum_fast(stats, np.zeros(d), args.K, alpha))
     solves = len(grid) * args.K_max
     print(f"sweep, d={d}, K_max={args.K_max}, {len(grid)} lambdas, 1 worker: {sweep_s:.4f} s, "
           f"{sweep_s / solves * 1e3:.3f} ms per (lambda, K)")
@@ -258,6 +272,57 @@ def heuristic(args) -> list:
     return instances
 
 
+PINNED_D, PINNED_REPEATS = 6, 5  # the d = 6, K = 8 rows took ~1.5 s per run before the change
+BEST_D = 5
+
+
+def pinned(args) -> list:
+    schedule = WeightSchedule.geometric(1.0)
+    instances = []
+
+    def record(layer, stats, run, median_s, runs, **extra):
+        path = run()
+        instances.append({
+            "instance": {"layer": layer, "seed": SEED, "n": 100, "d": stats.d, "endpoint": "ols",
+                         "schedule": schedule.describe(), **extra},
+            "median_s": median_s,
+            "runs": runs,
+            "loss": weighted_loss(stats, path, schedule),
+            "steps": [[i, v] for i, v in path.steps],
+        })
+        print(f"{describe('pinned', instances[-1])}: {median_s * 1e3:.2f} ms")
+
+    stats = tradeoff_stats(PINNED_D)
+    base = LinearModel.zeros(stats.feature_names)
+    cfg = OptimizerConfig(K=args.K, schedule=schedule, endpoint=ols(stats))
+    alpha = schedule.weights(args.K)
+
+    def direct():
+        _, iv, delta = optimizers._enum_direct(stats, base, args.K, alpha, cfg.endpoint)
+        return path_from_deltas(base, iv, delta)
+
+    runs = {"exact_path": lambda: exact_path(stats, base, cfg), "_enum_direct": direct}
+    # Runs alternate between the two, so a slow stretch of the host hits both.
+    times = {layer: [] for layer in runs}
+    for _ in range(PINNED_REPEATS):
+        for layer, run in runs.items():
+            times[layer].append(median_seconds(run, 1))
+    medians = {layer: statistics.median(ts) for layer, ts in times.items()}
+    for layer, run in runs.items():
+        record(layer, stats, run, medians[layer], PINNED_REPEATS, K=args.K)
+    print(f"exact_path runs {medians['_enum_direct'] / medians['exact_path']:.1f}x "
+          "as fast as _enum_direct")
+    stats = tradeoff_stats(BEST_D)
+    base = LinearModel.zeros(stats.feature_names)
+    target = ols(stats)
+    for K_max in (args.K_max, args.K_max + 1):
+        def explain():
+            return best_explanation(stats, base, target, schedule, K_max)
+
+        record("best_explanation", stats, explain, median_seconds(explain), REPEATS, K_max=K_max)
+    return instances
+
+
 def instance_key(topic: str, instance: dict):
     if topic == "ingestion":
         return instance["rows"], instance["cols"], instance.get("tail", ""), instance["seed"]
@@ -273,29 +338,42 @@ def describe(topic: str, instance: dict) -> str:
     if topic == "local":
         return (f"local_improvement, d={inst['d']}, K={inst['K']}, T={inst['T']}, "
                 f"patience={inst['patience']}, endpoint {inst['endpoint']}")
+    if topic == "pinned":
+        length = f"K={inst['K']}" if "K" in inst else f"K_max={inst['K_max']}"
+        return f"{inst['layer']}, d={inst['d']}, {length}, endpoint {inst['endpoint']}"
     return inst["layer"]
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--topic", choices=("ingestion", "tradeoff", "local", "heuristic"),
+    ap.add_argument("--topic", choices=("ingestion", "tradeoff", "local", "heuristic", "pinned"),
                     default="ingestion")
     ap.add_argument("--rows", type=int, default=100_000,
                     help="ingestion: CSV rows (default 100000)")
-    ap.add_argument("--K-max", type=int, default=6, help="tradeoff: sweep K_max (default 6)")
-    ap.add_argument("--K", type=int, default=10,
-                    help="tradeoff: kernel path length; heuristic: path length (default 10)")
+    ap.add_argument("--K-max", type=int, default=6,
+                    help="tradeoff: sweep K_max; pinned: the first best_explanation K_max "
+                         "(default 6)")
+    ap.add_argument("--K", type=int,
+                    help="tradeoff: kernel path length; heuristic: path length (default 10); "
+                         "pinned: exact_path length (default 8)")
     ap.add_argument("--before", help="an earlier output of this script, kept as 'before'")
     args = ap.parse_args(argv)
+    if args.K is None:
+        args.K = 8 if args.topic == "pinned" else 10
     if args.rows < 2:
         ap.error("--rows must be at least 2")
     if args.K < 1 or args.K_max < 1:
         ap.error("--K and --K-max must be at least 1")
     if args.topic == "heuristic" and args.K < max(HEURISTIC_Q):
         ap.error(f"--K must be at least {max(HEURISTIC_Q)} for the heuristic topic")
+    if args.topic == "pinned" and (args.K < PINNED_D or args.K_max < BEST_D):
+        # The least-squares fits change every coordinate.
+        ap.error(f"--K must be at least {PINNED_D} and --K-max at least {BEST_D} "
+                 "for the pinned topic")
 
-    topics = {"ingestion": ingestion, "tradeoff": tradeoff, "local": local, "heuristic": heuristic}
+    topics = {"ingestion": ingestion, "tradeoff": tradeoff, "local": local, "heuristic": heuristic,
+              "pinned": pinned}
     instances = topics[args.topic](args)
     report = {"topic": args.topic, "machine": machine(), "repeats": REPEATS,
               "instances": instances}
@@ -306,9 +384,10 @@ def main(argv=None) -> int:
             ap.error(f"--before {args.before} measured other instances: {keys}")
         report["before"] = {"machine": before["machine"], "instances": before["instances"]}
         for now, old in zip(instances, before["instances"]):
-            if "loss" in now and now["loss"] != old["loss"]:
-                ap.error(f"{describe(args.topic, now)} found another path than --before "
-                         f"{args.before}: loss {now['loss']!r}, before {old['loss']!r}")
+            for key in ("loss", "steps"):
+                if key in now and now[key] != old[key]:
+                    ap.error(f"{describe(args.topic, now)} found another path than --before "
+                             f"{args.before}: {key} {now[key]!r}, before {old[key]!r}")
             ratio = (now["median_s"]["load_csv"] / old["median_s"]["load_csv"]
                      if args.topic == "ingestion" else now["median_s"] / old["median_s"])
             print(f"{describe(args.topic, now)} {ratio:.2f}x of before")

@@ -2,31 +2,40 @@
 
 exact_path enumerates every index vector in {0..d-1}^K and solves the inner
 quadratic exactly for each, so it is globally optimal for the configured
-objective. Two exhaustive enumerators do the work. Free endpoints with
-continuous steps, positive weights and a positive-definite gram run through
-an incremental Cholesky recursion (_enum_free_fast): the inner system's
-factor for a pattern extends the factor of its prefix, and the recursion
-only ever needs the fixed-size summaries Q = B'B, u = B'y, ssq = ||y||^2 per
-tree node (B = L^{-1} G[pattern, :]), so a level grows as flat array
-operations. The tree is walked depth-first in one recursion: it grows at
+objective. Two exhaustive enumerators do the work. Continuous steps with
+positive weights and a positive-definite gram run through an incremental
+Cholesky recursion (_enum_fast), with a free endpoint or, from K = 2 on, a
+pinned one: the inner system's factor for a pattern extends the factor of
+its prefix, and the recursion only ever needs the fixed-size summaries
+Q = B'B, u = B'y, ssq = ||y||^2 per tree node (B = L^{-1} G[pattern, :]),
+so a level grows as flat array operations. A free leaf scores top - ssq.
+A pinned endpoint adds the constraints C delta = target - base, C the
+pattern's coordinate-incidence matrix; with E = L^{-1} C', its nodes also
+carry R = B'E, M = E'E and v = E'y, grown by the same rank-one terms, and
+a leaf that touches every coordinate where target and base differ scores
+top - ssq + z'M~^-1 z (z = v - (target - base), M~ = M with a 1 on the
+diagonal of each untouched coordinate), eliminated for the reaching leaves
+only. The tree is walked depth-first in one recursion: it grows at
 most a chunk of parent nodes by one level, about _BLOCK_LEAVES leaves'
 worth, so the temporaries stay in cache, and descends into the children
-before it grows the next chunk; the fused last two steps score the leaves
-in place. Every objective and every breakdown is computed with the same
-operations whatever the chunk size is, and chunks keep the running best
-with a strict <, so exact ties resolve to the lexicographically first
-pattern.
+before it grows the next chunk; the fused last two steps score the leaves.
+Every objective and every breakdown is computed with the same operations
+whatever the chunk size is. Free rows keep the running best with a strict
+<, so exact ties resolve to the lexicographically first pattern; pinned
+rows rank as _enum_direct does (below).
 The recursion takes a stack of weight rows and carries them on a leading
 array axis, so one pass serves many schedules of the same length (the
-tradeoff sweep's grid, see exact_free_paths); each row's objectives are
+tradeoff sweep's grid, see exact_paths); each row's objectives are
 bitwise those of a pass of its own. Rows whose factorization breaks down
-are marked, and fall back to the other enumerator.
-Every other case, pinned endpoints and unit steps included, runs through one
-chunked enumerator (_enum_direct) that ranks candidates by their attained
-objective: continuous steps by batched inner solves (inner.solve_patterns),
-unit steps with no solve. There, objectives within 1e-12 (relative) are
-ties. Candidates sharing an optimal objective resolve to the
-lexicographically smallest pattern.
+are marked, and fall back to the other enumerator. The winning pattern's
+step sizes come from the inner solver, so a path depends on the pattern
+only.
+Every other case, zero weights, singular grams, unit steps and pinned K = 1
+included, runs through one chunked enumerator (_enum_direct) that ranks
+candidates by their attained objective: continuous steps by batched inner
+solves (inner.solve_patterns), unit steps with no solve. There, objectives
+within 1e-12 (relative) are ties. Candidates sharing an optimal objective
+resolve to the lexicographically smallest pattern.
 
 local_improvement is a batch-q local search warm-started from the greedy
 pattern: each iteration redraws q random step positions and exhaustively
@@ -69,6 +78,7 @@ DEFAULT_BUDGET = 10_000_000
 _BLOCK_LEAVES = 50_000  # leaves below one chunk of parent nodes (~400 KB temporaries, fit L2)
 _BLOCK_ROW_NODES = 64  # parent nodes of each weight row a chunk holds, at least
 _CHUNK_ENTRIES = 150_000  # K*K system entries per _enum_direct chunk (~4k patterns at K=6)
+_PIECE_ENTRIES = 200_000  # [M~ | z] entries of a piece of pinned leaves, at most (1.6 MB)
 _WINDOW_CANDIDATES = 512  # local_improvement candidates per solve_patterns call, at most
 _TIE_RTOL = 1e-12  # objectives this close (relative) are ties, kept by the earlier candidate
 _PIVOT_RTOL = 1e-10
@@ -173,10 +183,10 @@ def _install_order(stats: SufficientStats, base: LinearModel, target: LinearMode
 
 def _mark_broken(broken: np.ndarray, piv: np.ndarray, floor: np.ndarray) -> None:
     """Set broken[l] for each weight row l (leading axis) holding a pivot at
-    or below its floor."""
-    bad = piv <= floor
-    if bad.any():
-        broken |= bad.reshape(bad.shape[0], -1).any(axis=1)
+    or below its floor, or a NaN pivot (arithmetic that overflowed)."""
+    ok = piv > floor  # False for NaN
+    if not ok.all():
+        broken |= ~ok.reshape(ok.shape[0], -1).all(axis=1)
 
 
 def _candidate_count(d: int, cfg: OptimizerConfig) -> int:
@@ -186,16 +196,20 @@ def _candidate_count(d: int, cfg: OptimizerConfig) -> int:
     return n
 
 
-def _grow(QT, uT, ssq, G, gd, r, wm, children_q, broken, out):
+def _grow(nodes, G, gd, r, wm, children_q, broken, out):
     """Expand every node by one step on each coordinate.
 
-    Weight rows run along the first axis and nodes along the last, QT
-    (L, d, d, N) and uT (L, d, N), with the step's weight wm shaped
-    (L, 1, 1), so every broadcast operand is a contiguous row. The d*N
-    children come back in the same layout, child c of node p at c*N + p;
-    their QT (in out, (L, d, d, d, N)) and uT are None unless children_q
-    (not needed after the last step). Broken rows are marked in broken.
+    A node is (QT, uT, ssq), and under a pinned endpoint also (RT, MT, vT),
+    the transposed summaries R = B'E, M = E'E and v = E'y. Weight rows run
+    along the first axis and nodes along the last, QT, RT, MT (L, d, d, N)
+    and uT, vT (L, d, N), with the step's weight wm shaped (L, 1, 1), so
+    every broadcast operand is a contiguous row. The d*N children come back
+    in the same layout, child c of node p at c*N + p; their QT, RT and MT go
+    to the buffers out, each (L, d, d, d, N). Only ssq is grown unless
+    children_q (not needed after the last step). Broken rows are marked in
+    broken.
     """
+    QT, uT, ssq = nodes[:3]
     L, d, N = uT.shape
     dQ = np.einsum("...iin->...in", QT)
     piv2 = wm * gd[:, None] - wm * wm * dQ
@@ -206,11 +220,24 @@ def _grow(QT, uT, ssq, G, gd, r, wm, children_q, broken, out):
     if not children_q:
         return None, None, ssq
     row = ((G[:, :, None] - wm[..., None] * QT) / piv[:, :, None, :]).transpose(0, 2, 1, 3)
-    QTc = np.multiply(row[:, :, None, :, :], row[:, None, :, :, :], out=out)
+    QTc = np.multiply(row[:, :, None, :, :], row[:, None, :, :, :], out=out[0])
     QTc += QT[:, :, :, None, :]
     uTc = np.multiply(row, ynew[:, None, :, :])
     uTc += uT[:, :, None, :]
-    return QTc.reshape(L, d, d, d * N), uTc.reshape(L, d, d * N), ssq
+    grown = (QTc.reshape(L, d, d, d * N), uTc.reshape(L, d, d * N), ssq)
+    if len(nodes) == 3:
+        return grown
+    RT, MT, vT = nodes[3:]
+    # Child c's new row of E = L^-1 C' is (e_c - w R[c, :]) / piv, like B's.
+    E = ((np.eye(d)[:, :, None] - wm[..., None] * RT) / piv[:, :, None, :]).transpose(0, 2, 1, 3)
+    RTc = np.multiply(row[:, :, None, :, :], E[:, None, :, :, :], out=out[1])
+    RTc += RT[:, :, :, None, :]
+    MTc = np.multiply(E[:, :, None, :, :], E[:, None, :, :, :], out=out[2])
+    MTc += MT[:, :, :, None, :]
+    vTc = np.multiply(E, ynew[:, None, :, :])
+    vTc += vT[:, :, None, :]
+    return grown + (RTc.reshape(L, d, d, d * N), MTc.reshape(L, d, d, d * N),
+                    vTc.reshape(L, d, d * N))
 
 
 def _fused_leaves(QT, uT, ssq, G, gd, r, w1, w2, top, broken, out):
@@ -252,6 +279,73 @@ def _fused_leaves(QT, uT, ssq, G, gd, r, w1, w2, top, broken, out):
     return np.subtract(y1[:, :, None, :], y2, out=y2)
 
 
+def _pinned_leaves(nodes, order, prefix, G, gd, r, w1, w2, top, e, broken):
+    """Pinned objectives of the two-step completions of level-(K-2) nodes
+    that reach the target, a piece at a time: yields (vals (L, P), rank (P,)),
+    rank being the leaves' lexicographic indices within the chunk, ascending.
+
+    nodes are (QT, uT, ssq, RT, MT, vT) in _grow's layout; order[l] is the
+    position of the l-th node in lexicographic order and prefix[l] its
+    pattern. w1, w2 and top are shaped (L, 1); e = target - base. A leaf
+    scores top - ssq + z'M~^-1 z, with z = v - e and M~ = M with a 1 on the
+    diagonal of each coordinate it leaves untouched, eliminated along the
+    leaf axis; a leaf that leaves a coordinate with e != 0 untouched is
+    skipped. A piece's [M~ | z] holds at most _PIECE_ENTRIES entries.
+    Rows whose pivots break down are marked in broken.
+    """
+    QT, uT, ssq, RT, MT, vT = nodes
+    L, d, N = uT.shape
+    coords = np.arange(d)[:, None]
+    touched = np.zeros((prefix.shape[0], d), dtype=bool)
+    touched[np.arange(prefix.shape[0])[:, None], prefix] = True
+    need = e != 0
+    miss = (~touched & need).astype(np.int16)
+    # Leaf (l, c1, c2) reaches iff c1 and c2 cover every needed coordinate l missed.
+    covered = miss[:, :, None] + miss[:, None, :] * (1 - np.eye(d, dtype=np.int16))
+    ranks = np.flatnonzero(covered == miss.sum(axis=1, dtype=np.int16)[:, None, None])
+    Qf, uf, Rf = QT.reshape(L, -1), uT.reshape(L, -1), RT.reshape(L, -1)
+    piece = max(1, min(ranks.size, _PIECE_ENTRIES // (L * d * (d + 1))))
+    mats = np.empty((2, L * d * (d + 1) * piece))
+    for s in range(0, ranks.size, piece):
+        rank = ranks[s:s + piece]
+        l, c = np.divmod(rank, d * d)
+        c1, c2 = np.divmod(c, d)
+        n = order[l]
+        at1, at2 = coords == c1, coords == c2
+        piv1 = w1 * gd[c1] - w1 * w1 * np.take(Qf, c1 * (d + 1) * N + n, axis=1)
+        _mark_broken(broken, piv1, _PIVOT_RTOL * w1 * gd[c1])
+        piv1 = np.sqrt(piv1)
+        y1 = (w1 * r[c1] - w1 * np.take(uf, c1 * N + n, axis=1)) / piv1
+        E1 = (at1 - w1[..., None] * np.take(Rf, (c1 * d + coords) * N + n, axis=1)) / piv1[:, None]
+        row = (G[c1, c2] - w1 * np.take(Qf, (c1 * d + c2) * N + n, axis=1)) / piv1
+        piv2 = w2 * gd[c2] - w2 * w2 * (np.take(Qf, c2 * (d + 1) * N + n, axis=1) + row * row)
+        _mark_broken(broken, piv2, _PIVOT_RTOL * w2 * gd[c2])
+        piv2 = np.sqrt(piv2)
+        y2 = (w2 * r[c2] - w2 * (np.take(uf, c2 * N + n, axis=1) + row * y1)) / piv2
+        R2 = np.take(Rf, (c2 * d + coords) * N + n, axis=1)
+        E2 = (at2 - w2[..., None] * (R2 + row[:, None] * E1)) / piv2[:, None]
+        # [M~ | z] per leaf; eliminating it leaves L^-1 z in the last column.
+        Az, Tz = (buf[:L * d * (d + 1) * rank.size].reshape(L, d, d + 1, -1) for buf in mats)
+        A, T = Az[:, :, :d], Tz[:, :, :d]
+        np.take(MT, n, axis=3, out=A, mode="clip")
+        A += np.multiply(E1[:, :, None], E1[:, None], out=T)
+        A += np.multiply(E2[:, :, None], E2[:, None], out=T)
+        diag = Az.reshape(L, d * (d + 1), -1)[:, ::d + 2]
+        if not need.all():  # else every reaching leaf touches every coordinate
+            diag += ~(touched[l].T | at1 | at2)
+        floor = _PIVOT_RTOL * diag
+        z = np.take(vT, n, axis=2, out=Az[:, :, d], mode="clip")
+        z += y1[:, None] * E1 + y2[:, None] * E2 - e[:, None]
+        for j in range(d - 1):  # Gaussian elimination, without pivoting: M~ is positive definite
+            f = Az[:, j + 1:, j] / Az[:, j, None, j]
+            Az[:, j + 1:, j + 1:] -= np.multiply(f[:, :, None], Az[:, None, j, j + 1:],
+                                                 out=Tz[:, :d - j - 1, :d - j])
+        _mark_broken(broken, diag, floor)
+        vals = top - np.take(ssq, n, axis=1) - y1 * y1 - y2 * y2
+        vals += np.einsum("ljp,ljp->lp", z, z / diag)
+        yield vals, rank
+
+
 def _lexicographic(a: np.ndarray, d: int) -> np.ndarray:
     """`a` with its last axis, the children one _grow step made (child c of
     node p at c*N + p), in lexicographic order (at p*d + c); always a copy,
@@ -260,20 +354,27 @@ def _lexicographic(a: np.ndarray, d: int) -> np.ndarray:
     return a.reshape(lead + (d, -1)).swapaxes(-1, -2).copy().reshape(lead + (-1,))
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # broken rows' arithmetic is discarded
-def _enum_free_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np.ndarray):
-    """Exhaustive free-endpoint search via the incremental factor recursion,
-    for every row of a stack of weight rows alphas (L, K) at once.
+# Broken rows' arithmetic, overflowed or not, is discarded.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _enum_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np.ndarray,
+               target: np.ndarray | None = None):
+    """Exhaustive search via the incremental factor recursion, for every row
+    of a stack of weight rows alphas (L, K) at once, with a free endpoint or,
+    if K >= 2, pinned to `target`.
 
     Returns each row's optimal objective (L,), its pattern (L, K), and a
     mask broken (L,) of the rows whose factorization hit a pivot at or
-    below _PIVOT_RTOL of its scale; their objective and pattern mean
-    nothing, and the caller solves them another way (_enum_direct). A row's
-    results are bitwise those of a one-row call: the rows share every array
-    operation along a leading axis but no arithmetic. One depth-first
-    recursion grows `per` parent nodes at a time by one level and descends
-    into their children before the next chunk; every node grows once by the
-    same operations, so no result depends on the chunk sizes.
+    below _PIVOT_RTOL of its scale, or a NaN one; their objective and
+    pattern mean nothing, and the caller solves them another way
+    (_enum_direct). A row's results are bitwise those of a one-row call: the
+    rows share every array operation along a leading axis but no
+    arithmetic. One depth-first recursion grows `per` parent nodes at a time
+    by one level and descends into their children before the next chunk;
+    every node grows once by the same operations, so no result depends on
+    the chunk sizes. Free rows keep each chunk's minimum with a strict <;
+    pinned rows keep the first leaf within _TIE_RTOL of a piece's minimum
+    when it beats the incumbent by more than that (_keep_best's rule), as
+    _enum_direct ranks its candidates.
     """
     G = stats.gram
     d = stats.d
@@ -290,7 +391,7 @@ def _enum_free_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np
     per_pass = max(1, _BLOCK_LEAVES // (below * row_nodes))
     L = alphas.shape[0]
     if L > per_pass:
-        parts = [_enum_free_fast(stats, base, K, alphas[g0:g0 + per_pass])
+        parts = [_enum_fast(stats, base, K, alphas[g0:g0 + per_pass], target)
                  for g0 in range(0, L, per_pass)]
         return tuple(np.concatenate(part) for part in zip(*parts))
 
@@ -300,6 +401,10 @@ def _enum_free_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np
     per = max(1, _BLOCK_LEAVES // (below * L))  # parent nodes grown at a time
     # Each chunk's largest temporaries reuse these, so no page is mapped afresh per chunk.
     work = np.empty((3, L * d * d * min(d * per, d**stop)))
+    nodes = (np.zeros((L, d, d, 1)), np.zeros((L, d, 1)), np.zeros((L, 1)))
+    if target is not None:
+        e = target - base
+        nodes += (np.zeros((L, d, d, 1)), np.zeros((L, d, d, 1)), np.zeros((L, d, 1)))
 
     def buf(i, shape):
         return work[i, :math.prod(shape)].reshape(shape)
@@ -308,29 +413,40 @@ def _enum_free_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np
     best_val = np.full(L, math.inf)
     best = np.zeros(L, dtype=np.int64)  # lexicographic index of each row's best pattern
 
-    def descend(m, QT, uT, ssq, first, node_axes=(1,)):
+    def descend(m, nodes, first, node_axes=(1,)):
         # The level-m nodes, the first at lexicographic index `first`.
+        if m == stop and target is not None:
+            order = np.arange(nodes[2].shape[1]).reshape(node_axes).T.ravel()
+            prefix = _patterns(first + np.arange(order.size), d, m)
+            for vals, rank in _pinned_leaves(nodes, order, prefix, G, gd, r, w[:, K - 2, None],
+                                             w[:, K - 1, None], top[:, None], e, broken):
+                i = _first_tie(vals)
+                tied = vals[np.arange(L), i]
+                for j in np.flatnonzero(_beats(tied, best_val)):
+                    best_val[j] = tied[j]
+                    best[j] = first * d * d + rank[i[j]]
+            return
         if m == stop:  # score their leaves; node_axes makes the transpose lexicographic
-            vals = (_fused_leaves(QT, uT, ssq, G, gd, r, wb[:, K - 2], wb[:, K - 1], top, broken,
-                                  (buf(1, QT.shape), buf(2, QT.shape))) if fuse
-                    else top[:, None] - ssq)
+            vals = (_fused_leaves(*nodes, G, gd, r, wb[:, K - 2], wb[:, K - 1], top, broken,
+                                  (buf(1, nodes[0].shape), buf(2, nodes[0].shape))) if fuse
+                    else top[:, None] - nodes[2])
             low = vals.reshape(L, -1).min(axis=1)
             for j in np.flatnonzero(low < best_val):
                 best_val[j] = low[j]
                 leaves = vals[j].reshape(-1, *node_axes).T
                 best[j] = first * d ** (K - m) + int(np.argmin(leaves))
             return
-        N = ssq.shape[1]
+        N = nodes[2].shape[1]
         for p0 in range(0, N, per):
             n = min(per, N - p0)
-            grown = _grow(QT[..., p0:p0 + n], uT[..., p0:p0 + n], ssq[:, p0:p0 + n], G, gd, r,
-                          wb[:, m], m + 1 < K, broken, buf(0, (L, d, d, d, n)))
+            grown = _grow(tuple(a[..., p0:p0 + n] for a in nodes), G, gd, r, wb[:, m], m + 1 < K,
+                          broken, tuple(buf(i, (L, d, d, d, n)) for i in range(3)))
             if m + 1 < stop:
-                descend(m + 1, *(_lexicographic(a, d) for a in grown), (first + p0) * d)
+                descend(m + 1, tuple(_lexicographic(a, d) for a in grown), (first + p0) * d)
             else:  # the scored level keeps _grow's layout
-                descend(m + 1, *grown, (first + p0) * d, (d, n))
+                descend(m + 1, grown, (first + p0) * d, (d, n))
 
-    descend(0, np.zeros((L, d, d, 1)), np.zeros((L, d, 1)), np.zeros((L, 1)), 0)
+    descend(0, nodes, 0)
     del descend  # its closure refers to itself: free work now, not at the next gc
     return best_val, _patterns(best, d, K), broken
 
@@ -348,16 +464,21 @@ def _iv_chunks(d: int, K: int, chunk: int):
         yield _patterns(np.arange(s, min(s + chunk, total)), d, K)
 
 
-def _beats(value: float, incumbent: float) -> bool:
-    """True iff value is lower than incumbent by more than a tie."""
+def _beats(value, incumbent):
+    """True iff value is lower than incumbent by more than a tie (elementwise)."""
     return value + _TIE_RTOL * abs(value) < incumbent
+
+
+def _first_tie(vals: np.ndarray) -> np.ndarray:
+    """Index of the first entry tied with the minimum, along the last axis."""
+    low = vals.min(axis=-1, keepdims=True)
+    return np.argmax(vals <= low + _TIE_RTOL * abs(low), axis=-1)
 
 
 def _keep_best(best, vals: np.ndarray, ivs: np.ndarray, deltas: np.ndarray):
     """The incumbent (objective, iv, delta), or the first candidate tied with
     the chunk's minimum if that beats it."""
-    low = vals.min()
-    j = int(np.argmax(vals <= low + _TIE_RTOL * abs(low)))
+    j = int(_first_tie(vals))
     if _beats(vals[j], best[0]):
         return float(vals[j]), ivs[j].copy(), deltas[j].copy()
     return best
@@ -422,9 +543,9 @@ def exact_path(stats: SufficientStats, base: LinearModel, cfg: OptimizerConfig) 
         return CoordinatePath(base, ())
     _check_budget(_candidate_count(stats.d, cfg), cfg.budget)
     alpha = as_weights(cfg.schedule, K)
-    if cfg.endpoint is None and cfg.step_mode == "continuous":
-        return exact_free_paths(stats, base, alpha[None], cfg.budget)[0]
-    _, iv, delta = _enum_direct(stats, base, K, alpha, cfg.endpoint, cfg.step_mode == "unit")
+    if cfg.step_mode == "continuous":
+        return exact_paths(stats, base, alpha[None], cfg.budget, cfg.endpoint)[0]
+    _, iv, delta = _enum_direct(stats, base, K, alpha, cfg.endpoint, unit=True)
     return path_from_deltas(base, iv, delta)
 
 
@@ -444,34 +565,48 @@ def _check_budget(n_cand: int, budget: int) -> None:
         )
 
 
-def exact_free_paths(stats: SufficientStats, base: LinearModel, alphas: np.ndarray,
-                     budget: int = DEFAULT_BUDGET) -> list[CoordinatePath]:
-    """exact_path with a free endpoint and continuous steps, under each row
-    of a stack of weight rows alphas (L, K), K >= 1, as its schedule.
+def exact_paths(stats: SufficientStats, base: LinearModel, alphas: np.ndarray,
+                budget: int = DEFAULT_BUDGET,
+                endpoint: LinearModel | None = None) -> list[CoordinatePath]:
+    """exact_path with continuous steps, free or pinned to `endpoint`, under
+    each row of a stack of weight rows alphas (L, K), K >= 1, as its schedule.
 
     Rows with strictly positive weights on a positive-definite gram share
-    one _enum_free_fast pass, and their chosen patterns one batched solve;
-    every path is bitwise the one a one-row call returns. Other rows, and
-    the rows that pass marks as broken, run _enum_direct one at a time.
+    one _enum_fast pass (pinned ones need K >= 2); the free rows' chosen
+    patterns share one batched solve, and each pinned row's pattern is
+    solved by solve_patterns, as _enum_direct solves it. Every path is
+    bitwise the one a one-row call returns. Other rows, and the rows that
+    pass marks as broken, run _enum_direct one at a time.
     """
     K = alphas.shape[1]
     _check_budget(stats.d**K, budget)
     alphas = as_weights(alphas, K)
+    target = None
+    if endpoint is not None:
+        _check_reachable(base, endpoint, K)
+        target = endpoint.coefficients
     paths = [None] * alphas.shape[0]
     rows = np.flatnonzero(np.all(alphas > 0, axis=1))
+    if target is not None and K < 2:
+        rows = rows[:0]
     if rows.size:
         eigs = np.linalg.eigvalsh(stats.gram)
         if not eigs[0] > 1e-10 * max(eigs[-1], 0.0):
             rows = rows[:0]
     if rows.size:
-        _, ivs, broken = _enum_free_fast(stats, base.coefficients, K, alphas[rows])
+        _, ivs, broken = _enum_fast(stats, base.coefficients, K, alphas[rows], target)
         rows, ivs = rows[~broken], ivs[~broken]
-        H, b = build_systems_batch(stats, base.coefficients, ivs, alphas[rows])
-        for j, iv, delta in zip(rows, ivs, solve_batch(H, b)[0]):
+        if target is None:
+            H, b = build_systems_batch(stats, base.coefficients, ivs, alphas[rows])
+            deltas = solve_batch(H, b)[0]
+        else:
+            deltas = [solve_patterns(stats, base.coefficients, iv[None], alphas[j], target)[0][0]
+                      for j, iv in zip(rows, ivs)]
+        for j, iv, delta in zip(rows, ivs, deltas):
             paths[j] = path_from_deltas(base, iv, delta)
     for j, path in enumerate(paths):
         if path is None:
-            _, iv, delta = _enum_direct(stats, base, K, alphas[j])
+            _, iv, delta = _enum_direct(stats, base, K, alphas[j], endpoint)
             paths[j] = path_from_deltas(base, iv, delta)
     return paths
 

@@ -14,7 +14,7 @@ is made to fill them.
 
 Only the weights change with lam, so the exact solver serves a whole grid
 with one enumeration per K: the scalarized weight rows of every grid value
-go through optimizers.exact_free_paths together, and each value gets
+go through optimizers.exact_paths together, and each value gets
 exactly the path a solve for that value alone returns. solve_tradeoff is
 the one-value case of the same grid solver.
 """
@@ -28,7 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError
-from .optimizers import OptimizerConfig, exact_free_paths, exact_path, local_improvement
+from .inner import as_weights
+from .optimizers import OptimizerConfig, exact_paths, exact_path, local_improvement
 from .paths import CoordinatePath, WeightSchedule, path_to_json, weighted_loss
 from .regression import LinearModel, SufficientStats, cost
 
@@ -82,7 +83,7 @@ def _solve_grid(stats: SufficientStats, base: LinearModel, schedule: WeightSched
 
     Per length K the scalarized weight rows of all values are built at
     once; the exact solver enumerates the patterns once for all of them
-    (optimizers.exact_free_paths), the local solver runs per value.
+    (optimizers.exact_paths), the local solver runs per value.
     """
     if K_max < 0:
         raise InputError("K_max must be >= 0")
@@ -90,14 +91,18 @@ def _solve_grid(stats: SufficientStats, base: LinearModel, schedule: WeightSched
         raise InputError("solver must be 'exact' or 'local'")
     base_cfg = cfg if cfg is not None else OptimizerConfig(K=0, schedule=schedule)
     best = [(cost(stats, base), CoordinatePath(base, ()), 0)] * len(lams)  # value, path, K
-    for K in range(1, K_max + 1):
-        alphas = lams[:, None] * schedule.weights(K)
+    rows = []
+    for K in range(1, K_max + 1):  # every length's weight rows, checked before any search
+        with np.errstate(over="ignore", invalid="ignore"):  # as_weights rejects inf and nan
+            alphas = lams[:, None] * schedule.weights(K)
         alphas[:, -1] += 1.0
+        rows.append(as_weights(alphas, K))
+    for K, alphas in enumerate(rows, start=1):
         weights = [WeightSchedule.explicit(a) for a in alphas]
         kcfg = replace(base_cfg, K=K, endpoint=None, step_mode="continuous",
                        seed=base_cfg.seed + K, q=min(base_cfg.q, K))
         if solver == "exact":
-            paths = exact_free_paths(stats, base, alphas, kcfg.budget)
+            paths = exact_paths(stats, base, alphas, kcfg.budget)
         else:
             paths = [local_improvement(stats, base, replace(kcfg, schedule=s)) for s in weights]
         for j, (path, s) in enumerate(zip(paths, weights)):

@@ -204,7 +204,7 @@ class PivotBreakdown(Exception):
 
 
 def unblocked_enum_free_fast(stats, base, K, alpha):
-    """optimizers._enum_free_fast with every level but the fused last two
+    """optimizers._enum_fast with every level but the fused last two
     expanded breadth-first from the empty pattern, and those two run on all
     nodes at once. Returns (objective, pattern); raises PivotBreakdown where
     it marks the row broken."""

@@ -314,6 +314,7 @@ class TestPareto:
         (("pareto", "--K", "2", "--lambda-grid", "inf"), "lambda grid values must be finite"),
         (("explain", "--K", "2", "--gamma", "1e300"), "step weights must be finite"),
         (("path", "exact", "--K", "2", "--gamma", "1e300"), "step weights must be finite"),
+        (("pareto", "--K", "2", "--gamma", "1e300"), "step weights must be finite"),
     ])
     def test_non_finite_weights_exit_2_without_warnings(self, capsys, toy_moments, argv,
                                                          message):

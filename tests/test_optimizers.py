@@ -1,5 +1,6 @@
 import gc
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from pathlens import (
     weighted_loss,
 )
 from pathlens import optimizers
-from pathlens.optimizers import _enum_direct, _enum_free_fast, _iv_chunks
+from pathlens.optimizers import _enum_direct, _enum_fast, _iv_chunks
 from pathlens.inner import as_weights, path_from_deltas
 from conftest import TOY_OLS, collinear_stats, random_stats
 from oracles import (
@@ -179,7 +180,7 @@ class TestEnumerationEngines:
         base = np.zeros(d)
         rng = np.random.default_rng(seed)
         alpha = as_weights(rng.uniform(0.1, 2.0, size=K), K)
-        (v_fast,), (iv_fast,), (broken,) = _enum_free_fast(stats, base, K, alpha[None])
+        (v_fast,), (iv_fast,), (broken,) = _enum_fast(stats, base, K, alpha[None])
         v_direct, iv_direct, _ = _enum_direct(
             stats, LinearModel(base, stats.feature_names), K, alpha
         )
@@ -192,7 +193,7 @@ class TestEnumerationEngines:
         rng = np.random.default_rng(99)
         base = rng.standard_normal(3) * 0.5
         alpha = as_weights(rng.uniform(0.1, 2.0, size=4), 4)
-        (v_fast,), (iv_fast,), (broken,) = _enum_free_fast(stats, base, 4, alpha[None])
+        (v_fast,), (iv_fast,), (broken,) = _enum_fast(stats, base, 4, alpha[None])
         v_direct, iv_direct, _ = _enum_direct(
             stats, LinearModel(base, stats.feature_names), 4, alpha
         )
@@ -238,7 +239,7 @@ class TestEnumerationEngines:
             else:
                 tiny[0] = 1e-20
             for a in ((tiny,) if pos else (alpha, tiny) if K >= 2 else (alpha,)):
-                (value,), (iv,), (broken,) = _enum_free_fast(stats, base, K, a[None])
+                (value,), (iv,), (broken,) = _enum_fast(stats, base, K, a[None])
                 try:
                     expected = unblocked_enum_free_fast(stats, base, K, a)
                 except PivotBreakdown:
@@ -261,7 +262,7 @@ class TestEnumerationEngines:
         base = LinearModel.zeros(names)
         alpha = as_weights(np.ones(K), K)
         monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", 1)  # one parent per block
-        _, (iv,), _ = _enum_free_fast(stats, base.coefficients, K, alpha[None])
+        _, (iv,), _ = _enum_fast(stats, base.coefficients, K, alpha[None])
         _, iv_direct, _ = _enum_direct(stats, base, K, alpha)
         assert np.array_equal(iv, iv_direct)
         relabeled = (iv + 1) % d
@@ -278,19 +279,19 @@ class TestEnumerationEngines:
         base = LinearModel.zeros(stats.feature_names)
         schedule = WeightSchedule.explicit([1.0, 1.0, 1e-14, 1.0])
         alpha = as_weights(schedule, 4)
-        assert _enum_free_fast(stats, base.coefficients, 4, alpha[None])[2].tolist() == [True]
+        assert _enum_fast(stats, base.coefficients, 4, alpha[None])[2].tolist() == [True]
         path = exact_path(stats, base, OptimizerConfig(K=4, schedule=schedule))
         _, iv, delta = _enum_direct(stats, base, 4, alpha)
         assert path.steps == path_from_deltas(base, iv, delta).steps
 
     def test_marked_rows_fall_back_to_direct(self, monkeypatch):
-        # exact_free_paths must solve a row _enum_free_fast marks as broken
+        # exact_paths must solve a row _enum_fast marks as broken
         # with _enum_direct, and never use that row's pattern.
         stats = random_stats(8, d=3)
         base = LinearModel.zeros(stats.feature_names)
         alphas = np.array([[1.0, 0.5, 2.0], [0.3, 1.0, 1.0], [2.0, 2.0, 0.1]])
-        expected = optimizers.exact_free_paths(stats, base, alphas)
-        fast = optimizers._enum_free_fast
+        expected = optimizers.exact_paths(stats, base, alphas)
+        fast = optimizers._enum_fast
 
         def mark_middle_row(*args):
             values, ivs, broken = fast(*args)
@@ -298,8 +299,8 @@ class TestEnumerationEngines:
             broken[1] = True
             return values, ivs, broken
 
-        monkeypatch.setattr(optimizers, "_enum_free_fast", mark_middle_row)
-        paths = optimizers.exact_free_paths(stats, base, alphas)
+        monkeypatch.setattr(optimizers, "_enum_fast", mark_middle_row)
+        paths = optimizers.exact_paths(stats, base, alphas)
         _, iv, delta = _enum_direct(stats, base, 3, alphas[1])
         assert paths[1].steps == path_from_deltas(base, iv, delta).steps
         assert paths[0].steps == expected[0].steps and paths[2].steps == expected[2].steps
@@ -332,8 +333,8 @@ class TestEnumerationEngines:
                 alphas[int(rng.integers(len(alphas))), 0] = 0.0
             monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", block)
             monkeypatch.setattr(optimizers, "_BLOCK_ROW_NODES", row_nodes)
-            alone = [_enum_free_fast(stats, base, K, a[None]) for a in alphas]
-            values, ivs, broken = _enum_free_fast(stats, base, K, alphas)
+            alone = [_enum_fast(stats, base, K, a[None]) for a in alphas]
+            values, ivs, broken = _enum_fast(stats, base, K, alphas)
             assert broken.tolist() == [bool(b[2][0]) for b in alone], (d, K, block)
             broke += int(broken.sum())
             for j in np.flatnonzero(~broken):
@@ -344,13 +345,16 @@ class TestEnumerationEngines:
     @pytest.mark.parametrize("K", [1, 2, 5])
     def test_leaves_no_reference_cycle(self, K):
         # Garbage kept for the collector would hold the call's buffers past
-        # its return, and peak memory would grow from call to call.
+        # its return, and peak memory would grow from call to call. Pinned
+        # calls (K >= 2) carry more buffers and a generator of leaf pieces.
         stats = random_stats(12, d=4)
+        targets = [None] + [np.array([0.5, -0.2, 0.0, 0.1])] * (K >= 2)
         gc.collect()
         gc.disable()
         try:
-            _enum_free_fast(stats, np.zeros(4), K, np.ones((3, K)))
-            assert gc.collect() == 0
+            for target in targets:
+                _enum_fast(stats, np.zeros(4), K, np.ones((3, K)), target)
+                assert gc.collect() == 0
         finally:
             gc.enable()
 
@@ -363,9 +367,109 @@ class TestEnumerationEngines:
         base = LinearModel.zeros(names)
         alphas = np.array([[1.0, 1.0, 1.0, 1.0], [0.2, 0.5, 1.0, 2.0], [3.0, 1.0, 0.5, 0.1]])
         monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", 1)
-        _, ivs, _ = _enum_free_fast(stats, base.coefficients, K, alphas)
+        _, ivs, _ = _enum_fast(stats, base.coefficients, K, alphas)
         for a, iv in zip(alphas, ivs):
             assert np.array_equal(iv, _enum_direct(stats, base, K, a)[1])
+
+    def test_pinned_matches_direct_oracle(self, monkeypatch):
+        # Pinned rows of the recursion must pick _enum_direct's pattern, with
+        # its objective to 1e-12: d 1-6, K from the target's complexity (at
+        # least 2) to two more, targets that keep some base coordinates,
+        # several weight rows per call, and random block and piece sizes.
+        rng = np.random.default_rng(21)
+        checked = 0
+        for seed in range(90):
+            d = int(rng.integers(1, 7))
+            stats = random_stats(seed + 600, d=d)
+            names = stats.feature_names
+            base = rng.standard_normal(d) * 0.5 * (seed % 2)
+            target = base.copy()
+            moved = rng.choice(d, int(rng.integers(1, d + 1)), replace=False)
+            target[moved] += rng.standard_normal(moved.size)
+            K = max(2, moved.size) + int(rng.integers(0, 3))
+            alphas = rng.uniform(0.1, 2.0, size=(int(rng.integers(1, 4)), K))
+            block = int(rng.choice([1, 5, 64, 50_000]))
+            piece = int(rng.choice([1, 100, 200_000]))
+            monkeypatch.setattr(optimizers, "_BLOCK_ROW_NODES", int(rng.choice([1, 64])))
+            if d**K > 50_000:
+                continue
+            # Small blocks and pieces make many short passes: keep them to small trees.
+            small = d**K <= 2_000
+            monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", block if small else 50_000)
+            monkeypatch.setattr(optimizers, "_PIECE_ENTRIES", piece if small else 200_000)
+            values, ivs, broken = _enum_fast(stats, base, K, alphas, target)
+            assert not broken.any(), (d, K)
+            for value, iv, alpha in zip(values, ivs, alphas):
+                expected, iv_direct, _ = _enum_direct(stats, LinearModel(base, names), K, alpha,
+                                                      LinearModel(target, names))
+                assert np.array_equal(iv, iv_direct), (d, K)
+                assert value == pytest.approx(expected, rel=1e-12, abs=1e-12), (d, K)
+                checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("tilt", [0.0, 1e-14], ids=["exact", "near"])
+    @pytest.mark.parametrize("block", [1, 50_000])
+    @pytest.mark.parametrize("d,K", [(3, 3), (3, 5), (4, 5)])
+    def test_pinned_ties_resolve_as_direct(self, monkeypatch, block, d, K, tilt):
+        # With G = I and the target at equal coefficients, relabeling the
+        # coordinates maps each pattern to one with the same objective, so
+        # the pinned optimum ties with later patterns, within a piece of
+        # leaves and across chunks and pieces (block 1 makes one parent per
+        # chunk and one leaf per piece). Tilting the cross moments (and the
+        # target, their least-squares fit) splits those ties by about 1e-14,
+        # far less than _TIE_RTOL: a later pattern is lower but still a tie,
+        # and the first one must win, as in _enum_direct.
+        names = tuple(f"x{i}" for i in range(d))
+        cross = np.full(d, 0.5) + tilt * np.arange(d)
+        stats = stats_from_moments(np.eye(d), cross, 2.0, names)
+        base = LinearModel.zeros(names)
+        target = LinearModel(cross, names)
+        alpha = as_weights(np.ones(K), K)
+        monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", block)
+        monkeypatch.setattr(optimizers, "_PIECE_ENTRIES", block)
+        _, (iv,), (broken,) = _enum_fast(stats, base.coefficients, K, alpha[None],
+                                         target.coefficients)
+        _, iv_direct, _ = _enum_direct(stats, base, K, alpha, target)
+        assert not broken
+        assert np.array_equal(iv, iv_direct)
+        relabeled = (iv + 1) % d
+        assert relabeled.tolist() > iv.tolist()
+        assert solve_fixed_endpoint(stats, base, relabeled, alpha, target)[1] == pytest.approx(
+            solve_fixed_endpoint(stats, base, iv, alpha, target)[1], rel=1e-12
+        )
+
+    def test_pinned_breakdown_falls_back_to_direct(self):
+        # A 1e-12 weight at step K-2 makes the last pivot of every pattern
+        # that repeats its last coordinate vanish, reaching ones included.
+        stats = random_stats(7, d=3)
+        base = LinearModel.zeros(stats.feature_names)
+        target = ols(stats)
+        schedule = WeightSchedule.explicit([1.0, 1.0, 1e-12, 1.0])
+        alpha = as_weights(schedule, 4)
+        assert _enum_fast(stats, base.coefficients, 4, alpha[None],
+                          target.coefficients)[2].tolist() == [True]
+        path = exact_path(stats, base, OptimizerConfig(K=4, schedule=schedule, endpoint=target))
+        _, iv, delta = _enum_direct(stats, base, 4, alpha, target)
+        assert path.steps == path_from_deltas(base, iv, delta).steps
+
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+    def test_overflowing_weights_fall_back_to_direct(self, pinned):
+        # Finite weights near 1e160 overflow the recursion's products to inf
+        # and its pivots to NaN. The row must be marked broken, without a
+        # warning, and exact_path must return _enum_direct's path.
+        stats = random_stats(1, d=3)
+        base = LinearModel.zeros(stats.feature_names)
+        endpoint = LinearModel(np.array([0.3, -0.2, 0.0]), stats.feature_names) if pinned else None
+        alpha = np.array([1.0, 2.0, 0.5]) * 1e160
+        cfg = OptimizerConfig(K=3, schedule=WeightSchedule.explicit(alpha), endpoint=endpoint)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, broken = _enum_fast(stats, base.coefficients, 3, alpha[None],
+                                      None if endpoint is None else endpoint.coefficients)
+            path = exact_path(stats, base, cfg)
+        _, iv, delta = _enum_direct(stats, base, 3, alpha, endpoint)
+        assert broken.tolist() == [True]
+        assert path.steps == path_from_deltas(base, iv, delta).steps
 
     def test_zero_weight_schedule_uses_direct_engine(self, toy_stats, toy_zero):
         # alpha with zeros makes the system singular; exact_path must still work.
