@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time pathlens layer by layer and write the medians to BENCH_<topic>.json.
 
-Five topics, chosen with --topic; each number is the median over REPEATS
+Six topics, chosen with --topic; each number is the median over REPEATS
 runs, and the result goes to BENCH_<topic>.json in the current directory.
 
 ingestion (the default): load_csv, standardize and compute_stats on seeded
@@ -11,9 +11,10 @@ whitespace-only last line).
 
 tradeoff: sweep on a seeded instance (d = 6, n = 100) with K_max = 6 over
 the default 61-value lambda grid, gamma = 1, one worker, also per
-(lambda, K) solve; and the exact search's fast kernel (_enum_free_fast)
-with one weight row of unit weights at d = 6, K = 10 (60.5M patterns), in
-patterns per second. --K-max and --K shrink both for a quick run.
+(lambda, K) solve; and the exact search's fast kernel (_enum_fast, recorded
+under its earlier name _enum_free_fast) with one weight row of unit weights
+at d = 6, K = 10 (60.5M patterns), in patterns per second. --K-max and --K
+shrink both for a quick run.
 
 local: local_improvement, q = 2 under unit weights, on seeded instances
 (n = 100): pinned to the least-squares fit at d = 5, K = 6, T = 100 (as
@@ -40,6 +41,18 @@ runs it) and 7. Each row records the path's loss and steps; with --before
 the script refuses to write if either differs from the earlier run's. --K
 and --K-max shrink the two for a quick run.
 
+direct: the searches around the general enumerator _enum_direct, all
+with a free endpoint, on seeded instances (n = 100, 5 runs each): a
+near-collinear d = 6 instance (the last feature repeats the first up to
+1e-7 noise, gram condition number 3.5e14) at K = 7 under geometric(1)
+weights, which the factor recursion serves; unit-step exact_path at d = 4,
+K = 5 and 6, each also with the tracemalloc peak of one run; and
+_enum_direct itself on a zero-weight schedule (0, 1, 1, ...) at d = 5, K = 7.
+Each row records the path's loss and steps; with --before the script
+refuses to write if either differs from the earlier run's. --K (default 7)
+shrinks the first and last rows, --K-max (default 6) the longer unit row,
+for a quick run.
+
 BLAS threads are left as the environment sets them (the machine record
 notes OPENBLAS_NUM_THREADS); set it to 1 for numbers comparable with the
 benchmark in bench/, which pins it.
@@ -53,7 +66,6 @@ code, which keeps the first run's numbers as "before":
 """
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -61,6 +73,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -83,9 +96,6 @@ from pathlens import (
 )
 from pathlens import optimizers
 from pathlens.inner import path_from_deltas
-
-# The exact search's fast kernel was _enum_free_fast before it served pinned endpoints.
-_enum_fast = getattr(optimizers, "_enum_fast", None) or optimizers._enum_free_fast
 
 # (columns, text after the last row). numpy's reader rejects a
 # whitespace-only line, so load_csv parses that file with its row loop.
@@ -163,10 +173,13 @@ def ingestion(args) -> list:
     return instances
 
 
-def tradeoff_stats(d: int, n: int = 100, seed: int = SEED):
-    """Standardized moments of seeded correlated data."""
+def tradeoff_stats(d: int, n: int = 100, seed: int = SEED, noise: float | None = None):
+    """Standardized moments of seeded correlated data; with `noise`, the last
+    feature repeats the first up to that much standard normal noise."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d)) @ (np.eye(d) + 0.3 * rng.standard_normal((d, d)))
+    if noise is not None:
+        X[:, -1] = X[:, 0] + noise * rng.standard_normal(n)
     beta = rng.standard_normal(d)
     y = X @ beta + rng.standard_normal(n) * 0.5 * np.std(X @ beta)
     X = (X - X.mean(axis=0)) / X.std(axis=0)
@@ -182,21 +195,19 @@ def tradeoff(args) -> list:
     grid = default_lambda_grid()
     sweep_s = median_seconds(
         lambda: sweep(stats, base, schedule, grid, args.K_max, workers=1))
-    alpha = np.ones(args.K)
-    # Before it took weight rows, the kernel took one weight vector.
-    if "alphas" in inspect.signature(_enum_fast).parameters:
-        alpha = alpha[None]
+    alpha = np.ones((1, args.K))
     kernel_s = median_seconds(
-        lambda: _enum_fast(stats, np.zeros(d), args.K, alpha))
+        lambda: optimizers._enum_fast(stats, np.zeros(d), args.K, alpha))
     solves = len(grid) * args.K_max
     print(f"sweep, d={d}, K_max={args.K_max}, {len(grid)} lambdas, 1 worker: {sweep_s:.4f} s, "
           f"{sweep_s / solves * 1e3:.3f} ms per (lambda, K)")
-    print(f"_enum_free_fast, d={d}, K={args.K}, one row: {kernel_s:.4f} s, "
+    print(f"_enum_fast, d={d}, K={args.K}, one row: {kernel_s:.4f} s, "
           f"{d**args.K / kernel_s / 1e6:.1f}M patterns/s")
     return [
         {"instance": {"layer": "sweep", "seed": SEED, "n": 100, "d": d, "K_max": args.K_max,
                       "lambdas": len(grid), "workers": 1, "schedule": schedule.describe()},
          "median_s": sweep_s, "per_solve_s": sweep_s / solves},
+        # The kernel's name when this row was first recorded; --before matches on it.
         {"instance": {"layer": "_enum_free_fast", "seed": SEED, "n": 100, "d": d, "K": args.K,
                       "rows": 1, "schedule": "unit weights"},
          "median_s": kernel_s, "patterns_per_s": d**args.K / kernel_s},
@@ -323,6 +334,54 @@ def pinned(args) -> list:
     return instances
 
 
+DIRECT_REPEATS = 5  # unit K=6 takes ~2.5 s per run, the near-collinear row ~0.75 s via _enum_direct
+
+
+def direct(args) -> list:
+    instances = []
+
+    def record(layer, stats, run, schedule, peak=False, **extra):
+        path = run()
+        instances.append({
+            "instance": {"layer": layer, "seed": SEED, "n": 100, "d": stats.d, "endpoint": "free",
+                         "schedule": schedule.describe(), **extra},
+            "median_s": median_seconds(run, DIRECT_REPEATS),
+            "runs": DIRECT_REPEATS,
+            "loss": weighted_loss(stats, path, schedule),
+            "steps": [[i, v] for i, v in path.steps],
+        })
+        if peak:
+            tracemalloc.start()
+            run()
+            instances[-1]["peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+            tracemalloc.stop()
+        print(f"{describe('direct', instances[-1])}: {instances[-1]['median_s'] * 1e3:.2f} ms"
+              + (f", tracemalloc peak {instances[-1]['peak_mb']:.1f} MB" if peak else ""))
+
+    schedule = WeightSchedule.geometric(1.0)
+    stats = tradeoff_stats(6, noise=1e-7)
+    base = LinearModel.zeros(stats.feature_names)
+    cfg = OptimizerConfig(K=args.K, schedule=schedule)
+    record("exact_path", stats, lambda: exact_path(stats, base, cfg), schedule, K=args.K,
+           noise=1e-7)
+    stats = tradeoff_stats(4)
+    base = LinearModel.zeros(stats.feature_names)
+    for K in (args.K_max - 1, args.K_max):
+        cfg = OptimizerConfig(K=K, schedule=schedule, step_mode="unit")
+        record("exact_path", stats, lambda: exact_path(stats, base, cfg), schedule, peak=True,
+               K=K, step_mode="unit")
+    stats = tradeoff_stats(5)
+    base = LinearModel.zeros(stats.feature_names)
+    schedule = WeightSchedule.explicit([0.0] + [1.0] * (args.K - 1))
+
+    def zero_weight():
+        _, iv, delta = optimizers._enum_direct(stats, base, args.K, schedule.weights(args.K))
+        return path_from_deltas(base, iv, delta)
+
+    record("_enum_direct", stats, zero_weight, schedule, K=args.K)
+    return instances
+
+
 def instance_key(topic: str, instance: dict):
     if topic == "ingestion":
         return instance["rows"], instance["cols"], instance.get("tail", ""), instance["seed"]
@@ -341,26 +400,31 @@ def describe(topic: str, instance: dict) -> str:
     if topic == "pinned":
         length = f"K={inst['K']}" if "K" in inst else f"K_max={inst['K_max']}"
         return f"{inst['layer']}, d={inst['d']}, {length}, endpoint {inst['endpoint']}"
+    if topic == "direct":
+        kind = (f"noise {inst['noise']:g}" if "noise" in inst
+                else inst.get("step_mode", f"weights {inst['schedule']}"))
+        return f"{inst['layer']}, d={inst['d']}, K={inst['K']}, {kind}"
     return inst["layer"]
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--topic", choices=("ingestion", "tradeoff", "local", "heuristic", "pinned"),
-                    default="ingestion")
+    ap.add_argument("--topic", default="ingestion",
+                    choices=("ingestion", "tradeoff", "local", "heuristic", "pinned", "direct"))
     ap.add_argument("--rows", type=int, default=100_000,
                     help="ingestion: CSV rows (default 100000)")
     ap.add_argument("--K-max", type=int, default=6,
-                    help="tradeoff: sweep K_max; pinned: the first best_explanation K_max "
-                         "(default 6)")
+                    help="tradeoff: sweep K_max; pinned: the first best_explanation K_max; "
+                         "direct: the longer unit-step length (default 6)")
     ap.add_argument("--K", type=int,
                     help="tradeoff: kernel path length; heuristic: path length (default 10); "
-                         "pinned: exact_path length (default 8)")
+                         "pinned: exact_path length (default 8); direct: the continuous "
+                         "rows' length (default 7)")
     ap.add_argument("--before", help="an earlier output of this script, kept as 'before'")
     args = ap.parse_args(argv)
     if args.K is None:
-        args.K = 8 if args.topic == "pinned" else 10
+        args.K = {"pinned": 8, "direct": 7}.get(args.topic, 10)
     if args.rows < 2:
         ap.error("--rows must be at least 2")
     if args.K < 1 or args.K_max < 1:
@@ -371,9 +435,11 @@ def main(argv=None) -> int:
         # The least-squares fits change every coordinate.
         ap.error(f"--K must be at least {PINNED_D} and --K-max at least {BEST_D} "
                  "for the pinned topic")
+    if args.topic == "direct" and args.K_max < 2:
+        ap.error("--K-max must be at least 2 for the direct topic")
 
     topics = {"ingestion": ingestion, "tradeoff": tradeoff, "local": local, "heuristic": heuristic,
-              "pinned": pinned}
+              "pinned": pinned, "direct": direct}
     instances = topics[args.topic](args)
     report = {"topic": args.topic, "machine": machine(), "repeats": REPEATS,
               "instances": instances}

@@ -3,39 +3,40 @@
 exact_path enumerates every index vector in {0..d-1}^K and solves the inner
 quadratic exactly for each, so it is globally optimal for the configured
 objective. Two exhaustive enumerators do the work. Continuous steps with
-positive weights and a positive-definite gram run through an incremental
-Cholesky recursion (_enum_fast), with a free endpoint or, from K = 2 on, a
-pinned one: the inner system's factor for a pattern extends the factor of
-its prefix, and the recursion only ever needs the fixed-size summaries
-Q = B'B, u = B'y, ssq = ||y||^2 per tree node (B = L^{-1} G[pattern, :]),
-so a level grows as flat array operations. A free leaf scores top - ssq.
-A pinned endpoint adds the constraints C delta = target - base, C the
-pattern's coordinate-incidence matrix; with E = L^{-1} C', its nodes also
-carry R = B'E, M = E'E and v = E'y, grown by the same rank-one terms, and
-a leaf that touches every coordinate where target and base differ scores
-top - ssq + z'M~^-1 z (z = v - (target - base), M~ = M with a 1 on the
-diagonal of each untouched coordinate), eliminated for the reaching leaves
-only. The tree is walked depth-first in one recursion: it grows at
-most a chunk of parent nodes by one level, about _BLOCK_LEAVES leaves'
-worth, so the temporaries stay in cache, and descends into the children
-before it grows the next chunk; the fused last two steps score the leaves.
-Every objective and every breakdown is computed with the same operations
-whatever the chunk size is. Free rows keep the running best with a strict
-<, so exact ties resolve to the lexicographically first pattern; pinned
-rows rank as _enum_direct does (below).
-The recursion takes a stack of weight rows and carries them on a leading
-array axis, so one pass serves many schedules of the same length (the
-tradeoff sweep's grid, see exact_paths); each row's objectives are
-bitwise those of a pass of its own. Rows whose factorization breaks down
-are marked, and fall back to the other enumerator. The winning pattern's
+positive weights run through an incremental Cholesky recursion (_enum_fast),
+with a free endpoint or, from K = 2 on, a pinned one: the inner system's
+factor for a pattern extends the factor of its prefix, and the recursion
+only ever needs the fixed-size summaries Q = B'B, u = B'y, ssq = ||y||^2
+per tree node (B = L^{-1} G[pattern, :]), so a level grows as flat array
+operations. A free leaf scores top - ssq. A pinned endpoint adds the
+constraints C delta = target - base, C the pattern's coordinate-incidence
+matrix; with E = L^{-1} C', its nodes also carry R = B'E, M = E'E and
+v = E'y, grown by the same rank-one terms, and a leaf that touches every
+coordinate where target and base differ scores top - ssq + z'M~^-1 z
+(z = v - (target - base), M~ = M with a 1 on the diagonal of each
+untouched coordinate), eliminated for the reaching leaves only. The tree
+is walked depth-first in one recursion: it grows at most a chunk of parent
+nodes by one level, about _BLOCK_LEAVES leaves' worth, so the temporaries
+stay in cache, and descends into the children before it grows the next
+chunk; the fused last two steps score the leaves. Every objective and
+every breakdown is computed with the same operations whatever the chunk
+size is. The recursion carries a stack of weight rows on a leading array
+axis, so one pass serves many schedules of the same length (the tradeoff
+sweep's grid, see exact_paths); each row's objectives are bitwise those of
+a pass of its own. With positive weights a pattern's inner matrix, entry
+(j, l) min(w_j, w_l) G[i_j, i_l], is positive definite (Schur product
+theorem) whenever diag(G) > 0, singular grams included, so one fallback
+rule serves: only the rows whose factorization breaks down in floating
+point are marked, and go to the other enumerator. The winning pattern's
 step sizes come from the inner solver, so a path depends on the pattern
-only.
-Every other case, zero weights, singular grams, unit steps and pinned K = 1
-included, runs through one chunked enumerator (_enum_direct) that ranks
-candidates by their attained objective: continuous steps by batched inner
-solves (inner.solve_patterns), unit steps with no solve. There, objectives
-within 1e-12 (relative) are ties. Candidates sharing an optimal objective
-resolve to the lexicographically smallest pattern.
+only. Zero weights, unit steps and pinned K = 1 run through one chunked
+enumerator (_enum_direct) that ranks candidates by their attained
+objective: continuous steps by batched inner solves (inner.solve_patterns),
+unit steps with no solve.
+Both enumerators rank by one tie rule: objectives within 1e-12 (relative)
+are ties, and a chunk's first candidate tied with its minimum replaces the
+incumbent only if it beats it by more than that. So candidates sharing an
+optimal objective resolve to the lexicographically smallest pattern.
 
 local_improvement is a batch-q local search warm-started from the greedy
 pattern: each iteration redraws q random step positions and exhaustively
@@ -371,10 +372,9 @@ def _enum_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np.ndar
     arithmetic. One depth-first recursion grows `per` parent nodes at a time
     by one level and descends into their children before the next chunk;
     every node grows once by the same operations, so no result depends on
-    the chunk sizes. Free rows keep each chunk's minimum with a strict <;
-    pinned rows keep the first leaf within _TIE_RTOL of a piece's minimum
-    when it beats the incumbent by more than that (_keep_best's rule), as
-    _enum_direct ranks its candidates.
+    the chunk sizes. Free and pinned rows alike keep the first leaf within
+    _TIE_RTOL of a piece's minimum when it beats the incumbent by more than
+    that (_keep_best's rule), as _enum_direct ranks its candidates.
     """
     G = stats.gram
     d = stats.d
@@ -413,6 +413,18 @@ def _enum_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np.ndar
     best_val = np.full(L, math.inf)
     best = np.zeros(L, dtype=np.int64)  # lexicographic index of each row's best pattern
 
+    def keep(vals, lexicographic, index):
+        # vals (L, P): a piece of leaves; lexicographic: a view (L, ...) listing each
+        # row's in lexicographic order, the i-th being pattern index(i). Only rows whose
+        # minimum beats the incumbent are put in order, to apply _keep_best's rule.
+        rows = np.flatnonzero(_beats(vals.min(axis=1), best_val))
+        if rows.size:
+            leaves = lexicographic[rows].reshape(rows.size, -1)
+            i = _first_tie(leaves)
+            tied = leaves[np.arange(rows.size), i]
+            win = _beats(tied, best_val[rows])
+            best_val[rows[win]], best[rows[win]] = tied[win], index(i[win])
+
     def descend(m, nodes, first, node_axes=(1,)):
         # The level-m nodes, the first at lexicographic index `first`.
         if m == stop and target is not None:
@@ -420,21 +432,15 @@ def _enum_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np.ndar
             prefix = _patterns(first + np.arange(order.size), d, m)
             for vals, rank in _pinned_leaves(nodes, order, prefix, G, gd, r, w[:, K - 2, None],
                                              w[:, K - 1, None], top[:, None], e, broken):
-                i = _first_tie(vals)
-                tied = vals[np.arange(L), i]
-                for j in np.flatnonzero(_beats(tied, best_val)):
-                    best_val[j] = tied[j]
-                    best[j] = first * d * d + rank[i[j]]
+                keep(vals, vals, lambda i: first * d * d + rank[i])
             return
         if m == stop:  # score their leaves; node_axes makes the transpose lexicographic
             vals = (_fused_leaves(*nodes, G, gd, r, wb[:, K - 2], wb[:, K - 1], top, broken,
                                   (buf(1, nodes[0].shape), buf(2, nodes[0].shape))) if fuse
                     else top[:, None] - nodes[2])
-            low = vals.reshape(L, -1).min(axis=1)
-            for j in np.flatnonzero(low < best_val):
-                best_val[j] = low[j]
-                leaves = vals[j].reshape(-1, *node_axes).T
-                best[j] = first * d ** (K - m) + int(np.argmin(leaves))
+            lexicographic = vals.reshape(L, -1, *node_axes).transpose(
+                0, *range(len(node_axes) + 1, 0, -1))
+            keep(vals.reshape(L, -1), lexicographic, lambda i: first * d ** (K - m) + i)
             return
         N = nodes[2].shape[1]
         for p0 in range(0, N, per):
@@ -489,20 +495,21 @@ def _enum_direct(stats: SufficientStats, base: LinearModel, K: int, alpha: np.nd
     """Chunked exhaustive search of every pattern, free or pinned to `endpoint`.
 
     Continuous steps solve each pattern's inner problem in batches, which
-    handles zero weights and singular grams. Unit steps change one
-    coefficient by -1, 0 or +1: each pattern is paired with all 3^K sign
-    vectors and scored with no solve, and a pinned candidate that misses the
-    target scores +inf. Candidates are ranked by their attained objective;
-    returns (objective, iv, delta) of the lexicographically first best one.
+    handles zero weights and the rows _enum_fast marks broken. Unit steps
+    change one coefficient by -1, 0 or +1: each pattern is paired with all
+    3^K sign vectors and scored with no solve, and a pinned candidate that
+    misses the target scores +inf. Either way a chunk holds about as many
+    candidates as _CHUNK_ENTRIES allows. Candidates are ranked by their
+    attained objective (_keep_best); returns (objective, iv, delta) of the
+    lexicographically first best one.
     """
     if endpoint is not None:
         _check_reachable(base, endpoint, K)
     target = None if endpoint is None else endpoint.coefficients
-    if unit:
+    chunk = max(256, _CHUNK_ENTRIES // (K * K))  # candidates per chunk
+    if unit:  # as whole patterns, each paired with every sign vector
         signs = np.asarray(list(itertools.product((-1.0, 0.0, 1.0), repeat=K)))
-        chunk = max(1, 200_000 // len(signs))
-    else:
-        chunk = max(256, _CHUNK_ENTRIES // (K * K))
+        chunk = max(1, chunk // len(signs))
     best = (math.inf, None, None)
     for ivs in _iv_chunks(stats.d, K, chunk):
         if unit:
@@ -571,12 +578,13 @@ def exact_paths(stats: SufficientStats, base: LinearModel, alphas: np.ndarray,
     """exact_path with continuous steps, free or pinned to `endpoint`, under
     each row of a stack of weight rows alphas (L, K), K >= 1, as its schedule.
 
-    Rows with strictly positive weights on a positive-definite gram share
-    one _enum_fast pass (pinned ones need K >= 2); the free rows' chosen
-    patterns share one batched solve, and each pinned row's pattern is
-    solved by solve_patterns, as _enum_direct solves it. Every path is
-    bitwise the one a one-row call returns. Other rows, and the rows that
-    pass marks as broken, run _enum_direct one at a time.
+    Rows with strictly positive weights share one _enum_fast pass (pinned
+    ones need K >= 2), whatever the gram; the free rows' chosen patterns
+    share one batched solve, and each pinned row's pattern is solved by
+    solve_patterns, as _enum_direct solves it. Every path is bitwise the one
+    a one-row call returns. The rows that pass marks as broken run
+    _enum_direct one at a time, and so do rows with a zero weight, which
+    would break down anyway.
     """
     K = alphas.shape[1]
     _check_budget(stats.d**K, budget)
@@ -586,13 +594,10 @@ def exact_paths(stats: SufficientStats, base: LinearModel, alphas: np.ndarray,
         _check_reachable(base, endpoint, K)
         target = endpoint.coefficients
     paths = [None] * alphas.shape[0]
+    # A shortcut: a zero weight makes some inner matrix singular, so the row would break.
     rows = np.flatnonzero(np.all(alphas > 0, axis=1))
     if target is not None and K < 2:
         rows = rows[:0]
-    if rows.size:
-        eigs = np.linalg.eigvalsh(stats.gram)
-        if not eigs[0] > 1e-10 * max(eigs[-1], 0.0):
-            rows = rows[:0]
     if rows.size:
         _, ivs, broken = _enum_fast(stats, base.coefficients, K, alphas[rows], target)
         rows, ivs = rows[~broken], ivs[~broken]

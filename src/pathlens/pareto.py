@@ -21,7 +21,6 @@ the one-value case of the same grid solver.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -137,16 +136,16 @@ def _drop_dominated(points: list[ParetoPoint]) -> list[ParetoPoint]:
 
 def sweep(stats: SufficientStats, base: LinearModel, schedule: WeightSchedule,
           lambda_grid, K_max: int, solver: str = "exact",
-          cfg: OptimizerConfig | None = None, workers: int | None = None) -> FrontReport:
+          cfg: OptimizerConfig | None = None, workers: int = 1) -> FrontReport:
     """Trace the front by solving the tradeoff at every grid value.
 
     The exact solver makes one batched enumeration per K for all grid values
     (see the module docstring). Duplicate models across lambdas are merged
     keeping the smallest lambda; dominated points are dropped; points are
-    sorted by interp_loss. `workers` (default: the PATHLENS_THREADS env var,
-    else 1) splits the sorted grid into that many contiguous chunks, each
-    solved by one batched call in its own thread; results are merged in grid
-    order, so the report is identical for any number of workers.
+    sorted by interp_loss. `workers` splits the sorted grid into that many
+    contiguous chunks, each solved by one batched call in its own thread;
+    results are merged in grid order, so the report is identical for any
+    number of workers.
     """
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.ndim != 1 or grid.shape[0] == 0:
@@ -154,12 +153,6 @@ def sweep(stats: SufficientStats, base: LinearModel, schedule: WeightSchedule,
     if not np.all((grid >= 0) & (grid < np.inf)):
         raise InputError("lambda grid values must be finite and >= 0")
     grid = np.sort(grid)
-    if workers is None:
-        raw = os.environ.get("PATHLENS_THREADS", "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise InputError(f"PATHLENS_THREADS must be an integer, got {raw!r}") from None
     workers = max(1, min(workers, grid.shape[0]))
 
     def solve_chunk(lams):

@@ -19,7 +19,6 @@ enumerates once per length.
 import csv
 import itertools
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -346,7 +345,7 @@ def per_lambda_solve_tradeoff(stats, base, schedule, lam, K_max, solver="exact",
 
 
 def per_lambda_sweep(stats, base, schedule, lambda_grid, K_max, solver="exact", cfg=None,
-                     workers=None):
+                     workers=1):
     """pareto.sweep with per_lambda_solve_tradeoff at each grid value, in
     threads over the values."""
     grid = np.asarray(lambda_grid, dtype=float)
@@ -355,12 +354,6 @@ def per_lambda_sweep(stats, base, schedule, lambda_grid, K_max, solver="exact", 
     if np.any(grid < 0):
         raise InputError("lambda grid values must be >= 0")
     grid = np.sort(grid)
-    if workers is None:
-        raw = os.environ.get("PATHLENS_THREADS", "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise InputError(f"PATHLENS_THREADS must be an integer, got {raw!r}") from None
     workers = max(1, min(workers, grid.shape[0]))
 
     def solve_one(lam):

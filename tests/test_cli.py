@@ -356,20 +356,6 @@ class TestFormatting:
         assert code == 0
         assert "x1" in out
 
-    def test_threads_env_var(self, capsys, toy_moments, monkeypatch):
-        argv = ["pareto", "--moments", toy_moments, "--K", "2"]
-        code1, out1, _ = run(capsys, *argv)
-        monkeypatch.setenv("PATHLENS_THREADS", "3")
-        code2, out2, _ = run(capsys, *argv)
-        assert code1 == code2 == 0
-        assert out1 == out2
-
-    def test_bad_threads_env_var_exits_2(self, capsys, toy_moments, monkeypatch):
-        monkeypatch.setenv("PATHLENS_THREADS", "two")
-        code, _, err = run(capsys, "pareto", "--moments", toy_moments, "--K", "2")
-        assert code == 2
-        assert "PATHLENS_THREADS" in err
-
 
 class TestExpectedCost:
     def test_uniform_two(self, capsys, toy_moments):

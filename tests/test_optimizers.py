@@ -1,18 +1,22 @@
 import gc
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from pathlens import (
     BudgetError,
+    Dataset,
     InfeasibleError,
     InputError,
     LinearModel,
     OptimizerConfig,
     WeightSchedule,
     best_explanation,
+    compute_stats,
     cost,
     cost_sequence,
     direct_path,
@@ -20,6 +24,7 @@ from pathlens import (
     greedy_path,
     local_improvement,
     materialize,
+    model_complexity,
     ols,
     solve_fixed_endpoint,
     solve_free,
@@ -29,7 +34,7 @@ from pathlens import (
 from pathlens import optimizers
 from pathlens.optimizers import _enum_direct, _enum_fast, _iv_chunks
 from pathlens.inner import as_weights, path_from_deltas
-from conftest import TOY_OLS, collinear_stats, random_stats
+from conftest import TOY_OLS, collinear_stats, random_dataset, random_stats
 from oracles import (
     PivotBreakdown,
     batch_objectives,
@@ -477,11 +482,72 @@ class TestEnumerationEngines:
         path = exact_path(toy_stats, toy_zero, cfg)
         assert cost(toy_stats, path.final) <= cost(toy_stats, ols(toy_stats)) + 1e-8
 
+    @given(kind=st.sampled_from(["random", "tilted", "collinear"]), d=st.integers(1, 4),
+           K=st.integers(1, 4), seed=st.integers(0, 999), pinned=st.booleans(),
+           correlated=st.booleans(), tilt=st.sampled_from([1e-16, 1e-15, 1e-14, 1e-13]),
+           noise=st.sampled_from([0.0, 1e-9, 1e-7]),
+           weights=st.lists(st.floats(0.1, 2.0), min_size=4, max_size=4))
+    def test_paths_do_not_depend_on_the_engine(self, kind, d, K, seed, pinned, correlated,
+                                                tilt, noise, weights):
+        # Whichever enumerator runs, exact_path must return _enum_direct's
+        # path, on near-ties and on singular or near-singular grams too. The
+        # tilted grams are I or I + 0.3 off the diagonal, with cross moments
+        # 1 + k * tilt: relabeling coordinates maps each pattern to one within
+        # about tilt (relative), far inside the tie tolerance.
+        if kind == "random":
+            stats = random_stats(seed, d=d)
+        elif kind == "tilted":
+            gram = np.eye(d) + 0.3 * correlated * (1 - np.eye(d))
+            stats = stats_from_moments(gram, 1 + tilt * np.arange(d), 2.0 * d,
+                                       tuple(f"x{i}" for i in range(d)))
+        else:
+            assume(d >= 2)
+            stats = collinear_stats(seed, d=d, noise=noise)
+        base = LinearModel.zeros(stats.feature_names)
+        endpoint = ols(stats) if pinned else None
+        assume(not pinned or model_complexity(base, endpoint) <= K)
+        schedule = WeightSchedule.explicit(weights[:K])
+        path = exact_path(stats, base, OptimizerConfig(K=K, schedule=schedule, endpoint=endpoint))
+        _, iv, delta = _enum_direct(stats, base, K, schedule.weights(K), endpoint)
+        assert path.steps == path_from_deltas(base, iv, delta).steps
+
+    def test_positive_weights_on_singular_gram_use_recursion(self, monkeypatch):
+        # An exactly repeated feature makes the gram singular, but with
+        # positive weights every pattern's inner matrix stays positive
+        # definite, so the recursion must serve it, free and pinned, with
+        # _enum_direct's path. A zero-variance coordinate (the recursion
+        # marks the row broken) and a zero weight must still fall back.
+        class DirectRan(Exception):
+            pass
+
+        def no_direct(*args, **kwargs):
+            raise DirectRan
+
+        stats = collinear_stats(5, d=3, noise=0.0)
+        assert np.linalg.matrix_rank(stats.gram) == 2
+        base = LinearModel.zeros(stats.feature_names)
+        schedule = WeightSchedule.explicit([1.0, 0.5, 2.0, 1.0])
+        alpha = schedule.weights(4)
+        endpoints = (None, ols(stats))
+        expected = [path_from_deltas(base, *_enum_direct(stats, base, 4, alpha, e)[1:])
+                    for e in endpoints]
+        X, y = random_dataset(5, d=3)
+        X[:, 1] = 0.0
+        flat = compute_stats(Dataset(X, y, stats.feature_names))
+        monkeypatch.setattr(optimizers, "_enum_direct", no_direct)
+        for endpoint, want in zip(endpoints, expected):
+            cfg = OptimizerConfig(K=4, schedule=schedule, endpoint=endpoint)
+            assert exact_path(stats, base, cfg).steps == want.steps
+        for case, sched in ((flat, schedule), (stats, WeightSchedule.explicit([1.0, 0.0, 1.0]))):
+            with pytest.raises(DirectRan):
+                exact_path(case, base, OptimizerConfig(K=3, schedule=sched))
+
 
 @pytest.mark.parametrize("d,K,chunk", [
     (1, 1, 3), (1, 4, 2), (3, 1, 2), (3, 4, 7), (2, 3, 8),
     (6, 6, max(256, optimizers._CHUNK_ENTRIES // 36)),  # _enum_direct's chunk at K=6
-    (4, 6, max(1, 200_000 // 3**6)),  # _enum_direct's unit-step chunk at K=6
+    (4, 6, max(1, 200_000 // 3**6)),  # 4**6 in uneven chunks
+    (4, 6, max(1, optimizers._CHUNK_ENTRIES // 36 // 3**6)),  # _enum_direct's unit chunk at K=6
 ])
 def test_iv_chunks_match_itertools_product(d, K, chunk):
     expected = np.asarray(list(itertools.product(range(d), repeat=K)), dtype=int)
@@ -668,6 +734,21 @@ class TestUnitMode:
         assert obj == pytest.approx(best, abs=1e-9)
         if endpoint is not None:
             assert np.array_equal(path.final.coefficients, endpoint.coefficients)
+
+    def test_chunks_bound_memory(self):
+        # A unit chunk holds about as many candidates as a continuous one,
+        # with their (B, K, K) systems, so a K=5 search (249k candidates)
+        # peaks at a few MB.
+        stats = random_stats(1, d=4)
+        base = LinearModel.zeros(stats.feature_names)
+        cfg = OptimizerConfig(K=5, schedule=GAMMA1, step_mode="unit")
+        tracemalloc.start()
+        try:
+            exact_path(stats, base, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_unit_endpoint(self):
         stats = random_stats(43, d=2)

@@ -19,9 +19,10 @@ ROOT = Path(__file__).resolve().parents[1]
         ["bench.py", "--topic", "local"],
         ["bench.py", "--topic", "heuristic", "--K", "4"],
         ["bench.py", "--topic", "pinned", "--K", "6", "--K-max", "5"],
+        ["bench.py", "--topic", "direct", "--K", "4", "--K-max", "3"],
     ],
     ids=["toy_tradeoff", "bench", "bench_tradeoff", "bench_local", "bench_heuristic",
-         "bench_pinned"],
+         "bench_pinned", "bench_direct"],
 )
 def test_script_runs(argv, tmp_path):
     env = dict(os.environ)
