@@ -41,12 +41,13 @@ runs it) and 7. Each row records the path's loss and steps; with --before
 the script refuses to write if either differs from the earlier run's. --K
 and --K-max shrink the two for a quick run.
 
-direct: the searches around the general enumerator _enum_direct, all
-with a free endpoint, on seeded instances (n = 100, 5 runs each): a
-near-collinear d = 6 instance (the last feature repeats the first up to
-1e-7 noise, gram condition number 3.5e14) at K = 7 under geometric(1)
-weights, which the factor recursion serves; unit-step exact_path at d = 4,
-K = 5 and 6, each also with the tracemalloc peak of one run; and
+direct: the searches that once ran through the general enumerator
+_enum_direct, all with a free endpoint, on seeded instances (n = 100, 5
+runs each): a near-collinear d = 6 instance (the last feature repeats the
+first up to 1e-7 noise, gram condition number 3.5e14) at K = 7 under
+geometric(1) weights, which the factor recursion serves; unit-step
+exact_path at d = 4, K = 5 and 6, which the dynamic program over lattice
+states serves, each also with the tracemalloc peak of one run; and
 _enum_direct itself on a zero-weight schedule (0, 1, 1, ...) at d = 5, K = 7.
 Each row records the path's loss and steps; with --before the script
 refuses to write if either differs from the earlier run's. --K (default 7)
@@ -334,7 +335,7 @@ def pinned(args) -> list:
     return instances
 
 
-DIRECT_REPEATS = 5  # unit K=6 takes ~2.5 s per run, the near-collinear row ~0.75 s via _enum_direct
+DIRECT_REPEATS = 5  # the zero-weight _enum_direct row takes ~0.45 s per run, the others ms
 
 
 def direct(args) -> list:

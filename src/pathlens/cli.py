@@ -75,6 +75,9 @@ def load_stats(args):
             payload = json.loads(read_text(args.moments))
         except json.JSONDecodeError as exc:
             raise InputError(f"{args.moments}: invalid JSON ({exc})") from exc
+        if not isinstance(payload, dict):
+            raise InputError(f"{args.moments}: expected a JSON object with 'gram', 'cross' "
+                             "and 'tsm' keys")
         for key in ("gram", "cross", "tsm"):
             if key not in payload:
                 raise InputError(f"{args.moments}: missing '{key}' key")

@@ -1,53 +1,30 @@
 """Outer search over step-coordinate patterns: greedy, direct, exact, local.
 
-exact_path enumerates every index vector in {0..d-1}^K and solves the inner
-quadratic exactly for each, so it is globally optimal for the configured
-objective. Two exhaustive enumerators do the work. Continuous steps with
-positive weights run through an incremental Cholesky recursion (_enum_fast),
-with a free endpoint or, from K = 2 on, a pinned one: the inner system's
-factor for a pattern extends the factor of its prefix, and the recursion
-only ever needs the fixed-size summaries Q = B'B, u = B'y, ssq = ||y||^2
-per tree node (B = L^{-1} G[pattern, :]), so a level grows as flat array
-operations. A free leaf scores top - ssq. A pinned endpoint adds the
-constraints C delta = target - base, C the pattern's coordinate-incidence
-matrix; with E = L^{-1} C', its nodes also carry R = B'E, M = E'E and
-v = E'y, grown by the same rank-one terms, and a leaf that touches every
-coordinate where target and base differ scores top - ssq + z'M~^-1 z
-(z = v - (target - base), M~ = M with a 1 on the diagonal of each
-untouched coordinate), eliminated for the reaching leaves only. The tree
-is walked depth-first in one recursion: it grows at most a chunk of parent
-nodes by one level, about _BLOCK_LEAVES leaves' worth, so the temporaries
-stay in cache, and descends into the children before it grows the next
-chunk; the fused last two steps score the leaves. Every objective and
-every breakdown is computed with the same operations whatever the chunk
-size is. The recursion carries a stack of weight rows on a leading array
-axis, so one pass serves many schedules of the same length (the tradeoff
-sweep's grid, see exact_paths); each row's objectives are bitwise those of
-a pass of its own. With positive weights a pattern's inner matrix, entry
-(j, l) min(w_j, w_l) G[i_j, i_l], is positive definite (Schur product
-theorem) whenever diag(G) > 0, singular grams included, so one fallback
-rule serves: only the rows whose factorization breaks down in floating
-point are marked, and go to the other enumerator. The winning pattern's
-step sizes come from the inner solver, so a path depends on the pattern
-only. Zero weights, unit steps and pinned K = 1 run through one chunked
-enumerator (_enum_direct) that ranks candidates by their attained
-objective: continuous steps by batched inner solves (inner.solve_patterns),
-unit steps with no solve.
-Both enumerators rank by one tie rule: objectives within 1e-12 (relative)
-are ties, and a chunk's first candidate tied with its minimum replaces the
-incumbent only if it beats it by more than that. So candidates sharing an
-optimal objective resolve to the lexicographically smallest pattern.
+exact_path is globally optimal for the configured objective. With continuous
+steps it solves the inner quadratic exactly for every index vector in
+{0..d-1}^K. Positive weights run through an incremental Cholesky recursion
+(_enum_fast), free or, from K = 2 on, pinned: a pattern's factor L extends
+its prefix's, so a tree node carries only fixed-size summaries (Q = B'B,
+u = B'y, ssq = ||y||^2 for B = L^{-1} G[pattern, :], and when pinned R = B'E,
+M = E'E, v = E'y for E = L^{-1} C', C the pattern's coordinate-incidence
+matrix), grown by rank-one terms (_grow). A pattern's inner matrix, entry
+(j, l) min(w_j, w_l) G[i_j, i_l], is then positive definite (Schur product
+theorem) whenever diag(G) > 0, singular grams included, so only the weight
+rows whose factorization breaks down in floating point fall back to
+_enum_direct, batched inner solves (inner.solve_patterns), which also serve
+zero weights and pinned K = 1. Step sizes come from the inner solver, so a
+path depends on its pattern only. Both enumerators rank by one tie rule:
+objectives within 1e-12 (relative) are ties, and a chunk's first candidate
+tied with its minimum replaces the incumbent only if it beats it by more
+than that, so ties resolve to the lexicographically smallest pattern.
+
+Unit steps move one coefficient by -1 or +1, or stay, so every model on the
+path is base + z for an integer z with ||z||_1 <= K: _unit_steps finds the
+shortest path over K layers of that L1 ball by dynamic programming
+(Bellman), breaking ties move by move (the unit tie rule).
 
 local_improvement is a batch-q local search warm-started from the greedy
-pattern: each iteration redraws q random step positions and exhaustively
-rescans all d^q coordinate reassignments, keeping the best (improvements
-accumulate across iterations). Its iterations are scored a window at a
-time, the candidates of several consecutive iterations in one
-solve_patterns call, then replayed in order; an improvement ends the window
-and the iterations after it are scored again against the new incumbent.
-Positions are drawn in iteration order and never depend on results, and
-solve_patterns computes each item on its own, so the path is bitwise that
-of one call per iteration.
+pattern, for instances too large for exact search (see its docstring).
 """
 
 from __future__ import annotations
@@ -61,7 +38,6 @@ import numpy as np
 from .errors import BudgetError, InfeasibleError, InputError
 from .inner import (
     as_weights,
-    attained_objectives,
     build_systems_batch,
     check_base,
     check_endpoint,
@@ -73,7 +49,7 @@ from .inner import (
     tail_weights,
 )
 from .paths import CoordinatePath, WeightSchedule, model_complexity, weighted_loss
-from .regression import LinearModel, SufficientStats, cost_of, ols
+from .regression import LinearModel, SufficientStats, cost_of, cost_of_many, ols
 
 DEFAULT_BUDGET = 10_000_000
 _BLOCK_LEAVES = 50_000  # leaves below one chunk of parent nodes (~400 KB temporaries, fit L2)
@@ -92,9 +68,9 @@ class OptimizerConfig:
     K: path length; schedule: step weights; endpoint: optional target model
     (None = free endpoint); step_mode: "continuous" or "unit" (unit steps
     change one coefficient by exactly +/-1 or leave the model unchanged);
-    q/T/seed drive the local search; budget caps exact enumeration size;
-    patience, if set, stops the local search after that many consecutive
-    non-improving iterations.
+    q/T/seed drive the local search; budget caps the exact search's work (d^K
+    patterns, or unit-mode states times moves); patience, if set, stops the
+    local search after that many consecutive non-improving iterations.
     """
 
     K: int
@@ -188,13 +164,6 @@ def _mark_broken(broken: np.ndarray, piv: np.ndarray, floor: np.ndarray) -> None
     ok = piv > floor  # False for NaN
     if not ok.all():
         broken |= ~ok.reshape(ok.shape[0], -1).all(axis=1)
-
-
-def _candidate_count(d: int, cfg: OptimizerConfig) -> int:
-    n = d**cfg.K
-    if cfg.step_mode == "unit":
-        n *= 3**cfg.K
-    return n
 
 
 def _grow(nodes, G, gd, r, wm, children_q, broken, out):
@@ -372,9 +341,7 @@ def _enum_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np.ndar
     arithmetic. One depth-first recursion grows `per` parent nodes at a time
     by one level and descends into their children before the next chunk;
     every node grows once by the same operations, so no result depends on
-    the chunk sizes. Free and pinned rows alike keep the first leaf within
-    _TIE_RTOL of a piece's minimum when it beats the incumbent by more than
-    that (_keep_best's rule), as _enum_direct ranks its candidates.
+    the chunk sizes. Free and pinned rows alike rank by the tie rule.
     """
     G = stats.gram
     d = stats.d
@@ -416,7 +383,7 @@ def _enum_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np.ndar
     def keep(vals, lexicographic, index):
         # vals (L, P): a piece of leaves; lexicographic: a view (L, ...) listing each
         # row's in lexicographic order, the i-th being pattern index(i). Only rows whose
-        # minimum beats the incumbent are put in order, to apply _keep_best's rule.
+        # minimum beats the incumbent are put in order, to apply the tie rule.
         rows = np.flatnonzero(_beats(vals.min(axis=1), best_val))
         if rows.size:
             leaves = lexicographic[rows].reshape(rows.size, -1)
@@ -481,66 +448,92 @@ def _first_tie(vals: np.ndarray) -> np.ndarray:
     return np.argmax(vals <= low + _TIE_RTOL * abs(low), axis=-1)
 
 
-def _keep_best(best, vals: np.ndarray, ivs: np.ndarray, deltas: np.ndarray):
-    """The incumbent (objective, iv, delta), or the first candidate tied with
-    the chunk's minimum if that beats it."""
-    j = int(_first_tie(vals))
-    if _beats(vals[j], best[0]):
-        return float(vals[j]), ivs[j].copy(), deltas[j].copy()
-    return best
-
-
 def _enum_direct(stats: SufficientStats, base: LinearModel, K: int, alpha: np.ndarray,
-                 endpoint: LinearModel | None = None, unit: bool = False):
-    """Chunked exhaustive search of every pattern, free or pinned to `endpoint`.
-
-    Continuous steps solve each pattern's inner problem in batches, which
-    handles zero weights and the rows _enum_fast marks broken. Unit steps
-    change one coefficient by -1, 0 or +1: each pattern is paired with all
-    3^K sign vectors and scored with no solve, and a pinned candidate that
-    misses the target scores +inf. Either way a chunk holds about as many
-    candidates as _CHUNK_ENTRIES allows. Candidates are ranked by their
-    attained objective (_keep_best); returns (objective, iv, delta) of the
-    lexicographically first best one.
+                 endpoint: LinearModel | None = None):
+    """Chunked exhaustive search of every pattern, free or pinned to `endpoint`,
+    by batched inner solves, which handle zero weights and the rows
+    _enum_fast marks broken. Returns (objective, iv, delta) of the
+    lexicographically first best pattern under the tie rule.
     """
     if endpoint is not None:
         _check_reachable(base, endpoint, K)
     target = None if endpoint is None else endpoint.coefficients
-    chunk = max(256, _CHUNK_ENTRIES // (K * K))  # candidates per chunk
-    if unit:  # as whole patterns, each paired with every sign vector
-        signs = np.asarray(list(itertools.product((-1.0, 0.0, 1.0), repeat=K)))
-        chunk = max(1, chunk // len(signs))
     best = (math.inf, None, None)
-    for ivs in _iv_chunks(stats.d, K, chunk):
-        if unit:
-            deltas = np.tile(signs, (ivs.shape[0], 1))
-            ivs = np.repeat(ivs, len(signs), axis=0)
-            hit = slice(None)
-            if target is not None:
-                finals = np.repeat(base.coefficients[None, :], ivs.shape[0], axis=0)
-                rows = np.arange(ivs.shape[0])
-                for k in range(K):
-                    finals[rows, ivs[:, k]] += deltas[:, k]
-                hit = np.all(np.abs(finals - target[None, :]) <= 1e-9, axis=1)
-            vals = np.full(ivs.shape[0], math.inf)
-            H, b = build_systems_batch(stats, base.coefficients, ivs[hit], alpha)
-            vals[hit] = attained_objectives(stats, base.coefficients, alpha, H, b, deltas[hit])
-        else:
-            deltas, vals = solve_patterns(stats, base.coefficients, ivs, alpha, target)
-        best = _keep_best(best, vals, ivs, deltas)
+    for ivs in _iv_chunks(stats.d, K, max(256, _CHUNK_ENTRIES // (K * K))):
+        deltas, vals = solve_patterns(stats, base.coefficients, ivs, alpha, target)
+        j = int(_first_tie(vals))
+        if _beats(vals[j], best[0]):
+            best = (float(vals[j]), ivs[j].copy(), deltas[j].copy())
     if best[1] is None:
-        kind = "unit-step" if unit else "index"
-        raise InfeasibleError(f"no {kind} pattern of this length reaches the target")
+        raise InfeasibleError("no index pattern of this length reaches the target")
     return best
+
+
+def _unit_steps(stats: SufficientStats, base: LinearModel, K: int, alpha: np.ndarray,
+                budget: int, endpoint: LinearModel | None = None):
+    """The optimal unit-step path, free or pinned to `endpoint`, by dynamic
+    programming over the states base + z, z in the L1 ball of radius K.
+
+    Sorted by norm, the states within k steps of the origin (layer k) come
+    first. A state is found by its lexicographic rank in the ball (values
+    ordered -K..0, then K..1), which cannot overflow. A backward pass gives
+    each state's cost-to-go J_k(z), the minimum over its 2d+1 moves of
+    alpha_{k+1} cost(z') + J_{k+1}(z'), from J_K = 0, or when pinned 0 only
+    within 1e-9 of the target. The forward pass from the origin follows the
+    unit tie rule: each step takes the first move within _TIE_RTOL of the
+    best, in (coordinate, sign) order, a stay counting as (0, 0).
+    """
+    d = stats.d
+    _check_budget(d, K, budget, unit=True)
+    size = np.ones((d, K + 1), dtype=np.int64)  # size[m, t]: vectors of Z^m with norm <= t
+    for m in range(1, d):
+        size[m] = 2 * np.cumsum(size[m - 1]) - size[m - 1]
+    cum = np.pad(np.cumsum(size, axis=1), ((0, 0), (1, 0)))  # cum[m, t]: vectors with norm < t
+
+    def rank(v):  # coordinate j adds the vectors that agree before it and precede it at j
+        left = K - np.cumsum(np.abs(v), axis=1)  # the norm left for the coordinates after j
+        m = np.arange(d - 1, -1, -1)
+        return (cum[m, left] + (v > 0) * cum[m, left + np.abs(v) + 1]).sum(axis=1)
+
+    z = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(d):  # each prefix followed by every value of the next coordinate
+        left = K - np.abs(z).sum(axis=1)
+        rows = np.repeat(np.arange(z.shape[0]), 2 * left + 1)
+        z = np.column_stack([z[rows], np.arange(rows.size) - rows.searchsorted(rows) - left[rows]])
+    z = z[np.argsort(np.abs(z).sum(axis=1), kind="stable")]
+    layer = np.cumsum(np.bincount(np.abs(z).sum(axis=1)))  # layer k: the first layer[k] states
+    position = np.argsort(rank(z))  # the inverse of the permutation rank(z)
+    coord = np.insert(np.repeat(np.arange(d), 2), 1, 0)  # the moves, in (coordinate, sign) order
+    sign = np.insert(np.tile([-1, 1], d), 1, 0)
+    succ = np.column_stack([position[rank(z[:layer[K - 1]] + s * (np.arange(d) == c))]
+                            for c, s in zip(coord, sign)])
+    costs = cost_of_many(stats, base.coefficients + z)
+    togo = [np.zeros(z.shape[0])]
+    if endpoint is not None:
+        _check_reachable(base, endpoint, K)
+        at_target = np.all(np.abs(z - (endpoint.coefficients - base.coefficients)) <= 1e-9, axis=1)
+        togo[0] = np.where(at_target, 0.0, np.inf)
+    for k in range(K - 1, -1, -1):
+        s = succ[:layer[k]]
+        togo.insert(0, np.min(alpha[k] * costs[s] + togo[0][s], axis=1))
+    if togo[0][0] == np.inf:
+        raise InfeasibleError("no unit-step path of this length reaches the target")
+    state, moves = 0, []
+    for k in range(K):
+        s = succ[state]
+        moves.append(int(_first_tie(alpha[k] * costs[s] + togo[k + 1][s])))
+        state = s[moves[-1]]
+    return path_from_deltas(base, coord[moves], sign[moves].astype(float))
 
 
 def exact_path(stats: SufficientStats, base: LinearModel, cfg: OptimizerConfig) -> CoordinatePath:
     """Globally optimal path of length cfg.K for sum_k alpha_k * cost(model_k).
 
-    Exhausts all d^K index vectors (times 3^K sign patterns in unit mode),
-    solving the inner problem exactly for each; respects cfg.endpoint.
-    Raises BudgetError before starting if the candidate count exceeds
-    cfg.budget, and InfeasibleError if no candidate reaches the endpoint.
+    Continuous steps solve every one of the d^K patterns (exact_paths), unit
+    steps run a dynamic program over the L1 ball's states (_unit_steps).
+    Respects cfg.endpoint. Raises BudgetError before starting if the work
+    exceeds cfg.budget (_check_budget), and InfeasibleError if no path
+    reaches the endpoint.
     """
     K = cfg.K
     check_base(stats, base)
@@ -548,12 +541,10 @@ def exact_path(stats: SufficientStats, base: LinearModel, cfg: OptimizerConfig) 
         if cfg.endpoint is not None:
             _check_reachable(base, cfg.endpoint, 0)
         return CoordinatePath(base, ())
-    _check_budget(_candidate_count(stats.d, cfg), cfg.budget)
     alpha = as_weights(cfg.schedule, K)
     if cfg.step_mode == "continuous":
         return exact_paths(stats, base, alpha[None], cfg.budget, cfg.endpoint)[0]
-    _, iv, delta = _enum_direct(stats, base, K, alpha, cfg.endpoint, unit=True)
-    return path_from_deltas(base, iv, delta)
+    return _unit_steps(stats, base, K, alpha, cfg.budget, cfg.endpoint)
 
 
 def _check_reachable(base: LinearModel, target: LinearModel, K: int) -> None:
@@ -564,12 +555,21 @@ def _check_reachable(base: LinearModel, target: LinearModel, K: int) -> None:
         )
 
 
-def _check_budget(n_cand: int, budget: int) -> None:
-    if n_cand > budget:
-        raise BudgetError(
-            f"exact search needs {n_cand:,} inner solves, over the budget of "
-            f"{budget:,}; raise the budget or use local_improvement"
-        )
+def _check_budget(d: int, K: int, budget: int, unit: bool = False) -> None:
+    """Raise BudgetError if the exact search's work exceeds the budget: d^K
+    patterns (a power far over it is only taken in log space), or with unit
+    steps 2d+1 moves from each state of each layer k < K (_unit_steps),
+    sum_i 2^i C(d, i) C(K, i + 1) states in all."""
+    if unit:
+        n = (2 * d + 1) * sum(2**i * math.comb(d, i) * math.comb(K, i + 1) for i in range(d + 1))
+    else:
+        n = d**K if K * math.log10(d) < max(15.0, math.log10(budget) + 1) else math.inf
+    if n > budget:
+        digits = K * math.log10(d) if n == math.inf else math.log10(n)
+        count = f"{n:,}" if digits < 15 else f"about 10^{digits:.1f}"
+        raise BudgetError(f"exact search needs {count} {'state moves' if unit else 'inner solves'}"
+                          f", over the budget of {budget:,}; raise the budget"
+                          + ("" if unit else " or use local_improvement"))
 
 
 def exact_paths(stats: SufficientStats, base: LinearModel, alphas: np.ndarray,
@@ -587,7 +587,7 @@ def exact_paths(stats: SufficientStats, base: LinearModel, alphas: np.ndarray,
     would break down anyway.
     """
     K = alphas.shape[1]
-    _check_budget(stats.d**K, budget)
+    _check_budget(stats.d, K, budget)
     alphas = as_weights(alphas, K)
     target = None
     if endpoint is not None:
@@ -737,7 +737,7 @@ def best_explanation(stats: SufficientStats, base: LinearModel, target: LinearMo
     if complexity == 0:
         # Extra steps can only add nonnegative weighted cost terms.
         return CoordinatePath(base, ())
-    _check_budget(stats.d**K_max, budget)  # the longest length's count, before any search
+    _check_budget(stats.d, K_max, budget)  # the longest length's count, before any search
     best = (math.inf, None)  # (loss, path); ties keep the shorter path
     for K in range(complexity, K_max + 1):
         cfg = OptimizerConfig(K=K, schedule=schedule, endpoint=target, budget=budget)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InputError
 from .inner import as_weights
-from .optimizers import OptimizerConfig, exact_paths, exact_path, local_improvement
+from .optimizers import OptimizerConfig, _check_budget, exact_paths, exact_path, local_improvement
 from .paths import CoordinatePath, WeightSchedule, path_to_json, weighted_loss
 from .regression import LinearModel, SufficientStats, cost
 
@@ -82,7 +82,9 @@ def _solve_grid(stats: SufficientStats, base: LinearModel, schedule: WeightSched
 
     Per length K the scalarized weight rows of all values are built at
     once; the exact solver enumerates the patterns once for all of them
-    (optimizers.exact_paths), the local solver runs per value.
+    (optimizers.exact_paths), the local solver runs per value. The exact
+    solver raises BudgetError before any search if the longest length's
+    d**K_max patterns exceed the budget.
     """
     if K_max < 0:
         raise InputError("K_max must be >= 0")
@@ -90,13 +92,16 @@ def _solve_grid(stats: SufficientStats, base: LinearModel, schedule: WeightSched
         raise InputError("solver must be 'exact' or 'local'")
     base_cfg = cfg if cfg is not None else OptimizerConfig(K=0, schedule=schedule)
     best = [(cost(stats, base), CoordinatePath(base, ()), 0)] * len(lams)  # value, path, K
-    rows = []
-    for K in range(1, K_max + 1):  # every length's weight rows, checked before any search
-        with np.errstate(over="ignore", invalid="ignore"):  # as_weights rejects inf and nan
-            alphas = lams[:, None] * schedule.weights(K)
+    with np.errstate(over="ignore", invalid="ignore"):  # as_weights rejects inf and nan
+        scaled = lams[:, None] * schedule.weights(K_max)
+    # Each length's rows are a prefix of these with +1 at its end, so checking
+    # the longest rows checks them all, before any search.
+    as_weights(scaled + (np.arange(K_max) == K_max - 1), K_max)
+    if solver == "exact":
+        _check_budget(stats.d, K_max, base_cfg.budget)
+    for K in range(1, K_max + 1):
+        alphas = scaled[:, :K].copy()
         alphas[:, -1] += 1.0
-        rows.append(as_weights(alphas, K))
-    for K, alphas in enumerate(rows, start=1):
         weights = [WeightSchedule.explicit(a) for a in alphas]
         kcfg = replace(base_cfg, K=K, endpoint=None, step_mode="continuous",
                        seed=base_cfg.seed + K, q=min(base_cfg.q, K))

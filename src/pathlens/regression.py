@@ -373,10 +373,10 @@ def stats_from_moments(gram, cross, target_second_moment, feature_names=None) ->
     d = cross.shape[0] if cross.ndim == 1 else 0
     if feature_names is None:
         feature_names = tuple(f"x{i + 1}" for i in range(d))
-    try:
-        feature_names = tuple(feature_names)
-    except TypeError:
-        raise InputError("'names' must be a list of feature names") from None
+    # A string is iterable too, but its letters are not feature names.
+    if isinstance(feature_names, str) or not hasattr(feature_names, "__iter__"):
+        raise InputError("'names' must be a list of feature names")
+    feature_names = tuple(feature_names)
     stats = SufficientStats(gram, cross, float(tsm), feature_names)
     aug = np.zeros((stats.d + 1, stats.d + 1))
     aug[: stats.d, : stats.d] = stats.gram

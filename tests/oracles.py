@@ -13,7 +13,8 @@ that scores windows of iterations in one call. rowwise_load_csv is the
 pure-Python CSV reader that load_csv's one-call numpy parse must match.
 per_lambda_sweep is the tradeoff sweep that solves one exact_path (or
 local_improvement) per lambda and length, the reference for the sweep that
-enumerates once per length.
+enumerates once per length. brute_force_unit enumerates every unit-step
+candidate, the reference for the dynamic program over lattice states.
 """
 
 import csv
@@ -196,6 +197,36 @@ def brute_force_explanation(stats, base, target, alpha_of, K_max):
                 found.append((solved[1], iv))
     low = min(obj for obj, _ in found)
     return next((obj, iv) for obj, iv in found if obj <= low + 1e-12 * abs(low))
+
+
+def brute_force_unit(stats, base, K, alpha, target=None):
+    """Exact unit-step search by enumeration: every index vector paired with
+    every sign vector in {-1, 0, +1}^K, (3d)^K candidates, each scored by
+    batch_objectives; a pinned candidate whose final model misses the target
+    by more than 1e-9 in a coordinate scores +inf.
+
+    Returns (objective, iv, signs, unique): the minimum objective, the first
+    candidate in lexicographic (iv, signs) order within 1e-12 (relative) of
+    it, and whether every candidate within 1e-10 of it visits the same
+    states (a stay may name any coordinate), so that no tie rule is needed.
+    """
+    base = np.asarray(base, dtype=float)
+    d = base.shape[0]
+    signs = np.asarray(list(itertools.product((-1.0, 0.0, 1.0), repeat=K)))
+    patterns = np.asarray(list(itertools.product(range(d), repeat=K)), dtype=int)
+    ivs = np.repeat(patterns, len(signs), axis=0)
+    deltas = np.tile(signs, (len(patterns), 1))
+    vals = batch_objectives(stats, base, ivs, deltas, alpha)
+    if target is not None:
+        finals = np.repeat(base[None, :], ivs.shape[0], axis=0)
+        for k in range(K):
+            finals[np.arange(ivs.shape[0]), ivs[:, k]] += deltas[:, k]
+        vals[~np.all(np.abs(finals - target) <= 1e-9, axis=1)] = np.inf
+    low = vals.min()
+    j = int(np.argmax(vals <= low + 1e-12 * abs(low)))
+    near = vals <= low + 1e-10 * abs(low)
+    moves = np.column_stack([np.where(deltas[near] != 0, ivs[near], 0), deltas[near]])
+    return float(low), ivs[j], deltas[j], len(np.unique(moves, axis=0)) == 1
 
 
 class PivotBreakdown(Exception):

@@ -73,9 +73,13 @@ class TestStats:
             ({"gram": [[1.0]], "cross": [0.5], "tsm": "x"}, "'tsm'"),
             ({"gram": [[1.0]], "cross": [0.5], "tsm": [1.0, 2.0]}, "'tsm'"),
             ({"gram": [[1.0]], "cross": [0.5], "tsm": 1.0, "names": 5}, "'names'"),
+            ({"gram": np.eye(2).tolist(), "cross": [0.5, 0.1], "tsm": 1.0, "names": "ab"},
+             "'names'"),
+            (5, "JSON object"),
+            ("gram cross tsm", "JSON object"),
         ],
         ids=["gram_string", "gram_ragged", "cross_object", "tsm_string", "tsm_list",
-             "names_number"],
+             "names_number", "names_string", "top_number", "top_string"],
     )
     def test_malformed_moments_exit_2(self, capsys, tmp_path, moments, key):
         f = tmp_path / "m.json"
@@ -206,11 +210,13 @@ class TestPath:
         }
         f = tmp_path / "m.json"
         f.write_text(json.dumps(moments), encoding="utf-8")
-        code, _, err = run(
-            capsys, "path", "exact", "--moments", str(f), "--K", "8", "--endpoint", "free"
-        )
-        assert code == 3
-        assert "budget" in err
+        # 10**6000 has more digits than int-to-str converts by default.
+        for argv in (["path", "exact", "--K", "8", "--endpoint", "free"],
+                     ["path", "exact", "--K", "6000", "--endpoint", "free"],
+                     ["explain", "--K", "6000"]):
+            code, _, err = run(capsys, *argv, "--moments", str(f))
+            assert code == 3
+            assert "budget" in err
 
 
 class TestExplain:

@@ -1,14 +1,17 @@
 import gc
 import itertools
+import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from pathlens import (
     BudgetError,
+    CoordinatePath,
     Dataset,
     InfeasibleError,
     InputError,
@@ -19,6 +22,7 @@ from pathlens import (
     compute_stats,
     cost,
     cost_sequence,
+    default_lambda_grid,
     direct_path,
     exact_path,
     greedy_path,
@@ -29,9 +33,10 @@ from pathlens import (
     solve_fixed_endpoint,
     solve_free,
     stats_from_moments,
+    sweep,
     weighted_loss,
 )
-from pathlens import optimizers
+from pathlens import optimizers, pareto
 from pathlens.optimizers import _enum_direct, _enum_fast, _iv_chunks
 from pathlens.inner import as_weights, path_from_deltas
 from conftest import TOY_OLS, collinear_stats, random_dataset, random_stats
@@ -39,6 +44,7 @@ from oracles import (
     PivotBreakdown,
     batch_objectives,
     brute_force_explanation,
+    brute_force_unit,
     iterwise_local_improvement,
     unblocked_enum_free_fast,
 )
@@ -147,6 +153,12 @@ class TestExactPath:
     def test_budget_error_mentions_fallback(self, toy_stats, toy_zero):
         cfg = OptimizerConfig(K=4, schedule=GAMMA1, budget=10)
         with pytest.raises(BudgetError, match="local_improvement"):
+            exact_path(toy_stats, toy_zero, cfg)
+
+    @pytest.mark.parametrize("K,count", [(4, "16"), (10, "1,024"), (6000, "about 10^1806.2")])
+    def test_budget_error_names_the_count(self, toy_stats, toy_zero, K, count):
+        cfg = OptimizerConfig(K=K, schedule=GAMMA1, budget=10)
+        with pytest.raises(BudgetError, match=re.escape(f"needs {count} inner solves")):
             exact_path(toy_stats, toy_zero, cfg)
 
     def test_k0(self, toy_stats, toy_zero):
@@ -547,7 +559,7 @@ class TestEnumerationEngines:
     (1, 1, 3), (1, 4, 2), (3, 1, 2), (3, 4, 7), (2, 3, 8),
     (6, 6, max(256, optimizers._CHUNK_ENTRIES // 36)),  # _enum_direct's chunk at K=6
     (4, 6, max(1, 200_000 // 3**6)),  # 4**6 in uneven chunks
-    (4, 6, max(1, optimizers._CHUNK_ENTRIES // 36 // 3**6)),  # _enum_direct's unit chunk at K=6
+    (4, 6, 5),  # 4**6 in many short chunks
 ])
 def test_iv_chunks_match_itertools_product(d, K, chunk):
     expected = np.asarray(list(itertools.product(range(d), repeat=K)), dtype=int)
@@ -692,6 +704,21 @@ def test_windows_match_iterwise_oracle(case, cap, monkeypatch):
         assert path_bits(path) == path_bits(iterwise_local_improvement(stats, base, cfg, iv0))
 
 
+def near_tie_stats(rng, d, off):
+    """Moments with gram I + off (1 - I) and cross moments 0.5 (1 + k eps),
+    eps from 1e-16 to 1e-13, so that many unit-step paths nearly tie."""
+    gram = np.eye(d) + off * (1 - np.eye(d))
+    cross = 0.5 * (1 + rng.integers(0, 4, size=d) * 10.0 ** -rng.integers(13, 17))
+    return stats_from_moments(gram, cross, 5.0)
+
+
+def unit_cfg(stats, K, alpha, target):
+    """A unit-step OptimizerConfig under weights alpha, free if target is None."""
+    endpoint = None if target is None else LinearModel(target, stats.feature_names)
+    return OptimizerConfig(K=K, schedule=WeightSchedule.explicit(alpha), step_mode="unit",
+                           endpoint=endpoint)
+
+
 class TestUnitMode:
     def test_steps_change_by_one_point(self):
         stats = random_stats(41, d=3)
@@ -736,9 +763,8 @@ class TestUnitMode:
             assert np.array_equal(path.final.coefficients, endpoint.coefficients)
 
     def test_chunks_bound_memory(self):
-        # A unit chunk holds about as many candidates as a continuous one,
-        # with their (B, K, K) systems, so a K=5 search (249k candidates)
-        # peaks at a few MB.
+        # The dynamic program holds the L1 ball's 681 states at d=4, K=5
+        # with their successors and costs-to-go, far below the bound.
         stats = random_stats(1, d=4)
         base = LinearModel.zeros(stats.feature_names)
         cfg = OptimizerConfig(K=5, schedule=GAMMA1, step_mode="unit")
@@ -757,6 +783,86 @@ class TestUnitMode:
         cfg = OptimizerConfig(K=3, schedule=GAMMA1, step_mode="unit", endpoint=target)
         path = exact_path(stats, base, cfg)
         assert np.allclose(path.final.coefficients, target.coefficients, atol=1e-9)
+
+    @example(seed=3, d=4, K=5, weights="zero_last", pinned=True, tie=None)
+    @example(seed=4, d=4, K=5, weights="zero", pinned=False, tie=0.3)
+    @given(seed=st.integers(1, 10**6), d=st.integers(1, 4), K=st.integers(1, 5),
+           weights=st.sampled_from(["ones", "geometric", "zero", "zero_last"]),
+           pinned=st.booleans(), tie=st.sampled_from([None, 0.0, 0.3]))
+    def test_matches_sign_enumeration_property(self, seed, d, K, weights, pinned, tie):
+        # The dynamic program against the enumeration of all (3d)^K
+        # candidates: the same optimum always, and the same steps wherever
+        # the optimal state sequence is unique. tie: None for random
+        # moments, else a gram I (+ tie off the diagonal) with near-equal
+        # cross moments, so that many state sequences nearly tie.
+        assume(d**K * 3**K <= 250_000)
+        rng = np.random.default_rng(seed)
+        stats = random_stats(seed, d=d) if tie is None else near_tie_stats(rng, d, tie)
+        alpha = {"ones": np.ones(K), "geometric": 0.7 ** np.arange(1, K + 1),
+                 "zero": np.where(np.arange(K) == rng.integers(K), 0.0, 1.0),
+                 "zero_last": np.r_[np.ones(K - 1), 0.0]}[weights]
+        assume(alpha.any())
+        target = None
+        if pinned:
+            target = np.zeros(d)
+            np.add.at(target, rng.integers(d, size=K), rng.choice([-1.0, 0.0, 1.0], size=K))
+        low, iv, signs, unique = brute_force_unit(stats, np.zeros(d), K, alpha, target)
+        base = LinearModel.zeros(stats.feature_names)
+        cfg = unit_cfg(stats, K, alpha, target)
+        if low == np.inf:
+            with pytest.raises(InfeasibleError):
+                exact_path(stats, base, cfg)
+            return
+        path = exact_path(stats, base, cfg)
+        assert weighted_loss(stats, path, cfg.schedule) == pytest.approx(low, rel=1e-12, abs=0)
+        if unique:
+            assert path.steps == path_from_deltas(path.base, iv, signs).steps
+
+    @pytest.mark.parametrize("case", range(24))
+    def test_near_ties_match_sign_enumeration(self, case):
+        # Tilted near-ties (near_tie_stats), zero weights, pinned targets. The dynamic program's move-by-move tie
+        # rule must pick the enumeration's first tied (iv, signs).
+        d, K = 2 + case % 3, 3 + case % 2
+        rng = np.random.default_rng(case)
+        stats = near_tie_stats(rng, d, 0.3 * (case % 2))
+        alpha = np.ones(K)
+        if case % 4 == 3:
+            alpha[1] = 0.0
+        target = None
+        if case % 3 == 0:
+            target = np.zeros(d)
+            target[[0, -1]] += 1.0
+        _, iv, signs, _ = brute_force_unit(stats, np.zeros(d), K, alpha, target)
+        path = exact_path(stats, LinearModel.zeros(stats.feature_names),
+                          unit_cfg(stats, K, alpha, target))
+        assert path.steps == path_from_deltas(path.base, iv, signs).steps
+
+    def test_d6_k10_within_default_budget(self):
+        # 1.9M state moves; enumeration would need 18^10 = 3.6e12 candidates.
+        # Padding the K=5 optimum with stays gives a K=10 path, which the
+        # optimum cannot be worse than.
+        stats = random_stats(61, d=6)
+        base = LinearModel.zeros(stats.feature_names)
+        path = exact_path(stats, base, OptimizerConfig(K=10, schedule=GAMMA1, step_mode="unit"))
+        prev = base.coefficients
+        for model in materialize(path):
+            assert np.sum(np.abs(model.coefficients - prev)) in (0.0, 1.0)
+            prev = model.coefficients
+        short = exact_path(stats, base, OptimizerConfig(K=5, schedule=GAMMA1, step_mode="unit"))
+        padded = CoordinatePath(base, short.steps + ((0, short.final.coefficients[0]),) * 5)
+        assert weighted_loss(stats, path, GAMMA1) <= weighted_loss(stats, padded, GAMMA1)
+
+    def test_budget_counts_states_times_moves(self):
+        # d=6, K=10: the layers k < 10 hold 149,830 states in all, each with
+        # 13 moves, 1,947,790 (the L1 ball of radius k holds
+        # sum_i 2^i C(6, i) C(k, i) states).
+        stats = random_stats(62, d=6)
+        base = LinearModel.zeros(stats.feature_names)
+        cfg = OptimizerConfig(K=10, schedule=GAMMA1, step_mode="unit", budget=1_947_790)
+        exact_path(stats, base, cfg)
+        with pytest.raises(BudgetError, match="1,947,790 state moves") as err:
+            exact_path(stats, base, replace(cfg, budget=1_947_789))
+        assert "local_improvement" not in str(err.value)  # it rejects unit steps
 
     def test_unit_endpoint_unreachable(self):
         stats = random_stats(44, d=2)
@@ -830,6 +936,16 @@ class TestBestExplanation:
         target = LinearModel(TOY_OLS, toy_stats.feature_names)
         with pytest.raises(BudgetError, match="32"):
             best_explanation(toy_stats, toy_zero, target, GAMMA1, 5, budget=16)
+
+    def test_sweep_over_budget_fails_before_any_search(self, toy_stats, toy_zero, monkeypatch):
+        # The tradeoff sweep checks the longest length's d**K_max = 32 too.
+        def no_search(*args):
+            raise AssertionError("exact_paths ran before the budget check")
+
+        monkeypatch.setattr(pareto, "exact_paths", no_search)
+        cfg = OptimizerConfig(K=0, schedule=GAMMA1, budget=16)
+        with pytest.raises(BudgetError, match="32"):
+            sweep(toy_stats, toy_zero, GAMMA1, default_lambda_grid(), 5, cfg=cfg)
 
     def test_matches_brute_force_oracle(self):
         # Geometric, positive explicit, and zero-weight schedules; ties
