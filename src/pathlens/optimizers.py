@@ -469,61 +469,128 @@ def _enum_direct(stats: SufficientStats, base: LinearModel, K: int, alpha: np.nd
     return best
 
 
-def _unit_steps(stats: SufficientStats, base: LinearModel, K: int, alpha: np.ndarray,
-                budget: int, endpoint: LinearModel | None = None):
-    """The optimal unit-step path, free or pinned to `endpoint`, by dynamic
-    programming over the states base + z, z in the L1 ball of radius K.
+def _l1_ball(d: int, K: int):
+    """The integer vectors z with ||z||_1 <= K, sorted by norm: each a row of
+    atoms (j << bits) + K + z_j, one per nonzero, in coordinate order and
+    padded with coordinate d to min(K, d) atoms, so memory grows with the
+    ball's size times min(K, d), not times d.
 
-    Sorted by norm, the states within k steps of the origin (layer k) come
-    first. A state is found by its lexicographic rank in the ball (values
-    ordered -K..0, then K..1), which cannot overflow. A backward pass gives
-    each state's cost-to-go J_k(z), the minimum over its 2d+1 moves of
-    alpha_{k+1} cost(z') + J_{k+1}(z'), from J_K = 0, or when pinned 0 only
-    within 1e-9 of the target. The forward pass from the origin follows the
-    unit tie rule: each step takes the first move within _TIE_RTOL of the
-    best, in (coordinate, sign) order, a stay counting as (0, 0).
+    Returns (atoms, bits, layer, find): layer[k] counts the vectors of norm
+    at most k, and find(rows) gives the positions of rows of atoms (in
+    coordinate order, zero values allowed). find goes through a vector's
+    lexicographic rank in the ball (values ordered -K..0, then K..1), from a
+    table of ball sizes, so no key overflows for any d.
     """
-    d = stats.d
-    _check_budget(d, K, budget, unit=True)
+    s, bits = min(K, d), (2 * K).bit_length()
+    mask = (1 << bits) - 1
     size = np.ones((d, K + 1), dtype=np.int64)  # size[m, t]: vectors of Z^m with norm <= t
     for m in range(1, d):
         size[m] = 2 * np.cumsum(size[m - 1]) - size[m - 1]
     cum = np.pad(np.cumsum(size, axis=1), ((0, 0), (1, 0)))  # cum[m, t]: vectors with norm < t
+    # Coordinate c with value v, norm L left before it: the vectors that agree
+    # before c and precede v there, and the zeros before c, telescoped:
+    # lead[c, L] - lead[c, L - |v|] + (v > 0) after[c, L], plus lead[d, L] at the end.
+    lead = np.pad(np.cumsum(cum[::-1, :-1], axis=0), ((1, 0), (0, 0)))
+    after = np.pad(cum[::-1, 1:], ((0, 1), (0, 0)))
 
-    def rank(v):  # coordinate j adds the vectors that agree before it and precede it at j
-        left = K - np.cumsum(np.abs(v), axis=1)  # the norm left for the coordinates after j
-        m = np.arange(d - 1, -1, -1)
-        return (cum[m, left] + (v > 0) * cum[m, left + np.abs(v) + 1]).sum(axis=1)
+    def rank(rows):
+        r, left = np.zeros(len(rows), dtype=np.int64), np.full(len(rows), K)
+        for a in rows.T:
+            c, v = a >> bits, (a & mask) - K
+            r += lead[c, left] + (v > 0) * after[c, left]
+            left = left - abs(v)
+            r -= lead[c, left]
+        return r + lead[d, left]
 
-    z = np.zeros((1, 0), dtype=np.int64)
-    for _ in range(d):  # each prefix followed by every value of the next coordinate
-        left = K - np.abs(z).sum(axis=1)
-        rows = np.repeat(np.arange(z.shape[0]), 2 * left + 1)
-        z = np.column_stack([z[rows], np.arange(rows.size) - rows.searchsorted(rows) - left[rows]])
-    z = z[np.argsort(np.abs(z).sum(axis=1), kind="stable")]
-    layer = np.cumsum(np.bincount(np.abs(z).sum(axis=1)))  # layer k: the first layer[k] states
-    position = np.argsort(rank(z))  # the inverse of the permutation rank(z)
-    coord = np.insert(np.repeat(np.arange(d), 2), 1, 0)  # the moves, in (coordinate, sign) order
-    sign = np.insert(np.tile([-1, 1], d), 1, 0)
-    succ = np.column_stack([position[rank(z[:layer[K - 1]] + s * (np.arange(d) == c))]
-                            for c, s in zip(coord, sign)])
-    costs = cost_of_many(stats, base.coefficients + z)
-    togo = [np.zeros(z.shape[0])]
+    atoms, lefts, last = [np.full((1, s), (d << bits) + K)], [np.array([K])], np.array([-1])
+    for n in range(s):  # each vector followed by each later coordinate's nonzero values
+        rows = np.repeat(np.arange(last.size), (d - 1 - last) * 2 * lefts[-1])
+        q, left = np.arange(rows.size) - rows.searchsorted(rows), lefts[-1][rows]
+        last, q = last[rows] + 1 + q // (2 * left), q % (2 * left)
+        v = q - left + (q >= left)
+        atoms.append(atoms[-1][rows])
+        atoms[-1][:, n] = (last << bits) + K + v
+        lefts.append(left - abs(v))
+    del rows, q, left, last, v  # as large as the last level: free them before the sort
+    norm = K - np.concatenate(lefts)
+    atoms = np.concatenate(atoms)[np.argsort(norm, kind="stable")]
+    position = np.empty(len(atoms), dtype=np.int64)
+    position[rank(atoms)] = np.arange(len(atoms))
+    return atoms, bits, np.cumsum(np.bincount(norm)), lambda rows: position[rank(rows)]
+
+
+def _ball_costs(stats: SufficientStats, base: LinearModel, atoms: np.ndarray, bits: int,
+                K: int) -> np.ndarray:
+    """cost(base + z) for the vectors z of _l1_ball(d, K), as
+    cost(base) + 2 z'(G base - cross) + z'Gz over z's nonzeros."""
+    mask = (1 << bits) - 1
+    gram = np.pad(stats.gram, (0, 1))
+    slope = np.pad(stats.gram @ base.coefficients - stats.cross, (0, 1))
+    costs = np.full(len(atoms), cost_of(stats, base.coefficients))
+    for i, a in enumerate(atoms.T):
+        c, v = a >> bits, (a & mask) - K
+        cross = sum(((b & mask) - K) * gram[b >> bits, c] for b in atoms.T[:i])
+        costs += v * (2 * slope[c] + v * gram[c, c] + 2 * cross)
+    return np.maximum(costs, 0.0)
+
+
+def _unit_steps(stats: SufficientStats, base: LinearModel, K: int, alpha: np.ndarray,
+                budget: int, endpoint: LinearModel | None = None):
+    """The optimal unit-step path, free or pinned to `endpoint`, by dynamic
+    programming over the states base + z, z in the L1 ball of radius K
+    (_l1_ball), where the states within k steps of the origin (layer k)
+    come first.
+
+    A backward pass gives each state's cost-to-go J_k(z), the minimum over
+    its 2d+1 moves of alpha_{k+1} cost(z') + J_{k+1}(z'), from J_K = 0, or
+    when pinned 0 only at the integer vector within 1e-9 of target - base.
+    The forward pass from the origin follows the unit tie rule: each step
+    takes the first move within _TIE_RTOL of the best, in (coordinate, sign)
+    order, a stay counting as (0, 0). The budget counts the moves the
+    backward pass scores.
+    """
+    d = stats.d
+    moves = (2 * d + 1) * sum(2**i * math.comb(d, i) * math.comb(K, i + 1)
+                               for i in range(min(d + 1, K)))
+    if moves > budget:
+        raise BudgetError(f"unit-step search needs {_amount(moves, math.log10(moves))} state "
+                          f"moves, over the budget of {budget:,}; raise the budget")
     if endpoint is not None:
         _check_reachable(base, endpoint, K)
-        at_target = np.all(np.abs(z - (endpoint.coefficients - base.coefficients)) <= 1e-9, axis=1)
-        togo[0] = np.where(at_target, 0.0, np.inf)
-    for k in range(K - 1, -1, -1):
-        s = succ[:layer[k]]
-        togo.insert(0, np.min(alpha[k] * costs[s] + togo[0][s], axis=1))
+    atoms, bits, layer, find = _l1_ball(d, K)
+    costs = _ball_costs(stats, base, atoms, bits, K)
+    coord = np.insert(np.repeat(np.arange(d), 2), 1, 0)  # the moves, in (coordinate, sign) order
+    sign = np.insert(np.tile([-1, 1], d), 1, 0)
+    inner = atoms[:layer[K - 1]]
+    succ = np.empty((2 * d + 1, len(inner)), dtype=np.int64)
+    for m, c, sg in zip(succ, coord, sign):
+        hit = inner >> bits == c
+        rows = inner + sg * hit
+        rows[~hit.any(axis=1), -1] = (c << bits) + K + sg  # free: an inner state has norm < K
+        m[:] = find(np.sort(rows, axis=1))
+    togo = [np.zeros(len(atoms))]
+    if endpoint is not None:
+        togo[0][:] = np.inf
+        t = endpoint.coefficients - base.coefficients
+        z = np.round(t)
+        if np.all(np.abs(t - z) <= 1e-9) and np.abs(z).sum() <= K:
+            nz = np.flatnonzero(z)
+            at = np.full((1, atoms.shape[1]), (d << bits) + K)
+            at[0, :nz.size] = (nz << bits) + K + z[nz].astype(np.int64)
+            togo[0][find(at)] = 0.0
+    for k in range(K - 1, -1, -1):  # move by move, so temporaries stay one layer long
+        best = np.full(layer[k], np.inf)
+        for m in succ[:, :layer[k]]:
+            np.minimum(best, alpha[k] * costs[m] + togo[0][m], out=best)
+        togo.insert(0, best)
     if togo[0][0] == np.inf:
         raise InfeasibleError("no unit-step path of this length reaches the target")
-    state, moves = 0, []
+    state, steps = 0, []
     for k in range(K):
-        s = succ[state]
-        moves.append(int(_first_tie(alpha[k] * costs[s] + togo[k + 1][s])))
-        state = s[moves[-1]]
-    return path_from_deltas(base, coord[moves], sign[moves].astype(float))
+        nxt = succ[:, state]
+        steps.append(int(_first_tie(alpha[k] * costs[nxt] + togo[k + 1][nxt])))
+        state = nxt[steps[-1]]
+    return path_from_deltas(base, coord[steps], sign[steps].astype(float))
 
 
 def exact_path(stats: SufficientStats, base: LinearModel, cfg: OptimizerConfig) -> CoordinatePath:
@@ -532,7 +599,7 @@ def exact_path(stats: SufficientStats, base: LinearModel, cfg: OptimizerConfig) 
     Continuous steps solve every one of the d^K patterns (exact_paths), unit
     steps run a dynamic program over the L1 ball's states (_unit_steps).
     Respects cfg.endpoint. Raises BudgetError before starting if the work
-    exceeds cfg.budget (_check_budget), and InfeasibleError if no path
+    exceeds cfg.budget (check_budget, _unit_steps), and InfeasibleError if no path
     reaches the endpoint.
     """
     K = cfg.K
@@ -555,21 +622,19 @@ def _check_reachable(base: LinearModel, target: LinearModel, K: int) -> None:
         )
 
 
-def _check_budget(d: int, K: int, budget: int, unit: bool = False) -> None:
-    """Raise BudgetError if the exact search's work exceeds the budget: d^K
-    patterns (a power far over it is only taken in log space), or with unit
-    steps 2d+1 moves from each state of each layer k < K (_unit_steps),
-    sum_i 2^i C(d, i) C(K, i + 1) states in all."""
-    if unit:
-        n = (2 * d + 1) * sum(2**i * math.comb(d, i) * math.comb(K, i + 1) for i in range(d + 1))
-    else:
-        n = d**K if K * math.log10(d) < max(15.0, math.log10(budget) + 1) else math.inf
+def check_budget(d: int, K: int, budget: int) -> None:
+    """Raise BudgetError if the d^K patterns of an exact continuous search
+    exceed the budget; a power far over it is only taken in log space."""
+    digits = K * math.log10(d)
+    n = d**K if digits < max(15.0, math.log10(budget) + 1) else math.inf
     if n > budget:
-        digits = K * math.log10(d) if n == math.inf else math.log10(n)
-        count = f"{n:,}" if digits < 15 else f"about 10^{digits:.1f}"
-        raise BudgetError(f"exact search needs {count} {'state moves' if unit else 'inner solves'}"
-                          f", over the budget of {budget:,}; raise the budget"
-                          + ("" if unit else " or use local_improvement"))
+        raise BudgetError(f"exact search needs {_amount(n, digits)} inner solves, over the "
+                          f"budget of {budget:,}; raise the budget or use local_improvement")
+
+
+def _amount(n, digits: float) -> str:
+    """A count n of `digits` decimal digits, exact up to 15 digits."""
+    return f"{n:,}" if digits < 15 else f"about 10^{digits:.1f}"
 
 
 def exact_paths(stats: SufficientStats, base: LinearModel, alphas: np.ndarray,
@@ -587,7 +652,7 @@ def exact_paths(stats: SufficientStats, base: LinearModel, alphas: np.ndarray,
     would break down anyway.
     """
     K = alphas.shape[1]
-    _check_budget(stats.d, K, budget)
+    check_budget(stats.d, K, budget)
     alphas = as_weights(alphas, K)
     target = None
     if endpoint is not None:
@@ -737,7 +802,7 @@ def best_explanation(stats: SufficientStats, base: LinearModel, target: LinearMo
     if complexity == 0:
         # Extra steps can only add nonnegative weighted cost terms.
         return CoordinatePath(base, ())
-    _check_budget(stats.d, K_max, budget)  # the longest length's count, before any search
+    check_budget(stats.d, K_max, budget)  # the longest length's count, before any search
     best = (math.inf, None)  # (loss, path); ties keep the shorter path
     for K in range(complexity, K_max + 1):
         cfg = OptimizerConfig(K=K, schedule=schedule, endpoint=target, budget=budget)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InputError
 from .inner import as_weights
-from .optimizers import OptimizerConfig, _check_budget, exact_paths, exact_path, local_improvement
+from .optimizers import OptimizerConfig, check_budget, exact_paths, exact_path, local_improvement
 from .paths import CoordinatePath, WeightSchedule, path_to_json, weighted_loss
 from .regression import LinearModel, SufficientStats, cost
 
@@ -98,7 +98,7 @@ def _solve_grid(stats: SufficientStats, base: LinearModel, schedule: WeightSched
     # the longest rows checks them all, before any search.
     as_weights(scaled + (np.arange(K_max) == K_max - 1), K_max)
     if solver == "exact":
-        _check_budget(stats.d, K_max, base_cfg.budget)
+        check_budget(stats.d, K_max, base_cfg.budget)
     for K in range(1, K_max + 1):
         alphas = scaled[:, :K].copy()
         alphas[:, -1] += 1.0

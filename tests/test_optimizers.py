@@ -37,7 +37,7 @@ from pathlens import (
     weighted_loss,
 )
 from pathlens import optimizers, pareto
-from pathlens.optimizers import _enum_direct, _enum_fast, _iv_chunks
+from pathlens.optimizers import _enum_direct, _enum_fast, _iv_chunks, _l1_ball
 from pathlens.inner import as_weights, path_from_deltas
 from conftest import TOY_OLS, collinear_stats, random_dataset, random_stats
 from oracles import (
@@ -863,6 +863,47 @@ class TestUnitMode:
         with pytest.raises(BudgetError, match="1,947,790 state moves") as err:
             exact_path(stats, base, replace(cfg, budget=1_947_789))
         assert "local_improvement" not in str(err.value)  # it rejects unit steps
+
+    @pytest.mark.parametrize("d,K", [(1, 4), (2, 3), (3, 2), (3, 5), (4, 4), (5, 1)])
+    def test_l1_ball_lists_each_vector_once(self, d, K):
+        atoms, bits, layer, find = _l1_ball(d, K)
+        dense = np.zeros((len(atoms), d + 1), dtype=int)  # column d takes the padding
+        np.put_along_axis(dense, atoms >> bits, (atoms & (1 << bits) - 1) - K, axis=1)
+        z = dense[:, :d]
+        norm = np.abs(z).sum(axis=1)
+        expected = sorted(v for v in itertools.product(range(-K, K + 1), repeat=d)
+                          if sum(map(abs, v)) <= K)
+        assert sorted(map(tuple, z)) == expected
+        assert np.all(np.diff(norm) >= 0)
+        assert np.array_equal(layer, np.cumsum(np.bincount(norm)))
+        assert np.array_equal(find(atoms), np.arange(len(atoms)))
+
+    def test_memory_grows_with_nonzeros_not_d(self):
+        # d=300, K=2: the ball holds 180,601 states. Stored as dense rows of
+        # d int64 they alone would take 433 MB; as at most K nonzeros each,
+        # with their successors and costs, a few tens of MB at most.
+        stats = random_stats(63, d=300)
+        base = LinearModel.zeros(stats.feature_names)
+        cfg = OptimizerConfig(K=2, schedule=GAMMA1, step_mode="unit")
+        tracemalloc.start()
+        try:
+            exact_path(stats, base, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
+
+    def test_far_target_fails_before_the_ball_is_built(self, monkeypatch):
+        stats = random_stats(64, d=3)
+        target = LinearModel(np.array([1.0, 1.0, 1.0]), stats.feature_names)
+        cfg = OptimizerConfig(K=2, schedule=GAMMA1, step_mode="unit", endpoint=target)
+
+        def no_ball(*args):
+            raise AssertionError("the ball was built before the reachability check")
+
+        monkeypatch.setattr(optimizers, "_l1_ball", no_ball)
+        with pytest.raises(InfeasibleError, match="3 coordinates"):
+            exact_path(stats, LinearModel.zeros(stats.feature_names), cfg)
 
     def test_unit_endpoint_unreachable(self):
         stats = random_stats(44, d=2)
