@@ -16,21 +16,22 @@ under its earlier name _enum_free_fast) with one weight row of unit weights
 at d = 6, K = 10 (60.5M patterns), in patterns per second. --K-max and --K
 shrink both for a quick run.
 
-local: local_improvement, q = 2 under unit weights, on seeded instances
-(n = 100): pinned to the least-squares fit at d = 5, K = 6, T = 100 (as
-the benchmark's explain workload runs it); free at d = 6, K = 9, T = 100
-(as its search workload does); free at d = 6, K = 10, T = 600, patience
-120 (the setting of acceptance criterion 4). Each instance also records
-the loss of the path found, and with --before the script refuses to
-write if a loss differs from the earlier run's: a faster search that
-returns another path is a bug.
+local: local_improvement under unit weights, on seeded instances
+(n = 100): q = 2 pinned to the least-squares fit at d = 5, K = 6, T = 100
+(as the benchmark's explain workload runs it); q = 2 and q = 1 free at
+d = 6, K = 9, T = 100 (as its search workload does); q = 2 and q = 1 free
+at d = 6, K = 10, T = 600, patience 120 (the setting of acceptance
+criterion 4). Each instance also records the loss and steps of the path
+found, and with --before the script refuses to write if either differs
+from the earlier run's: a faster search that returns another path is a
+bug.
 
 heuristic: local_improvement against exact_path on 20 seeded instances
 (seeds 0-19, n = 100, d = 6, K = 10, gamma = 1): each instance's exact loss
 and time, and for q = 1 and 2 (T = 600, patience 120, search seed
 1000 q + instance seed) the local search's loss, optimality gap and time.
 --K shrinks the paths for a quick run. With --before the script refuses to
-write if an exact loss differs from the earlier run's.
+write if an exact or local-search loss differs from the earlier run's.
 
 pinned: the exact search pinned to the least-squares fit, under unit
 weights, on seeded instances (n = 100): exact_path at d = 6, K = 8 (1.7M
@@ -215,26 +216,28 @@ def tradeoff(args) -> list:
     ]
 
 
-# (d, K, T, patience, endpoint, search seed); q = 2 throughout.
-LOCAL_INSTANCES = ((5, 6, 100, None, "ols", 0), (6, 9, 100, None, "free", 1000),
-                   (6, 10, 600, 120, "free", 1000))
+# (d, K, q, T, patience, endpoint, search seed)
+LOCAL_INSTANCES = ((5, 6, 2, 100, None, "ols", 0), (6, 9, 2, 100, None, "free", 1000),
+                   (6, 10, 2, 600, 120, "free", 1000), (6, 9, 1, 100, None, "free", 1000),
+                   (6, 10, 1, 600, 120, "free", 2000))
 
 
 def local(args) -> list:
     schedule = WeightSchedule.geometric(1.0)
     instances = []
-    for d, K, T, patience, endpoint, seed in LOCAL_INSTANCES:
+    for d, K, q, T, patience, endpoint, seed in LOCAL_INSTANCES:
         stats = tradeoff_stats(d)
         base = LinearModel.zeros(stats.feature_names)
-        cfg = OptimizerConfig(K=K, schedule=schedule, q=2, T=T, seed=seed, patience=patience,
+        cfg = OptimizerConfig(K=K, schedule=schedule, q=q, T=T, seed=seed, patience=patience,
                               endpoint=ols(stats) if endpoint == "ols" else None)
         path = local_improvement(stats, base, cfg)
         record = {
             "instance": {"layer": "local_improvement", "seed": SEED, "n": 100, "d": d, "K": K,
-                         "q": 2, "T": T, "patience": patience, "endpoint": endpoint,
+                         "q": q, "T": T, "patience": patience, "endpoint": endpoint,
                          "search_seed": seed, "schedule": schedule.describe()},
             "median_s": median_seconds(lambda: local_improvement(stats, base, cfg)),
             "loss": weighted_loss(stats, path, schedule),
+            "steps": [[i, v] for i, v in path.steps],
         }
         print(f"{describe('local', record)}: {record['median_s'] * 1e3:.2f} ms")
         instances.append(record)
@@ -396,8 +399,8 @@ def describe(topic: str, instance: dict) -> str:
     if topic == "heuristic":
         return f"exact_path, d={inst['d']}, K={inst['K']}, seed {inst['seed']}"
     if topic == "local":
-        return (f"local_improvement, d={inst['d']}, K={inst['K']}, T={inst['T']}, "
-                f"patience={inst['patience']}, endpoint {inst['endpoint']}")
+        return (f"local_improvement, q={inst['q']}, d={inst['d']}, K={inst['K']}, "
+                f"T={inst['T']}, patience={inst['patience']}, endpoint {inst['endpoint']}")
     if topic == "pinned":
         length = f"K={inst['K']}" if "K" in inst else f"K_max={inst['K_max']}"
         return f"{inst['layer']}, d={inst['d']}, {length}, endpoint {inst['endpoint']}"
@@ -451,10 +454,13 @@ def main(argv=None) -> int:
             ap.error(f"--before {args.before} measured other instances: {keys}")
         report["before"] = {"machine": before["machine"], "instances": before["instances"]}
         for now, old in zip(instances, before["instances"]):
-            for key in ("loss", "steps"):
-                if key in now and now[key] != old[key]:
+            found = [(key, now[key], old[key]) for key in ("loss", "steps") if key in now]
+            found += [(f"{q} loss", r["loss"], old["local"][q]["loss"])
+                      for q, r in now.get("local", {}).items()]
+            for key, value, was in found:
+                if value != was:
                     ap.error(f"{describe(args.topic, now)} found another path than --before "
-                             f"{args.before}: {key} {now[key]!r}, before {old[key]!r}")
+                             f"{args.before}: {key} {value!r}, before {was!r}")
             ratio = (now["median_s"]["load_csv"] / old["median_s"]["load_csv"]
                      if args.topic == "ingestion" else now["median_s"] / old["median_s"])
             print(f"{describe(args.topic, now)} {ratio:.2f}x of before")

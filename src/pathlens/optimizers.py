@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import BudgetError, InfeasibleError, InputError
 from .inner import (
+    _EPS,
     as_weights,
     build_systems_batch,
     check_base,
@@ -56,7 +57,7 @@ _BLOCK_LEAVES = 50_000  # leaves below one chunk of parent nodes (~400 KB tempor
 _BLOCK_ROW_NODES = 64  # parent nodes of each weight row a chunk holds, at least
 _CHUNK_ENTRIES = 150_000  # K*K system entries per _enum_direct chunk (~4k patterns at K=6)
 _PIECE_ENTRIES = 200_000  # [M~ | z] entries of a piece of pinned leaves, at most (1.6 MB)
-_WINDOW_CANDIDATES = 512  # local_improvement candidates per solve_patterns call, at most
+_WINDOW_CANDIDATES = 512  # local_improvement candidates per window, at most
 _TIE_RTOL = 1e-12  # objectives this close (relative) are ties, kept by the earlier candidate
 _PIVOT_RTOL = 1e-10
 
@@ -534,8 +535,18 @@ def _ball_costs(stats: SufficientStats, base: LinearModel, atoms: np.ndarray, bi
     return np.maximum(costs, 0.0)
 
 
+def _check_unit_budget(d: int, K: int, budget: int) -> None:
+    """Raise BudgetError if _unit_steps would score more state moves than the
+    budget: 2d+1 from each state within k < K steps of the origin."""
+    moves = (2 * d + 1) * sum(2**i * math.comb(d, i) * math.comb(K, i + 1)
+                               for i in range(min(d + 1, K)))
+    if moves > budget:
+        raise BudgetError(f"unit-step search needs {_amount(moves, math.log10(moves))} state "
+                          f"moves, over the budget of {budget:,}; raise the budget")
+
+
 def _unit_steps(stats: SufficientStats, base: LinearModel, K: int, alpha: np.ndarray,
-                budget: int, endpoint: LinearModel | None = None):
+                endpoint: LinearModel | None = None):
     """The optimal unit-step path, free or pinned to `endpoint`, by dynamic
     programming over the states base + z, z in the L1 ball of radius K
     (_l1_ball), where the states within k steps of the origin (layer k)
@@ -546,15 +557,10 @@ def _unit_steps(stats: SufficientStats, base: LinearModel, K: int, alpha: np.nda
     when pinned 0 only at the integer vector within 1e-9 of target - base.
     The forward pass from the origin follows the unit tie rule: each step
     takes the first move within _TIE_RTOL of the best, in (coordinate, sign)
-    order, a stay counting as (0, 0). The budget counts the moves the
-    backward pass scores.
+    order, a stay counting as (0, 0). The caller checks the budget first
+    (_check_unit_budget).
     """
     d = stats.d
-    moves = (2 * d + 1) * sum(2**i * math.comb(d, i) * math.comb(K, i + 1)
-                               for i in range(min(d + 1, K)))
-    if moves > budget:
-        raise BudgetError(f"unit-step search needs {_amount(moves, math.log10(moves))} state "
-                          f"moves, over the budget of {budget:,}; raise the budget")
     if endpoint is not None:
         _check_reachable(base, endpoint, K)
     atoms, bits, layer, find = _l1_ball(d, K)
@@ -598,9 +604,9 @@ def exact_path(stats: SufficientStats, base: LinearModel, cfg: OptimizerConfig) 
 
     Continuous steps solve every one of the d^K patterns (exact_paths), unit
     steps run a dynamic program over the L1 ball's states (_unit_steps).
-    Respects cfg.endpoint. Raises BudgetError before starting if the work
-    exceeds cfg.budget (check_budget, _unit_steps), and InfeasibleError if no path
-    reaches the endpoint.
+    Respects cfg.endpoint. Raises BudgetError if the work exceeds cfg.budget
+    (check_budget, _check_unit_budget), before anything of size K is built,
+    and InfeasibleError if no path reaches the endpoint.
     """
     K = cfg.K
     check_base(stats, base)
@@ -608,10 +614,12 @@ def exact_path(stats: SufficientStats, base: LinearModel, cfg: OptimizerConfig) 
         if cfg.endpoint is not None:
             _check_reachable(base, cfg.endpoint, 0)
         return CoordinatePath(base, ())
+    continuous = cfg.step_mode == "continuous"
+    (check_budget if continuous else _check_unit_budget)(stats.d, K, cfg.budget)
     alpha = as_weights(cfg.schedule, K)
-    if cfg.step_mode == "continuous":
+    if continuous:
         return exact_paths(stats, base, alpha[None], cfg.budget, cfg.endpoint)[0]
-    return _unit_steps(stats, base, K, alpha, cfg.budget, cfg.endpoint)
+    return _unit_steps(stats, base, K, alpha, cfg.endpoint)
 
 
 def _check_reachable(base: LinearModel, target: LinearModel, K: int) -> None:
@@ -699,6 +707,100 @@ def _default_iv0(stats: SufficientStats, base: LinearModel, cfg: OptimizerConfig
     return np.resize(np.asarray(order, dtype=int), cfg.K)
 
 
+def _solve_small(S: np.ndarray, s: np.ndarray):
+    """Solve a stack of small PSD systems S y = s, (..., q, q) and (..., q),
+    by Gaussian elimination without pivoting; returns (y, the pivots (..., q))."""
+    S, s = S.copy(), s.copy()
+    q = s.shape[-1]
+    for j in range(q - 1):
+        f = S[..., j + 1:, j] / S[..., j, j, None]
+        S[..., j + 1:, j + 1:] -= f[..., :, None] * S[..., None, j, j + 1:]
+        s[..., j + 1:] -= f * s[..., j, None]
+    piv = np.diagonal(S, axis1=-2, axis2=-1)
+    y = s / piv
+    for j in range(q - 2, -1, -1):
+        y[..., j] -= (S[..., j, j + 1:] * y[..., j + 1:]).sum(axis=-1) / piv[..., j]
+    return y, piv
+
+
+class _Screen:
+    """Screened objectives of local-search reassignments, for a free endpoint
+    and positive weights alpha; `assignments` (m, q) are the d^q coordinate
+    tuples in lexicographic order.
+
+    Iteration i of a window moves the sorted positions P = positions[i] of
+    the incumbent iv, and its other positions A keep their coordinates, so
+    its candidates share one block H_AA of the inner matrix. One batched
+    solve with H_AA, whose right-hand sides are b_A and the columns H_AP of
+    every coordinate c at each moving position p, min(w_a, w_p) G[iv_a, c],
+    leaves each reassignment a q x q Schur complement
+    S = H_PP - H_PA H_AA^-1 H_AP with s = b_P - H_PA H_AA^-1 b_A, and the
+    objective top - b_A'z - s'S^-1 s, z = H_AA^-1 b_A, top = sum(alpha)
+    cost(base).
+    """
+
+    def __init__(self, stats: SufficientStats, base: np.ndarray, alpha: np.ndarray,
+                 assignments: np.ndarray):
+        d, q = stats.d, assignments.shape[1]
+        self.G, self.d, self.q = stats.gram, d, q
+        self.w = tail_weights(alpha)
+        self.W = np.minimum(self.w[:, None], self.w[None, :])
+        self.r = stats.residual_cross(base)
+        self.top = float(alpha.sum()) * cost_of(stats, base)
+        self.cols = np.arange(q) * d + assignments  # each moved position's column (p, c)
+        self.pairs = self.cols[:, :, None] * (q * d) + self.cols[:, None, :]
+        self.G_PP = self.G[assignments[:, :, None], assignments[:, None, :]]
+        self.gd_P = np.diag(self.G)[assignments]
+        self.place = d ** np.arange(q - 1, -1, -1)
+
+    # A zero-variance coordinate makes a pivot 0; such windows are not screened.
+    @np.errstate(divide="ignore", invalid="ignore")
+    def __call__(self, iv: np.ndarray, positions: np.ndarray, margin: float):
+        """(vals, sure), both (n, m), for the n iterations' positions (n, q),
+        or None if a pivot of H_AA or S falls to _PIVOT_RTOL of its scale.
+
+        The candidate that reproduces iv gets +inf. A value is sure unless its
+        rounding, about K eps (sum_k |delta_k| sqrt(H_kk))^2 for its step sizes
+        delta (bounded here through z and the solved columns), may exceed
+        margin / 32, as it can far along a near-null direction: the screen
+        and solve_patterns each round by a small multiple of that, and a sure
+        value must stay within half a margin of solve_patterns'.
+        """
+        n, q, d, K = positions.shape[0], self.q, self.d, iv.shape[0]
+        keep = np.ones((n, K), dtype=bool)
+        keep[np.arange(n)[:, None], positions] = False
+        A = np.nonzero(keep)[1].reshape(n, K - q)
+        Gi = self.G[iv]
+        H = (self.W * Gi[:, iv])[A[:, :, None], A[:, None, :]]
+        hd = H.reshape(n, -1)[:, ::K - q + 1]
+        rhs = np.empty((n, K - q, 1 + q * d))
+        rhs[:, :, 0] = (self.w * self.r[iv])[A]
+        rhs[:, :, 1:] = (self.W[:, :, None] * Gi[:, None, :])[
+            A[:, :, None], positions[:, None, :]].reshape(n, K - q, q * d)
+        try:
+            chol = np.linalg.cholesky(H)
+        except np.linalg.LinAlgError:
+            return None
+        if not (chol.reshape(n, -1)[:, ::K - q + 1] ** 2 > _PIVOT_RTOL * hd).all():
+            return None
+        X = np.linalg.solve(H, rhs)
+        z, XP, BP = X[:, :, 0], X[:, :, 1:], rhs[:, :, 1:]
+        wP = self.w[positions]
+        s = ((wP[:, :, None] * self.r).reshape(n, q * d)
+             - np.einsum("nkj,nk->nj", BP, z))[:, self.cols]
+        U = np.matmul(BP.transpose(0, 2, 1), XP).reshape(n, -1)
+        S = np.minimum(wP[:, :, None], wP[:, None, :])[:, None] * self.G_PP - U[:, self.pairs]
+        hP = wP[:, None, :] * self.gd_P
+        y, piv = _solve_small(S, s)
+        if not (piv > _PIVOT_RTOL * hP).all():
+            return None
+        vals = self.top - np.einsum("nk,nk->n", rhs[:, :, 0], z)[:, None] - (s * y).sum(axis=-1)
+        vals[np.arange(n), iv[positions] @ self.place] = np.inf
+        xi = np.matmul(np.abs(X).transpose(0, 2, 1), np.sqrt(hd)[:, :, None])[:, :, 0]
+        spread = xi[:, :1] + (np.abs(y) * (xi[:, 1:][:, self.cols] + np.sqrt(hP))).sum(axis=-1)
+        return vals, K * _EPS * spread * spread <= margin / 32
+
+
 def local_improvement(stats: SufficientStats, base: LinearModel, cfg: OptimizerConfig,
                       iv0=None) -> CoordinatePath:
     """Randomized batch local search over index vectors, warm-started.
@@ -712,17 +814,34 @@ def local_improvement(stats: SufficientStats, base: LinearModel, cfg: OptimizerC
     fixed cfg.seed.
 
     Iterations are scored a window at a time: the candidates of several
-    consecutive iterations, each built against the current incumbent, go
-    through one solve_patterns call, and the iterations are then replayed in
-    order under the rules above. An iteration's positions never depend on
-    results, so they are drawn in iteration order into a queue. An
-    improvement ends its window: the rest of the window was built against
-    the old incumbent, so its queued positions are scored again against the
-    new one. A window holds one iteration after an improvement (or at the
-    start) and twice as many after a window without one, up to
-    _WINDOW_CANDIDATES candidates. solve_patterns computes each item on its
-    own, so every candidate's objective, and hence the path, is bitwise that
-    of a search that solves one iteration per call.
+    consecutive iterations, each built against the current incumbent, are
+    scored together, and the iterations are then replayed in order under the
+    rules above. An iteration's positions never depend on results, so they
+    are drawn in iteration order into a queue. An improvement ends its
+    window: the rest of the window was built against the old incumbent, so
+    its queued positions are scored again against the new one. An iteration
+    whose positions were already scored against the incumbent is skipped:
+    its candidates, and so their objectives, are the same, and they did not
+    improve (after an improvement, its own positions count as scored). A
+    window scores up to _WINDOW_CANDIDATES candidates.
+
+    With a free endpoint and positive weights, each window is screened
+    first (_Screen: one solve with the block of the positions that stay,
+    then a q x q Schur complement per candidate), and the screen only rules
+    candidates out. It skips the candidate that reproduces the incumbent.
+    An iteration whose least screened value exceeds best_obj - 1e-12 by
+    more than a rounding margin, 1e-9 max(1, |best_obj|), cannot improve.
+    Otherwise the candidates within the margin of its least screened value,
+    and any whose screened value may be off by more than the margin allows,
+    are scored by solve_patterns in their original order, and only those
+    objectives decide the argmin, the improvement and the step sizes. Such
+    windows start full. Windows whose H_AA or S pivots fall to _PIVOT_RTOL
+    of their scale, schedules with a zero weight and pinned endpoints score
+    every candidate with solve_patterns instead; those windows start one
+    iteration wide and double after a window without improvement.
+    solve_patterns computes each item on its own, so every objective that
+    decides, and hence the path, is bitwise that of a search that scores
+    each iteration's d^q candidates in one call.
     """
     K = cfg.K
     check_base(stats, base)
@@ -747,32 +866,64 @@ def local_improvement(stats: SufficientStats, base: LinearModel, cfg: OptimizerC
     assignments = np.asarray(list(itertools.product(range(stats.d), repeat=cfg.q)), dtype=int)
     m = assignments.shape[0]
     cap = max(1, _WINDOW_CANDIDATES // m)
+    screen = (_Screen(stats, base.coefficients, alpha, assignments)
+              if target is None and np.all(alpha > 0) else None)
+    first = 1 if screen is None else cap  # iterations to score in a window after an improvement
     rng = np.random.default_rng(cfg.seed)
     queue = []  # drawn positions of the iterations not yet replayed
+    tried = set()  # positions scored against the incumbent without improvement
     done = stale = 0
-    width = 1
+    width = first
     while done < cfg.T:
-        n = min(width, cfg.T - done)
-        while len(queue) < n:
-            queue.append(np.sort(rng.choice(K, size=cfg.q, replace=False)))
-        ivs = np.repeat(best_iv[None, :], n * m, axis=0)
-        rows = np.arange(n * m)[:, None]
-        ivs[rows, np.repeat(queue[:n], m, axis=0)] = np.tile(assignments, (n, 1))
-        deltas, vals = solve_patterns(stats, base.coefficients, ivs, alpha, target)
-        js = np.argmin(vals.reshape(n, m), axis=1) + m * np.arange(n)
-        hits = np.flatnonzero(vals[js] < best_obj - 1e-12)
-        t = int(hits[0]) if hits.size else n  # iterations without improvement first
+        # The window runs until it holds `width` iterations to score. One whose
+        # positions were scored against this incumbent cannot improve: its
+        # candidates, and so their objectives, are the same.
+        end = cfg.T - done if cfg.patience is None else min(cfg.T - done, cfg.patience - stale)
+        live, n = [], 0
+        while len(live) < width and n < end:
+            if n == len(queue):
+                queue.append(tuple(np.sort(rng.choice(K, size=cfg.q, replace=False)).tolist()))
+            if queue[n] not in tried:
+                tried.add(queue[n])
+                live.append(n)
+            n += 1
+        positions = np.array([queue[i] for i in live], dtype=int).reshape(-1, cfg.q)
+        rows = np.arange(len(live) * m)  # candidate a of the i-th live iteration at i*m + a
+        bar = best_obj - 1e-12  # what an improvement must beat
+        screened = None
+        if screen is not None and live:
+            margin = 1e-9 * max(1.0, abs(best_obj))
+            screened = screen(best_iv, positions, margin)
+        if screened is not None:
+            svals, sure = screened
+            low = np.where(sure, svals, np.inf).min(axis=1, keepdims=True)
+            near = (svals <= low + margin) & (low <= bar + margin)
+            pick = near | ~sure
+            won = np.flatnonzero(low < bar - margin)
+            if won.size:  # that iteration improves, so none after it is the first to
+                pick[won[0] + 1:] = False
+            rows = rows[np.flatnonzero(pick)]
+        ivs = np.repeat(best_iv[None, :], rows.size, axis=0)
+        ivs[np.arange(rows.size)[:, None], positions[rows // m]] = assignments[rows % m]
+        vals = np.full(len(live) * m, np.inf)
+        if rows.size:
+            deltas, vals[rows] = solve_patterns(stats, base.coefficients, ivs, alpha, target)
+        js = np.argmin(vals.reshape(-1, m), axis=1) + m * np.arange(len(live))
+        hits = np.flatnonzero(vals[js] < bar)
+        t = live[hits[0]] if hits.size else n  # iterations without improvement first
         if cfg.patience is not None and t and stale + t >= cfg.patience:
             break  # patience ran out within the window, before any improvement
         if t == n:
             stale += n
             width = min(2 * width, cap)
         else:
-            j = js[t]
-            best_obj, best_iv, best_delta = float(vals[j]), ivs[j], deltas[j]
+            j = js[hits[0]]
+            k = np.searchsorted(rows, j)
+            best_obj, best_iv, best_delta = float(vals[j]), ivs[k], deltas[k]
             stale = 0
-            width = 1
+            width = first
             n = t + 1  # the rest of the window is scored again
+            tried = {queue[t]}  # its candidates are the new incumbent's with these positions
         done += n
         del queue[:n]
     return path_from_deltas(base, best_iv, best_delta)

@@ -38,7 +38,7 @@ from pathlens import (
 )
 from pathlens import optimizers, pareto
 from pathlens.optimizers import _enum_direct, _enum_fast, _iv_chunks, _l1_ball
-from pathlens.inner import as_weights, path_from_deltas
+from pathlens.inner import as_weights, path_from_deltas, solve_patterns
 from conftest import TOY_OLS, collinear_stats, random_dataset, random_stats
 from oracles import (
     PivotBreakdown,
@@ -159,6 +159,17 @@ class TestExactPath:
     def test_budget_error_names_the_count(self, toy_stats, toy_zero, K, count):
         cfg = OptimizerConfig(K=K, schedule=GAMMA1, budget=10)
         with pytest.raises(BudgetError, match=re.escape(f"needs {count} inner solves")):
+            exact_path(toy_stats, toy_zero, cfg)
+
+    @pytest.mark.parametrize("step_mode", ["continuous", "unit"])
+    def test_budget_checked_before_weights(self, toy_stats, toy_zero, step_mode, monkeypatch):
+        # A huge K is refused before its K weights are built.
+        def no_weights(*args):
+            raise AssertionError("weights built before the budget check")
+
+        monkeypatch.setattr(optimizers, "as_weights", no_weights)
+        cfg = OptimizerConfig(K=10_000_000, schedule=GAMMA1, step_mode=step_mode)
+        with pytest.raises(BudgetError):
             exact_path(toy_stats, toy_zero, cfg)
 
     def test_k0(self, toy_stats, toy_zero):
@@ -651,38 +662,65 @@ def path_bits(path):
             [(i, float.hex(v)) for i, v in path.steps])
 
 
-# (d, K, q, T, patience, pinned, weights, iv0, collinear); pinned endpoints
-# are the least-squares fit, weights None means unit weights. A poor start
-# improves often, so some windows of several iterations hold more than one
-# improving iteration.
+# (d, K, q, T, patience, pinned, weights, iv0, moments); pinned endpoints
+# are the least-squares fit, weights None means unit weights. moments are
+# random_stats; "collinear", collinear_stats with the last feature the first
+# up to 1e-7 noise; "near_tie", near_tie_stats with gram I and then
+# I + 0.3 (1 - I), so that many candidates tie or nearly tie and the
+# confirmation band decides; or "zero_variance", a coordinate with gram
+# diagonal 0. A poor start improves often, so some windows of several
+# iterations hold more than one improving iteration. A weight of 1e-13
+# makes two tail weights nearly equal, so pivots break and the screened
+# search falls back to scoring every candidate.
 WINDOW_CASES = {
-    "free_q1": (4, 5, 1, 60, None, False, None, None, False),
-    "free_q2": (5, 6, 2, 100, None, False, None, None, False),
-    "free_q3": (4, 5, 3, 40, None, False, None, None, False),
-    "pinned_q1": (4, 5, 1, 60, None, True, None, None, False),
-    "pinned_q2": (5, 6, 2, 100, None, True, None, None, False),
-    "pinned_q3": (3, 5, 3, 40, None, True, None, None, False),
-    "T0": (4, 4, 2, 0, None, False, None, None, False),
-    "T1": (4, 4, 2, 1, None, False, None, None, False),
-    "T1_pinned": (4, 4, 2, 1, None, True, None, None, False),
-    "T600": (4, 6, 2, 600, None, False, None, None, False),
-    "T600_patience": (6, 8, 2, 600, 40, False, None, None, False),
-    "patience1": (5, 6, 2, 100, 1, False, None, None, False),
-    "patience1_pinned": (5, 6, 2, 100, 1, True, None, None, False),
-    "patience5_q1": (5, 7, 1, 200, 5, False, None, None, False),
-    "iv0": (4, 5, 2, 60, None, False, None, [3, 3, 2, 1, 0], False),
-    "iv0_pinned": (4, 6, 2, 60, 10, True, None, [3, 0, 2, 1, 0, 1], False),
-    "poor_start_q1": (6, 9, 1, 100, None, False, None, [0] * 9, False),
-    "poor_start_q1_pinned": (5, 7, 1, 100, None, True, None, [0, 1, 2, 3, 4, 0, 1], False),
+    "free_q1": (4, 5, 1, 60, None, False, None, None, "random"),
+    "free_q2": (5, 6, 2, 100, None, False, None, None, "random"),
+    "free_q3": (4, 5, 3, 40, None, False, None, None, "random"),
+    "free_q3_d5": (5, 7, 3, 60, None, False, None, None, "random"),
+    "pinned_q1": (4, 5, 1, 60, None, True, None, None, "random"),
+    "pinned_q2": (5, 6, 2, 100, None, True, None, None, "random"),
+    "pinned_q3": (3, 5, 3, 40, None, True, None, None, "random"),
+    "T0": (4, 4, 2, 0, None, False, None, None, "random"),
+    "T1": (4, 4, 2, 1, None, False, None, None, "random"),
+    "T1_pinned": (4, 4, 2, 1, None, True, None, None, "random"),
+    "T600": (4, 6, 2, 600, None, False, None, None, "random"),
+    "T600_patience": (6, 8, 2, 600, 40, False, None, None, "random"),
+    "patience1": (5, 6, 2, 100, 1, False, None, None, "random"),
+    "patience1_pinned": (5, 6, 2, 100, 1, True, None, None, "random"),
+    "patience5_q1": (5, 7, 1, 200, 5, False, None, None, "random"),
+    "patience12_q3": (4, 7, 3, 200, 12, False, None, [0] * 7, "random"),
+    "iv0": (4, 5, 2, 60, None, False, None, [3, 3, 2, 1, 0], "random"),
+    "iv0_pinned": (4, 6, 2, 60, 10, True, None, [3, 0, 2, 1, 0, 1], "random"),
+    "poor_start_q1": (6, 9, 1, 100, None, False, None, [0] * 9, "random"),
+    "poor_start_q1_pinned": (5, 7, 1, 100, None, True, None, [0, 1, 2, 3, 4, 0, 1], "random"),
     "poor_start_q2_pinned": (6, 9, 2, 100, None, True, None, [0, 1, 2, 3, 4, 5, 0, 1, 2],
-                             False),
-    "zero_weight": (5, 5, 2, 100, None, False, [1.0, 0.0, 0.0, 0.0, 1.0], None, False),
+                             "random"),
+    "zero_weight": (5, 5, 2, 100, None, False, [1.0, 0.0, 0.0, 0.0, 1.0], None, "random"),
     "zero_weight_pinned": (4, 6, 2, 100, None, True, [0.0, 1.0, 0.0, 2.0, 0.0, 1.0], None,
-                           False),
-    "collinear": (4, 6, 2, 100, None, False, None, None, True),
-    "collinear_zero_weight": (4, 4, 2, 100, None, False, [1.0, 0.0, 0.0, 1.0], None, True),
-    "collinear_pinned": (4, 5, 2, 100, None, True, None, None, True),
+                           "random"),
+    "collinear": (4, 6, 2, 100, None, False, None, None, "collinear"),
+    "collinear_zero_weight": (4, 4, 2, 100, None, False, [1.0, 0.0, 0.0, 1.0], None,
+                              "collinear"),
+    "collinear_pinned": (4, 5, 2, 100, None, True, None, None, "collinear"),
+    "collinear_broken_pivots": (4, 6, 2, 100, None, False, [1.0, 1e-13, 1.0, 1.0, 1.0, 1.0],
+                                None, "collinear"),
+    "near_tie": (5, 7, 2, 100, None, False, None, None, "near_tie"),
+    "near_tie_q1": (6, 8, 1, 100, None, False, None, [0] * 8, "near_tie"),
+    "near_tie_q3": (4, 6, 3, 60, None, False, None, None, "near_tie"),
+    "zero_variance": (4, 5, 2, 60, None, False, None, None, "zero_variance"),
 }
+
+
+def window_stats(moments, seed, d):
+    if moments == "collinear":
+        return collinear_stats(70 + seed, d, noise=1e-7)
+    if moments == "near_tie":
+        return near_tie_stats(np.random.default_rng(70 + seed), d, 0.3 * seed)
+    if moments == "zero_variance":  # coordinate 2 has gram diagonal 0: its pivots are 0
+        gram = np.eye(d) + 0.3 * seed * (1 - np.eye(d))
+        gram[2] = gram[:, 2] = 0.0
+        return stats_from_moments(gram, np.r_[0.5, 0.2, 0.0, 0.1 * np.ones(d - 3)], 2.0)
+    return random_stats(70 + seed, d=d)
 
 
 @pytest.mark.parametrize("cap", [None, 1, 60], ids=["cap_default", "cap1", "cap60"])
@@ -692,16 +730,144 @@ def test_windows_match_iterwise_oracle(case, cap, monkeypatch):
     solves one iteration per call, whatever the window cap."""
     if cap is not None:
         monkeypatch.setattr(optimizers, "_WINDOW_CANDIDATES", cap)
-    d, K, q, T, patience, pinned, weights, iv0, collinear = WINDOW_CASES[case]
+    d, K, q, T, patience, pinned, weights, iv0, moments = WINDOW_CASES[case]
     for seed in range(2):
-        stats = (collinear_stats(70 + seed, d, noise=1e-7) if collinear
-                 else random_stats(70 + seed, d=d))
+        stats = window_stats(moments, seed, d)
         base = LinearModel.zeros(stats.feature_names)
         schedule = GAMMA1 if weights is None else WeightSchedule.explicit(weights)
         cfg = OptimizerConfig(K=K, schedule=schedule, q=q, T=T, seed=seed, patience=patience,
                               endpoint=ols(stats) if pinned else None)
         path = local_improvement(stats, base, cfg, iv0=iv0)
         assert path_bits(path) == path_bits(iterwise_local_improvement(stats, base, cfg, iv0))
+
+
+@given(seed=st.integers(0, 10**6), d=st.integers(1, 6), K=st.integers(1, 8),
+       q=st.sampled_from([1, 2, 3]), moments=st.sampled_from(["random", "collinear", "near_tie"]),
+       noise=st.sampled_from([1e-3, 1e-5, 1e-7]),
+       weights=st.sampled_from(["ones", "geometric", "zero", "tiny"]), pinned=st.booleans(),
+       patience=st.sampled_from([None, 1, 4]), T=st.integers(0, 30))
+def test_local_search_matches_iterwise_oracle_property(seed, d, K, q, moments, noise, weights,
+                                                       pinned, patience, T):
+    # The screen, its confirmation band and every fallback (zero weights,
+    # pinned endpoints, broken pivots) against the search that scores each
+    # iteration's d^q candidates in one solve_patterns call. Collinear grams
+    # reach condition numbers of about 1e15 at noise 1e-7.
+    assume(q <= K and d**q <= 216)
+    rng = np.random.default_rng(seed)
+    if moments == "collinear":
+        assume(d >= 2)
+        stats = collinear_stats(seed % 1000, d, noise=noise)
+    elif moments == "near_tie":
+        stats = near_tie_stats(rng, d, rng.choice([0.0, 0.3]))
+    else:
+        stats = random_stats(seed % 1000, d=d)
+    alpha = {"ones": np.ones(K), "geometric": 0.7 ** np.arange(1, K + 1),
+             "zero": np.where(np.arange(K) == rng.integers(K), 0.0, 1.0),
+             "tiny": np.where(np.arange(K) == rng.integers(K), 1e-13, 1.0)}[weights]
+    assume(alpha.any())
+    endpoint = None
+    if pinned:
+        moved = rng.choice(d, size=rng.integers(min(K, d) + 1), replace=False)
+        target = np.zeros(d)
+        target[moved] = ols(stats).coefficients[moved]
+        endpoint = LinearModel(target, stats.feature_names)
+    base = LinearModel.zeros(stats.feature_names)
+    cfg = OptimizerConfig(K=K, schedule=WeightSchedule.explicit(alpha), q=q, T=T,
+                          seed=seed % 7, patience=patience, endpoint=endpoint)
+    path = local_improvement(stats, base, cfg)
+    assert path_bits(path) == path_bits(iterwise_local_improvement(stats, base, cfg))
+
+
+def count_solve_patterns(monkeypatch) -> list:
+    """The item counts of each optimizers.solve_patterns call from now on."""
+    items = []
+    solve = optimizers.solve_patterns
+
+    def counting(stats, base, ivs, *args):
+        items.append(ivs.shape[0])
+        return solve(stats, base, ivs, *args)
+
+    monkeypatch.setattr(optimizers, "solve_patterns", counting)
+    return items
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_screen_confirms_one_candidate_per_improvement(seed, monkeypatch):
+    # A well-conditioned free q=2 search sends solve_patterns only the
+    # near-winners: on random moments no two candidates tie, so each
+    # improvement takes one candidate, and an iteration that cannot improve
+    # takes none. A silent fall back to full scoring would send 36 per
+    # iteration.
+    incumbents = set()
+    screen = optimizers._Screen.__call__
+
+    def watching(self, iv, positions, margin):
+        incumbents.add(iv.tobytes())
+        return screen(self, iv, positions, margin)
+
+    monkeypatch.setattr(optimizers._Screen, "__call__", watching)
+    items = count_solve_patterns(monkeypatch)
+    stats = random_stats(80 + seed, d=6)
+    cfg = OptimizerConfig(K=9, schedule=GAMMA1, q=2, T=100, seed=seed)
+    local_improvement(stats, LinearModel.zeros(stats.feature_names), cfg)
+    assert items[0] == 1  # the start
+    assert len(incumbents) >= 3
+    assert sum(items[1:]) <= len(incumbents)
+
+
+@pytest.mark.parametrize("case", ["zero_weight", "zero_weight_pinned", "pinned_q2",
+                                  "collinear_broken_pivots"])
+def test_fallback_scores_every_candidate(case, monkeypatch):
+    # Zero weights, pinned endpoints and windows whose pivots break send
+    # every candidate of each iteration they score to solve_patterns.
+    items = count_solve_patterns(monkeypatch)
+    d, K, q, T, patience, pinned, weights, iv0, moments = WINDOW_CASES[case]
+    stats = window_stats(moments, 0, d)
+    schedule = GAMMA1 if weights is None else WeightSchedule.explicit(weights)
+    cfg = OptimizerConfig(K=K, schedule=schedule, q=q, T=T, seed=0, patience=patience,
+                          endpoint=ols(stats) if pinned else None)
+    local_improvement(stats, LinearModel.zeros(stats.feature_names), cfg, iv0=iv0)
+    assert len(items) > 1
+    assert all(n % d**q == 0 for n in items[1:])
+
+
+def test_screen_is_sure_only_within_the_margin():
+    # A weight of 1e-9 makes two tail weights nearly equal. On collinear
+    # moments (gram condition number 7e10) that keeps every pivot above
+    # _PIVOT_RTOL but puts some candidates' steps far along a near-null
+    # direction, where the screen and solve_patterns differ by up to 50
+    # margins. The screen must call those values unsure, and every value it
+    # calls sure must be within half a margin of solve_patterns'.
+    stats = collinear_stats(55, 5, noise=1e-5)
+    alpha = np.r_[1.0, 1e-9, np.ones(5)]
+    assignments = np.array(list(itertools.product(range(5), repeat=2)))
+    iv = np.array([3, 4, 0, 1, 2, 4, 1])
+    base = np.zeros(5)
+    margin = 1e-9 * max(1.0, float(solve_patterns(stats, base, iv[None], alpha)[1][0]))
+    positions = np.array(list(itertools.combinations(range(7), 2)))
+    vals, sure = optimizers._Screen(stats, base, alpha, assignments)(iv, positions, margin)
+    ivs = np.repeat(iv[None], vals.size, axis=0)
+    ivs[np.arange(vals.size)[:, None], np.repeat(positions, 25, axis=0)] = np.tile(
+        assignments, (len(positions), 1))
+    err = np.abs(vals.ravel() - solve_patterns(stats, base, ivs, alpha)[1])
+    sure = sure.ravel()[np.isfinite(err)]  # the incumbent's own candidates are +inf
+    err = err[np.isfinite(err)]
+    assert np.all(err[sure] <= margin / 2)
+    assert np.any(err[~sure] > margin)
+
+
+@pytest.mark.parametrize("seed,d,K,q", [(14, 6, 4, 1), (44, 5, 4, 1), (155, 6, 6, 2),
+                                        (173, 5, 4, 1)])
+def test_confirmation_band_decides_near_ties(seed, d, K, q):
+    # Under near_tie_stats with 0.3 off the diagonal, improving candidates
+    # tie to within rounding, and the screen rounds them otherwise than
+    # solve_patterns: confirming only the screen's own minimum, without the
+    # band around it, returns another path on each of these instances.
+    stats = near_tie_stats(np.random.default_rng(seed), d, 0.3)
+    base = LinearModel.zeros(stats.feature_names)
+    cfg = OptimizerConfig(K=K, schedule=GAMMA1, q=q, T=40, seed=seed % 5)
+    path = local_improvement(stats, base, cfg)
+    assert path_bits(path) == path_bits(iterwise_local_improvement(stats, base, cfg))
 
 
 def near_tie_stats(rng, d, off):
