@@ -11,10 +11,13 @@ whitespace-only last line).
 
 tradeoff: sweep on a seeded instance (d = 6, n = 100) with K_max = 6 over
 the default 61-value lambda grid, gamma = 1, one worker, also per
-(lambda, K) solve; and the exact search's fast kernel (_enum_fast, recorded
+(lambda, K) solve; the exact search's fast kernel (_enum_fast, recorded
 under its earlier name _enum_free_fast) with one weight row of unit weights
-at d = 6, K = 10 (60.5M patterns), in patterns per second. --K-max and --K
-shrink both for a quick run.
+at d = 6, K = 10 (60.5M patterns), in patterns per second; and exact_path
+on the same instance, free, under gamma = 1, one step shorter than the
+kernel (K = 9 and 10.1M patterns by default, as the benchmark's search
+workload runs it), with the loss and steps of its path, which --before
+checks. --K-max and --K shrink all three for a quick run.
 
 local: local_improvement under unit weights, on seeded instances
 (n = 100): q = 2 pinned to the least-squares fit at d = 5, K = 6, T = 100
@@ -200,11 +203,16 @@ def tradeoff(args) -> list:
     alpha = np.ones((1, args.K))
     kernel_s = median_seconds(
         lambda: optimizers._enum_fast(stats, np.zeros(d), args.K, alpha))
+    cfg = OptimizerConfig(K=args.K - 1, schedule=schedule, budget=10**8)
+    path = exact_path(stats, base, cfg)
+    exact_s = median_seconds(lambda: exact_path(stats, base, cfg))
     solves = len(grid) * args.K_max
     print(f"sweep, d={d}, K_max={args.K_max}, {len(grid)} lambdas, 1 worker: {sweep_s:.4f} s, "
           f"{sweep_s / solves * 1e3:.3f} ms per (lambda, K)")
     print(f"_enum_fast, d={d}, K={args.K}, one row: {kernel_s:.4f} s, "
           f"{d**args.K / kernel_s / 1e6:.1f}M patterns/s")
+    print(f"exact_path, d={d}, K={cfg.K}: {exact_s:.4f} s, "
+          f"{d**cfg.K / exact_s / 1e6:.1f}M patterns/s")
     return [
         {"instance": {"layer": "sweep", "seed": SEED, "n": 100, "d": d, "K_max": args.K_max,
                       "lambdas": len(grid), "workers": 1, "schedule": schedule.describe()},
@@ -213,6 +221,10 @@ def tradeoff(args) -> list:
         {"instance": {"layer": "_enum_free_fast", "seed": SEED, "n": 100, "d": d, "K": args.K,
                       "rows": 1, "schedule": "unit weights"},
          "median_s": kernel_s, "patterns_per_s": d**args.K / kernel_s},
+        {"instance": {"layer": "exact_path", "seed": SEED, "n": 100, "d": d, "K": cfg.K,
+                      "endpoint": "free", "schedule": schedule.describe()},
+         "median_s": exact_s, "patterns_per_s": d**cfg.K / exact_s,
+         "loss": weighted_loss(stats, path, schedule), "steps": [[i, v] for i, v in path.steps]},
     ]
 
 
@@ -422,9 +434,9 @@ def main(argv=None) -> int:
                     help="tradeoff: sweep K_max; pinned: the first best_explanation K_max; "
                          "direct: the longer unit-step length (default 6)")
     ap.add_argument("--K", type=int,
-                    help="tradeoff: kernel path length; heuristic: path length (default 10); "
-                         "pinned: exact_path length (default 8); direct: the continuous "
-                         "rows' length (default 7)")
+                    help="tradeoff: kernel path length, one more than exact_path's; "
+                         "heuristic: path length (default 10); pinned: exact_path length "
+                         "(default 8); direct: the continuous rows' length (default 7)")
     ap.add_argument("--before", help="an earlier output of this script, kept as 'before'")
     args = ap.parse_args(argv)
     if args.K is None:

@@ -173,10 +173,11 @@ def _grow(nodes, G, gd, r, wm, children_q, broken, out):
     A node is (QT, uT, ssq), and under a pinned endpoint also (RT, MT, vT),
     the transposed summaries R = B'E, M = E'E and v = E'y. Weight rows run
     along the first axis and nodes along the last, QT, RT, MT (L, d, d, N)
-    and uT, vT (L, d, N), with the step's weight wm shaped (L, 1, 1), so
-    every broadcast operand is a contiguous row. The d*N children come back
-    in the same layout, child c of node p at c*N + p; their QT, RT and MT go
-    to the buffers out, each (L, d, d, d, N). Only ssq is grown unless
+    and uT, vT (L, d, N), with the step's weight wm shaped (L, 1, 1); the
+    step's new rows of B (and E) are copied out of their transposed view, so
+    every broadcast operand is contiguous along (c, N). The d*N children come
+    back in the same layout, child c of node p at c*N + p; their QT, RT and
+    MT go to the buffers out, each (L, d, d, d, N). Only ssq is grown unless
     children_q (not needed after the last step). Broken rows are marked in
     broken.
     """
@@ -190,7 +191,7 @@ def _grow(nodes, G, gd, r, wm, children_q, broken, out):
     ssq = (ssq[:, None, :] + ynew * ynew).reshape(L, d * N)
     if not children_q:
         return None, None, ssq
-    row = ((G[:, :, None] - wm[..., None] * QT) / piv[:, :, None, :]).transpose(0, 2, 1, 3)
+    row = ((G[:, :, None] - wm[..., None] * QT) / piv[:, :, None]).transpose(0, 2, 1, 3).copy()
     QTc = np.multiply(row[:, :, None, :, :], row[:, None, :, :, :], out=out[0])
     QTc += QT[:, :, :, None, :]
     uTc = np.multiply(row, ynew[:, None, :, :])
@@ -200,7 +201,8 @@ def _grow(nodes, G, gd, r, wm, children_q, broken, out):
         return grown
     RT, MT, vT = nodes[3:]
     # Child c's new row of E = L^-1 C' is (e_c - w R[c, :]) / piv, like B's.
-    E = ((np.eye(d)[:, :, None] - wm[..., None] * RT) / piv[:, :, None, :]).transpose(0, 2, 1, 3)
+    E = ((np.eye(d)[:, :, None] - wm[..., None] * RT) / piv[:, :, None]).transpose(0, 2, 1, 3)
+    E = E.copy()
     RTc = np.multiply(row[:, :, None, :, :], E[:, None, :, :, :], out=out[1])
     RTc += RT[:, :, :, None, :]
     MTc = np.multiply(E[:, :, None, :, :], E[:, None, :, :, :], out=out[2])
@@ -214,40 +216,38 @@ def _grow(nodes, G, gd, r, wm, children_q, broken, out):
 def _fused_leaves(QT, uT, ssq, G, gd, r, w1, w2, top, broken, out):
     """Objectives of every two-step completion of each node, as vals[l, c1, c2, n].
 
-    The last two steps in one pass, evaluated in place in the two buffers
-    out, shaped like QT (L, d, d, N), in _grow's layout; vals is out[0]. w1
-    and w2 are shaped (L, 1, 1) and top (L,).
-    Each value goes through the same operations in the same order whatever
-    L and N are, so it does not depend on how rows and nodes are blocked.
-    Rows whose pivots break down are marked in broken.
+    Computed in the two buffers out, shaped like QT (L, d, d, N), in _grow's
+    layout; vals is out[0]. w1 and w2 are shaped (L, 1, 1) and top (L,). The
+    first step's pivot piv1 = w1 gd - w1^2 diag(Q), s = piv1^-1/2 and
+    y1 = w1 a s are per node and c1, with a = r - u and b = gd / w2 - diag(Q)
+    per node and c2. The only factor per leaf is rho = (G - w1 Q)[c1, c2] s:
+    the second pivot is w2^2 (b - rho^2), and a leaf scores
+    C - (a - rho y1)^2 / (b - rho^2), with C = top - ssq - y1^2. A row breaks
+    down at a first pivot at or below _PIVOT_RTOL w1 gd, where
+    b - rho^2 <= _PIVOT_RTOL gd / w2 (tested as max over c1 of rho^2 against
+    (1 - _PIVOT_RTOL) gd / w2 - diag(Q), so that a gd / w2 that overflows
+    breaks nothing), or at a NaN. Each value goes through the same operations
+    in the same order whatever L and N are, so it does not depend on how rows
+    and nodes are blocked.
     """
-    w1q, w2q = w1[..., None], w2[..., None]
     dQ = np.einsum("...iin->...in", QT)
-    piv1 = np.multiply(w1 * w1, dQ)
-    np.subtract(w1 * gd[:, None], piv1, out=piv1)
+    piv1 = w1 * gd[:, None] - w1 * w1 * dQ
     _mark_broken(broken, piv1, _PIVOT_RTOL * w1 * gd[:, None])
-    np.sqrt(piv1, out=piv1)
-    y1 = np.multiply(w1, uT)
-    np.subtract(w1 * r[:, None], y1, out=y1)
-    y1 /= piv1
-    row = np.multiply(w1q, QT, out=out[0])
-    np.subtract(G[:, :, None], row, out=row)
-    row /= piv1[:, :, None, :]
-    piv2 = np.multiply(row, row, out=out[1])
-    piv2 += dQ[:, None, :, :]
-    piv2 *= w2q * w2q
-    np.subtract(w2q * gd[None, :, None], piv2, out=piv2)
-    _mark_broken(broken, piv2, _PIVOT_RTOL * w2q * gd[None, :, None])
-    y2 = row
-    y2 *= y1[:, :, None, :]
-    y2 += uT[:, None, :, :]
-    y2 *= w2q
-    np.subtract(w2q * r[None, :, None], y2, out=y2)
-    y2 /= np.sqrt(piv2, out=piv2)
-    y1 *= y1
-    np.subtract((top[:, None] - ssq)[:, None, :], y1, out=y1)
-    y2 *= y2
-    return np.subtract(y1[:, :, None, :], y2, out=y2)
+    s = 1 / np.sqrt(piv1)
+    a = r[:, None] - uT
+    y1 = w1 * a * s
+    C = (top[:, None, None] - ssq[:, None]) - y1 * y1
+    rho = np.multiply(w1[..., None], QT, out=out[0])
+    np.subtract(G[:, :, None], rho, out=rho)
+    rho *= s[:, :, None]
+    h = np.multiply(rho, rho, out=out[1])
+    _mark_broken(broken, (1 - _PIVOT_RTOL) * gd[:, None] / w2 - dQ, h.max(axis=1))
+    np.subtract((gd[:, None] / w2 - dQ)[:, None], h, out=h)
+    rho *= y1[:, :, None]
+    np.subtract(a[:, None], rho, out=rho)
+    rho *= rho
+    rho /= h
+    return np.subtract(C[:, :, None], rho, out=rho)
 
 
 def _pinned_leaves(nodes, order, prefix, G, gd, r, w1, w2, top, e, broken):

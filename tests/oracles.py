@@ -7,7 +7,8 @@ a parabolic line search, and pinned endpoints are solved by SVD null-space
 elimination of the endpoint constraints on normal equations assembled here.
 The exceptions are unblocked_enum_free_fast, the breadth-first form of the
 exact search's incremental factor recursion, kept as the reference for its
-blocked form, and iterwise_local_improvement, the local search with one
+blocked form (and, with folded=False, for the algebra of its last two
+steps), and iterwise_local_improvement, the local search with one
 solve_patterns call per iteration, kept as the reference for the search
 that scores windows of iterations in one call. rowwise_load_csv is the
 pure-Python CSV reader that load_csv's one-call numpy parse must match.
@@ -233,11 +234,17 @@ class PivotBreakdown(Exception):
     """unblocked_enum_free_fast hit a non-positive pivot."""
 
 
-def unblocked_enum_free_fast(stats, base, K, alpha):
+def unblocked_enum_free_fast(stats, base, K, alpha, folded=True):
     """optimizers._enum_fast with every level but the fused last two
     expanded breadth-first from the empty pattern, and those two run on all
     nodes at once. Returns (objective, pattern); raises PivotBreakdown where
-    it marks the row broken."""
+    it marks the row broken.
+
+    folded=True scores the last two steps by _fused_leaves' operations, in
+    the same order. folded=False scores them from the explicit second pivot
+    piv2 = w2 gd - w2^2 (diag(Q) + rho^2) and y2 = (w2 r - w2 u2) / piv2^1/2,
+    the formula before the step weights were folded into per-node terms:
+    equal up to rounding, so a second reference."""
     G = stats.gram
     d = stats.d
     r = stats.residual_cross(base)
@@ -256,7 +263,7 @@ def unblocked_enum_free_fast(stats, base, K, alpha):
         wm = w[m]
         dQ = np.einsum("ncc->nc", Q)
         piv2 = wm * gd[None, :] - wm * wm * dQ
-        if np.any(piv2 <= _PIVOT_RTOL * wm * gd[None, :]):
+        if not np.all(piv2 > _PIVOT_RTOL * wm * gd[None, :]):  # NaN breaks too
             raise PivotBreakdown
         piv = np.sqrt(piv2)
         ynew = (wm * r[None, :] - wm * u) / piv
@@ -270,19 +277,31 @@ def unblocked_enum_free_fast(stats, base, K, alpha):
         w1, w2 = w[K - 2], w[K - 1]
         dQ = np.einsum("ncc->nc", Q)
         piv1sq = w1 * gd[None, :] - w1 * w1 * dQ
-        if np.any(piv1sq <= _PIVOT_RTOL * w1 * gd[None, :]):
+        if not np.all(piv1sq > _PIVOT_RTOL * w1 * gd[None, :]):
             raise PivotBreakdown
-        piv1 = np.sqrt(piv1sq)
-        y1 = (w1 * r[None, :] - w1 * u) / piv1
-        row = (G[None, :, :] - w1 * Q) / piv1[:, :, None]
-        dQ2 = dQ[:, None, :] + row * row
-        piv2sq = w2 * gd[None, None, :] - w2 * w2 * dQ2
-        if np.any(piv2sq <= _PIVOT_RTOL * w2 * gd[None, None, :]):
-            raise PivotBreakdown
-        u2 = u[:, None, :] + row * y1[:, :, None]
-        y2 = (w2 * r[None, None, :] - w2 * u2) / np.sqrt(piv2sq)
-        vals = (S * c0 - ssq[:, None, None]) - y1[:, :, None] ** 2 - y2**2
-        vals = vals.reshape(-1)
+        if folded:
+            s = 1 / np.sqrt(piv1sq)
+            a = r[None, :] - u
+            y1 = w1 * a * s
+            C = (S * c0 - ssq[:, None]) - y1 * y1
+            rho = (G[None, :, :] - w1 * Q) * s[:, :, None]
+            h = rho * rho
+            if not np.all((1 - _PIVOT_RTOL) * gd / w2 - dQ > h.max(axis=1)):
+                raise PivotBreakdown
+            y2sq = (a[:, None, :] - rho * y1[:, :, None]) ** 2 / ((gd / w2 - dQ)[:, None, :] - h)
+            vals = (C[:, :, None] - y2sq).reshape(-1)
+        else:
+            piv1 = np.sqrt(piv1sq)
+            y1 = (w1 * r[None, :] - w1 * u) / piv1
+            row = (G[None, :, :] - w1 * Q) / piv1[:, :, None]
+            dQ2 = dQ[:, None, :] + row * row
+            piv2sq = w2 * gd[None, None, :] - w2 * w2 * dQ2
+            if not np.all(piv2sq > _PIVOT_RTOL * w2 * gd[None, None, :]):
+                raise PivotBreakdown
+            u2 = u[:, None, :] + row * y1[:, :, None]
+            y2 = (w2 * r[None, None, :] - w2 * u2) / np.sqrt(piv2sq)
+            vals = (S * c0 - ssq[:, None, None]) - y1[:, :, None] ** 2 - y2**2
+            vals = vals.reshape(-1)
     else:
         vals = S * c0 - ssq
     j = int(np.argmin(vals))  # nodes are in lexicographic order

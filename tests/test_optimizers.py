@@ -37,7 +37,7 @@ from pathlens import (
     weighted_loss,
 )
 from pathlens import optimizers, pareto
-from pathlens.optimizers import _enum_direct, _enum_fast, _iv_chunks, _l1_ball
+from pathlens.optimizers import _TIE_RTOL, _enum_direct, _enum_fast, _iv_chunks, _l1_ball
 from pathlens.inner import as_weights, path_from_deltas, solve_patterns
 from conftest import TOY_OLS, collinear_stats, random_dataset, random_stats
 from oracles import (
@@ -199,6 +199,43 @@ class TestExactPath:
             exact_path(toy_stats, toy_zero, OptimizerConfig(K=1, schedule=GAMMA1, endpoint=target))
 
 
+def _blocking_battery():
+    """((d, K, _BLOCK_LEAVES), upper, stats, base, alpha) for each run of the
+    exact search's oracle battery. Small chunks grow every level a few
+    parents at a time; the fixed cases add d = 1, K <= 2 and one parent per
+    chunk. Each case also runs with a weight that breaks the factorization:
+    a first weight too small to change the tail weights (repeated
+    coordinates fail at the first pivot they share) or a near-zero weight
+    at K-2 (the fused step's last pivot). The upper cases put a 1e-12
+    weight at an early step m, so that the pivot of a pattern repeating
+    step m's coordinate at step m + 1, positive but below the breakdown
+    floor, lies in the levels above the last grown one."""
+    rng = np.random.default_rng(4)
+    cases = [(1, 5, 1), (1, 3, 50_000), (3, 1, 1), (4, 2, 1), (3, 2, 5), (3, 6, 1), (4, 5, 16)]
+    for _ in range(100):
+        d = int(rng.integers(1, 6))
+        K = int(rng.integers(1, 8))
+        rng.choice([1, d, d * d, 50, 2_000_000])  # unused; keeps the later draws fixed
+        cases.append((d, K, int(rng.choice([1, 2, 5, 64, 50_000]))))
+    # (d, K, _BLOCK_LEAVES, step of the 1e-12 weight)
+    upper_cases = [(3, 6, 50_000, 0), (3, 6, 1, 1), (3, 6, 5, 1),
+                   (2, 7, 5, 3), (4, 5, 64, 0), (4, 5, 1, 1),
+                   (3, 7, 16, 2), (2, 6, 1, 2), (5, 4, 64, 0)]
+    for seed, (d, K, block, *pos) in enumerate(cases + upper_cases):
+        stats = random_stats(seed + 200, d=d)
+        base = rng.standard_normal(d) * 0.5
+        alpha = as_weights(rng.uniform(0.1, 2.0, size=K), K)
+        tiny = alpha.copy()
+        if pos:
+            tiny[pos[0]] = 1e-12
+        elif seed % 2 and K >= 3:
+            tiny[K - 2] = 1e-14
+        else:
+            tiny[0] = 1e-20
+        for a in ((tiny,) if pos else (alpha, tiny) if K >= 2 else (alpha,)):
+            yield (d, K, block), bool(pos), stats, base, a
+
+
 class TestEnumerationEngines:
     """The incremental-factor engine must agree with per-candidate solves."""
 
@@ -232,53 +269,75 @@ class TestEnumerationEngines:
     def test_blocked_matches_unblocked_oracle(self, monkeypatch):
         # Whatever _BLOCK_LEAVES is, the search must give the one
         # breadth-first oracle's objective bit for bit and its pattern, and
-        # mark a row broken iff the oracle breaks down. Small chunks grow
-        # every level a few parents at a time; the fixed cases add d = 1,
-        # K <= 2 and one parent per chunk. Each case also runs with a weight
-        # that breaks the factorization: a first weight too small to change
-        # the tail weights (repeated coordinates fail at the first pivot
-        # they share) or a near-zero weight at K-2 (the fused step's last
-        # pivot). The upper-level cases put a 1e-12 weight at an early step
-        # m, so that the pivot of a pattern repeating step m's coordinate at
-        # step m + 1, positive but below the breakdown floor, lies in the
-        # levels above the last grown one.
-        rng = np.random.default_rng(4)
-        cases = [(1, 5, 1), (1, 3, 50_000), (3, 1, 1), (4, 2, 1), (3, 2, 5), (3, 6, 1), (4, 5, 16)]
-        for _ in range(100):
-            d = int(rng.integers(1, 6))
-            K = int(rng.integers(1, 8))
-            rng.choice([1, d, d * d, 50, 2_000_000])  # unused; keeps the later draws fixed
-            cases.append((d, K, int(rng.choice([1, 2, 5, 64, 50_000]))))
-        # (d, K, _BLOCK_LEAVES, step of the 1e-12 weight)
-        upper_cases = [(3, 6, 50_000, 0), (3, 6, 1, 1), (3, 6, 5, 1),
-                       (2, 7, 5, 3), (4, 5, 64, 0), (4, 5, 1, 1),
-                       (3, 7, 16, 2), (2, 6, 1, 2), (5, 4, 64, 0)]
-        broke = upper_broke = 0
-        for seed, (d, K, block, *pos) in enumerate(cases + upper_cases):
-            stats = random_stats(seed + 200, d=d)
-            base = rng.standard_normal(d) * 0.5
-            alpha = as_weights(rng.uniform(0.1, 2.0, size=K), K)
+        # mark a row broken iff the oracle breaks down.
+        broke = upper_broke = uppers = 0
+        for (d, K, block), upper, stats, base, a in _blocking_battery():
             monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", block)
-            tiny = alpha.copy()
-            if pos:
-                tiny[pos[0]] = 1e-12
-            elif seed % 2 and K >= 3:
-                tiny[K - 2] = 1e-14
-            else:
-                tiny[0] = 1e-20
-            for a in ((tiny,) if pos else (alpha, tiny) if K >= 2 else (alpha,)):
-                (value,), (iv,), (broken,) = _enum_fast(stats, base, K, a[None])
-                try:
-                    expected = unblocked_enum_free_fast(stats, base, K, a)
-                except PivotBreakdown:
-                    assert broken, (d, K, block)
-                    broke += 1
-                    upper_broke += bool(pos)
-                    continue
-                assert not broken, (d, K, block)
-                assert value == expected[0], (d, K, block)
-                assert np.array_equal(iv, expected[1]), (d, K, block)
-        assert broke > upper_broke == len(upper_cases)
+            (value,), (iv,), (broken,) = _enum_fast(stats, base, K, a[None])
+            uppers += upper
+            try:
+                expected = unblocked_enum_free_fast(stats, base, K, a)
+            except PivotBreakdown:
+                assert broken, (d, K, block)
+                broke += 1
+                upper_broke += upper
+                continue
+            assert not broken, (d, K, block)
+            assert value == expected[0], (d, K, block)
+            assert np.array_equal(iv, expected[1]), (d, K, block)
+        assert broke > upper_broke == uppers > 0
+
+    def test_folded_leaves_match_explicit_pivots(self, monkeypatch):
+        # The last two steps fold the step weights into per-node terms. The
+        # formula from the explicit second pivot must agree with them on the
+        # same battery: the same broken rows and patterns, and objectives
+        # equal up to the tie tolerance.
+        for case, _, stats, base, a in _blocking_battery():
+            monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", case[2])
+            (value,), (iv,), (broken,) = _enum_fast(stats, base, case[1], a[None])
+            try:
+                expected = unblocked_enum_free_fast(stats, base, case[1], a, folded=False)
+            except PivotBreakdown:
+                assert broken, case
+                continue
+            assert not broken, case
+            assert abs(value - expected[0]) <= _TIE_RTOL * abs(expected[0]), case
+            assert np.array_equal(iv, expected[1]), case
+
+    @pytest.mark.parametrize("alpha", [[1.0, 1.0, 1e-300], [0.7, 1.3, 5e-324],
+                                       [1e160, 2e160, 0.5e160], [1.0, 1e-14, 1.0],
+                                       [0.5, 1.0, 1e-14, 1.5]],
+                             ids=["last 1e-300", "last subnormal", "overflowing",
+                                  "1e-14 at K-2", "1e-14 at K-2, K=4"])
+    def test_extreme_weights_break_as_explicit_pivots(self, alpha):
+        # The folded leaves divide by the last weight. That must not change
+        # which rows break: each row is broken iff the explicit-pivot formula
+        # breaks down, and otherwise finds its pattern, while exact_path
+        # returns _enum_direct's path for a broken row. Stacked with an
+        # ordinary row, each row still gives its one-row results bit for bit.
+        stats = random_stats(1, d=3)
+        base = LinearModel.zeros(stats.feature_names)
+        alpha = np.array(alpha)
+        K = alpha.shape[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (value,), (iv,), (broken,) = _enum_fast(stats, base.coefficients, K, alpha[None])
+            stacked = _enum_fast(stats, base.coefficients, K, np.stack([np.ones(K), alpha]))
+            path = exact_path(stats, base,
+                              OptimizerConfig(K=K, schedule=WeightSchedule.explicit(alpha)))
+        assert [x[1].tolist() for x in stacked] == [value.tolist(), iv.tolist(), broken.tolist()]
+        try:
+            with np.errstate(all="ignore"):
+                expected = unblocked_enum_free_fast(stats, base.coefficients, K, alpha,
+                                                    folded=False)
+        except PivotBreakdown:
+            _, iv_direct, delta = _enum_direct(stats, base, K, alpha)
+            assert broken
+            assert path.steps == path_from_deltas(base, iv_direct, delta).steps
+            return
+        assert not broken
+        assert abs(value - expected[0]) <= _TIE_RTOL * abs(expected[0])
+        assert np.array_equal(iv, expected[1])
 
     @pytest.mark.parametrize("d,K", [(3, 4), (4, 4), (2, 5)])
     def test_ties_across_blocks_resolve_to_first_pattern(self, monkeypatch, d, K):
