@@ -51,12 +51,14 @@ runs each): a near-collinear d = 6 instance (the last feature repeats the
 first up to 1e-7 noise, gram condition number 3.5e14) at K = 7 under
 geometric(1) weights, which the factor recursion serves; unit-step
 exact_path at d = 4, K = 5 and 6, which the dynamic program over lattice
-states serves, each also with the tracemalloc peak of one run; and
-_enum_direct itself on a zero-weight schedule (0, 1, 1, ...) at d = 5, K = 7.
-Each row records the path's loss and steps; with --before the script
-refuses to write if either differs from the earlier run's. --K (default 7)
-shrinks the first and last rows, --K-max (default 6) the longer unit row,
-for a quick run.
+states serves, each also with the tracemalloc peak of one run;
+_enum_direct itself on a zero-weight schedule (0, 1, 1, ...) at d = 5, K = 7;
+and exact_path on the benchmark's search workload's zero-weight schedule
+(1, 0, 0, 0, 1) at d = 6, K = 5, which runs _enum_direct and then solves
+the winning pattern. Each row records the path's loss and steps; with
+--before the script refuses to write if either differs from the earlier
+run's. --K (default 7) shrinks the first and the _enum_direct rows, --K-max
+(default 6) the longer unit row, for a quick run.
 
 BLAS threads are left as the environment sets them (the machine record
 notes OPENBLAS_NUM_THREADS); set it to 1 for numbers comparable with the
@@ -395,6 +397,11 @@ def direct(args) -> list:
         return path_from_deltas(base, iv, delta)
 
     record("_enum_direct", stats, zero_weight, schedule, K=args.K)
+    stats = tradeoff_stats(6)
+    base = LinearModel.zeros(stats.feature_names)
+    schedule = WeightSchedule.explicit([1.0, 0.0, 0.0, 0.0, 1.0])
+    cfg = OptimizerConfig(K=5, schedule=schedule)
+    record("exact_path", stats, lambda: exact_path(stats, base, cfg), schedule, K=5)
     return instances
 
 

@@ -10,12 +10,13 @@ and r = g - G beta0, expanding the squares gives the normal equations
 
     H delta = b,   H_jl = w_max(j,l) * G_{i_j, i_l},   b_j = w_j * r_{i_j},
 
-which this module solves directly. One batched solver (solve_batch) serves
-every inner solve, of one pattern or many: a batched LU solve, a residual
-guard on every item, and one batched minimum-norm solve for the items that
-are singular or fail the guard. solve_patterns also re-solves minimum-norm
-the items whose objective is lost to rounding (a numerically singular
-system LU solved without complaint).
+which this module solves directly. solve_patterns decides every step size,
+for a batch of patterns under one shared weight row or one row each, each
+item on its own. It runs one batched solver (solve_batch): a batched LU
+solve, a residual guard on every item, and one batched minimum-norm solve
+for the items that are singular or fail the guard. It also re-solves
+minimum-norm the items whose objective is lost to rounding (a numerically
+singular system LU solved without complaint).
 
 A pinned endpoint (the path must end exactly at a target model) is handled
 by eliminating the constraint. The last write to each touched coordinate c
@@ -161,7 +162,7 @@ def greedy_step(stats: SufficientStats, current: LinearModel) -> tuple[int, floa
 
 
 # ---------------------------------------------------------------------------
-# Batched kernels (used by the outer optimizers)
+# Batched kernels (solve_patterns and the pieces it runs)
 # ---------------------------------------------------------------------------
 
 
@@ -213,24 +214,26 @@ def min_norm_solve(H: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (pinv @ b[..., None])[..., 0]
 
 
-def attained_objectives(stats: SufficientStats, base: np.ndarray, alpha: np.ndarray,
-                        H: np.ndarray, b: np.ndarray, delta: np.ndarray, Hd=None) -> np.ndarray:
+def attained_objectives(top, H: np.ndarray, b: np.ndarray, delta: np.ndarray,
+                        Hd=None) -> np.ndarray:
     """Path objectives of a batch of systems (H, b) at step sizes delta.
 
-    The quadratic sum(alpha) * cost(base) - 2 b.delta + delta'H delta equals
-    the path objective at any delta, stationary or not. Pass Hd = H delta
-    when it is already known.
+    top is sum(alpha) * cost(base), one value for all items or one per item.
+    The quadratic top - 2 b.delta + delta'H delta equals the path objective
+    at any delta, stationary or not. Pass Hd = H delta when it is already
+    known.
     """
     if Hd is None:
         Hd = np.einsum("bkl,bl->bk", H, delta)
-    return float(alpha.sum()) * cost_of(stats, base) + np.einsum("bk,bk->b", Hd - 2.0 * b, delta)
+    return top + np.einsum("bk,bk->b", Hd - 2.0 * b, delta)
 
 
-def _lost_to_rounding(stats: SufficientStats, base: np.ndarray, alpha: np.ndarray,
-                      H: np.ndarray, delta: np.ndarray, A: np.ndarray):
+def _lost_to_rounding(stats: SufficientStats, alpha: np.ndarray, top, H: np.ndarray,
+                      delta: np.ndarray, A: np.ndarray):
     """(mask, tol) of the items whose attained objective rounding may move
     by more than tol and whose solved system A is singular at working
     precision (beyond lstsq's cut-off K * eps), or (None, None) if none are.
+    tol, like top, is one value or one per item.
 
     The rounding error is about K eps (sum_k |delta_k| sqrt(H_kk))^2. By
     Cauchy-Schwarz that is at most K eps ||delta_b||^2 tr(H_b), and
@@ -247,7 +250,7 @@ def _lost_to_rounding(stats: SufficientStats, base: np.ndarray, alpha: np.ndarra
     bound = scale * K * h_max * float(np.einsum("bk,bk->", delta, delta))
     if not bound > _OBJECTIVE_RTOL:
         return None, None  # _OBJECTIVE_RTOL is the least tol
-    tol = _OBJECTIVE_RTOL * max(1.0, float(alpha.sum()) * cost_of(stats, base))
+    tol = _OBJECTIVE_RTOL * np.maximum(1.0, top)
     spread = np.einsum("bk,bk->b", np.abs(delta), np.sqrt(H.reshape(-1, K * K)[:, ::K + 1]))
     bad = scale * spread * spread > tol
     if bad.any():
@@ -259,14 +262,18 @@ def _lost_to_rounding(stats: SufficientStats, base: np.ndarray, alpha: np.ndarra
 def solve_patterns(stats: SufficientStats, base: np.ndarray, ivs: np.ndarray, alpha: np.ndarray,
                    target: np.ndarray | None = None):
     """Optimal step sizes and attained objectives for a (B, K) batch of
-    index vectors.
+    index vectors, under one weight row alpha (K,) for all of them or one
+    row per index vector (B, K).
 
     With a target, the endpoint is pinned by the elimination described in
     the module docstring; rows that leave a coordinate where target and base
     differ untouched cannot reach it and get zero steps and objective +inf.
     Objectives are attained_objectives at the solved delta; items whose
     objective is below rounding noise are re-solved minimum-norm first.
+    Each item's results are bitwise those of a call with it alone and its
+    own weight row.
     """
+    one = alpha.ndim == 1  # one weight row, shared by every item
     if target is not None:
         touched = np.zeros((ivs.shape[0], stats.d), dtype=bool)
         touched[np.arange(ivs.shape[0])[:, None], ivs] = True
@@ -274,9 +281,12 @@ def solve_patterns(stats: SufficientStats, base: np.ndarray, ivs: np.ndarray, al
         if not reach.all():
             deltas, vals = np.zeros(ivs.shape), np.full(ivs.shape[0], np.inf)
             if reach.any():
-                deltas[reach], vals[reach] = solve_patterns(stats, base, ivs[reach], alpha, target)
+                deltas[reach], vals[reach] = solve_patterns(
+                    stats, base, ivs[reach], alpha if one else alpha[reach], target)
             return deltas, vals
     K = ivs.shape[1]
+    # A contiguous row sums as a one-row alpha does; a column-major one may not.
+    top = np.ascontiguousarray(alpha).sum(axis=-1) * cost_of(stats, base)
     H, b = build_systems_batch(stats, base, ivs, alpha)
     if target is None:
         delta, Hd = solve_batch(H, b)
@@ -292,19 +302,19 @@ def solve_patterns(stats: SufficientStats, base: np.ndarray, ivs: np.ndarray, al
         rhs = np.einsum("bkj,bk->bj", P, b - np.einsum("bkl,bl->bk", H, delta_p))
         delta = delta_p + np.einsum("bkj,bj->bk", P, solve_batch(Hr, rhs)[0])
         Hd = None
-    vals = attained_objectives(stats, base, alpha, H, b, delta, Hd)
+    vals = attained_objectives(top, H, b, delta, Hd)
     # A numerically singular system that LU does not flag can put delta far
     # along a null direction, where the quadratic form cancels: its objective
     # is then rounding noise, often a large negative value that wins the
     # search. Such items get the minimum-norm solution; an objective is a
     # weighted sum of mean-squared errors, so any still below -tol get +inf.
-    bad, tol = _lost_to_rounding(stats, base, alpha, H, delta, H if target is None else Hr)
+    bad, tol = _lost_to_rounding(stats, alpha, top, H, delta, H if target is None else Hr)
     if bad is not None:
         if target is None:
             delta[bad] = min_norm_solve(H[bad], b[bad])
         else:
             delta[bad] = delta_p[bad] + np.einsum(
                 "bkj,bj->bk", P[bad], min_norm_solve(Hr[bad], rhs[bad]))
-        vals[bad] = attained_objectives(stats, base, alpha, H[bad], b[bad], delta[bad])
+        vals[bad] = attained_objectives(top if one else top[bad], H[bad], b[bad], delta[bad])
         vals[bad & (vals < -tol)] = np.inf
     return delta, vals

@@ -12,11 +12,14 @@ matrix), grown by rank-one terms (_grow). A pattern's inner matrix, entry
 theorem) whenever diag(G) > 0, singular grams included, so only the weight
 rows whose factorization breaks down in floating point fall back to
 _enum_direct, batched inner solves (inner.solve_patterns), which also serve
-zero weights and pinned K = 1. Step sizes come from the inner solver, so a
-path depends on its pattern only. Both enumerators rank by one tie rule:
-objectives within 1e-12 (relative) are ties, and a chunk's first candidate
-tied with its minimum replaces the incumbent only if it beats it by more
-than that, so ties resolve to the lexicographically smallest pattern.
+zero weights and pinned K = 1. One mask routes each weight row to one of
+the two enumerators, and one solve_patterns call then solves every row's
+winning pattern under its own weights: step sizes come from the inner
+solver only, so a path depends on its pattern only. Both enumerators rank
+by one tie rule: objectives within 1e-12 (relative) are ties, and a chunk's
+first candidate tied with its minimum replaces the incumbent only if it
+beats it by more than that, so ties resolve to the lexicographically
+smallest pattern.
 
 Unit steps move one coefficient by -1 or +1, or stay, so every model on the
 path is base + z for an integer z with ||z||_1 <= K: _unit_steps finds the
@@ -39,18 +42,16 @@ from .errors import BudgetError, InfeasibleError, InputError
 from .inner import (
     _EPS,
     as_weights,
-    build_systems_batch,
     check_base,
     check_endpoint,
     check_index_vector,
     greedy_step,
     path_from_deltas,
-    solve_batch,
     solve_patterns,
     tail_weights,
 )
 from .paths import CoordinatePath, WeightSchedule, model_complexity, weighted_loss
-from .regression import LinearModel, SufficientStats, cost_of, cost_of_many, ols
+from .regression import LinearModel, SufficientStats, cost_of, ols
 
 DEFAULT_BUDGET = 10_000_000
 _BLOCK_LEAVES = 50_000  # leaves below one chunk of parent nodes (~400 KB temporaries, fit L2)
@@ -167,7 +168,7 @@ def _mark_broken(broken: np.ndarray, piv: np.ndarray, floor: np.ndarray) -> None
         broken |= ~ok.reshape(ok.shape[0], -1).all(axis=1)
 
 
-def _grow(nodes, G, gd, r, wm, children_q, broken, out):
+def _grow(nodes, G, gd, r, wm, broken, out):
     """Expand every node by one step on each coordinate.
 
     A node is (QT, uT, ssq), and under a pinned endpoint also (RT, MT, vT),
@@ -177,9 +178,8 @@ def _grow(nodes, G, gd, r, wm, children_q, broken, out):
     step's new rows of B (and E) are copied out of their transposed view, so
     every broadcast operand is contiguous along (c, N). The d*N children come
     back in the same layout, child c of node p at c*N + p; their QT, RT and
-    MT go to the buffers out, each (L, d, d, d, N). Only ssq is grown unless
-    children_q (not needed after the last step). Broken rows are marked in
-    broken.
+    MT go to the buffers out, each (L, d, d, d, N). Broken rows are marked
+    in broken.
     """
     QT, uT, ssq = nodes[:3]
     L, d, N = uT.shape
@@ -189,8 +189,6 @@ def _grow(nodes, G, gd, r, wm, children_q, broken, out):
     piv = np.sqrt(piv2)
     ynew = (wm * r[:, None] - wm * uT) / piv
     ssq = (ssq[:, None, :] + ynew * ynew).reshape(L, d * N)
-    if not children_q:
-        return None, None, ssq
     row = ((G[:, :, None] - wm[..., None] * QT) / piv[:, :, None]).transpose(0, 2, 1, 3).copy()
     QTc = np.multiply(row[:, :, None, :, :], row[:, None, :, :, :], out=out[0])
     QTc += QT[:, :, :, None, :]
@@ -413,8 +411,8 @@ def _enum_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np.ndar
         N = nodes[2].shape[1]
         for p0 in range(0, N, per):
             n = min(per, N - p0)
-            grown = _grow(tuple(a[..., p0:p0 + n] for a in nodes), G, gd, r, wb[:, m], m + 1 < K,
-                          broken, tuple(buf(i, (L, d, d, d, n)) for i in range(3)))
+            grown = _grow(tuple(a[..., p0:p0 + n] for a in nodes), G, gd, r, wb[:, m], broken,
+                          tuple(buf(i, (L, d, d, d, n)) for i in range(3)))
             if m + 1 < stop:
                 descend(m + 1, tuple(_lexicographic(a, d) for a in grown), (first + p0) * d)
             else:  # the scored level keeps _grow's layout
@@ -651,13 +649,13 @@ def exact_paths(stats: SufficientStats, base: LinearModel, alphas: np.ndarray,
     """exact_path with continuous steps, free or pinned to `endpoint`, under
     each row of a stack of weight rows alphas (L, K), K >= 1, as its schedule.
 
-    Rows with strictly positive weights share one _enum_fast pass (pinned
-    ones need K >= 2), whatever the gram; the free rows' chosen patterns
-    share one batched solve, and each pinned row's pattern is solved by
-    solve_patterns, as _enum_direct solves it. Every path is bitwise the one
-    a one-row call returns. The rows that pass marks as broken run
-    _enum_direct one at a time, and so do rows with a zero weight, which
-    would break down anyway.
+    One mask routes the rows: those with strictly positive weights share one
+    _enum_fast pass (pinned ones need K >= 2), whatever the gram; the rest,
+    and the rows that pass marks as broken, run _enum_direct one at a time.
+    A zero weight would break the recursion anyway. Each row's winning
+    pattern, from either enumerator, is then solved by one solve_patterns
+    call under its own weight row, so every path is bitwise the one a
+    one-row call returns.
     """
     K = alphas.shape[1]
     check_budget(stats.d, K, budget)
@@ -666,27 +664,15 @@ def exact_paths(stats: SufficientStats, base: LinearModel, alphas: np.ndarray,
     if endpoint is not None:
         _check_reachable(base, endpoint, K)
         target = endpoint.coefficients
-    paths = [None] * alphas.shape[0]
-    # A shortcut: a zero weight makes some inner matrix singular, so the row would break.
-    rows = np.flatnonzero(np.all(alphas > 0, axis=1))
-    if target is not None and K < 2:
-        rows = rows[:0]
-    if rows.size:
-        _, ivs, broken = _enum_fast(stats, base.coefficients, K, alphas[rows], target)
-        rows, ivs = rows[~broken], ivs[~broken]
-        if target is None:
-            H, b = build_systems_batch(stats, base.coefficients, ivs, alphas[rows])
-            deltas = solve_batch(H, b)[0]
-        else:
-            deltas = [solve_patterns(stats, base.coefficients, iv[None], alphas[j], target)[0][0]
-                      for j, iv in zip(rows, ivs)]
-        for j, iv, delta in zip(rows, ivs, deltas):
-            paths[j] = path_from_deltas(base, iv, delta)
-    for j, path in enumerate(paths):
-        if path is None:
-            _, iv, delta = _enum_direct(stats, base, K, alphas[j], endpoint)
-            paths[j] = path_from_deltas(base, iv, delta)
-    return paths
+    fast = np.all(alphas > 0, axis=1) & (target is None or K >= 2)
+    ivs = np.zeros(alphas.shape, dtype=np.int64)
+    if fast.any():
+        _, ivs[fast], broken = _enum_fast(stats, base.coefficients, K, alphas[fast], target)
+        fast[np.flatnonzero(fast)[broken]] = False
+    for j in np.flatnonzero(~fast):
+        ivs[j] = _enum_direct(stats, base, K, alphas[j], endpoint)[1]
+    deltas = solve_patterns(stats, base.coefficients, ivs, alphas, target)[0]
+    return [path_from_deltas(base, iv, delta) for iv, delta in zip(ivs, deltas)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from pathlens import (
     stats_from_moments,
     weighted_loss,
 )
+from pathlens import inner
 from pathlens.inner import (
     build_systems_batch,
     path_from_deltas,
@@ -26,7 +27,7 @@ from pathlens.inner import (
     tail_weights,
 )
 from pathlens.paths import cost_sequence
-from conftest import TOY_OLS, random_dataset, random_stats
+from conftest import TOY_OLS, collinear_stats, random_dataset, random_stats
 from oracles import eval_objective, fd_gradient, svd_fixed_endpoint
 
 
@@ -173,6 +174,43 @@ class TestSolveBatch:
             deltas, vals = solve_patterns(stats, base.coefficients, iv[None], alpha)
             assert np.array_equal(delta, deltas[0])
             assert abs(obj - vals[0]) <= 1e-9 * max(1.0, abs(obj))
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_weight_rows_match_one_row_calls(self, pinned, monkeypatch):
+        # With one weight row per pattern, each item must equal a call with
+        # that pattern alone under its row, bit for bit. On a near-collinear
+        # gram the rows cycle through a zero-weight row whose rounding-lost
+        # items are re-solved minimum-norm, a row under which a repeated
+        # coordinate inside the zero-weight run is exactly singular (so the
+        # stack's LU fails and solve_batch goes through slogdet), and a
+        # positive row. Pinned, the target leaves x2 untouched by some
+        # patterns, which cannot reach it.
+        stats = collinear_stats(201, d=3, noise=1e-8)
+        base = np.zeros(3)
+        target = np.array([0.5, 0.0, -0.3]) if pinned else None
+        ivs = np.array(list(itertools.product(range(3), repeat=4)))
+        rows = np.array([[0.0, 0.2, 0.0, 1.0], [0.0, 1.0, 1.0, 1.0], [0.7, 0.2, 1.3, 0.5]])
+        alphas = rows[np.arange(len(ivs)) % 3]
+        lost, slogdet = inner._lost_to_rounding, np.linalg.slogdet
+        rescued, slogdets = [], []
+
+        def spy_lost(*args):
+            rescued.append(lost(*args))
+            return rescued[-1]
+
+        def spy_slogdet(H):
+            slogdets.append(H)
+            return slogdet(H)
+
+        monkeypatch.setattr(inner, "_lost_to_rounding", spy_lost)
+        monkeypatch.setattr(np.linalg, "slogdet", spy_slogdet)
+        deltas, vals = solve_patterns(stats, base, ivs, alphas, target)
+        assert any(mask is not None for mask, _ in rescued)
+        assert slogdets
+        assert np.isinf(vals).any() == pinned
+        for iv, a, delta, val in zip(ivs, alphas, deltas, vals):
+            one = solve_patterns(stats, base, iv[None], a, target)
+            assert np.array_equal(one[0][0], delta) and one[1][0] == val, (iv, a)
 
 
 class TestSolveFixedEndpoint:

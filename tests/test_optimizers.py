@@ -392,6 +392,52 @@ class TestEnumerationEngines:
         assert paths[1].steps == path_from_deltas(base, iv, delta).steps
         assert paths[0].steps == expected[0].steps and paths[2].steps == expected[2].steps
 
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+    def test_every_route_gets_steps_from_one_solve(self, pinned, monkeypatch):
+        # One call whose rows take every route: the recursion, a zero weight
+        # (at d = 2 its winner must repeat a coordinate), and a row the
+        # recursion marks broken. Each row's steps must be solve_patterns'
+        # for its pattern under its own weights, and its one-row call's.
+        stats = random_stats(9, d=2)
+        base = LinearModel(np.array([0.2, -0.1]), stats.feature_names)
+        endpoint = ols(stats) if pinned else None
+        target = None if endpoint is None else endpoint.coefficients
+        alphas = np.array([[1.0, 0.5, 2.0, 0.7], [1.0, 0.0, 0.0, 1.0], [0.3, 1.0, 1.0, 0.4]])
+        fast = optimizers._enum_fast
+
+        def mark_last_row(stats, base, K, alphas, target):
+            values, ivs, broken = fast(stats, base, K, alphas, target)
+            broken |= (alphas == [0.3, 1.0, 1.0, 0.4]).all(axis=1)
+            return values, ivs, broken
+
+        monkeypatch.setattr(optimizers, "_enum_fast", mark_last_row)
+        paths = optimizers.exact_paths(stats, base, alphas, endpoint=endpoint)
+        ivs = [np.array([i for i, _ in path.steps]) for path in paths]
+        _, (iv_fast,), (broken,) = fast(stats, base.coefficients, 4, alphas[:1], target)
+        assert not broken and np.array_equal(ivs[0], iv_fast)
+        assert len(set(ivs[1].tolist())) < 4
+        assert np.array_equal(ivs[2], _enum_direct(stats, base, 4, alphas[2], endpoint)[1])
+        for j, (path, iv) in enumerate(zip(paths, ivs)):
+            delta = solve_patterns(stats, base.coefficients, iv[None], alphas[j], target)[0][0]
+            assert path.steps == path_from_deltas(base, iv, delta).steps
+            assert path.steps == optimizers.exact_paths(stats, base, alphas[j:j + 1],
+                                                        endpoint=endpoint)[0].steps
+
+    def test_pinned_k1_gets_steps_from_one_solve(self):
+        # Pinned K = 1 rows skip the recursion; each must still be the
+        # one-row call's path, with solve_patterns' step.
+        stats = random_stats(10, d=3)
+        base = LinearModel.zeros(stats.feature_names)
+        endpoint = LinearModel(np.array([0.0, 0.4, 0.0]), stats.feature_names)
+        alphas = np.array([[1.0], [0.25], [3.0]])
+        paths = optimizers.exact_paths(stats, base, alphas, endpoint=endpoint)
+        for j, path in enumerate(paths):
+            delta = solve_patterns(stats, base.coefficients, np.array([[1]]), alphas[j],
+                                   endpoint.coefficients)[0][0]
+            assert path.steps == path_from_deltas(base, np.array([1]), delta).steps == ((1, 0.4),)
+            assert path.steps == optimizers.exact_paths(stats, base, alphas[j:j + 1],
+                                                        endpoint=endpoint)[0].steps
+
     def test_weight_rows_match_one_row_calls(self, monkeypatch):
         # Each row of a multi-row call must equal its own one-row call: same
         # objective bit for bit and same pattern. A row with a zero or
