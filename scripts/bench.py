@@ -53,12 +53,18 @@ geometric(1) weights, which the factor recursion serves; unit-step
 exact_path at d = 4, K = 5 and 6, which the dynamic program over lattice
 states serves, each also with the tracemalloc peak of one run;
 _enum_direct itself on a zero-weight schedule (0, 1, 1, ...) at d = 5, K = 7;
-and exact_path on the benchmark's search workload's zero-weight schedule
-(1, 0, 0, 0, 1) at d = 6, K = 5, which runs _enum_direct and then solves
-the winning pattern. Each row records the path's loss and steps; with
---before the script refuses to write if either differs from the earlier
-run's. --K (default 7) shrinks the first and the _enum_direct rows, --K-max
-(default 6) the longer unit row, for a quick run.
+and exact_path, which runs _enum_direct and then solves the winning
+pattern, on the benchmark's search workload's zero-weight schedule
+(1, 0, 0, 0, 1) at d = 6, K = 5, and on alpha = e_6 (weight on the last
+model only, best-subset selection) at d = 6 and 8. Each row records the
+path's loss and steps; with --before the script refuses to write if either
+differs from the earlier run's. --K (default 7) shrinks the first, the
+_enum_direct and the e_6 rows (to e_K), --K-max (default 6) the longer
+unit row, for a quick run. --against DIR imports DIR/src/pathlens (for
+example a checkout of the parent commit) as a second package and times
+each row on both trees, alternating in one process, so that host drift
+stays out of their ratio; each row then records both medians, and the
+script refuses to write if the two trees' paths differ.
 
 BLAS threads are left as the environment sets them (the machine record
 notes OPENBLAS_NUM_THREADS); set it to 1 for numbers comparable with the
@@ -73,6 +79,7 @@ code, which keeps the first run's numbers as "before":
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -85,8 +92,8 @@ from pathlib import Path
 
 import numpy as np
 
+import pathlens
 from pathlens import (
-    Dataset,
     LinearModel,
     OptimizerConfig,
     WeightSchedule,
@@ -180,9 +187,11 @@ def ingestion(args) -> list:
     return instances
 
 
-def tradeoff_stats(d: int, n: int = 100, seed: int = SEED, noise: float | None = None):
-    """Standardized moments of seeded correlated data; with `noise`, the last
-    feature repeats the first up to that much standard normal noise."""
+def tradeoff_stats(d: int, n: int = 100, seed: int = SEED, noise: float | None = None,
+                   pl=pathlens):
+    """Standardized moments of seeded correlated data, built by the package
+    pl; with `noise`, the last feature repeats the first up to that much
+    standard normal noise."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d)) @ (np.eye(d) + 0.3 * rng.standard_normal((d, d)))
     if noise is not None:
@@ -191,7 +200,7 @@ def tradeoff_stats(d: int, n: int = 100, seed: int = SEED, noise: float | None =
     y = X @ beta + rng.standard_normal(n) * 0.5 * np.std(X @ beta)
     X = (X - X.mean(axis=0)) / X.std(axis=0)
     y = (y - y.mean()) / y.std()
-    return compute_stats(Dataset(X, y, tuple(f"x{i + 1}" for i in range(d))))
+    return pl.compute_stats(pl.Dataset(X, y, tuple(f"x{i + 1}" for i in range(d))))
 
 
 def tradeoff(args) -> list:
@@ -352,56 +361,96 @@ def pinned(args) -> list:
     return instances
 
 
-DIRECT_REPEATS = 5  # the zero-weight _enum_direct row takes ~0.45 s per run, the others ms
+DIRECT_REPEATS = 5  # the parent's e_6 row at d = 8 takes ~3 s per run, the others ms to 0.5 s
+
+
+def direct_rows(pl, args) -> list:
+    """The direct topic's rows on the package pl (pathlens, or the tree of
+    --against): (layer, stats, run, schedule, peak, extra) each, where run()
+    returns the row's path and peak asks for a tracemalloc peak."""
+    rows = []
+
+    def exact(d, schedule, K, noise=None, peak=False, **extra):
+        stats = tradeoff_stats(d, noise=noise, pl=pl)
+        base = pl.LinearModel.zeros(stats.feature_names)
+        cfg = pl.OptimizerConfig(K=K, schedule=schedule, **extra)
+        if noise is not None:
+            extra["noise"] = noise
+        rows.append(("exact_path", stats, lambda: pl.exact_path(stats, base, cfg), schedule, peak,
+                     {"K": K, **extra}))
+
+    geometric = pl.WeightSchedule.geometric(1.0)
+    exact(6, geometric, args.K, noise=1e-7)
+    for K in (args.K_max - 1, args.K_max):
+        exact(4, geometric, K, peak=True, step_mode="unit")
+    stats = tradeoff_stats(5, pl=pl)
+    base = pl.LinearModel.zeros(stats.feature_names)
+    zero_first = pl.WeightSchedule.explicit([0.0] + [1.0] * (args.K - 1))
+
+    def zero_weight():
+        alpha = zero_first.weights(args.K)
+        _, iv, delta = pl.optimizers._enum_direct(stats, base, args.K, alpha)
+        return pl.inner.path_from_deltas(base, iv, delta)
+
+    rows.append(("_enum_direct", stats, zero_weight, zero_first, False, {"K": args.K}))
+    exact(6, pl.WeightSchedule.explicit([1.0, 0.0, 0.0, 0.0, 1.0]), 5)
+    K = min(6, args.K)  # alpha = e_K
+    for d in (6, 8):
+        exact(d, pl.WeightSchedule.explicit([0.0] * (K - 1) + [1.0]), K)
+    return rows
+
+
+def load_tree(root: str):
+    """The pathlens package in root/src, imported as pathlens_against."""
+    src = Path(root) / "src" / "pathlens"
+    if not (src / "__init__.py").is_file():
+        raise SystemExit(f"--against {root}: no package at {src}")
+    spec = importlib.util.spec_from_file_location(
+        "pathlens_against", src / "__init__.py", submodule_search_locations=[str(src)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def direct(args) -> list:
+    packages = [pathlens] + ([load_tree(args.against)] if args.against else [])
     instances = []
-
-    def record(layer, stats, run, schedule, peak=False, **extra):
-        path = run()
+    for rows in zip(*(direct_rows(pl, args) for pl in packages)):
+        layer, stats, run, schedule, peak, extra = rows[0]
+        runs = [row[2] for row in rows]
+        paths = [go() for go in runs]
+        losses = [pl.weighted_loss(row[1], path, row[3])
+                  for pl, row, path in zip(packages, rows, paths)]
+        # The trees alternate, each going first in every other round, so a slow
+        # stretch of the host hits both.
+        times = [[] for _ in rows]
+        for i in range(DIRECT_REPEATS):
+            for j in (range(len(runs)) if i % 2 == 0 else reversed(range(len(runs)))):
+                times[j].append(median_seconds(runs[j], 1))
         instances.append({
             "instance": {"layer": layer, "seed": SEED, "n": 100, "d": stats.d, "endpoint": "free",
                          "schedule": schedule.describe(), **extra},
-            "median_s": median_seconds(run, DIRECT_REPEATS),
+            "median_s": statistics.median(times[0]),
             "runs": DIRECT_REPEATS,
-            "loss": weighted_loss(stats, path, schedule),
-            "steps": [[i, v] for i, v in path.steps],
+            "loss": losses[0],
+            "steps": [[i, v] for i, v in paths[0].steps],
         })
+        line = f"{describe('direct', instances[-1])}: {instances[-1]['median_s'] * 1e3:.2f} ms"
+        if args.against:
+            if (losses[1], paths[1].steps) != (losses[0], paths[0].steps):
+                raise SystemExit(f"{describe('direct', instances[-1])}: --against {args.against} "
+                                 f"found another path, loss {losses[1]!r}, here {losses[0]!r}")
+            instances[-1]["against_median_s"] = statistics.median(times[1])
+            line += (f", against {instances[-1]['against_median_s'] * 1e3:.2f} ms "
+                     f"({instances[-1]['median_s'] / instances[-1]['against_median_s']:.2f}x)")
         if peak:
             tracemalloc.start()
             run()
             instances[-1]["peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
             tracemalloc.stop()
-        print(f"{describe('direct', instances[-1])}: {instances[-1]['median_s'] * 1e3:.2f} ms"
-              + (f", tracemalloc peak {instances[-1]['peak_mb']:.1f} MB" if peak else ""))
-
-    schedule = WeightSchedule.geometric(1.0)
-    stats = tradeoff_stats(6, noise=1e-7)
-    base = LinearModel.zeros(stats.feature_names)
-    cfg = OptimizerConfig(K=args.K, schedule=schedule)
-    record("exact_path", stats, lambda: exact_path(stats, base, cfg), schedule, K=args.K,
-           noise=1e-7)
-    stats = tradeoff_stats(4)
-    base = LinearModel.zeros(stats.feature_names)
-    for K in (args.K_max - 1, args.K_max):
-        cfg = OptimizerConfig(K=K, schedule=schedule, step_mode="unit")
-        record("exact_path", stats, lambda: exact_path(stats, base, cfg), schedule, peak=True,
-               K=K, step_mode="unit")
-    stats = tradeoff_stats(5)
-    base = LinearModel.zeros(stats.feature_names)
-    schedule = WeightSchedule.explicit([0.0] + [1.0] * (args.K - 1))
-
-    def zero_weight():
-        _, iv, delta = optimizers._enum_direct(stats, base, args.K, schedule.weights(args.K))
-        return path_from_deltas(base, iv, delta)
-
-    record("_enum_direct", stats, zero_weight, schedule, K=args.K)
-    stats = tradeoff_stats(6)
-    base = LinearModel.zeros(stats.feature_names)
-    schedule = WeightSchedule.explicit([1.0, 0.0, 0.0, 0.0, 1.0])
-    cfg = OptimizerConfig(K=5, schedule=schedule)
-    record("exact_path", stats, lambda: exact_path(stats, base, cfg), schedule, K=5)
+            line += f", tracemalloc peak {instances[-1]['peak_mb']:.1f} MB"
+        print(line)
     return instances
 
 
@@ -445,6 +494,8 @@ def main(argv=None) -> int:
                          "heuristic: path length (default 10); pinned: exact_path length "
                          "(default 8); direct: the continuous rows' length (default 7)")
     ap.add_argument("--before", help="an earlier output of this script, kept as 'before'")
+    ap.add_argument("--against", metavar="DIR",
+                    help="direct: also time each row on the pathlens in DIR/src, alternating")
     args = ap.parse_args(argv)
     if args.K is None:
         args.K = {"pinned": 8, "direct": 7}.get(args.topic, 10)
@@ -460,12 +511,16 @@ def main(argv=None) -> int:
                  "for the pinned topic")
     if args.topic == "direct" and args.K_max < 2:
         ap.error("--K-max must be at least 2 for the direct topic")
+    if args.against and args.topic != "direct":
+        ap.error("--against serves the direct topic only")
 
     topics = {"ingestion": ingestion, "tradeoff": tradeoff, "local": local, "heuristic": heuristic,
               "pinned": pinned, "direct": direct}
     instances = topics[args.topic](args)
     report = {"topic": args.topic, "machine": machine(), "repeats": REPEATS,
               "instances": instances}
+    if args.against:
+        report["against"] = Path(args.against).resolve().name
     if args.before:
         before = json.loads(Path(args.before).read_text(encoding="utf-8"))
         keys = [instance_key(args.topic, i) for i in before["instances"]]

@@ -2,7 +2,8 @@
 
 exact_path is globally optimal for the configured objective. With continuous
 steps it solves the inner quadratic exactly for every index vector in
-{0..d-1}^K. Positive weights run through an incremental Cholesky recursion
+{0..d-1}^K but those a zero-weight run makes equivalent to an earlier one
+(_enum_direct). Positive weights run through an incremental Cholesky recursion
 (_enum_fast), free or, from K = 2 on, pinned: a pattern's factor L extends
 its prefix's, so a tree node carries only fixed-size summaries (Q = B'B,
 u = B'y, ssq = ||y||^2 for B = L^{-1} G[pattern, :], and when pinned R = B'E,
@@ -447,18 +448,54 @@ def _first_tie(vals: np.ndarray) -> np.ndarray:
     return np.argmax(vals <= low + _TIE_RTOL * abs(low), axis=-1)
 
 
+def _kept_chunks(d: int, K: int, alpha: np.ndarray, chunk: int):
+    """_iv_chunks less the patterns that repeat a coordinate inside a zero run
+    of at most d steps, unless the run is its coordinate set's first
+    arrangement (the least coordinate repeated, then the rest ascending);
+    the rest regathered into chunks of `chunk` rows, in lexicographic order.
+    A zero run is a maximal block of steps whose models before its last one
+    weigh zero; it ends at a weighted model or at step K. Runs of 2 steps
+    keep every pattern."""
+    stops = np.union1d(np.flatnonzero(alpha > 0) + 1, [K]).tolist()
+    runs = [(s, t) for s, t in zip([0] + stops[:-1], stops) if 3 <= t - s <= d]
+    if not runs:
+        yield from _iv_chunks(d, K, chunk)
+        return
+    held = np.empty((0, K), dtype=np.int64)
+    for ivs in _iv_chunks(d, K, chunk):
+        keep, c = np.ones(len(ivs), dtype=bool), ivs.T
+        for s, t in runs:
+            distinct, first = np.ones(len(ivs), dtype=bool), np.ones(len(ivs), dtype=bool)
+            for j in range(s + 1, t):
+                for i in range(s, j):
+                    distinct &= c[i] != c[j]
+                first &= (c[j] > c[j - 1]) | (c[j - 1] == c[s]) & (c[j] == c[s])
+            keep &= distinct | first
+        held = np.concatenate([held, ivs[keep]])
+        if len(held) >= chunk:
+            yield held[:chunk]
+            held = held[chunk:]
+    if len(held):
+        yield held
+
+
 def _enum_direct(stats: SufficientStats, base: LinearModel, K: int, alpha: np.ndarray,
                  endpoint: LinearModel | None = None):
-    """Chunked exhaustive search of every pattern, free or pinned to `endpoint`,
-    by batched inner solves, which handle zero weights and the rows
-    _enum_fast marks broken. Returns (objective, iv, delta) of the
-    lexicographically first best pattern under the tie rule.
+    """Chunked exhaustive search by batched inner solves, free or pinned to
+    `endpoint`, for zero weights and the rows _enum_fast marks broken.
+    Returns (objective, iv, delta) of the lexicographically first best
+    pattern under the tie rule.
+
+    Inside a zero run only the run's coordinate set changes the weighted
+    models, so _kept_chunks skips patterns that an earlier kept one matches
+    run by run. Every ordering of distinct coordinates stays: on collinear
+    grams their float objectives differ by rounding, which decides the rank.
     """
     if endpoint is not None:
         _check_reachable(base, endpoint, K)
     target = None if endpoint is None else endpoint.coefficients
     best = (math.inf, None, None)
-    for ivs in _iv_chunks(stats.d, K, max(256, _CHUNK_ENTRIES // (K * K))):
+    for ivs in _kept_chunks(stats.d, K, alpha, max(256, _CHUNK_ENTRIES // (K * K))):
         deltas, vals = solve_patterns(stats, base.coefficients, ivs, alpha, target)
         j = int(_first_tie(vals))
         if _beats(vals[j], best[0]):
@@ -600,8 +637,8 @@ def _unit_steps(stats: SufficientStats, base: LinearModel, K: int, alpha: np.nda
 def exact_path(stats: SufficientStats, base: LinearModel, cfg: OptimizerConfig) -> CoordinatePath:
     """Globally optimal path of length cfg.K for sum_k alpha_k * cost(model_k).
 
-    Continuous steps solve every one of the d^K patterns (exact_paths), unit
-    steps run a dynamic program over the L1 ball's states (_unit_steps).
+    Continuous steps search the d^K patterns (exact_paths), unit steps run a
+    dynamic program over the L1 ball's states (_unit_steps).
     Respects cfg.endpoint. Raises BudgetError if the work exceeds cfg.budget
     (check_budget, _check_unit_budget), before anything of size K is built,
     and InfeasibleError if no path reaches the endpoint.
@@ -651,8 +688,10 @@ def exact_paths(stats: SufficientStats, base: LinearModel, alphas: np.ndarray,
 
     One mask routes the rows: those with strictly positive weights share one
     _enum_fast pass (pinned ones need K >= 2), whatever the gram; the rest,
-    and the rows that pass marks as broken, run _enum_direct one at a time.
-    A zero weight would break the recursion anyway. Each row's winning
+    and the rows that pass marks as broken, run _enum_direct one at a time,
+    which skips the orderings a zero-weight run makes equivalent (a zero
+    weight makes two tail weights equal, so the recursion would break). The
+    budget counts all d^K patterns, an upper bound. Each row's winning
     pattern, from either enumerator, is then solved by one solve_patterns
     call under its own weight row, so every path is bitwise the one a
     one-row call returns.

@@ -8,9 +8,11 @@ elimination of the endpoint constraints on normal equations assembled here.
 The exceptions are unblocked_enum_free_fast, the breadth-first form of the
 exact search's incremental factor recursion, kept as the reference for its
 blocked form (and, with folded=False, for the algebra of its last two
-steps), and iterwise_local_improvement, the local search with one
+steps), iterwise_local_improvement, the local search with one
 solve_patterns call per iteration, kept as the reference for the search
-that scores windows of iterations in one call. rowwise_load_csv is the
+that scores windows of iterations in one call, and every_pattern_direct,
+the general enumerator over all d^K patterns, the reference for the one
+that skips equivalent orderings inside zero-weight runs. rowwise_load_csv is the
 pure-Python CSV reader that load_csv's one-call numpy parse must match.
 per_lambda_sweep is the tradeoff sweep that solves one exact_path (or
 local_improvement) per lambda and length, the reference for the sweep that
@@ -35,7 +37,9 @@ from pathlens.inner import (
     tail_weights,
 )
 from pathlens.optimizers import (
+    _CHUNK_ENTRIES,
     _PIVOT_RTOL,
+    _TIE_RTOL,
     OptimizerConfig,
     _default_iv0,
     exact_path,
@@ -306,6 +310,25 @@ def unblocked_enum_free_fast(stats, base, K, alpha, folded=True):
         vals = S * c0 - ssq
     j = int(np.argmin(vals))  # nodes are in lexicographic order
     return float(vals[j]), np.asarray([j // d ** (K - 1 - p) % d for p in range(K)], dtype=int)
+
+
+def every_pattern_direct(stats, base, K, alpha, target=None, chunk=None):
+    """optimizers._enum_direct over all d^K patterns: solve_patterns on
+    itertools.product in chunks of `chunk` (by default _enum_direct's), each
+    chunk's first candidate tied with its minimum replacing the incumbent
+    only if it beats it by more than a tie. Returns (objective, pattern)."""
+    if chunk is None:
+        chunk = max(256, _CHUNK_ENTRIES // (K * K))
+    patterns = np.asarray(list(itertools.product(range(stats.d), repeat=K)), dtype=int)
+    best = (math.inf, None)
+    for s in range(0, len(patterns), chunk):
+        ivs = patterns[s:s + chunk]
+        vals = solve_patterns(stats, np.asarray(base, dtype=float), ivs, alpha, target)[1]
+        low = vals.min()
+        j = int(np.argmax(vals <= low + _TIE_RTOL * abs(low)))
+        if vals[j] + _TIE_RTOL * abs(vals[j]) < best[0]:
+            best = (float(vals[j]), ivs[j])
+    return best
 
 
 def rowwise_load_csv(path, target):

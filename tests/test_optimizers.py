@@ -45,6 +45,7 @@ from oracles import (
     batch_objectives,
     brute_force_explanation,
     brute_force_unit,
+    every_pattern_direct,
     iterwise_local_improvement,
     unblocked_enum_free_fast,
 )
@@ -685,6 +686,95 @@ def test_iv_chunks_match_itertools_product(d, K, chunk):
     ]
     assert all(c.dtype == expected.dtype for c in chunks)
     assert np.array_equal(np.concatenate(chunks), expected)
+
+
+class TestZeroRuns:
+    @pytest.mark.parametrize("d,alpha,kept", [
+        (6, (0, 0, 0, 1), 401),  # 360 orderings of 4 distinct, and 41 smaller sets
+        (6, (1, 0, 0, 0, 1), 2406),  # search's zero-weight slice: 6 first steps x 401
+        (4, (1, 0, 0, 1), 136),  # search's ill-conditioned slice: 4 x (24 + 10)
+        (8, (0, 0, 0, 0, 0, 1), 20378),
+        (3, (0, 0, 1, 0, 0), 12 * 9),  # a run of 3 (6 + 3 + 3), then a trailing run of 2
+        (6, (1, 1, 1, 1), 1296),  # positive weights keep every pattern
+        (3, (0, 0, 0, 1), 81),  # a run longer than d keeps every pattern
+        (2, (1, 0, 0, 1), 16),
+    ])
+    def test_kept_pattern_counts(self, d, alpha, kept):
+        chunk = 100
+        chunks = list(optimizers._kept_chunks(d, len(alpha), np.array(alpha, float), chunk))
+        assert [len(c) for c in chunks] == [chunk] * (kept // chunk) + [kept % chunk] * (
+            kept % chunk > 0)
+        ivs = np.concatenate(chunks)
+        order = np.lexsort(ivs.T[::-1])
+        assert np.array_equal(order, np.arange(kept))  # still in lexicographic order
+
+    def test_kept_patterns_are_first_arrangements(self):
+        ivs = np.concatenate(list(optimizers._kept_chunks(3, 3, np.array([0.0, 0.0, 1.0]), 7)))
+        kept = {tuple(iv) for iv in ivs.tolist()}
+        assert set(itertools.permutations(range(3))) <= kept  # every ordering of a full set
+        assert {(0, 0, 1), (0, 0, 2), (1, 1, 2), (0, 0, 0), (2, 2, 2)} <= kept
+        assert not {(0, 1, 0), (1, 0, 0), (0, 1, 1), (1, 1, 0), (2, 1, 1)} & kept
+        assert len(kept) == 6 + 3 + 3
+
+    @given(kind=st.sampled_from(["random", "tilted"]), d=st.integers(1, 4),
+           K=st.integers(1, 6), seed=st.integers(0, 999), changed=st.integers(0, 4),
+           correlated=st.booleans(), tilt=st.sampled_from([1e-16, 1e-15, 1e-14, 1e-13]),
+           zeros=st.lists(st.booleans(), min_size=6, max_size=6),
+           weights=st.lists(st.floats(0.1, 2.0), min_size=6, max_size=6))
+    @example(kind="tilted", d=3, K=4, seed=0, changed=0, correlated=False, tilt=1e-16,
+             zeros=[True, True, True, False, True, True], weights=[1.0] * 6)
+    @example(kind="random", d=3, K=4, seed=1, changed=0, correlated=False, tilt=1e-16,
+             zeros=[False, True, True, True, True, True], weights=[1.0] * 6)  # trailing zeros
+    @example(kind="random", d=3, K=4, seed=1, changed=2, correlated=False, tilt=1e-16,
+             zeros=[False, True, True, True, True, True], weights=[1.0] * 6)
+    @example(kind="random", d=2, K=5, seed=2, changed=2, correlated=False, tilt=1e-16,
+             zeros=[True, True, True, True, False, True], weights=[1.0] * 6)  # run > d
+    @example(kind="tilted", d=4, K=6, seed=3, changed=4, correlated=True, tilt=1e-14,
+             zeros=[False, True, True, False, True, True], weights=[0.5] * 6)
+    def test_direct_matches_every_pattern(self, kind, d, K, seed, changed, correlated, tilt,
+                                          zeros, weights):
+        # Skipping equivalent orderings inside zero-weight runs must leave
+        # the pattern of the search over all d^K patterns bit for bit, with
+        # leading, interior and trailing zeros, runs longer than d, free and
+        # pinned endpoints, and near-ties (the tilted grams relabel patterns
+        # to within about tilt, see test_paths_do_not_depend_on_the_engine).
+        # A pinned target changes the first `changed` coordinates, so the
+        # best set of a run may be smaller than the run.
+        if kind == "random":
+            stats = random_stats(seed, d=d)
+        else:
+            gram = np.eye(d) + 0.3 * correlated * (1 - np.eye(d))
+            stats = stats_from_moments(gram, 1 + tilt * np.arange(d), 2.0 * d,
+                                       tuple(f"x{i}" for i in range(d)))
+        alpha = np.where(zeros[:K], 0.0, weights[:K])
+        assume(alpha.any())
+        base = LinearModel.zeros(stats.feature_names)
+        target = None
+        if changed:
+            target = np.where(np.arange(d) < min(changed, d, K), ols(stats).coefficients, 0.0)
+        endpoint = None if target is None else LinearModel(target, stats.feature_names)
+        value, iv, _ = _enum_direct(stats, base, K, alpha, endpoint)
+        expected = every_pattern_direct(stats, base.coefficients, K, alpha, target)
+        assert np.array_equal(iv, expected[1])
+        assert value == expected[0]
+
+    def test_zero_weight_search_solves_kept_patterns_only(self, monkeypatch):
+        # search's zero-weight shape, d = 6, K = 5, weights (1, 0, 0, 0, 1):
+        # 2,406 of the 7,776 patterns, then the winner once more.
+        stats = random_stats(5, n=100, d=6)
+        base = LinearModel.zeros(stats.feature_names)
+        items = []
+
+        def spy(stats, base, ivs, *args):
+            items.append(ivs.shape[0])
+            return solve_patterns(stats, base, ivs, *args)
+
+        monkeypatch.setattr(optimizers, "solve_patterns", spy)
+        cfg = OptimizerConfig(K=5, schedule=WeightSchedule.explicit([1.0, 0.0, 0.0, 0.0, 1.0]))
+        path = exact_path(stats, base, cfg)
+        assert items == [2406, 1]
+        steps = [i for i, _ in path.steps]
+        assert steps[1:] == sorted(set(steps[1:]))  # the run's set, ascending
 
 
 class TestLocalImprovement:

@@ -20,9 +20,10 @@ ROOT = Path(__file__).resolve().parents[1]
         ["bench.py", "--topic", "heuristic", "--K", "4"],
         ["bench.py", "--topic", "pinned", "--K", "6", "--K-max", "5"],
         ["bench.py", "--topic", "direct", "--K", "4", "--K-max", "3"],
+        ["bench.py", "--topic", "direct", "--K", "3", "--K-max", "2", "--against", str(ROOT)],
     ],
     ids=["toy_tradeoff", "bench", "bench_tradeoff", "bench_local", "bench_heuristic",
-         "bench_pinned", "bench_direct"],
+         "bench_pinned", "bench_direct", "bench_direct_against"],
 )
 def test_script_runs(argv, tmp_path):
     env = dict(os.environ)
