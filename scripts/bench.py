@@ -1,81 +1,71 @@
 #!/usr/bin/env python3
 """Time pathlens layer by layer and write the medians to BENCH_<topic>.json.
 
-Six topics, chosen with --topic; each number is the median over REPEATS
-runs, and the result goes to BENCH_<topic>.json in the current directory.
+Six topics, chosen with --topic. A topic is a list of rows, each one timed
+call on a seeded instance; BENCH_<topic>.json in the current directory gets
+one record per row: the instance, the median seconds over REPEATS runs with
+the runs themselves, and, where the call returns a path, its loss and steps.
 
-ingestion (the default): load_csv, standardize and compute_stats on seeded
-CSVs written to a temporary directory (by default 100k rows x 21 and x 7
-columns, the last column the target, and the x 7 file again with a
+ingestion (the default): load_csv, standardize and compute_stats, a row each,
+on seeded CSVs written to a temporary directory (by default 100k rows x 21
+and x 7 columns, the last column the target, and the x 7 file again with a
 whitespace-only last line).
 
 tradeoff: sweep on a seeded instance (d = 6, n = 100) with K_max = 6 over
-the default 61-value lambda grid, gamma = 1, one worker, also per
-(lambda, K) solve; the exact search's fast kernel (_enum_fast, recorded
-under its earlier name _enum_free_fast) with one weight row of unit weights
-at d = 6, K = 10 (60.5M patterns), in patterns per second; and exact_path
-on the same instance, free, under gamma = 1, one step shorter than the
-kernel (K = 9 and 10.1M patterns by default, as the benchmark's search
-workload runs it), with the loss and steps of its path, which --before
-checks. --K-max and --K shrink all three for a quick run.
+the default 61-value lambda grid, gamma = 1, with one worker and with two;
+the exact search's fast kernel _enum_fast with one weight row of unit
+weights at d = 6, K = 10 (60.5M patterns); and exact_path on the same
+instance, free, under gamma = 1, one step shorter than the kernel (K = 9
+and 10.1M patterns by default, as the benchmark's search workload runs it).
+--K-max and --K shrink them for a quick run.
 
 local: local_improvement under unit weights, on seeded instances
 (n = 100): q = 2 pinned to the least-squares fit at d = 5, K = 6, T = 100
 (as the benchmark's explain workload runs it); q = 2 and q = 1 free at
 d = 6, K = 9, T = 100 (as its search workload does); q = 2 and q = 1 free
 at d = 6, K = 10, T = 600, patience 120 (the setting of acceptance
-criterion 4). Each instance also records the loss and steps of the path
-found, and with --before the script refuses to write if either differs
-from the earlier run's: a faster search that returns another path is a
-bug.
+criterion 4).
 
-heuristic: local_improvement against exact_path on 20 seeded instances
-(seeds 0-19, n = 100, d = 6, K = 10, gamma = 1): each instance's exact loss
-and time, and for q = 1 and 2 (T = 600, patience 120, search seed
-1000 q + instance seed) the local search's loss, optimality gap and time.
---K shrinks the paths for a quick run. With --before the script refuses to
-write if an exact or local-search loss differs from the earlier run's.
+heuristic: exact_path and local_improvement on 20 seeded instances (seeds
+0-19, n = 100, d = 6, K = 10, gamma = 1), the local search at q = 1 and 2
+(T = 600, patience 120, search seed 1000 q + instance seed), whose rows also
+record the optimality gap to the exact loss. --K shrinks the paths for a
+quick run.
 
 pinned: the exact search pinned to the least-squares fit, under unit
 weights, on seeded instances (n = 100): exact_path at d = 6, K = 8 (1.7M
 patterns), next to _enum_direct, the batched enumerator it replaced for
-pinned endpoints, on the same instance (5 runs each, alternating); and
-best_explanation at d = 5, K_max = 6 (as the benchmark's explain workload
-runs it) and 7. Each row records the path's loss and steps; with --before
-the script refuses to write if either differs from the earlier run's. --K
-and --K-max shrink the two for a quick run.
+pinned endpoints, on the same instance; and best_explanation at d = 5,
+K_max = 6 (as the benchmark's explain workload runs it) and 7. --K and
+--K-max shrink them for a quick run.
 
 direct: the searches that once ran through the general enumerator
-_enum_direct, all with a free endpoint, on seeded instances (n = 100, 5
-runs each): a near-collinear d = 6 instance (the last feature repeats the
-first up to 1e-7 noise, gram condition number 3.5e14) at K = 7 under
-geometric(1) weights, which the factor recursion serves; unit-step
-exact_path at d = 4, K = 5 and 6, which the dynamic program over lattice
-states serves, each also with the tracemalloc peak of one run;
-_enum_direct itself on a zero-weight schedule (0, 1, 1, ...) at d = 5, K = 7;
-and exact_path, which runs _enum_direct and then solves the winning
-pattern, on the benchmark's search workload's zero-weight schedule
-(1, 0, 0, 0, 1) at d = 6, K = 5, and on alpha = e_6 (weight on the last
-model only, best-subset selection) at d = 6 and 8. Each row records the
-path's loss and steps; with --before the script refuses to write if either
-differs from the earlier run's. --K (default 7) shrinks the first, the
-_enum_direct and the e_6 rows (to e_K), --K-max (default 6) the longer
-unit row, for a quick run. --against DIR imports DIR/src/pathlens (for
-example a checkout of the parent commit) as a second package and times
-each row on both trees, alternating in one process, so that host drift
-stays out of their ratio; each row then records both medians, and the
-script refuses to write if the two trees' paths differ.
+_enum_direct, all with a free endpoint, on seeded instances (n = 100): a
+near-collinear d = 6 instance (the last feature repeats the first up to
+1e-7 noise, gram condition number 3.5e14) at K = 7 under geometric(1)
+weights, which the factor recursion serves; unit-step exact_path at d = 4,
+K = 5 and 6, which the dynamic program over lattice states serves, each
+also with the tracemalloc peak of one run; _enum_direct itself on a
+zero-weight schedule (0, 1, 1, ...) at d = 5, K = 7; and exact_path, which
+runs _enum_direct and then solves the winning pattern, on the benchmark's
+search workload's zero-weight schedule (1, 0, 0, 0, 1) at d = 6, K = 5, and
+on alpha = e_6 (weight on the last model only, best-subset selection) at
+d = 6 and 8. --K (default 7) shrinks the first, the _enum_direct and the
+e_6 rows (to e_K), --K-max (default 6) the longer unit row, for a quick run.
+
+--against DIR imports DIR/src/pathlens (for example a checkout of the parent
+commit) as a second package and builds every row on both trees. Each row
+runs once per tree first, and the script refuses to write if the trees'
+results differ: a faster search that returns another path is a bug. The
+timed runs then go in rounds that alternate the order of the trees and of
+the rows, so that a slow stretch of the host hits both trees and every row
+alike, and each row also records the other tree's median and runs:
+
+    PYTHONPATH=src python3 scripts/bench.py --topic tradeoff --against ../parent
 
 BLAS threads are left as the environment sets them (the machine record
 notes OPENBLAS_NUM_THREADS); set it to 1 for numbers comparable with the
 benchmark in bench/, which pins it.
-
-To record the numbers from before a change, run the script with the older
-code first, e.g. from a checkout of the parent commit, then with the new
-code, which keeps the first run's numbers as "before":
-
-    PYTHONPATH=../parent/src python3 scripts/bench.py --topic tradeoff
-    PYTHONPATH=src python3 scripts/bench.py --topic tradeoff --before BENCH_tradeoff.json
 """
 
 import argparse
@@ -88,34 +78,30 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 import pathlens
-from pathlens import (
-    LinearModel,
-    OptimizerConfig,
-    WeightSchedule,
-    best_explanation,
-    compute_stats,
-    default_lambda_grid,
-    exact_path,
-    load_csv,
-    local_improvement,
-    ols,
-    standardize,
-    sweep,
-    weighted_loss,
-)
-from pathlens import optimizers
-from pathlens.inner import path_from_deltas
 
 # (columns, text after the last row). numpy's reader rejects a
 # whitespace-only line, so load_csv parses that file with its row loop.
 INSTANCES = ((21, ""), (7, ""), (7, " \n"))
-REPEATS = 9
+REPEATS = 12  # a multiple of the four rounds in which measure() balances the order
 SEED = 0
+
+
+class Row(NamedTuple):
+    """One timed call, run(). outcome maps run()'s result to the fields the
+    row records and compares between trees; peak asks for the tracemalloc
+    peak of one run."""
+
+    instance: dict
+    run: Callable
+    outcome: Callable | None = None
+    peak: bool = False
 
 
 def write_csv(path: Path, rows: int, cols: int, seed: int, tail: str):
@@ -130,32 +116,6 @@ def write_csv(path: Path, rows: int, cols: int, seed: int, tail: str):
         fh.write(tail)
 
 
-def time_ingestion(path: Path) -> dict:
-    """Median seconds of each ingestion layer over REPEATS runs."""
-    times = {"load_csv": [], "standardize": [], "compute_stats": []}
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        ds = load_csv(path, "y")
-        t1 = time.perf_counter()
-        std, _ = standardize(ds)
-        t2 = time.perf_counter()
-        compute_stats(std)
-        t3 = time.perf_counter()
-        times["load_csv"].append(t1 - t0)
-        times["standardize"].append(t2 - t1)
-        times["compute_stats"].append(t3 - t2)
-    return {layer: statistics.median(ts) for layer, ts in times.items()}
-
-
-def median_seconds(fn, repeats: int = REPEATS) -> float:
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
-
-
 def machine() -> dict:
     return {
         "nproc": os.cpu_count(),
@@ -166,29 +126,28 @@ def machine() -> dict:
     }
 
 
-def ingestion(args) -> list:
-    instances = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for k, (cols, tail) in enumerate(INSTANCES):
-            path = Path(tmp) / f"data_{k}.csv"
-            write_csv(path, args.rows, cols, SEED, tail)
-            median_s = time_ingestion(path)
-            instances.append({
-                "rows": args.rows,
-                "cols": cols,
-                "tail": tail,
-                "seed": SEED,
-                "csv_bytes": path.stat().st_size,
-                "median_s": median_s,
-                "load_csv_rows_per_s": args.rows / median_s["load_csv"],
-            })
-            print(f"{args.rows} x {cols}, tail {tail!r}: " + "  ".join(
-                f"{layer} {s:.4f} s" for layer, s in median_s.items()))
-    return instances
+def path_outcome(pl, stats, schedule) -> Callable:
+    """What a row whose call returns a path records: its loss and steps."""
+    return lambda path: {"loss": pl.weighted_loss(stats, path, schedule),
+                         "steps": [[i, v] for i, v in path.steps]}
 
 
-def tradeoff_stats(d: int, n: int = 100, seed: int = SEED, noise: float | None = None,
-                   pl=pathlens):
+def ingestion_rows(pl, args) -> list:
+    rows = []
+    for k, (cols, tail) in enumerate(INSTANCES):
+        path = args.tmp / f"data_{k}.csv"
+        write_csv(path, args.rows, cols, SEED, tail)
+        ds = pl.load_csv(path, "y")
+        std, _ = pl.standardize(ds)
+        instance = {"rows": args.rows, "cols": cols, "tail": tail, "seed": SEED,
+                    "csv_bytes": path.stat().st_size}
+        rows += [Row({"layer": "load_csv", **instance}, partial(pl.load_csv, path, "y")),
+                 Row({"layer": "standardize", **instance}, partial(pl.standardize, ds)),
+                 Row({"layer": "compute_stats", **instance}, partial(pl.compute_stats, std))]
+    return rows
+
+
+def tradeoff_stats(pl, d: int, seed: int = SEED, noise: float | None = None, n: int = 100):
     """Standardized moments of seeded correlated data, built by the package
     pl; with `noise`, the last feature repeats the first up to that much
     standard normal noise."""
@@ -203,40 +162,26 @@ def tradeoff_stats(d: int, n: int = 100, seed: int = SEED, noise: float | None =
     return pl.compute_stats(pl.Dataset(X, y, tuple(f"x{i + 1}" for i in range(d))))
 
 
-def tradeoff(args) -> list:
+def tradeoff_rows(pl, args) -> list:
     d = 6
-    stats = tradeoff_stats(d)
-    base = LinearModel.zeros(stats.feature_names)
-    schedule = WeightSchedule.geometric(1.0)
-    grid = default_lambda_grid()
-    sweep_s = median_seconds(
-        lambda: sweep(stats, base, schedule, grid, args.K_max, workers=1))
-    alpha = np.ones((1, args.K))
-    kernel_s = median_seconds(
-        lambda: optimizers._enum_fast(stats, np.zeros(d), args.K, alpha))
-    cfg = OptimizerConfig(K=args.K - 1, schedule=schedule, budget=10**8)
-    path = exact_path(stats, base, cfg)
-    exact_s = median_seconds(lambda: exact_path(stats, base, cfg))
-    solves = len(grid) * args.K_max
-    print(f"sweep, d={d}, K_max={args.K_max}, {len(grid)} lambdas, 1 worker: {sweep_s:.4f} s, "
-          f"{sweep_s / solves * 1e3:.3f} ms per (lambda, K)")
-    print(f"_enum_fast, d={d}, K={args.K}, one row: {kernel_s:.4f} s, "
-          f"{d**args.K / kernel_s / 1e6:.1f}M patterns/s")
-    print(f"exact_path, d={d}, K={cfg.K}: {exact_s:.4f} s, "
-          f"{d**cfg.K / exact_s / 1e6:.1f}M patterns/s")
-    return [
-        {"instance": {"layer": "sweep", "seed": SEED, "n": 100, "d": d, "K_max": args.K_max,
-                      "lambdas": len(grid), "workers": 1, "schedule": schedule.describe()},
-         "median_s": sweep_s, "per_solve_s": sweep_s / solves},
-        # The kernel's name when this row was first recorded; --before matches on it.
-        {"instance": {"layer": "_enum_free_fast", "seed": SEED, "n": 100, "d": d, "K": args.K,
-                      "rows": 1, "schedule": "unit weights"},
-         "median_s": kernel_s, "patterns_per_s": d**args.K / kernel_s},
-        {"instance": {"layer": "exact_path", "seed": SEED, "n": 100, "d": d, "K": cfg.K,
-                      "endpoint": "free", "schedule": schedule.describe()},
-         "median_s": exact_s, "patterns_per_s": d**cfg.K / exact_s,
-         "loss": weighted_loss(stats, path, schedule), "steps": [[i, v] for i, v in path.steps]},
-    ]
+    stats = tradeoff_stats(pl, d)
+    base = pl.LinearModel.zeros(stats.feature_names)
+    schedule = pl.WeightSchedule.geometric(1.0)
+    grid = pl.default_lambda_grid()
+    instance = {"seed": SEED, "n": 100, "d": d}
+    rows = [Row({"layer": "sweep", **instance, "K_max": args.K_max, "lambdas": len(grid),
+                 "workers": workers, "schedule": schedule.describe()},
+                partial(pl.sweep, stats, base, schedule, grid, args.K_max, workers=workers))
+            for workers in (1, 2)]
+    rows.append(Row({"layer": "_enum_fast", **instance, "K": args.K, "rows": 1,
+                     "schedule": "unit weights"},
+                    partial(pl.optimizers._enum_fast, stats, np.zeros(d), args.K,
+                            np.ones((1, args.K)))))
+    cfg = pl.OptimizerConfig(K=args.K - 1, schedule=schedule, budget=10**8)
+    rows.append(Row({"layer": "exact_path", **instance, "K": cfg.K, "endpoint": "free",
+                     "schedule": schedule.describe()},
+                    partial(pl.exact_path, stats, base, cfg), path_outcome(pl, stats, schedule)))
+    return rows
 
 
 # (d, K, q, T, patience, endpoint, search seed)
@@ -245,145 +190,122 @@ LOCAL_INSTANCES = ((5, 6, 2, 100, None, "ols", 0), (6, 9, 2, 100, None, "free", 
                    (6, 10, 1, 600, 120, "free", 2000))
 
 
-def local(args) -> list:
-    schedule = WeightSchedule.geometric(1.0)
-    instances = []
+def local_rows(pl, args) -> list:
+    schedule = pl.WeightSchedule.geometric(1.0)
+    rows = []
     for d, K, q, T, patience, endpoint, seed in LOCAL_INSTANCES:
-        stats = tradeoff_stats(d)
-        base = LinearModel.zeros(stats.feature_names)
-        cfg = OptimizerConfig(K=K, schedule=schedule, q=q, T=T, seed=seed, patience=patience,
-                              endpoint=ols(stats) if endpoint == "ols" else None)
-        path = local_improvement(stats, base, cfg)
-        record = {
-            "instance": {"layer": "local_improvement", "seed": SEED, "n": 100, "d": d, "K": K,
+        stats = tradeoff_stats(pl, d)
+        base = pl.LinearModel.zeros(stats.feature_names)
+        cfg = pl.OptimizerConfig(K=K, schedule=schedule, q=q, T=T, seed=seed, patience=patience,
+                                 endpoint=pl.ols(stats) if endpoint == "ols" else None)
+        rows.append(Row({"layer": "local_improvement", "seed": SEED, "n": 100, "d": d, "K": K,
                          "q": q, "T": T, "patience": patience, "endpoint": endpoint,
                          "search_seed": seed, "schedule": schedule.describe()},
-            "median_s": median_seconds(lambda: local_improvement(stats, base, cfg)),
-            "loss": weighted_loss(stats, path, schedule),
-            "steps": [[i, v] for i, v in path.steps],
-        }
-        print(f"{describe('local', record)}: {record['median_s'] * 1e3:.2f} ms")
-        instances.append(record)
-    return instances
+                        partial(pl.local_improvement, stats, base, cfg),
+                        path_outcome(pl, stats, schedule)))
+    return rows
 
 
 HEURISTIC_INSTANCES = 20
 HEURISTIC_Q = (1, 2)
 
 
-def heuristic(args) -> list:
-    d, K = 6, args.K
-    schedule = WeightSchedule.geometric(1.0)
-    instances = []
-    for seed in range(HEURISTIC_INSTANCES):
-        stats = tradeoff_stats(d, seed=seed)
-        base = LinearModel.zeros(stats.feature_names)
-        cfg = OptimizerConfig(K=K, schedule=schedule, budget=10**8)
-        exact = weighted_loss(stats, exact_path(stats, base, cfg), schedule)
-        record = {
-            "instance": {"layer": "exact_path", "seed": seed, "n": 100, "d": d, "K": K,
-                         "schedule": schedule.describe()},
-            "median_s": median_seconds(lambda: exact_path(stats, base, cfg)),
-            "loss": exact,
-            "local": {},
-        }
-        for q in HEURISTIC_Q:
-            lcfg = OptimizerConfig(K=K, schedule=schedule, q=q, T=600, patience=120,
-                                   seed=1000 * q + seed)
-            loss = weighted_loss(stats, local_improvement(stats, base, lcfg), schedule)
-            record["local"][f"q={q}"] = {
-                "T": 600, "patience": 120, "search_seed": lcfg.seed, "loss": loss,
-                "gap_pct": 100 * (loss - exact) / exact,
-                "median_s": median_seconds(lambda: local_improvement(stats, base, lcfg)),
-            }
-        print(f"{describe('heuristic', record)}: exact {record['median_s']:.3f} s" + "".join(
-            f", {q} gap {r['gap_pct']:.4f}% in {r['median_s'] * 1e3:.1f} ms"
-            for q, r in record["local"].items()))
-        instances.append(record)
-    print(f"exact: median {statistics.median(i['median_s'] for i in instances):.3f} s")
-    for q in record["local"]:
-        gaps = [i["local"][q]["gap_pct"] for i in instances]
-        times = [i["local"][q]["median_s"] for i in instances]
-        print(f"{q}: median gap {statistics.median(gaps):.4f}%, max {max(gaps):.4f}%, "
-              f"within 0.1%: {sum(g <= 0.1 for g in gaps)}/{len(gaps)}, "
-              f"median time {statistics.median(times) * 1e3:.1f} ms")
-    return instances
+def heuristic_rows(pl, args) -> list:
+    return [row for seed in range(HEURISTIC_INSTANCES)
+            for row in heuristic_instance(pl, seed, args.K)]
 
 
-PINNED_D, PINNED_REPEATS = 6, 5  # the d = 6, K = 8 rows took ~1.5 s per run before the change
+def heuristic_instance(pl, seed: int, K: int) -> list:
+    """exact_path, then the local searches, on one seeded instance at d = 6.
+    The local rows' gap is to the exact row's loss, which is known by then,
+    since every tree runs its rows once, in order, before any is timed."""
+    schedule = pl.WeightSchedule.geometric(1.0)
+    stats = tradeoff_stats(pl, 6, seed=seed)
+    base = pl.LinearModel.zeros(stats.feature_names)
+    outcome = path_outcome(pl, stats, schedule)
+    exact = {}
+
+    def exact_outcome(path):
+        exact.update(outcome(path))
+        return exact
+
+    def local_outcome(path):
+        found = outcome(path)
+        return {**found, "gap_pct": 100 * (found["loss"] - exact["loss"]) / exact["loss"]}
+
+    instance = {"seed": seed, "n": 100, "d": 6, "K": K, "schedule": schedule.describe()}
+    cfg = pl.OptimizerConfig(K=K, schedule=schedule, budget=10**8)
+    rows = [Row({"layer": "exact_path", **instance}, partial(pl.exact_path, stats, base, cfg),
+                exact_outcome)]
+    for q in HEURISTIC_Q:
+        cfg = pl.OptimizerConfig(K=K, schedule=schedule, q=q, T=600, patience=120,
+                                 seed=1000 * q + seed)
+        rows.append(Row({"layer": "local_improvement", **instance, "q": q, "T": 600,
+                         "patience": 120, "search_seed": cfg.seed},
+                        partial(pl.local_improvement, stats, base, cfg), local_outcome))
+    return rows
+
+
+def heuristic_summary(instances: list):
+    exact = [r["median_s"] for r in instances if r["instance"]["layer"] == "exact_path"]
+    print(f"exact: median {statistics.median(exact):.3f} s")
+    for q in HEURISTIC_Q:
+        local = [r for r in instances if r["instance"].get("q") == q]
+        gaps = [r["gap_pct"] for r in local]
+        print(f"q={q}: median gap {statistics.median(gaps):.4f}%, max {max(gaps):.4f}%, "
+              f"within 0.1%: {sum(g <= 0.1 for g in gaps)}/{len(gaps)}, median time "
+              f"{statistics.median(r['median_s'] for r in local) * 1e3:.1f} ms")
+
+
+PINNED_D = 6
 BEST_D = 5
 
 
-def pinned(args) -> list:
-    schedule = WeightSchedule.geometric(1.0)
-    instances = []
-
-    def record(layer, stats, run, median_s, runs, **extra):
-        path = run()
-        instances.append({
-            "instance": {"layer": layer, "seed": SEED, "n": 100, "d": stats.d, "endpoint": "ols",
-                         "schedule": schedule.describe(), **extra},
-            "median_s": median_s,
-            "runs": runs,
-            "loss": weighted_loss(stats, path, schedule),
-            "steps": [[i, v] for i, v in path.steps],
-        })
-        print(f"{describe('pinned', instances[-1])}: {median_s * 1e3:.2f} ms")
-
-    stats = tradeoff_stats(PINNED_D)
-    base = LinearModel.zeros(stats.feature_names)
-    cfg = OptimizerConfig(K=args.K, schedule=schedule, endpoint=ols(stats))
+def pinned_rows(pl, args) -> list:
+    schedule = pl.WeightSchedule.geometric(1.0)
+    stats = tradeoff_stats(pl, PINNED_D)
+    base = pl.LinearModel.zeros(stats.feature_names)
+    cfg = pl.OptimizerConfig(K=args.K, schedule=schedule, endpoint=pl.ols(stats))
     alpha = schedule.weights(args.K)
 
     def direct():
-        _, iv, delta = optimizers._enum_direct(stats, base, args.K, alpha, cfg.endpoint)
-        return path_from_deltas(base, iv, delta)
+        _, iv, delta = pl.optimizers._enum_direct(stats, base, args.K, alpha, cfg.endpoint)
+        return pl.inner.path_from_deltas(base, iv, delta)
 
-    runs = {"exact_path": lambda: exact_path(stats, base, cfg), "_enum_direct": direct}
-    # Runs alternate between the two, so a slow stretch of the host hits both.
-    times = {layer: [] for layer in runs}
-    for _ in range(PINNED_REPEATS):
-        for layer, run in runs.items():
-            times[layer].append(median_seconds(run, 1))
-    medians = {layer: statistics.median(ts) for layer, ts in times.items()}
-    for layer, run in runs.items():
-        record(layer, stats, run, medians[layer], PINNED_REPEATS, K=args.K)
-    print(f"exact_path runs {medians['_enum_direct'] / medians['exact_path']:.1f}x "
-          "as fast as _enum_direct")
-    stats = tradeoff_stats(BEST_D)
-    base = LinearModel.zeros(stats.feature_names)
-    target = ols(stats)
+    instance = {"seed": SEED, "n": 100, "endpoint": "ols", "schedule": schedule.describe()}
+    outcome = path_outcome(pl, stats, schedule)
+    rows = [Row({"layer": "exact_path", **instance, "d": PINNED_D, "K": args.K},
+                partial(pl.exact_path, stats, base, cfg), outcome),
+            Row({"layer": "_enum_direct", **instance, "d": PINNED_D, "K": args.K}, direct, outcome)]
+    explained = tradeoff_stats(pl, BEST_D)
+    zeros = pl.LinearModel.zeros(explained.feature_names)
     for K_max in (args.K_max, args.K_max + 1):
-        def explain():
-            return best_explanation(stats, base, target, schedule, K_max)
-
-        record("best_explanation", stats, explain, median_seconds(explain), REPEATS, K_max=K_max)
-    return instances
-
-
-DIRECT_REPEATS = 5  # the parent's e_6 row at d = 8 takes ~3 s per run, the others ms to 0.5 s
+        rows.append(Row({"layer": "best_explanation", **instance, "d": BEST_D, "K_max": K_max},
+                        partial(pl.best_explanation, explained, zeros, pl.ols(explained),
+                                schedule, K_max),
+                        path_outcome(pl, explained, schedule)))
+    return rows
 
 
 def direct_rows(pl, args) -> list:
-    """The direct topic's rows on the package pl (pathlens, or the tree of
-    --against): (layer, stats, run, schedule, peak, extra) each, where run()
-    returns the row's path and peak asks for a tracemalloc peak."""
     rows = []
 
     def exact(d, schedule, K, noise=None, peak=False, **extra):
-        stats = tradeoff_stats(d, noise=noise, pl=pl)
+        stats = tradeoff_stats(pl, d, noise=noise)
         base = pl.LinearModel.zeros(stats.feature_names)
         cfg = pl.OptimizerConfig(K=K, schedule=schedule, **extra)
         if noise is not None:
             extra["noise"] = noise
-        rows.append(("exact_path", stats, lambda: pl.exact_path(stats, base, cfg), schedule, peak,
-                     {"K": K, **extra}))
+        rows.append(Row({"layer": "exact_path", "seed": SEED, "n": 100, "d": d,
+                         "endpoint": "free", "schedule": schedule.describe(), "K": K, **extra},
+                        partial(pl.exact_path, stats, base, cfg),
+                        path_outcome(pl, stats, schedule), peak))
 
     geometric = pl.WeightSchedule.geometric(1.0)
     exact(6, geometric, args.K, noise=1e-7)
     for K in (args.K_max - 1, args.K_max):
         exact(4, geometric, K, peak=True, step_mode="unit")
-    stats = tradeoff_stats(5, pl=pl)
+    stats = tradeoff_stats(pl, 5)
     base = pl.LinearModel.zeros(stats.feature_names)
     zero_first = pl.WeightSchedule.explicit([0.0] + [1.0] * (args.K - 1))
 
@@ -392,7 +314,9 @@ def direct_rows(pl, args) -> list:
         _, iv, delta = pl.optimizers._enum_direct(stats, base, args.K, alpha)
         return pl.inner.path_from_deltas(base, iv, delta)
 
-    rows.append(("_enum_direct", stats, zero_weight, zero_first, False, {"K": args.K}))
+    rows.append(Row({"layer": "_enum_direct", "seed": SEED, "n": 100, "d": 5, "endpoint": "free",
+                     "schedule": zero_first.describe(), "K": args.K},
+                    zero_weight, path_outcome(pl, stats, zero_first)))
     exact(6, pl.WeightSchedule.explicit([1.0, 0.0, 0.0, 0.0, 1.0]), 5)
     K = min(6, args.K)  # alpha = e_K
     for d in (6, 8):
@@ -413,70 +337,51 @@ def load_tree(root: str):
     return module
 
 
-def direct(args) -> list:
+def measure(build: Callable, args) -> list:
+    """The records of build(pl, args)'s rows, with pl pathlens and, given
+    --against, that tree's package too."""
     packages = [pathlens] + ([load_tree(args.against)] if args.against else [])
-    instances = []
-    for rows in zip(*(direct_rows(pl, args) for pl in packages)):
-        layer, stats, run, schedule, peak, extra = rows[0]
-        runs = [row[2] for row in rows]
-        paths = [go() for go in runs]
-        losses = [pl.weighted_loss(row[1], path, row[3])
-                  for pl, row, path in zip(packages, rows, paths)]
-        # The trees alternate, each going first in every other round, so a slow
-        # stretch of the host hits both.
-        times = [[] for _ in rows]
-        for i in range(DIRECT_REPEATS):
-            for j in (range(len(runs)) if i % 2 == 0 else reversed(range(len(runs)))):
-                times[j].append(median_seconds(runs[j], 1))
-        instances.append({
-            "instance": {"layer": layer, "seed": SEED, "n": 100, "d": stats.d, "endpoint": "free",
-                         "schedule": schedule.describe(), **extra},
-            "median_s": statistics.median(times[0]),
-            "runs": DIRECT_REPEATS,
-            "loss": losses[0],
-            "steps": [[i, v] for i, v in paths[0].steps],
-        })
-        line = f"{describe('direct', instances[-1])}: {instances[-1]['median_s'] * 1e3:.2f} ms"
-        if args.against:
-            if (losses[1], paths[1].steps) != (losses[0], paths[0].steps):
-                raise SystemExit(f"{describe('direct', instances[-1])}: --against {args.against} "
-                                 f"found another path, loss {losses[1]!r}, here {losses[0]!r}")
-            instances[-1]["against_median_s"] = statistics.median(times[1])
-            line += (f", against {instances[-1]['against_median_s'] * 1e3:.2f} ms "
-                     f"({instances[-1]['median_s'] / instances[-1]['against_median_s']:.2f}x)")
-        if peak:
+    trees = [build(pl, args) for pl in packages]
+    records = []
+    for rows in zip(*trees):
+        found = [row.outcome(row.run()) if row.outcome else {} for row in rows]
+        if any(other != found[0] for other in found[1:]):
+            raise SystemExit(f"{describe(rows[0].instance)}: --against {args.against} found "
+                             f"{found[1]}, here {found[0]}")
+        records.append({"instance": rows[0].instance, **found[0]})
+        if rows[0].peak:
             tracemalloc.start()
-            run()
-            instances[-1]["peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+            rows[0].run()
+            records[-1]["peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
             tracemalloc.stop()
-            line += f", tracemalloc peak {instances[-1]['peak_mb']:.1f} MB"
+    runs = [[[] for _ in trees] for _ in records]
+    # The trees swap places every round and the rows every other round, so
+    # over four rounds each tree runs every row after the same neighbours:
+    # a row can run slower after another that leaves the heap cold.
+    for i in range(REPEATS):
+        for r in range(len(records))[::(-1) ** (i // 2)]:
+            for t in range(len(trees))[::(-1) ** i]:
+                t0 = time.perf_counter()
+                trees[t][r].run()
+                runs[r][t].append(time.perf_counter() - t0)
+    for record, (ours, *theirs) in zip(records, runs):
+        record.update(median_s=statistics.median(ours), runs_s=ours)
+        line = f"{describe(record['instance'])}: {record['median_s'] * 1e3:.2f} ms"
+        if theirs:
+            record.update(against_median_s=statistics.median(theirs[0]), against_runs_s=theirs[0])
+            line += (f", against {record['against_median_s'] * 1e3:.2f} ms "
+                     f"({record['median_s'] / record['against_median_s']:.2f}x)")
+        if "gap_pct" in record:
+            line += f", gap {record['gap_pct']:.4f}%"
+        if "peak_mb" in record:
+            line += f", tracemalloc peak {record['peak_mb']:.1f} MB"
         print(line)
-    return instances
+    return records
 
 
-def instance_key(topic: str, instance: dict):
-    if topic == "ingestion":
-        return instance["rows"], instance["cols"], instance.get("tail", ""), instance["seed"]
-    return instance["instance"]
-
-
-def describe(topic: str, instance: dict) -> str:
-    if topic == "ingestion":
-        return f"{instance['rows']} x {instance['cols']}, tail {instance['tail']!r}: load_csv"
-    inst = instance["instance"]
-    if topic == "heuristic":
-        return f"exact_path, d={inst['d']}, K={inst['K']}, seed {inst['seed']}"
-    if topic == "local":
-        return (f"local_improvement, q={inst['q']}, d={inst['d']}, K={inst['K']}, "
-                f"T={inst['T']}, patience={inst['patience']}, endpoint {inst['endpoint']}")
-    if topic == "pinned":
-        length = f"K={inst['K']}" if "K" in inst else f"K_max={inst['K_max']}"
-        return f"{inst['layer']}, d={inst['d']}, {length}, endpoint {inst['endpoint']}"
-    if topic == "direct":
-        kind = (f"noise {inst['noise']:g}" if "noise" in inst
-                else inst.get("step_mode", f"weights {inst['schedule']}"))
-        return f"{inst['layer']}, d={inst['d']}, K={inst['K']}, {kind}"
-    return inst["layer"]
+def describe(instance: dict) -> str:
+    return f"{instance['layer']}, " + ", ".join(
+        f"{key}={value!r}" for key, value in instance.items() if key != "layer")
 
 
 def main(argv=None) -> int:
@@ -493,9 +398,8 @@ def main(argv=None) -> int:
                     help="tradeoff: kernel path length, one more than exact_path's; "
                          "heuristic: path length (default 10); pinned: exact_path length "
                          "(default 8); direct: the continuous rows' length (default 7)")
-    ap.add_argument("--before", help="an earlier output of this script, kept as 'before'")
     ap.add_argument("--against", metavar="DIR",
-                    help="direct: also time each row on the pathlens in DIR/src, alternating")
+                    help="also time each row on the pathlens in DIR/src, alternating")
     args = ap.parse_args(argv)
     if args.K is None:
         args.K = {"pinned": 8, "direct": 7}.get(args.topic, 10)
@@ -509,35 +413,21 @@ def main(argv=None) -> int:
         # The least-squares fits change every coordinate.
         ap.error(f"--K must be at least {PINNED_D} and --K-max at least {BEST_D} "
                  "for the pinned topic")
-    if args.topic == "direct" and args.K_max < 2:
-        ap.error("--K-max must be at least 2 for the direct topic")
-    if args.against and args.topic != "direct":
-        ap.error("--against serves the direct topic only")
+    if args.topic == "direct" and (args.K < 2 or args.K_max < 2):
+        # At K = 1 the zero-first schedule is all zeros, which no search accepts.
+        ap.error("--K and --K-max must be at least 2 for the direct topic")
 
-    topics = {"ingestion": ingestion, "tradeoff": tradeoff, "local": local, "heuristic": heuristic,
-              "pinned": pinned, "direct": direct}
-    instances = topics[args.topic](args)
+    topics = {"ingestion": ingestion_rows, "tradeoff": tradeoff_rows, "local": local_rows,
+              "heuristic": heuristic_rows, "pinned": pinned_rows, "direct": direct_rows}
+    with tempfile.TemporaryDirectory() as tmp:
+        args.tmp = Path(tmp)
+        instances = measure(topics[args.topic], args)
+    if args.topic == "heuristic":
+        heuristic_summary(instances)
     report = {"topic": args.topic, "machine": machine(), "repeats": REPEATS,
               "instances": instances}
     if args.against:
         report["against"] = Path(args.against).resolve().name
-    if args.before:
-        before = json.loads(Path(args.before).read_text(encoding="utf-8"))
-        keys = [instance_key(args.topic, i) for i in before["instances"]]
-        if keys != [instance_key(args.topic, i) for i in instances]:
-            ap.error(f"--before {args.before} measured other instances: {keys}")
-        report["before"] = {"machine": before["machine"], "instances": before["instances"]}
-        for now, old in zip(instances, before["instances"]):
-            found = [(key, now[key], old[key]) for key in ("loss", "steps") if key in now]
-            found += [(f"{q} loss", r["loss"], old["local"][q]["loss"])
-                      for q, r in now.get("local", {}).items()]
-            for key, value, was in found:
-                if value != was:
-                    ap.error(f"{describe(args.topic, now)} found another path than --before "
-                             f"{args.before}: {key} {value!r}, before {was!r}")
-            ratio = (now["median_s"]["load_csv"] / old["median_s"]["load_csv"]
-                     if args.topic == "ingestion" else now["median_s"] / old["median_s"])
-            print(f"{describe(args.topic, now)} {ratio:.2f}x of before")
     out = f"BENCH_{args.topic}.json"
     Path(out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"written to {out}")

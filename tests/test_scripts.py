@@ -9,6 +9,27 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# A tree for bench.py --against whose exact_path moves every step's value.
+OTHER_PATHS = """\
+import pathlens
+
+globals().update({k: v for k, v in vars(pathlens).items() if not k.startswith("__")})
+
+
+def exact_path(stats, base, config):
+    path = pathlens.exact_path(stats, base, config)
+    return pathlens.CoordinatePath(path.base, [(i, v + 1.0) for i, v in path.steps])
+"""
+
+
+def run_script(argv, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -21,15 +42,45 @@ ROOT = Path(__file__).resolve().parents[1]
         ["bench.py", "--topic", "pinned", "--K", "6", "--K-max", "5"],
         ["bench.py", "--topic", "direct", "--K", "4", "--K-max", "3"],
         ["bench.py", "--topic", "direct", "--K", "3", "--K-max", "2", "--against", str(ROOT)],
+        ["bench.py", "--rows", "50", "--against", str(ROOT)],
+        ["bench.py", "--topic", "tradeoff", "--K", "4", "--K-max", "2", "--against", str(ROOT)],
+        ["bench.py", "--topic", "local", "--against", str(ROOT)],
+        ["bench.py", "--topic", "heuristic", "--K", "4", "--against", str(ROOT)],
+        ["bench.py", "--topic", "pinned", "--K", "6", "--K-max", "5", "--against", str(ROOT)],
     ],
     ids=["toy_tradeoff", "bench", "bench_tradeoff", "bench_local", "bench_heuristic",
-         "bench_pinned", "bench_direct", "bench_direct_against"],
+         "bench_pinned", "bench_direct", "bench_direct_against", "bench_against",
+         "bench_tradeoff_against", "bench_local_against", "bench_heuristic_against",
+         "bench_pinned_against"],
 )
 def test_script_runs(argv, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = run_script(argv, tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--topic", "tradeoff", "--K", "4", "--K-max", "2"],
+        ["--topic", "heuristic", "--K", "4"],
+        ["--topic", "pinned", "--K", "6", "--K-max", "5"],
+        ["--topic", "direct", "--K", "3", "--K-max", "2"],
+    ],
+    ids=["tradeoff", "heuristic", "pinned", "direct"],
+)
+def test_bench_refuses_another_path(argv, tmp_path):
+    tree = tmp_path / "tree"
+    (tree / "src" / "pathlens").mkdir(parents=True)
+    (tree / "src" / "pathlens" / "__init__.py").write_text(OTHER_PATHS, encoding="utf-8")
+    proc = run_script(["bench.py", *argv, "--against", str(tree)], tmp_path)
+    assert proc.returncode != 0
+    assert "exact_path, " in proc.stderr and "found" in proc.stderr, proc.stderr
+    assert not list(tmp_path.glob("BENCH_*.json"))
+
+
+def test_bench_direct_rejects_k1(tmp_path):
+    # At K = 1 the direct topic's zero-first schedule would be all zeros.
+    proc = run_script(["bench.py", "--topic", "direct", "--K", "1"], tmp_path)
+    assert proc.returncode == 2
+    assert "--K and --K-max must be at least 2" in proc.stderr
+    assert not list(tmp_path.glob("BENCH_*.json"))
