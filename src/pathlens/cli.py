@@ -427,7 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_search(p):
         p.add_argument("--q", type=int, help="local-search batch size (default min(2, K))")
-        p.add_argument("--T", type=int, default=50, help="local-search iterations (default 50)")
+        p.add_argument("--T", type=int, default=50,
+                       help="local-search iterations, at most: the search stops once every "
+                            "set of q positions was scored against the incumbent (default 50)")
         p.add_argument("--seed", type=int, default=0, help="local-search RNG seed")
 
     p = sub.add_parser("stats", help="print sufficient statistics and the OLS fit")

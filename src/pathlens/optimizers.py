@@ -60,6 +60,7 @@ _BLOCK_ROW_NODES = 64  # parent nodes of each weight row a chunk holds, at least
 _CHUNK_ENTRIES = 150_000  # K*K system entries per _enum_direct chunk (~4k patterns at K=6)
 _PIECE_ENTRIES = 200_000  # [M~ | z] entries of a piece of pinned leaves, at most (1.6 MB)
 _WINDOW_CANDIDATES = 512  # local_improvement candidates per window, at most
+_DRAW_BLOCK = 256  # local_improvement positions drawn per rng call, at most
 _TIE_RTOL = 1e-12  # objectives this close (relative) are ties, kept by the earlier candidate
 _PIVOT_RTOL = 1e-10
 
@@ -142,16 +143,19 @@ def _install_order(stats: SufficientStats, base: LinearModel, target: LinearMode
     """The first n of `coords` to set to their target values, each the one
     whose installation gives the lowest immediate cost (ties break to the
     lowest index)."""
-    current = base
+    beta = base.coefficients.copy()
     remaining = sorted(int(i) for i in coords)
     order = []
+
+    def installed(i):
+        trial = beta.copy()
+        trial[i] = target.coefficients[i]
+        return cost_of(stats, trial), i
+
     for _ in range(n):
-        _, i = min(
-            (cost_of(stats, current.with_coordinate(i, target.coefficients[i]).coefficients), i)
-            for i in remaining
-        )
+        _, i = min(map(installed, remaining))
         order.append(i)
-        current = current.with_coordinate(i, float(target.coefficients[i]))
+        beta[i] = target.coefficients[i]
         remaining.remove(i)
     return order
 
@@ -826,29 +830,54 @@ class _Screen:
         return vals, K * _EPS * spread * spread <= margin / 32
 
 
+def _draw_positions(rng: np.random.Generator, K: int, q: int, n: int) -> list[tuple]:
+    """The next n draws of np.sort(rng.choice(K, size=q, replace=False)), as
+    tuples, from one rng.integers call.
+
+    choice runs Floyd's algorithm: for j = K-q .. K-1 it draws v in [0, j]
+    and picks v, or j if v is picked already. It then shuffles the q picks
+    with q-1 more draws, in [0, i] for i = q-1 .. 1; the sort undoes them,
+    but they consume the stream all the same. integers with these bounds,
+    one per column, makes the same bounded draws in the same order. choice
+    switches to a tail shuffle when K > 10,000 and q > K // 50; a search
+    gets there only at d = 1, where every candidate is the same pattern.
+    """
+    highs = np.r_[np.arange(K - q + 1, K + 1), np.arange(q, 1, -1)]
+    picks = rng.integers(0, highs, size=(n, 2 * q - 1))[:, :q]
+    for c in range(1, q):
+        taken = (picks[:, :c] == picks[:, c, None]).any(axis=1)
+        picks[taken, c] = K - q + c
+    picks.sort(axis=1)
+    return list(map(tuple, picks.tolist()))
+
+
 def local_improvement(stats: SufficientStats, base: LinearModel, cfg: OptimizerConfig,
                       iv0=None) -> CoordinatePath:
     """Randomized batch local search over index vectors, warm-started.
 
-    Per iteration, draw q step positions uniformly without replacement and
-    scan all d^q coordinate reassignments of those positions, inner-solving
-    each candidate; the first best candidate replaces the incumbent only
-    when it improves the objective by more than 1e-12 (guards against
-    cycling). Improvements carry over to the next iteration, and cfg.patience
-    consecutive iterations without one end the search. Reproducible for a
-    fixed cfg.seed.
+    Per iteration, at most cfg.T of them, draw q step positions uniformly
+    without replacement and scan all d^q coordinate reassignments of those
+    positions, inner-solving each candidate; the first best candidate
+    replaces the incumbent only when it improves the objective by more than
+    1e-12 (guards against cycling). Improvements carry over to the next
+    iteration, and cfg.patience consecutive iterations without one end the
+    search, as does having scored every set of q positions against the
+    incumbent. Reproducible for a fixed cfg.seed.
 
     Iterations are scored a window at a time: the candidates of several
     consecutive iterations, each built against the current incumbent, are
     scored together, and the iterations are then replayed in order under the
     rules above. An iteration's positions never depend on results, so they
-    are drawn in iteration order into a queue. An improvement ends its
-    window: the rest of the window was built against the old incumbent, so
-    its queued positions are scored again against the new one. An iteration
-    whose positions were already scored against the incumbent is skipped:
-    its candidates, and so their objectives, are the same, and they did not
-    improve (after an improvement, its own positions count as scored). A
-    window scores up to _WINDOW_CANDIDATES candidates.
+    are drawn in iteration order into a queue, a block at a time
+    (_draw_positions). An improvement ends its window: the rest of the
+    window was built against the old incumbent, so its queued positions are
+    scored again against the new one. An iteration whose positions were
+    already scored against the incumbent is skipped: its candidates, and so
+    their objectives, are the same, and they did not improve (after an
+    improvement, its own positions count as scored). Once
+    all C(K, q) sets count as scored, no later iteration can improve, so a
+    window without improvement then ends the search. A window scores up to
+    _WINDOW_CANDIDATES candidates.
 
     With a free endpoint and positive weights, each window is screened
     first (_Screen: one solve with the block of the positions that stay,
@@ -897,17 +926,19 @@ def local_improvement(stats: SufficientStats, base: LinearModel, cfg: OptimizerC
     rng = np.random.default_rng(cfg.seed)
     queue = []  # drawn positions of the iterations not yet replayed
     tried = set()  # positions scored against the incumbent without improvement
+    n_sets = math.comb(K, cfg.q)
     done = stale = 0
     width = first
     while done < cfg.T:
         # The window runs until it holds `width` iterations to score. One whose
         # positions were scored against this incumbent cannot improve: its
-        # candidates, and so their objectives, are the same.
+        # candidates, and so their objectives, are the same. Once every set
+        # was scored, no later iteration can improve.
         end = cfg.T - done if cfg.patience is None else min(cfg.T - done, cfg.patience - stale)
         live, n = [], 0
-        while len(live) < width and n < end:
+        while len(live) < width and n < end and len(tried) < n_sets:
             if n == len(queue):
-                queue.append(tuple(np.sort(rng.choice(K, size=cfg.q, replace=False)).tolist()))
+                queue += _draw_positions(rng, K, cfg.q, min(_DRAW_BLOCK, cfg.T - done - n))
             if queue[n] not in tried:
                 tried.add(queue[n])
                 live.append(n)
@@ -939,6 +970,8 @@ def local_improvement(stats: SufficientStats, base: LinearModel, cfg: OptimizerC
         if cfg.patience is not None and t and stale + t >= cfg.patience:
             break  # patience ran out within the window, before any improvement
         if t == n:
+            if len(tried) == n_sets:
+                break  # the incumbent is final
             stale += n
             width = min(2 * width, cap)
         else:

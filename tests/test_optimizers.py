@@ -1,6 +1,7 @@
 import gc
 import itertools
 import re
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -903,6 +904,8 @@ WINDOW_CASES = {
     "near_tie_q1": (6, 8, 1, 100, None, False, None, [0] * 8, "near_tie"),
     "near_tie_q3": (4, 6, 3, 60, None, False, None, None, "near_tie"),
     "zero_variance": (4, 5, 2, 60, None, False, None, None, "zero_variance"),
+    # 66 position sets: the draws cross a block boundary before all are scored.
+    "converged_after_blocks": (4, 12, 2, 600, None, False, None, None, "random"),
 }
 
 
@@ -940,7 +943,7 @@ def test_windows_match_iterwise_oracle(case, cap, monkeypatch):
        q=st.sampled_from([1, 2, 3]), moments=st.sampled_from(["random", "collinear", "near_tie"]),
        noise=st.sampled_from([1e-3, 1e-5, 1e-7]),
        weights=st.sampled_from(["ones", "geometric", "zero", "tiny"]), pinned=st.booleans(),
-       patience=st.sampled_from([None, 1, 4]), T=st.integers(0, 30))
+       patience=st.sampled_from([None, 1, 4]), T=st.integers(0, 200))
 def test_local_search_matches_iterwise_oracle_property(seed, d, K, q, moments, noise, weights,
                                                        pinned, patience, T):
     # The screen, its confirmation band and every fallback (zero weights,
@@ -970,6 +973,52 @@ def test_local_search_matches_iterwise_oracle_property(seed, d, K, q, moments, n
     cfg = OptimizerConfig(K=K, schedule=WeightSchedule.explicit(alpha), q=q, T=T,
                           seed=seed % 7, patience=patience, endpoint=endpoint)
     path = local_improvement(stats, base, cfg)
+    assert path_bits(path) == path_bits(iterwise_local_improvement(stats, base, cfg))
+
+
+@pytest.mark.parametrize("K", list(range(1, 13)) + [100, 10_000])
+def test_draw_positions_replays_choice(K):
+    # Draw for draw the stream of sorted Generator.choice, across blocks of
+    # uneven sizes.
+    for q in range(1, (K if K <= 12 else 3) + 1):
+        for seed in range(20):
+            ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = [tuple(np.sort(ref.choice(K, size=q, replace=False)).tolist())
+                    for _ in range(300)]
+            got = [p for n in (1, 100, 199) for p in optimizers._draw_positions(rng, K, q, n)]
+            assert got == want, (K, q, seed)
+
+
+def test_window_case_converges_after_a_block(monkeypatch):
+    # converged_after_blocks draws more than one block, and scores every
+    # position set against its final incumbent before T runs out.
+    blocks = []
+    draw = optimizers._draw_positions
+
+    def counting(rng, K, q, n):
+        blocks.append(n)
+        return draw(rng, K, q, n)
+
+    monkeypatch.setattr(optimizers, "_draw_positions", counting)
+    d, K, q, T, *_ = WINDOW_CASES["converged_after_blocks"]
+    for seed in range(2):
+        blocks.clear()
+        stats = window_stats("random", seed, d)
+        cfg = OptimizerConfig(K=K, schedule=GAMMA1, q=q, T=T, seed=seed)
+        local_improvement(stats, LinearModel.zeros(stats.feature_names), cfg)
+        assert len(blocks) > 1 and sum(blocks) < T
+
+
+def test_converged_search_stops_before_T():
+    # d=3, K=3, q=2 has 3 position sets: once each is scored against the
+    # incumbent the search returns, whatever T.
+    stats = random_stats(5, d=3)
+    base = LinearModel.zeros(stats.feature_names)
+    cfg = OptimizerConfig(K=3, schedule=GAMMA1, q=2, T=200)
+    t0 = time.perf_counter()
+    path = local_improvement(stats, base, replace(cfg, T=10**7))
+    assert time.perf_counter() - t0 < 1.0
+    assert path_bits(path) == path_bits(local_improvement(stats, base, cfg))
     assert path_bits(path) == path_bits(iterwise_local_improvement(stats, base, cfg))
 
 

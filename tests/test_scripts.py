@@ -1,6 +1,8 @@
 """Smoke tests: the example scripts run end to end against the public API."""
 
+import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -84,3 +86,16 @@ def test_bench_direct_rejects_k1(tmp_path):
     assert proc.returncode == 2
     assert "--K and --K-max must be at least 2" in proc.stderr
     assert not list(tmp_path.glob("BENCH_*.json"))
+
+
+def test_bench_against_records_ratio_p50(tmp_path):
+    # ratio_p50 is the median over rounds of this tree's run over the other
+    # tree's run of the same round, and it is the ratio the script prints.
+    proc = run_script(["bench.py", "--rows", "50", "--against", str(ROOT)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "BENCH_ingestion.json").read_text(encoding="utf-8"))
+    for record in report["instances"]:
+        ratio = statistics.median(a / b for a, b in zip(record["runs_s"],
+                                                         record["against_runs_s"]))
+        assert record["ratio_p50"] == ratio
+        assert f"(ratio p50 {ratio:.2f}x)" in proc.stdout
