@@ -320,8 +320,6 @@ def cmd_pareto(args) -> int:
 
 def cmd_expected_cost(args) -> int:
     stats = load_stats(args)
-    if args.dist is None:
-        raise InputError("--dist is required for expected-cost")
     schedule = WeightSchedule.distribution(_parse_floats(args.dist, "--dist"))
     base = load_base(args, stats)
     cfg = OptimizerConfig(K=0, schedule=schedule, seed=args.seed,

@@ -3,7 +3,8 @@
 exact_path is globally optimal for the configured objective. With continuous
 steps it solves the inner quadratic exactly for every index vector in
 {0..d-1}^K but those a zero-weight run makes equivalent to an earlier one
-(_enum_direct). Positive weights run through an incremental Cholesky recursion
+(_enum_direct, which generates the kept patterns as a product of each run's
+segments). Positive weights run through an incremental Cholesky recursion
 (_enum_fast), free or, from K = 2 on, pinned: a pattern's factor L extends
 its prefix's, so a tree node carries only fixed-size summaries (Q = B'B,
 u = B'y, ssq = ||y||^2 for B = L^{-1} G[pattern, :], and when pinned R = B'E,
@@ -434,13 +435,6 @@ def _patterns(index: np.ndarray, d: int, K: int) -> np.ndarray:
     return index[..., None] // d ** np.arange(K - 1, -1, -1) % d
 
 
-def _iv_chunks(d: int, K: int, chunk: int):
-    """All d**K index vectors in lexicographic order, `chunk` rows at a time."""
-    total = d**K
-    for s in range(0, total, chunk):
-        yield _patterns(np.arange(s, min(s + chunk, total)), d, K)
-
-
 def _beats(value, incumbent):
     """True iff value is lower than incumbent by more than a tie (elementwise)."""
     return value + _TIE_RTOL * abs(value) < incumbent
@@ -453,34 +447,31 @@ def _first_tie(vals: np.ndarray) -> np.ndarray:
 
 
 def _kept_chunks(d: int, K: int, alpha: np.ndarray, chunk: int):
-    """_iv_chunks less the patterns that repeat a coordinate inside a zero run
-    of at most d steps, unless the run is its coordinate set's first
-    arrangement (the least coordinate repeated, then the rest ascending);
-    the rest regathered into chunks of `chunk` rows, in lexicographic order.
-    A zero run is a maximal block of steps whose models before its last one
-    weigh zero; it ends at a weighted model or at step K. Runs of 2 steps
-    keep every pattern."""
+    """The index vectors in lexicographic order, `chunk` rows at a time, less
+    the patterns that repeat a coordinate inside a zero run of at most d
+    steps, unless the run is its coordinate set's first arrangement (the
+    least coordinate repeated, then the rest ascending). A zero run is a
+    maximal block of steps whose models before its last one weigh zero; it
+    ends at a weighted model or at step K. Each such run is one block of its
+    kept segments, every other step a block of d coordinates; the blocks are
+    contiguous in step order, so their product in C order is lexicographic."""
     stops = np.union1d(np.flatnonzero(alpha > 0) + 1, [K]).tolist()
-    runs = [(s, t) for s, t in zip([0] + stops[:-1], stops) if 3 <= t - s <= d]
-    if not runs:
-        yield from _iv_chunks(d, K, chunk)
-        return
-    held = np.empty((0, K), dtype=np.int64)
-    for ivs in _iv_chunks(d, K, chunk):
-        keep, c = np.ones(len(ivs), dtype=bool), ivs.T
-        for s, t in runs:
-            distinct, first = np.ones(len(ivs), dtype=bool), np.ones(len(ivs), dtype=bool)
-            for j in range(s + 1, t):
-                for i in range(s, j):
-                    distinct &= c[i] != c[j]
-                first &= (c[j] > c[j - 1]) | (c[j - 1] == c[s]) & (c[j] == c[s])
-            keep &= distinct | first
-        held = np.concatenate([held, ivs[keep]])
-        if len(held) >= chunk:
-            yield held[:chunk]
-            held = held[chunk:]
-    if len(held):
-        yield held
+    blocks = []
+    for s, t in zip([0] + stops[:-1], stops):
+        blocks += [_run_segments(d, t - s)] if t - s <= d else [np.arange(d)[:, None]] * (t - s)
+    sizes = [len(b) for b in blocks]
+    total = math.prod(sizes)
+    for s in range(0, total, chunk):
+        rows = np.unravel_index(np.arange(s, min(s + chunk, total)), sizes)
+        yield np.concatenate([b[i] for b, i in zip(blocks, rows)], axis=1)
+
+
+def _run_segments(d: int, n: int) -> np.ndarray:
+    """A zero run's kept segments (rows of n <= d coordinates) in
+    lexicographic order: every ordering of n distinct coordinates, and each
+    smaller set's first arrangement."""
+    firsts = [c[:1] * (n - m) + c for m in range(1, n) for c in itertools.combinations(range(d), m)]
+    return np.array(sorted([*itertools.permutations(range(d), n), *firsts]), dtype=np.int64)
 
 
 def _enum_direct(stats: SufficientStats, base: LinearModel, K: int, alpha: np.ndarray,
@@ -491,9 +482,10 @@ def _enum_direct(stats: SufficientStats, base: LinearModel, K: int, alpha: np.nd
     pattern under the tie rule.
 
     Inside a zero run only the run's coordinate set changes the weighted
-    models, so _kept_chunks skips patterns that an earlier kept one matches
-    run by run. Every ordering of distinct coordinates stays: on collinear
-    grams their float objectives differ by rounding, which decides the rank.
+    models, so _kept_chunks generates only the patterns that no earlier one
+    matches run by run, as the product of each run's kept segments. Every
+    ordering of distinct coordinates stays: on collinear grams their float
+    objectives differ by rounding, which decides the rank.
     """
     if endpoint is not None:
         _check_reachable(base, endpoint, K)

@@ -190,18 +190,24 @@ def path_from_json(payload: dict, feature_names) -> CoordinatePath:
     names = tuple(feature_names)
     if not isinstance(payload, dict) or "base" not in payload or "steps" not in payload:
         raise InputError('path JSON must have "base" and "steps" keys')
-    base_vals = payload["base"]
-    if len(base_vals) != len(names):
-        raise InputError(f"path base has {len(base_vals)} coefficients, expected {len(names)}")
-    base = LinearModel(np.array(base_vals, dtype=float), names)
+    base_vals = parse_floats(payload["base"], "base")
+    if base_vals.shape != (len(names),):
+        raise InputError(f"path base has shape {base_vals.shape}, "
+                         f"expected {len(names)} coefficients")
+    base = LinearModel(base_vals, names)
+    if not isinstance(payload["steps"], (list, tuple)):
+        raise InputError('path "steps" must be a list')
     index = {n: i for i, n in enumerate(names)}
     steps = []
     for s, step in enumerate(payload["steps"]):
         if not isinstance(step, dict) or "feature" not in step or "value" not in step:
             raise InputError(f'step {s + 1} must have "feature" and "value" keys')
-        if step["feature"] not in index:
-            raise InputError(f"step {s + 1}: unknown feature '{step['feature']}'")
-        steps.append((index[step["feature"]], float(step["value"])))
+        if not isinstance(step["feature"], str) or step["feature"] not in index:
+            raise InputError(f"step {s + 1}: unknown feature {step['feature']!r}")
+        value = parse_floats(step["value"], f"step {s + 1} value")
+        if value.ndim:
+            raise InputError(f"step {s + 1}: value must be one number")
+        steps.append((index[step["feature"]], float(value)))
     return CoordinatePath(base, tuple(steps))
 
 

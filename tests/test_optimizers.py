@@ -38,7 +38,7 @@ from pathlens import (
     weighted_loss,
 )
 from pathlens import optimizers, pareto
-from pathlens.optimizers import _TIE_RTOL, _enum_direct, _enum_fast, _iv_chunks, _l1_ball
+from pathlens.optimizers import _TIE_RTOL, _enum_direct, _enum_fast, _kept_chunks, _l1_ball
 from pathlens.inner import as_weights, path_from_deltas, solve_patterns
 from conftest import TOY_OLS, collinear_stats, random_dataset, random_stats
 from oracles import (
@@ -48,6 +48,7 @@ from oracles import (
     brute_force_unit,
     every_pattern_direct,
     iterwise_local_improvement,
+    kept_patterns,
     unblocked_enum_free_fast,
 )
 
@@ -680,12 +681,36 @@ class TestEnumerationEngines:
     (4, 6, 5),  # 4**6 in many short chunks
 ])
 def test_iv_chunks_match_itertools_product(d, K, chunk):
-    expected = np.asarray(list(itertools.product(range(d), repeat=K)), dtype=int)
-    chunks = list(_iv_chunks(d, K, chunk))
+    # Positive weights keep every pattern.
+    expected = np.asarray(list(itertools.product(range(d), repeat=K)), dtype=np.int64)
+    assert_chunks(list(_kept_chunks(d, K, np.ones(K), chunk)), expected, chunk)
+
+
+def test_kept_chunks_match_the_keep_rule():
+    # The product of run segments lists exactly the patterns the keep rule
+    # filters from itertools.product, in its order, on schedules mixing
+    # zero and positive weights (leading, interior and trailing zero runs,
+    # runs longer than d).
+    rng = np.random.default_rng(20)
+    schedules = [(3, (0, 0, 0, 1)), (2, (1, 0, 0, 1, 0, 0)), (4, (0, 0, 0, 0)), (5, (0,) * 6)]
+    for _ in range(40):
+        d, K = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        schedules.append((d, np.where(rng.random(K) < 0.6, 0.0, rng.uniform(0.1, 2.0, K))))
+    for d, alpha in schedules:
+        alpha = np.asarray(alpha, dtype=float)
+        K = len(alpha)
+        expected = kept_patterns(d, K, alpha)
+        for chunk in (1, 7, 100):
+            assert_chunks(list(_kept_chunks(d, K, alpha, chunk)), expected, chunk)
+
+
+def assert_chunks(chunks, expected, chunk):
+    """chunks are expected's rows, `chunk` at a time, as int64."""
+    K = expected.shape[1]
     assert [c.shape for c in chunks] == [
         (min(chunk, len(expected) - s), K) for s in range(0, len(expected), chunk)
     ]
-    assert all(c.dtype == expected.dtype for c in chunks)
+    assert all(c.dtype == np.int64 for c in chunks)
     assert np.array_equal(np.concatenate(chunks), expected)
 
 

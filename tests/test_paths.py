@@ -175,6 +175,19 @@ class TestJson:
         with pytest.raises(InputError, match="coefficients"):
             path_from_json({"base": [0.0], "steps": []}, toy_zero.feature_names)
 
+    @pytest.mark.parametrize("payload", [
+        {"base": 5, "steps": []},
+        {"base": [0.0, 0.0], "steps": 5},
+        {"base": ["a", 0], "steps": []},
+        {"base": [0.0, 0.0], "steps": [{"feature": "x1", "value": "abc"}]},
+        {"base": [0.0, 0.0], "steps": [{"feature": "x1", "value": None}]},
+        {"base": [0.0, 0.0], "steps": [{"feature": ["x1"], "value": 1.0}]},
+        {"base": [0.0, 0.0], "steps": [{"feature": "x1", "value": [1.0]}]},
+    ])
+    def test_malformed_payload_rejected(self, payload):
+        with pytest.raises(InputError):
+            path_from_json(payload, ("x1", "x2"))
+
 
 # ---------------------------------------------------------------------------
 # Coherence and limit properties
