@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time pathlens layer by layer and write the medians to BENCH_<topic>.json.
 
-Six topics, chosen with --topic. A topic is a list of rows, each one timed
+Seven topics, chosen with --topic. A topic is a list of rows, each one timed
 call on a seeded instance; BENCH_<topic>.json in the current directory gets
 one record per row: the instance, the median seconds over REPEATS runs with
 the runs themselves, and, where the call returns a path, its loss and steps.
@@ -12,11 +12,14 @@ and x 7 columns, the last column the target, and the x 7 file again with a
 whitespace-only last line).
 
 tradeoff: sweep on a seeded instance (d = 6, n = 100) with K_max = 6 over
-the default 61-value lambda grid, gamma = 1, with one worker and with two;
-the exact search's fast kernel _enum_fast with one weight row of unit
-weights at d = 6, K = 10 (60.5M patterns); and exact_path on the same
-instance, free, under gamma = 1, one step shorter than the kernel (K = 9
-and 10.1M patterns by default, as the benchmark's search workload runs it).
+the default 61-value lambda grid, gamma = 1, with one worker and with two,
+each recording the digest of its front and how many of the 61 K_max
+(lambda, K) rows it sent to the exact search (the rest a best-subset cost
+floor rules out); the exact search's fast kernel _enum_fast with one
+weight row of unit weights at d = 6, K = 10 (60.5M patterns); and
+exact_path on the same instance, free, under gamma = 1, one step shorter
+than the kernel (K = 9 and 10.1M patterns by default, as the benchmark's
+search workload runs it).
 --K-max and --K shrink them for a quick run.
 
 local: local_improvement under unit weights, on seeded instances
@@ -54,6 +57,12 @@ on alpha = e_6 (weight on the last model only, best-subset selection) at
 d = 6 and 8. --K (default 7) shrinks the first, the _enum_direct and the
 e_6 rows (to e_K), --K-max (default 6) the longer unit row, for a quick run.
 
+cli: the command line end to end, as subprocesses (python -m pathlens.cli,
+so the import counts), on a moments JSON of the tradeoff instance (d = 6):
+pathlens pareto --K 6 --gamma 1 and pathlens path exact --K 6 (pinned to
+the least-squares fit), each recording the digests of its artifacts.
+--K-max and --K set the two K.
+
 --against DIR imports DIR/src/pathlens (for example a checkout of the parent
 commit) as a second package and builds every row on both trees. Each row
 runs once per tree first, and the script refuses to write if the trees'
@@ -73,11 +82,13 @@ benchmark in bench/, which pins it.
 """
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -100,12 +111,14 @@ SEED = 0
 class Row(NamedTuple):
     """One timed call, run(). outcome maps run()'s result to the fields the
     row records and compares between trees; peak asks for the tracemalloc
-    peak of one run."""
+    peak of one run; probe(), run once per tree, returns fields recorded for
+    each tree (the other's prefixed against_) but not compared."""
 
     instance: dict
     run: Callable
     outcome: Callable | None = None
     peak: bool = False
+    probe: Callable | None = None
 
 
 def write_csv(path: Path, rows: int, cols: int, seed: int, tail: str):
@@ -173,10 +186,12 @@ def tradeoff_rows(pl, args) -> list:
     schedule = pl.WeightSchedule.geometric(1.0)
     grid = pl.default_lambda_grid()
     instance = {"seed": SEED, "n": 100, "d": d}
-    rows = [Row({"layer": "sweep", **instance, "K_max": args.K_max, "lambdas": len(grid),
-                 "workers": workers, "schedule": schedule.describe()},
-                partial(pl.sweep, stats, base, schedule, grid, args.K_max, workers=workers))
-            for workers in (1, 2)]
+    rows = []
+    for workers in (1, 2):
+        run = partial(pl.sweep, stats, base, schedule, grid, args.K_max, workers=workers)
+        rows.append(Row({"layer": "sweep", **instance, "K_max": args.K_max, "lambdas": len(grid),
+                         "workers": workers, "schedule": schedule.describe()},
+                        run, partial(front_outcome, pl), probe=partial(solved_rows, pl, run)))
     rows.append(Row({"layer": "_enum_fast", **instance, "K": args.K, "rows": 1,
                      "schedule": "unit weights"},
                     partial(pl.optimizers._enum_fast, stats, np.zeros(d), args.K,
@@ -186,6 +201,67 @@ def tradeoff_rows(pl, args) -> list:
                      "schedule": schedule.describe()},
                     partial(pl.exact_path, stats, base, cfg), path_outcome(pl, stats, schedule)))
     return rows
+
+
+def front_outcome(pl, report) -> dict:
+    """What a sweep row records: its point count and its front JSON's digest."""
+    text = json.dumps(pl.pareto.front_to_json(report), indent=2, sort_keys=True)
+    return {"points": len(report.points),
+            "front_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+
+
+def solved_rows(pl, run: Callable) -> dict:
+    """The (lambda, K) rows one run of a sweep sends to exact_paths, of all
+    of them."""
+    solved = []
+    exact_paths = pl.pareto.exact_paths
+
+    def spy(stats, base, alphas, *rest):
+        solved.append(len(alphas))
+        return exact_paths(stats, base, alphas, *rest)
+
+    pl.pareto.exact_paths = spy
+    try:
+        report = run()
+    finally:
+        pl.pareto.exact_paths = exact_paths
+    total = len(report.metadata["lambda_grid"]) * report.metadata["K_max"]
+    return {"rows_solved": sum(solved), "rows": total}
+
+
+def cli_rows(pl, args) -> list:
+    """pathlens pareto and path exact as subprocesses of the tree that holds pl."""
+    src = Path(pl.__file__).resolve().parents[1]
+    work = args.tmp / pl.__name__
+    work.mkdir()
+    stats = tradeoff_stats(pl, 6)
+    moments = work / "moments.json"
+    moments.write_text(json.dumps({"gram": stats.gram.tolist(), "cross": stats.cross.tolist(),
+                                   "tsm": stats.target_second_moment,
+                                   "names": list(stats.feature_names)}), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def command(argv, outs):
+        def run():
+            proc = subprocess.run([sys.executable, "-m", "pathlens.cli", *argv], env=env,
+                                  capture_output=True, check=False)
+            return proc.returncode, [out.read_bytes() if out.exists() else b"" for out in outs]
+        return run
+
+    def outcome(result):
+        code, blobs = result
+        return {"exit": code, "artifacts_sha256": [hashlib.sha256(b).hexdigest() for b in blobs]}
+
+    instance = {"seed": SEED, "n": 100, "d": 6, "input": "moments"}
+    common = ["--moments", str(moments), "--gamma", "1"]
+    front = work / "front"
+    return [Row({"layer": "pathlens pareto", **instance, "K": args.K_max, "schedule": "gamma=1"},
+                command(["pareto", *common, "--K", str(args.K_max), "--out", str(front)],
+                        [front.with_suffix(".json"), front.with_suffix(".csv")]), outcome),
+            Row({"layer": "pathlens path exact", **instance, "K": args.K, "endpoint": "ols",
+                 "schedule": "gamma=1"},
+                command(["path", "exact", *common, "--K", str(args.K), "--out",
+                         str(work / "path.json")], [work / "path.json"]), outcome)]
 
 
 # (d, K, q, T, patience, endpoint, search seed)
@@ -354,6 +430,9 @@ def measure(build: Callable, args) -> list:
             raise SystemExit(f"{describe(rows[0].instance)}: --against {args.against} found "
                              f"{found[1]}, here {found[0]}")
         records.append({"instance": rows[0].instance, **found[0]})
+        for prefix, row in zip(("", "against_"), rows):
+            if row.probe:
+                records[-1].update({prefix + k: v for k, v in row.probe().items()})
         if rows[0].peak:
             tracemalloc.start()
             rows[0].run()
@@ -379,6 +458,8 @@ def measure(build: Callable, args) -> list:
             line += f", against {record['against_median_s'] * 1e3:.2f} ms (ratio p50 {ratio:.2f}x)"
         if "gap_pct" in record:
             line += f", gap {record['gap_pct']:.4f}%"
+        if "rows_solved" in record:
+            line += f", {record['rows_solved']} of {record['rows']} (lambda, K) rows solved"
         if "peak_mb" in record:
             line += f", tracemalloc peak {record['peak_mb']:.1f} MB"
         print(line)
@@ -394,21 +475,23 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--topic", default="ingestion",
-                    choices=("ingestion", "tradeoff", "local", "heuristic", "pinned", "direct"))
+                    choices=("ingestion", "tradeoff", "local", "heuristic", "pinned", "direct",
+                             "cli"))
     ap.add_argument("--rows", type=int, default=100_000,
                     help="ingestion: CSV rows (default 100000)")
     ap.add_argument("--K-max", type=int, default=6,
                     help="tradeoff: sweep K_max; pinned: the first best_explanation K_max; "
-                         "direct: the longer unit-step length (default 6)")
+                         "direct: the longer unit-step length; cli: pareto's K (default 6)")
     ap.add_argument("--K", type=int,
                     help="tradeoff: kernel path length, one more than exact_path's; "
                          "heuristic: path length (default 10); pinned: exact_path length "
-                         "(default 8); direct: the continuous rows' length (default 7)")
+                         "(default 8); direct: the continuous rows' length (default 7); "
+                         "cli: path exact's K, at least 6 (default 6)")
     ap.add_argument("--against", metavar="DIR",
                     help="also time each row on the pathlens in DIR/src, alternating")
     args = ap.parse_args(argv)
     if args.K is None:
-        args.K = {"pinned": 8, "direct": 7}.get(args.topic, 10)
+        args.K = {"pinned": 8, "direct": 7, "cli": 6}.get(args.topic, 10)
     if args.rows < 2:
         ap.error("--rows must be at least 2")
     if args.K < 1 or args.K_max < 1:
@@ -419,12 +502,15 @@ def main(argv=None) -> int:
         # The least-squares fits change every coordinate.
         ap.error(f"--K must be at least {PINNED_D} and --K-max at least {BEST_D} "
                  "for the pinned topic")
+    if args.topic == "cli" and args.K < 6:
+        ap.error("--K must be at least 6 for the cli topic")  # the fit changes every coordinate
     if args.topic == "direct" and (args.K < 2 or args.K_max < 2):
         # At K = 1 the zero-first schedule is all zeros, which no search accepts.
         ap.error("--K and --K-max must be at least 2 for the direct topic")
 
     topics = {"ingestion": ingestion_rows, "tradeoff": tradeoff_rows, "local": local_rows,
-              "heuristic": heuristic_rows, "pinned": pinned_rows, "direct": direct_rows}
+              "heuristic": heuristic_rows, "pinned": pinned_rows, "direct": direct_rows,
+              "cli": cli_rows}
     with tempfile.TemporaryDirectory() as tmp:
         args.tmp = Path(tmp)
         instances = measure(topics[args.topic], args)

@@ -44,11 +44,13 @@ from .errors import BudgetError, InfeasibleError, InputError
 from .inner import (
     _EPS,
     as_weights,
+    attained_objectives,
     check_base,
     check_endpoint,
     check_index_vector,
     greedy_step,
     path_from_deltas,
+    solve_batch,
     solve_patterns,
     tail_weights,
 )
@@ -463,15 +465,33 @@ def _kept_chunks(d: int, K: int, alpha: np.ndarray, chunk: int):
     total = math.prod(sizes)
     for s in range(0, total, chunk):
         rows = np.unravel_index(np.arange(s, min(s + chunk, total)), sizes)
-        yield np.concatenate([b[i] for b, i in zip(blocks, rows)], axis=1)
+        yield np.concatenate([b[i] for b, i in zip(blocks, rows)], axis=1, dtype=np.int64)
 
 
 def _run_segments(d: int, n: int) -> np.ndarray:
     """A zero run's kept segments (rows of n <= d coordinates) in
-    lexicographic order: every ordering of n distinct coordinates, and each
-    smaller set's first arrangement."""
-    firsts = [c[:1] * (n - m) + c for m in range(1, n) for c in itertools.combinations(range(d), m)]
-    return np.array(sorted([*itertools.permutations(range(d), n), *firsts]), dtype=np.int64)
+    lexicographic order, in the narrowest integer type that holds d - 1:
+    every ordering of n distinct coordinates, and each smaller set's first
+    arrangement. permutations() lists the orderings in order; the first
+    arrangements led by c, (c, c, ...), fall between the orderings led by
+    (c, j) with j < c and those with j > c, shortest set first."""
+    dtype = np.min_scalar_type(d - 1)
+    if n == 1:
+        return np.arange(d, dtype=dtype)[:, None]
+    orderings = itertools.permutations(range(d), n)
+    step = math.perm(d - 2, n - 2)  # orderings led by each (c, j)
+
+    def rows():
+        for c in range(d):
+            yield from itertools.islice(orderings, c * step)
+            for m in range(1, n):
+                for rest in itertools.combinations(range(c + 1, d), m - 1):
+                    yield (c,) * (n - m + 1) + rest
+            yield from itertools.islice(orderings, (d - 1 - c) * step)
+
+    count = math.perm(d, n) + sum(math.comb(d, m) for m in range(1, n))
+    return np.fromiter(itertools.chain.from_iterable(rows()), dtype,
+                       count=count * n).reshape(count, n)
 
 
 def _enum_direct(stats: SufficientStats, base: LinearModel, K: int, alpha: np.ndarray,
@@ -659,6 +679,48 @@ def _check_reachable(base: LinearModel, target: LinearModel, K: int) -> None:
         raise InfeasibleError(
             f"target differs from base in {changed} coordinates; K={K} steps cannot reach it"
         )
+
+
+def _best_subset_floor(stats: SufficientStats, base: LinearModel, K_max: int,
+                       budget: int) -> np.ndarray:
+    """Lower bounds floor[k], k = 0..K_max, non-increasing in k, on the cost
+    of every model that differs from base in at most k coordinates (the
+    best-subset cost C*(k)); floor[0] is cost(base).
+
+    Size k solves every k-subset S from the base, G_SS delta = r_S with
+    r = g - G base (solve_batch, in chunks), and takes the least attained
+    cost v less its rounding band, 8 k eps (sum_{j in S} |delta_j|
+    sqrt(G_jj))^2 + 1e-12 |v|. Sizes from d on, and those past the subsets the budget
+    allows in all, get the full least-squares fit's bound: no C*(k) is
+    below it. Costs are clamped at 0, so the floor is too.
+    """
+    d, G = stats.d, stats.gram
+    r = stats.residual_cross(base.coefficients)
+    c0 = cost_of(stats, base.coefficients)
+    root = np.sqrt(np.diag(G))
+
+    def least(S):
+        H, b = G[S[:, :, None], S[:, None, :]], r[S]
+        delta, Hd = solve_batch(H, b)
+        v = attained_objectives(c0, H, b, delta, Hd)
+        spread = np.einsum("bk,bk->b", np.abs(delta), root[S])
+        return (v - 8 * S.shape[1] * _EPS * spread * spread - 1e-12 * np.abs(v)).min()
+
+    floor = np.full(K_max + 1, least(np.arange(d)[None]))
+    floor[0] = c0
+    solved = 0
+    for k in range(1, min(K_max + 1, d)):
+        total = math.comb(d, k)
+        solved += total
+        if solved > budget:
+            break
+        subsets = itertools.chain.from_iterable(itertools.combinations(range(d), k))
+        chunk = max(1, _CHUNK_ENTRIES // (k * k))
+        floor[k] = np.inf
+        for s in range(0, total, chunk):
+            S = np.fromiter(subsets, np.intp, count=min(chunk, total - s) * k)
+            floor[k] = min(floor[k], least(S.reshape(-1, k)))
+    return np.maximum(np.minimum.accumulate(floor), 0.0)
 
 
 def check_budget(d: int, K: int, budget: int) -> None:

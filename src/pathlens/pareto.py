@@ -13,10 +13,17 @@ non-convex gaps of the true front are not reachable this way and no attempt
 is made to fill them.
 
 Only the weights change with lam, so the exact solver serves a whole grid
-with one enumeration per K: the scalarized weight rows of every grid value
+with one enumeration per K: the scalarized weight rows of the grid values
 go through optimizers.exact_paths together, and each value gets
-exactly the path a solve for that value alone returns. solve_tradeoff is
-the one-value case of the same grid solver.
+exactly the path a solve for that value alone returns. A value skips the
+lengths that cannot improve it. Model k differs from the base in at most k
+coordinates, so it costs at least the best-subset cost C*(k)
+(optimizers._best_subset_floor), and no path of length K scores below
+C*(K) + lam * sum_{k<=K} alpha_k C*(k). A value's point changes only on a
+strictly lower score, so where that bound exceeds its best score from
+shorter lengths by more than rounding, neither solver runs, and every point
+is the one a search of every length returns. solve_tradeoff is the
+one-value case of the same grid solver.
 """
 
 from __future__ import annotations
@@ -27,8 +34,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError
-from .inner import as_weights
-from .optimizers import OptimizerConfig, check_budget, exact_paths, exact_path, local_improvement
+from .inner import _OBJECTIVE_RTOL, as_weights
+from .optimizers import (OptimizerConfig, _best_subset_floor, check_budget, exact_paths,
+                         exact_path, local_improvement)
 from .paths import CoordinatePath, WeightSchedule, path_to_json, weighted_loss
 from .regression import LinearModel, SufficientStats, cost
 
@@ -81,10 +89,12 @@ def _solve_grid(stats: SufficientStats, base: LinearModel, schedule: WeightSched
     """solve_tradeoff at every value of lams (>= 0), in order.
 
     Per length K the scalarized weight rows of all values are built at
-    once; the exact solver enumerates the patterns once for all of them
-    (optimizers.exact_paths), the local solver runs per value. The exact
-    solver raises BudgetError before any search if the longest length's
-    d**K_max patterns exceed the budget.
+    once. Rows whose lower bound (see the module docstring) exceeds their
+    best score by more than _OBJECTIVE_RTOL max(1, |best|) are skipped; the
+    exact solver enumerates the patterns once for the rest
+    (optimizers.exact_paths), the local solver runs per remaining value. The
+    exact solver raises BudgetError before any search if the longest
+    length's d**K_max patterns exceed the budget.
     """
     if K_max < 0:
         raise InputError("K_max must be >= 0")
@@ -99,8 +109,21 @@ def _solve_grid(stats: SufficientStats, base: LinearModel, schedule: WeightSched
     as_weights(scaled + (np.arange(K_max) == K_max - 1), K_max)
     if solver == "exact":
         check_budget(stats.d, K_max, base_cfg.budget)
+    # Every (lam, K) row's search scores at least d candidates; the floor
+    # solves no more subsets than that in all, nor more than the budget.
+    floor = _best_subset_floor(stats, base, K_max,
+                               min(base_cfg.budget, len(lams) * K_max * stats.d))
+    with np.errstate(over="ignore"):  # where a term overflows, the row's scores do too
+        spent = np.cumsum(scaled * floor[1:], axis=1)
     for K in range(1, K_max + 1):
-        alphas = scaled[:, :K].copy()
+        # No length-K path of a row scores below its bound, and `value < best`
+        # is strict: a bound above best by more than rounding cannot improve.
+        values = np.array([value for value, _, _ in best])
+        bound = floor[K] + spent[:, K - 1]
+        live = np.flatnonzero(bound - values <= _OBJECTIVE_RTOL * np.maximum(1.0, np.abs(values)))
+        if not live.size:
+            continue
+        alphas = scaled[live, :K]
         alphas[:, -1] += 1.0
         weights = [WeightSchedule.explicit(a) for a in alphas]
         kcfg = replace(base_cfg, K=K, endpoint=None, step_mode="continuous",
@@ -109,7 +132,7 @@ def _solve_grid(stats: SufficientStats, base: LinearModel, schedule: WeightSched
             paths = exact_paths(stats, base, alphas, kcfg.budget)
         else:
             paths = [local_improvement(stats, base, replace(kcfg, schedule=s)) for s in weights]
-        for j, (path, s) in enumerate(zip(paths, weights)):
+        for j, path, s in zip(live, paths, weights):
             value = weighted_loss(stats, path, s)
             if value < best[j][0]:
                 best[j] = (value, path, K)
@@ -144,13 +167,13 @@ def sweep(stats: SufficientStats, base: LinearModel, schedule: WeightSchedule,
           cfg: OptimizerConfig | None = None, workers: int = 1) -> FrontReport:
     """Trace the front by solving the tradeoff at every grid value.
 
-    The exact solver makes one batched enumeration per K for all grid values
-    (see the module docstring). Duplicate models across lambdas are merged
-    keeping the smallest lambda; dominated points are dropped; points are
-    sorted by interp_loss. `workers` splits the sorted grid into that many
-    contiguous chunks, each solved by one batched call in its own thread;
-    results are merged in grid order, so the report is identical for any
-    number of workers.
+    The exact solver makes one batched enumeration per K for the grid values
+    that length can still improve (see the module docstring). Duplicate
+    models across lambdas are merged keeping the smallest lambda; dominated
+    points are dropped; points are sorted by interp_loss. `workers` splits
+    the sorted grid into that many contiguous chunks, each solved by one
+    batched call in its own thread; results are merged in grid order, so
+    the report is identical for any number of workers.
     """
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.ndim != 1 or grid.shape[0] == 0:

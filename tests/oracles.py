@@ -21,6 +21,8 @@ per_lambda_sweep is the tradeoff sweep that solves one exact_path (or
 local_improvement) per lambda and length, the reference for the sweep that
 enumerates once per length. brute_force_unit enumerates every unit-step
 candidate, the reference for the dynamic program over lattice states.
+best_subset_costs refits every coordinate subset by lstsq, the reference
+for the best-subset cost floor that lets the sweep skip lengths.
 """
 
 import csv
@@ -350,6 +352,21 @@ def kept_patterns(d, K, alpha):
     rows = [iv for iv in itertools.product(range(d), repeat=K)
             if all(kept(iv[s:t]) for s, t in runs)]
     return np.array(rows, dtype=np.int64).reshape(-1, K)
+
+
+def best_subset_costs(stats, base, K_max):
+    """C*(k) for k = 0..K_max: the least cost of base with the coordinates
+    of one set of at most k refit by numpy.linalg.lstsq."""
+    r = stats.cross - stats.gram @ base
+    costs = [cost_of(stats, base)]
+    for k in range(1, K_max + 1):
+        least = costs[-1]
+        for S in map(list, itertools.combinations(range(stats.d), min(k, stats.d))):
+            beta = np.array(base, dtype=float)
+            beta[S] += np.linalg.lstsq(stats.gram[np.ix_(S, S)], r[S], rcond=None)[0]
+            least = min(least, cost_of(stats, beta))
+        costs.append(least)
+    return np.array(costs)
 
 
 def rowwise_load_csv(path, target):

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pathlens import (
     BudgetError,
@@ -38,12 +38,20 @@ from pathlens import (
     weighted_loss,
 )
 from pathlens import optimizers, pareto
-from pathlens.optimizers import _TIE_RTOL, _enum_direct, _enum_fast, _kept_chunks, _l1_ball
+from pathlens.optimizers import (
+    _TIE_RTOL,
+    _best_subset_floor,
+    _enum_direct,
+    _enum_fast,
+    _kept_chunks,
+    _l1_ball,
+)
 from pathlens.inner import as_weights, path_from_deltas, solve_patterns
 from conftest import TOY_OLS, collinear_stats, random_dataset, random_stats
 from oracles import (
     PivotBreakdown,
     batch_objectives,
+    best_subset_costs,
     brute_force_explanation,
     brute_force_unit,
     every_pattern_direct,
@@ -1452,3 +1460,57 @@ class TestBestExplanation:
             )
             assert tuple(i for i, _ in path.steps) == ref_iv
             assert weighted_loss(stats, path, schedule) == pytest.approx(ref_obj, rel=1e-9)
+
+
+class TestBestSubsetFloor:
+    """The floor C*(k) bounds the cost of every model that differs from the
+    base in at most k coordinates, and is non-increasing in k."""
+
+    @staticmethod
+    def check(stats, base, K_max, budget=optimizers.DEFAULT_BUDGET):
+        floor = _best_subset_floor(stats, base, K_max, budget)
+        brute = best_subset_costs(stats, base.coefficients, K_max)
+        assert floor.shape == (K_max + 1,)
+        assert floor[0] == cost(stats, base)
+        assert np.all(np.diff(floor) <= 0)
+        assert np.all(floor <= brute)
+        return floor, brute
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 10_000), d=st.integers(1, 5), K_max=st.integers(0, 7),
+           nonzero_base=st.booleans(), collinear=st.booleans())
+    def test_floor_bounds_brute_force(self, seed, d, K_max, nonzero_base, collinear):
+        assume(d >= 2 or not collinear)
+        stats = collinear_stats(seed, d, noise=1e-7) if collinear else random_stats(seed, d=d)
+        rng = np.random.default_rng(seed)
+        base = LinearModel(rng.standard_normal(d) * nonzero_base, stats.feature_names)
+        floor, brute = self.check(stats, base, K_max)
+        if not collinear:  # the rounding band is tiny on well-conditioned grams
+            assert np.all(floor >= brute - 1e-9 * np.maximum(1.0, brute))
+        # Every model of an optimal path, and random models, cost at least the floor.
+        for K in range(1, K_max + 1):
+            path = exact_path(stats, base, OptimizerConfig(K=K, schedule=GAMMA1))
+            assert np.all(cost_sequence(stats, path) >= floor[1:K + 1])
+        for _ in range(20):
+            k = int(rng.integers(0, min(d, K_max) + 1))
+            beta = base.coefficients.copy()
+            beta[rng.choice(d, k, replace=False)] += 3 * rng.standard_normal(k)
+            assert cost(stats, LinearModel(beta, stats.feature_names)) >= floor[k]
+
+    def test_collinear_gram(self):
+        # x4 = x1 + 1e-7 noise: the pair's refit runs far along a near-null
+        # direction, and the floor still stays below the lstsq costs.
+        stats = collinear_stats(3, 4, noise=1e-7)
+        base = LinearModel(np.array([0.5, -1.0, 0.0, 2.0]), stats.feature_names)
+        self.check(stats, base, 6)
+
+    def test_budget_falls_back_to_the_full_fit(self):
+        # A budget of d subsets covers size 1 only; larger sizes get the full
+        # least-squares fit's bound.
+        stats = random_stats(4, d=5)
+        base = LinearModel.zeros(stats.feature_names)
+        full = self.check(stats, base, 7)[0]
+        floor, brute = self.check(stats, base, 7, budget=5)
+        assert floor[1] == full[1]
+        assert np.all(floor[2:] == full[5]) and full[5] == pytest.approx(brute[5], rel=1e-9)
+        assert floor[2] < brute[2]

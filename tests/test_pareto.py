@@ -17,7 +17,9 @@ from pathlens import (
     sweep,
     weighted_loss,
 )
+from pathlens import pareto
 from pathlens.cli import canonical_json
+from pathlens.optimizers import exact_paths
 from pathlens.pareto import check_front_rows, front_to_csv, front_to_json
 from conftest import collinear_stats, random_stats
 from oracles import per_lambda_solve_tradeoff, per_lambda_sweep
@@ -224,6 +226,79 @@ class TestPerLambdaOracle:
             assert (point.K, point.lam, point.cost, point.interp_loss, point.path.steps) == (
                 expected.K, expected.lam, expected.cost, expected.interp_loss,
                 expected.path.steps)
+
+
+# Schedules for K_max up to 6, zero weights leading, inside and trailing.
+LONG_SCHEDULES = {
+    "gamma1": GAMMA1,
+    "gamma0.7": WeightSchedule.geometric(0.7),
+    "zero_middle": WeightSchedule.explicit([1.0, 0.0, 0.5, 0.0, 1.0, 0.3]),
+    "zero_first": WeightSchedule.explicit([0.0, 1.0, 0.0, 2.0, 0.0, 1.0]),
+    "zero_last": WeightSchedule.explicit([1.0, 0.0, 2.0, 0.0, 0.0, 0.0]),
+}
+
+
+class TestSkippedLengths:
+    """Rows whose best-subset bound rules a length out skip its search, and
+    the front stays the per-value oracle's, byte for byte."""
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 10_000), d=st.integers(2, 4), extra=st.integers(-1, 2),
+           top=st.sampled_from([1.0, 2.0, 3.0]), size=st.integers(2, 13),
+           zero=st.booleans(),
+           schedule=st.sampled_from(sorted(LONG_SCHEDULES)),
+           nonzero_base=st.booleans(), collinear=st.sampled_from([False, False, True]),
+           solver=st.sampled_from(["exact", "exact", "local"]), workers=st.integers(1, 2))
+    def test_front_matches_oracle_where_rows_are_skipped(self, seed, d, extra, top, size, zero,
+                                                         schedule, nonzero_base, collinear,
+                                                         solver, workers):
+        # Grids up to 1e3 rule out long paths; K_max > d ties lengths past d.
+        grid = list(np.logspace(-3.0, top, size)) + [0.0] * zero
+        K_max = max(1, d + extra)
+        stats = collinear_stats(seed, d, noise=1e-7) if collinear else random_stats(seed, d=d)
+        rng = np.random.default_rng(seed)
+        base = LinearModel(rng.standard_normal(d) * nonzero_base, stats.feature_names)
+        cfg = OptimizerConfig(K=0, schedule=GAMMA1, T=8, seed=seed)
+        args = (stats, base, LONG_SCHEDULES[schedule], grid, K_max, solver, cfg)
+        assert front_artifacts(sweep(*args, workers=workers)) == front_artifacts(
+            per_lambda_sweep(*args))
+
+    def test_default_grid_skips_rows(self, monkeypatch):
+        stats = random_stats(6, d=6)
+        base = LinearModel.zeros(stats.feature_names)
+        rows = []
+
+        def spy(stats, base, alphas, *args):
+            rows.append(len(alphas))
+            return exact_paths(stats, base, alphas, *args)
+
+        monkeypatch.setattr(pareto, "exact_paths", spy)
+        report = sweep(stats, base, GAMMA1, default_lambda_grid(), 6)
+        assert 0 < sum(rows) < 61 * 6
+        monkeypatch.undo()
+        assert front_artifacts(report) == front_artifacts(
+            per_lambda_sweep(stats, base, GAMMA1, default_lambda_grid(), 6))
+
+
+    def test_floor_solves_at_most_d_subsets_per_row(self, monkeypatch):
+        # 2 values x 4 lengths at d = 12 allow 96 subsets: the 12 singles and
+        # not the 66 pairs, so sizes from 2 on get the full fit's bound.
+        stats = random_stats(7, d=12)
+        base = LinearModel.zeros(stats.feature_names)
+        budgets = []
+        floor = pareto._best_subset_floor
+
+        def spy(stats, base, K_max, budget):
+            budgets.append(budget)
+            return floor(stats, base, K_max, budget)
+
+        monkeypatch.setattr(pareto, "_best_subset_floor", spy)
+        cfg = OptimizerConfig(K=0, schedule=GAMMA1, T=5)
+        args = (stats, base, GAMMA1, [0.1, 10.0], 4, "local", cfg)
+        report = sweep(*args)
+        assert budgets == [2 * 4 * 12]
+        monkeypatch.undo()
+        assert front_artifacts(report) == front_artifacts(per_lambda_sweep(*args))
 
 
 class TestBruteForceValidation:

@@ -49,11 +49,12 @@ def run_script(argv, cwd):
         ["bench.py", "--topic", "local", "--against", str(ROOT)],
         ["bench.py", "--topic", "heuristic", "--K", "4", "--against", str(ROOT)],
         ["bench.py", "--topic", "pinned", "--K", "6", "--K-max", "5", "--against", str(ROOT)],
+        ["bench.py", "--topic", "cli", "--K-max", "2", "--against", str(ROOT)],
     ],
     ids=["toy_tradeoff", "bench", "bench_tradeoff", "bench_local", "bench_heuristic",
          "bench_pinned", "bench_direct", "bench_direct_against", "bench_against",
          "bench_tradeoff_against", "bench_local_against", "bench_heuristic_against",
-         "bench_pinned_against"],
+         "bench_pinned_against", "bench_cli_against"],
 )
 def test_script_runs(argv, tmp_path):
     proc = run_script(argv, tmp_path)
@@ -99,3 +100,19 @@ def test_bench_against_records_ratio_p50(tmp_path):
                                                          record["against_runs_s"]))
         assert record["ratio_p50"] == ratio
         assert f"(ratio p50 {ratio:.2f}x)" in proc.stdout
+
+
+def test_bench_tradeoff_records_solved_rows(tmp_path):
+    # Each sweep row records its front's digest and how many of its
+    # (lambda, K) rows reached the exact search, for both trees.
+    proc = run_script(["bench.py", "--topic", "tradeoff", "--K", "3", "--K-max", "3",
+                       "--against", str(ROOT)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "BENCH_tradeoff.json").read_text(encoding="utf-8"))
+    sweeps = [r for r in report["instances"] if r["instance"]["layer"] == "sweep"]
+    assert [r["instance"]["workers"] for r in sweeps] == [1, 2]
+    for record in sweeps:
+        assert record["rows"] == record["against_rows"] == 61 * 3
+        assert 0 < record["rows_solved"] == record["against_rows_solved"] < record["rows"]
+        assert len(record["front_sha256"]) == 64
+    assert sweeps[0]["front_sha256"] == sweeps[1]["front_sha256"]
