@@ -22,13 +22,16 @@ than the kernel (K = 9 and 10.1M patterns by default, as the benchmark's
 search workload runs it).
 --K-max and --K shrink them for a quick run.
 
-local: local_improvement under unit weights, on seeded instances
-(n = 100): q = 2 pinned to the least-squares fit at d = 5, T = 100, with
-K = 6 and with K = 5 (the target's complexity, as the benchmark's explain
-workload runs it, which leaves only C(5, 2) = 10 position sets); q = 2 and
-q = 1 free at d = 6, K = 9, T = 100 (as its search workload does); q = 2
-and q = 1 free at d = 6, K = 10, T = 600, patience 120 (the setting of
-acceptance criterion 4).
+local: local_improvement on seeded instances (n = 100), each row under its
+own schedule. Under unit weights: q = 2 pinned to the least-squares fit at
+d = 5, T = 100, with K = 6 and with K = 5 (the target's complexity, as the
+benchmark's explain workload runs it, which leaves only C(5, 2) = 10
+position sets); q = 2 and q = 1 free at d = 6, K = 9, T = 100 (as its
+search workload does); q = 2 and q = 1 free at d = 6, K = 10, T = 600,
+patience 120 (the setting of acceptance criterion 4). Under weight on the
+first and last models only, alpha = (1, 0, ..., 0, 1), q = 2, T = 100: free
+at d = 6, K = 9, and pinned to the fit at d = 5, K = 6; these check how a
+search's windows start when it is not screened.
 
 heuristic: exact_path and local_improvement on 20 seeded instances (seeds
 0-19, n = 100, d = 6, K = 10, gamma = 1), the local search at q = 1 and 2
@@ -264,17 +267,22 @@ def cli_rows(pl, args) -> list:
                          str(work / "path.json")], [work / "path.json"]), outcome)]
 
 
-# (d, K, q, T, patience, endpoint, search seed)
-LOCAL_INSTANCES = ((5, 6, 2, 100, None, "ols", 0), (5, 5, 2, 100, None, "ols", 0),
-                   (6, 9, 2, 100, None, "free", 1000),
-                   (6, 10, 2, 600, 120, "free", 1000), (6, 9, 1, 100, None, "free", 1000),
-                   (6, 10, 1, 600, 120, "free", 2000))
+# (d, K, q, T, patience, endpoint, search seed, explicit weights or None for
+# geometric(gamma = 1), that is unit weights)
+LOCAL_INSTANCES = ((5, 6, 2, 100, None, "ols", 0, None), (5, 5, 2, 100, None, "ols", 0, None),
+                   (6, 9, 2, 100, None, "free", 1000, None),
+                   (6, 10, 2, 600, 120, "free", 1000, None),
+                   (6, 9, 1, 100, None, "free", 1000, None),
+                   (6, 10, 1, 600, 120, "free", 2000, None),
+                   (6, 9, 2, 100, None, "free", 1000, (1, 0, 0, 0, 0, 0, 0, 0, 1)),
+                   (5, 6, 2, 100, None, "ols", 0, (1, 0, 0, 0, 0, 1)))
 
 
 def local_rows(pl, args) -> list:
-    schedule = pl.WeightSchedule.geometric(1.0)
     rows = []
-    for d, K, q, T, patience, endpoint, seed in LOCAL_INSTANCES:
+    for d, K, q, T, patience, endpoint, seed, weights in LOCAL_INSTANCES:
+        schedule = (pl.WeightSchedule.geometric(1.0) if weights is None
+                    else pl.WeightSchedule.explicit(weights))
         stats = tradeoff_stats(pl, d)
         base = pl.LinearModel.zeros(stats.feature_names)
         cfg = pl.OptimizerConfig(K=K, schedule=schedule, q=q, T=T, seed=seed, patience=patience,

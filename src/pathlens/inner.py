@@ -80,11 +80,11 @@ def check_endpoint(stats: SufficientStats, base: LinearModel, iv: np.ndarray,
     """Raise unless the index vector can carry base to target."""
     if target.d != stats.d:
         raise InputError("target dimension does not match stats")
-    missing = np.setdiff1d(np.nonzero(target.coefficients - base.coefficients)[0], iv)
-    if missing.size:
-        raise InfeasibleError(
-            f"target changes coordinates {missing.tolist()} that the index vector never touches"
-        )
+    missing = target.coefficients - base.coefficients != 0
+    missing[iv] = False
+    if missing.any():
+        raise InfeasibleError(f"target changes coordinates {np.flatnonzero(missing).tolist()} "
+                              "that the index vector never touches")
 
 
 def tail_weights(alpha: np.ndarray) -> np.ndarray:

@@ -1108,6 +1108,46 @@ def test_fallback_scores_every_candidate(case, monkeypatch):
     assert all(n % d**q == 0 for n in items[1:])
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_pinned_search_scores_its_neighbourhood_in_one_window(seed, monkeypatch):
+    # Pinned windows start full: at d=5, K=5, q=2 all C(5, 2) = 10 position
+    # sets x 25 reassignments fit in one window, and none improves on the
+    # start, so the search ends after it.
+    items = count_solve_patterns(monkeypatch)
+    stats = random_stats(70 + seed, d=5)
+    cfg = OptimizerConfig(K=5, schedule=GAMMA1, q=2, T=100, seed=seed, endpoint=ols(stats))
+    local_improvement(stats, LinearModel.zeros(stats.feature_names), cfg)
+    assert items == [1, 250]
+
+
+def test_free_zero_weight_windows_start_one_iteration_wide(monkeypatch):
+    # Free searches with a zero weight keep start-at-1-and-double: the first
+    # window scores one iteration's 25 candidates.
+    items = count_solve_patterns(monkeypatch)
+    d, K, q, T, patience, pinned, weights, iv0, moments = WINDOW_CASES["zero_weight"]
+    assert not pinned
+    stats = window_stats(moments, 0, d)
+    cfg = OptimizerConfig(K=K, schedule=WeightSchedule.explicit(weights), q=q, T=T, seed=0,
+                          patience=patience)
+    local_improvement(stats, LinearModel.zeros(stats.feature_names), cfg, iv0=iv0)
+    assert items[:2] == [1, d**q]
+
+
+@pytest.mark.parametrize("through", ["local_improvement", "solve_fixed_endpoint"])
+def test_unreachable_endpoint_names_missing_coordinates(through):
+    # The fit changes every coordinate; this index vector never touches 1 or 3.
+    stats = random_stats(70, d=5)
+    base = LinearModel.zeros(stats.feature_names)
+    iv0 = [0, 2, 4, 0, 2]
+    message = re.escape("target changes coordinates [1, 3] that the index vector never touches")
+    with pytest.raises(InfeasibleError, match=message):
+        if through == "local_improvement":
+            cfg = OptimizerConfig(K=5, schedule=GAMMA1, q=2, T=10, endpoint=ols(stats))
+            local_improvement(stats, base, cfg, iv0=iv0)
+        else:
+            solve_fixed_endpoint(stats, base, iv0, GAMMA1, ols(stats))
+
+
 def test_screen_is_sure_only_within_the_margin():
     # A weight of 1e-9 makes two tail weights nearly equal. On collinear
     # moments (gram condition number 7e10) that keeps every pivot above

@@ -116,3 +116,15 @@ def test_bench_tradeoff_records_solved_rows(tmp_path):
         assert 0 < record["rows_solved"] == record["against_rows_solved"] < record["rows"]
         assert len(record["front_sha256"]) == 64
     assert sweeps[0]["front_sha256"] == sweeps[1]["front_sha256"]
+
+
+def test_bench_local_rows_carry_their_schedules(tmp_path):
+    # Each local row records its own schedule; the last two put weight on
+    # the first and last models only, one free and one pinned to the fit.
+    proc = run_script(["bench.py", "--topic", "local"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "BENCH_local.json").read_text(encoding="utf-8"))
+    rows = [r["instance"] for r in report["instances"]]
+    assert {r["schedule"] for r in rows[:-2]} == {"geometric(gamma=1)"}
+    assert [(r["schedule"], r["endpoint"]) for r in rows[-2:]] == [
+        ("explicit(1,0,0,0,0,0,0,0,1)", "free"), ("explicit(1,0,0,0,0,1)", "ols")]
