@@ -42,9 +42,10 @@ quick run.
 pinned: the exact search pinned to the least-squares fit, under unit
 weights, on seeded instances (n = 100): exact_path at d = 6, K = 8 (1.7M
 patterns), next to _enum_direct, the batched enumerator it replaced for
-pinned endpoints, on the same instance; and best_explanation at d = 5,
-K_max = 6 (as the benchmark's explain workload runs it) and 7. --K and
---K-max shrink them for a quick run.
+pinned endpoints, on the same instance; best_explanation at d = 5,
+K_max = 6 (as the benchmark's explain workload runs it) and 7; and
+best_explanation on the d = 6 instance with K_max = 8, the exact_path
+row's length. --K and --K-max shrink them for a quick run.
 
 direct: the searches that once ran through the general enumerator
 _enum_direct, all with a free endpoint, on seeded instances (n = 100): a
@@ -373,6 +374,9 @@ def pinned_rows(pl, args) -> list:
                         partial(pl.best_explanation, explained, zeros, pl.ols(explained),
                                 schedule, K_max),
                         path_outcome(pl, explained, schedule)))
+    rows.append(Row({"layer": "best_explanation", **instance, "d": PINNED_D, "K_max": args.K},
+                    partial(pl.best_explanation, stats, base, cfg.endpoint, schedule, args.K),
+                    outcome))
     return rows
 
 
@@ -493,8 +497,9 @@ def main(argv=None) -> int:
     ap.add_argument("--K", type=int,
                     help="tradeoff: kernel path length, one more than exact_path's; "
                          "heuristic: path length (default 10); pinned: exact_path length "
-                         "(default 8); direct: the continuous rows' length (default 7); "
-                         "cli: path exact's K, at least 6 (default 6)")
+                         "and the d = 6 best_explanation K_max (default 8); direct: the "
+                         "continuous rows' length (default 7); cli: path exact's K, at least 6 "
+                         "(default 6)")
     ap.add_argument("--against", metavar="DIR",
                     help="also time each row on the pathlens in DIR/src, alternating")
     args = ap.parse_args(argv)

@@ -43,6 +43,7 @@ import numpy as np
 from .errors import BudgetError, InfeasibleError, InputError
 from .inner import (
     _EPS,
+    _OBJECTIVE_RTOL,
     as_weights,
     attained_objectives,
     check_base,
@@ -55,7 +56,7 @@ from .inner import (
     tail_weights,
 )
 from .paths import CoordinatePath, WeightSchedule, model_complexity, weighted_loss
-from .regression import LinearModel, SufficientStats, cost_of, ols
+from .regression import LinearModel, SufficientStats, cost, cost_of, ols
 
 DEFAULT_BUDGET = 10_000_000
 _BLOCK_LEAVES = 50_000  # leaves below one chunk of parent nodes (~400 KB temporaries, fit L2)
@@ -437,6 +438,15 @@ def _patterns(index: np.ndarray, d: int, K: int) -> np.ndarray:
     return index[..., None] // d ** np.arange(K - 1, -1, -1) % d
 
 
+def _rules_out(bound, best):
+    """True where no score of at least `bound` can beat `best` under a strict
+    comparison: bound exceeds best by more than rounding, _OBJECTIVE_RTOL
+    max(1, |best|) (elementwise). An infinite bound against an infinite
+    best, whose difference is NaN, rules out too: the scores overflow as
+    well."""
+    return np.logical_not(bound - best <= _OBJECTIVE_RTOL * np.maximum(1.0, np.abs(best)))
+
+
 def _beats(value, incumbent):
     """True iff value is lower than incumbent by more than a tie (elementwise)."""
     return value + _TIE_RTOL * abs(value) < incumbent
@@ -721,6 +731,18 @@ def _best_subset_floor(stats: SufficientStats, base: LinearModel, K_max: int,
             S = np.fromiter(subsets, np.intp, count=min(chunk, total - s) * k)
             floor[k] = min(floor[k], least(S.reshape(-1, k)))
     return np.maximum(np.minimum.accumulate(floor), 0.0)
+
+
+def _cost_floor_near(stats: SufficientStats, model: LinearModel, ulps: int) -> float:
+    """A lower bound on the evaluated cost of any model within `ulps` ulps
+    of `model` in each coordinate: cost(model) less 8 (ulps + d) eps times
+    E[y^2] + 2 |t|'|g| + (sum_j |t_j| sqrt(G_jj))^2 at its coefficients t,
+    the scale both of the rounding in evaluating a cost there and of the
+    cost's change over those ulps."""
+    t = np.abs(model.coefficients)
+    scale = (stats.target_second_moment + 2 * t @ np.abs(stats.cross)
+             + (t @ np.sqrt(np.diag(stats.gram))) ** 2)
+    return float(cost(stats, model) - 8 * (ulps + stats.d) * _EPS * scale)
 
 
 def check_budget(d: int, K: int, budget: int) -> None:
@@ -1056,7 +1078,30 @@ def best_explanation(stats: SufficientStats, base: LinearModel, target: LinearMo
     model_complexity .. K_max. The path's weighted_loss is the model's
     interpretability loss (a lower bound holds only up to K_max; longer
     explanations are not searched). Raises BudgetError before any search if
-    the longest length's d**K_max patterns exceed the budget."""
+    the longest length's d**K_max patterns exceed the budget.
+
+    The first length, the target's complexity c, is always searched. If
+    K_max > c, a best-subset cost floor is then computed once
+    (_best_subset_floor, solving no more subsets than that search's d**c
+    patterns, nor more than the budget). Model k of a path differs from the
+    base in at most k coordinates, so it costs at least floor[k], and model
+    K is the target: no length-K path scores below sum_{k<K} alpha_k
+    floor[k] + alpha_K cost(target). A longer length is searched unless
+    that bound exceeds the best loss so far by more than _OBJECTIVE_RTOL
+    max(1, |best|) (_rules_out, the sweep's rule too); a length replaces
+    the incumbent only on a lower loss (_beats), so the path is the one a
+    search of every length returns. The floor's rounding band covers its
+    terms, and the target term has its own (_cost_floor_near): the loss
+    evaluates the path's final model, which is the target only up to the
+    rounding of its summed steps, and on near-collinear grams, where the
+    fit's coefficients run to 1e6, such a model evaluated 4.7e-4 below
+    cost(target). The band covers a final model within K_max ulps of the
+    target in each coordinate; steps that overshoot a coordinate far along
+    a near-null direction can leave it further off, which the margin covers
+    unless that drift reaches 1e-9 max(1, |best|).
+    Each length's weights are validated before its bound, as its search
+    would, so a schedule too short for K_max raises at the same length.
+    """
     if K_max < 0:
         raise InputError("K_max must be >= 0")
     check_base(stats, base)
@@ -1071,6 +1116,13 @@ def best_explanation(stats: SufficientStats, base: LinearModel, target: LinearMo
     check_budget(stats.d, K_max, budget)  # the longest length's count, before any search
     best = (math.inf, None)  # (loss, path); ties keep the shorter path
     for K in range(complexity, K_max + 1):
+        if K == complexity + 1:  # after the first search: the bound's terms
+            floor = _best_subset_floor(stats, base, K_max - 1, min(budget, stats.d**complexity))
+            end = _cost_floor_near(stats, target, K_max)
+        if K > complexity:
+            alpha = as_weights(schedule, K)
+            if _rules_out(float(alpha[:-1] @ floor[1:K]) + float(alpha[-1]) * end, best[0]):
+                continue
         cfg = OptimizerConfig(K=K, schedule=schedule, endpoint=target, budget=budget)
         path = exact_path(stats, base, cfg)
         loss = weighted_loss(stats, path, schedule)

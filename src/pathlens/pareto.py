@@ -21,8 +21,9 @@ coordinates, so it costs at least the best-subset cost C*(k)
 (optimizers._best_subset_floor), and no path of length K scores below
 C*(K) + lam * sum_{k<=K} alpha_k C*(k). A value's point changes only on a
 strictly lower score, so where that bound exceeds its best score from
-shorter lengths by more than rounding, neither solver runs, and every point
-is the one a search of every length returns. solve_tradeoff is the
+shorter lengths by more than rounding (optimizers._rules_out, the rule
+best_explanation skips its lengths by), neither solver runs, and every
+point is the one a search of every length returns. solve_tradeoff is the
 one-value case of the same grid solver.
 """
 
@@ -34,9 +35,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError
-from .inner import _OBJECTIVE_RTOL, as_weights
-from .optimizers import (OptimizerConfig, _best_subset_floor, check_budget, exact_paths,
-                         exact_path, local_improvement)
+from .inner import as_weights
+from .optimizers import (OptimizerConfig, _best_subset_floor, _rules_out, check_budget,
+                         exact_paths, exact_path, local_improvement)
 from .paths import CoordinatePath, WeightSchedule, path_to_json, weighted_loss
 from .regression import LinearModel, SufficientStats, cost
 
@@ -90,8 +91,8 @@ def _solve_grid(stats: SufficientStats, base: LinearModel, schedule: WeightSched
 
     Per length K the scalarized weight rows of all values are built at
     once. Rows whose lower bound (see the module docstring) exceeds their
-    best score by more than _OBJECTIVE_RTOL max(1, |best|) are skipped; the
-    exact solver enumerates the patterns once for the rest
+    best score by more than _OBJECTIVE_RTOL max(1, |best|) (_rules_out)
+    are skipped; the exact solver enumerates the patterns once for the rest
     (optimizers.exact_paths), the local solver runs per remaining value. The
     exact solver raises BudgetError before any search if the longest
     length's d**K_max patterns exceed the budget.
@@ -120,7 +121,7 @@ def _solve_grid(stats: SufficientStats, base: LinearModel, schedule: WeightSched
         # is strict: a bound above best by more than rounding cannot improve.
         values = np.array([value for value, _, _ in best])
         bound = floor[K] + spent[:, K - 1]
-        live = np.flatnonzero(bound - values <= _OBJECTIVE_RTOL * np.maximum(1.0, np.abs(values)))
+        live = np.flatnonzero(~_rules_out(bound, values))
         if not live.size:
             continue
         alphas = scaled[live, :K]

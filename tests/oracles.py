@@ -23,6 +23,9 @@ enumerates once per length. brute_force_unit enumerates every unit-step
 candidate, the reference for the dynamic program over lattice states.
 best_subset_costs refits every coordinate subset by lstsq, the reference
 for the best-subset cost floor that lets the sweep skip lengths.
+all_lengths_explanation is best_explanation with an exact_path at every
+length, the reference for the one that skips the lengths that floor rules
+out.
 """
 
 import csv
@@ -45,14 +48,17 @@ from pathlens.optimizers import (
     _CHUNK_ENTRIES,
     _PIVOT_RTOL,
     _TIE_RTOL,
+    DEFAULT_BUDGET,
     OptimizerConfig,
+    _beats,
     _default_iv0,
+    check_budget,
     exact_path,
     local_improvement,
 )
-from pathlens.errors import InputError
+from pathlens.errors import InfeasibleError, InputError
 from pathlens.pareto import FrontReport, ParetoPoint, _drop_dominated
-from pathlens.paths import CoordinatePath, WeightSchedule, weighted_loss
+from pathlens.paths import CoordinatePath, WeightSchedule, model_complexity, weighted_loss
 from pathlens.regression import Dataset, cost, cost_of
 
 
@@ -367,6 +373,28 @@ def best_subset_costs(stats, base, K_max):
             least = min(least, cost_of(stats, beta))
         costs.append(least)
     return np.array(costs)
+
+
+def all_lengths_explanation(stats, base, target, schedule, K_max, budget=DEFAULT_BUDGET):
+    """optimizers.best_explanation as one exact_path per length, from the
+    target's complexity to K_max, keeping the first loss that beats the
+    best so far by more than a tie."""
+    if K_max < 0:
+        raise InputError("K_max must be >= 0")
+    complexity = model_complexity(base, target)
+    if K_max < complexity:
+        raise InfeasibleError(f"K_max={K_max} is below the target's complexity {complexity}")
+    if complexity == 0:
+        return CoordinatePath(base, ())
+    check_budget(stats.d, K_max, budget)
+    best = (math.inf, None)
+    for K in range(complexity, K_max + 1):
+        cfg = OptimizerConfig(K=K, schedule=schedule, endpoint=target, budget=budget)
+        path = exact_path(stats, base, cfg)
+        loss = weighted_loss(stats, path, schedule)
+        if _beats(loss, best[0]):
+            best = (loss, path)
+    return best[1]
 
 
 def rowwise_load_csv(path, target):

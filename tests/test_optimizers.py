@@ -1,10 +1,13 @@
 import gc
+import importlib.util
 import itertools
+import math
 import re
 import time
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from pathlens import (
     default_lambda_grid,
     direct_path,
     exact_path,
+    explanation_loss,
     greedy_path,
     local_improvement,
     materialize,
@@ -37,19 +41,22 @@ from pathlens import (
     sweep,
     weighted_loss,
 )
+import pathlens
 from pathlens import optimizers, pareto
 from pathlens.optimizers import (
     _TIE_RTOL,
     _best_subset_floor,
+    _rules_out,
     _enum_direct,
     _enum_fast,
     _kept_chunks,
     _l1_ball,
 )
-from pathlens.inner import as_weights, path_from_deltas, solve_patterns
+from pathlens.inner import _OBJECTIVE_RTOL, as_weights, path_from_deltas, solve_patterns
 from conftest import TOY_OLS, collinear_stats, random_dataset, random_stats
 from oracles import (
     PivotBreakdown,
+    all_lengths_explanation,
     batch_objectives,
     best_subset_costs,
     brute_force_explanation,
@@ -61,6 +68,19 @@ from oracles import (
 )
 
 GAMMA1 = WeightSchedule.geometric(1.0)
+
+
+def searched_lengths(monkeypatch) -> list:
+    """The K of every exact_path call best_explanation makes from here on."""
+    lengths = []
+    search = optimizers.exact_path
+
+    def spy(stats, base, cfg):
+        lengths.append(cfg.K)
+        return search(stats, base, cfg)
+
+    monkeypatch.setattr(optimizers, "exact_path", spy)
+    return lengths
 
 
 class TestGreedyPath:
@@ -1436,10 +1456,13 @@ class TestBestExplanation:
         path = best_explanation(toy_stats, toy_zero, target, GAMMA1, 2)
         assert weighted_loss(toy_stats, path, GAMMA1) == pytest.approx(1.38, abs=0.01)
 
-    def test_toy_k3_improves(self, toy_stats, toy_zero):
+    def test_toy_k3_improves(self, toy_stats, toy_zero, monkeypatch):
+        # The floor does not rule K = 3 out, and its search beats K = 2.
+        lengths = searched_lengths(monkeypatch)
         target = LinearModel(TOY_OLS, toy_stats.feature_names)
         path = best_explanation(toy_stats, toy_zero, target, GAMMA1, 3)
         assert weighted_loss(toy_stats, path, GAMMA1) <= 1.28
+        assert lengths == [2, 3] and path.K == 3
 
     def test_target_equals_base(self, toy_stats, toy_zero):
         path = best_explanation(toy_stats, toy_zero, toy_zero, GAMMA1, 2)
@@ -1457,6 +1480,7 @@ class TestBestExplanation:
             raise AssertionError("exact_path ran before the budget check")
 
         monkeypatch.setattr(optimizers, "exact_path", no_search)
+        monkeypatch.setattr(optimizers, "_best_subset_floor", no_search)
         target = LinearModel(TOY_OLS, toy_stats.feature_names)
         with pytest.raises(BudgetError, match="32"):
             best_explanation(toy_stats, toy_zero, target, GAMMA1, 5, budget=16)
@@ -1500,6 +1524,129 @@ class TestBestExplanation:
             )
             assert tuple(i for i, _ in path.steps) == ref_iv
             assert weighted_loss(stats, path, schedule) == pytest.approx(ref_obj, rel=1e-9)
+
+
+    def test_short_schedule_fails_at_the_same_length(self, monkeypatch):
+        # Three weights for K_max = 5: the search of every length fails at
+        # K = 4, and so does the one that skips lengths, whatever it skipped.
+        stats = random_stats(3, d=3)
+        base = LinearModel.zeros(stats.feature_names)
+        target = LinearModel(np.array([0.7, 0.0, -0.4]), stats.feature_names)
+        schedule = WeightSchedule.explicit([1.0, 0.5, 2.0])
+        with pytest.raises(InputError) as oracle:
+            all_lengths_explanation(stats, base, target, schedule, 5)
+        lengths = searched_lengths(monkeypatch)
+        with pytest.raises(InputError, match="asked for K=4") as pruned:
+            best_explanation(stats, base, target, schedule, 5)
+        assert str(pruned.value) == str(oracle.value)
+        assert lengths[0] == 2 and set(lengths) <= {2, 3}
+
+    def test_bench_instance_runs_one_search(self, monkeypatch):
+        # scripts/bench.py's pinned topic explains the d = 5 fit: the floor
+        # rules out K = 6 and 7, so only the K = 5 search runs.
+        spec = importlib.util.spec_from_file_location(
+            "bench_script", Path(__file__).resolve().parents[1] / "scripts" / "bench.py")
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        stats = bench.tradeoff_stats(pathlens, 5)
+        base = LinearModel.zeros(stats.feature_names)
+        lengths = searched_lengths(monkeypatch)
+        path = best_explanation(stats, base, ols(stats), GAMMA1, 7)
+        assert lengths == [5]
+        monkeypatch.undo()
+        assert path.steps == all_lengths_explanation(stats, base, ols(stats), GAMMA1, 7).steps
+
+    def test_matches_all_lengths_oracle(self, monkeypatch):
+        # 240 instances, d = 2..5, K_max = complexity .. complexity + 2:
+        # geometric gamma 0.5, 1 and 1.5, positive explicit weights and
+        # explicit weights with zeros; least-squares, sparse and dense
+        # non-least-squares targets; zero and nonzero bases; every fifth
+        # gram near-collinear (x_d = x_1 + 1e-7 noise). Each path is the
+        # oracle's bit for bit, the lengths the floor rules out are not
+        # searched, and no final model's cost falls below cost(target) by
+        # anywhere near the skip margin.
+        rng = np.random.default_rng(23)
+        search = optimizers.exact_path
+        drift = []  # alpha_K (cost(target) - cost(final)) of each search of a call
+        worst = 0.0  # the largest over the skip margin of the call's result
+
+        def measured(stats, base, cfg):
+            path = search(stats, base, cfg)
+            gap = cost(stats, cfg.endpoint) - cost(stats, path.final)
+            drift.append(cfg.schedule.weight(cfg.K) * gap)
+            return path
+
+        monkeypatch.setattr(optimizers, "exact_path", measured)
+        all_lengths = searched = 0
+        for trial in range(240):
+            d = 2 + trial % 4
+            stats = (collinear_stats(trial, d, noise=1e-7) if trial % 5 == 4
+                     else random_stats(trial + 900, d=d))
+            names = stats.feature_names
+            base = rng.standard_normal(d) * (trial % 2)
+            kind = trial % 3
+            if kind == 0:
+                target = ols(stats).coefficients
+            else:
+                target = base.copy()
+                m = d if kind == 2 else int(rng.integers(1, d + 1))
+                changed = rng.choice(d, m, replace=False)
+                target[changed] += rng.standard_normal(m)
+            complexity = int(np.sum(target != base))
+            K_max = complexity + int(rng.integers(0, 3))
+            choice = trial // 3 % 5
+            if choice < 3:
+                schedule = WeightSchedule.geometric((0.5, 1.0, 1.5)[choice])
+            else:
+                weights = rng.uniform(0.1, 2.0, K_max)
+                if choice == 4:
+                    weights[rng.random(K_max) < 0.5] = 0.0
+                    weights[rng.integers(complexity)] = rng.uniform(0.1, 2.0)
+                schedule = WeightSchedule.explicit(weights)
+            args = (stats, LinearModel(base, names), LinearModel(target, names), schedule,
+                    K_max)
+            drift.clear()
+            path = best_explanation(*args)
+            margin = _OBJECTIVE_RTOL * max(1.0, weighted_loss(stats, path, schedule))
+            worst = max(worst, max(drift) / margin)
+            searched += len(drift)
+            with monkeypatch.context() as patch:
+                patch.setattr(optimizers, "exact_path", search)
+                expected = all_lengths_explanation(*args)
+                assert explanation_loss(*args) == weighted_loss(stats, path, schedule)
+            assert path.steps == expected.steps
+            all_lengths += K_max - complexity + 1
+        assert searched < all_lengths
+        assert worst < 1e-3
+
+
+    def test_target_term_bounds_every_final_cost(self):
+        # x3 = x1 + 1e-7 noise puts the fit's coefficients near 2e6, and a
+        # pinned path's final model then evaluates below cost(target): the
+        # target term of the bound keeps a rounding band below every one.
+        stats = collinear_stats(12, 3, noise=1e-7)
+        base = LinearModel.zeros(stats.feature_names)
+        target = ols(stats)
+        floor = optimizers._cost_floor_near(stats, target, 5)
+        finals = [cost(stats, exact_path(stats, base, OptimizerConfig(
+            K=K, schedule=GAMMA1, endpoint=target)).final) for K in (3, 4, 5)]
+        assert min(finals) < cost(stats, target)
+        assert floor <= min(finals)
+
+
+class TestRulesOut:
+    def test_rounding_margin(self):
+        # A bound rules out only past _OBJECTIVE_RTOL max(1, |best|).
+        best = np.array([0.5, 0.5, 1e4, 1e4, 2.0])
+        bound = best + np.array([0.9, 1.1, 0.9, 1.1, -1.0]) * _OBJECTIVE_RTOL * np.array(
+            [1.0, 1.0, 1e4, 1e4, 2.0])
+        assert _rules_out(bound, best).tolist() == [False, True, False, True, False]
+
+    def test_infinities(self):
+        # An infinite bound rules out a finite best and, as NaN, an infinite one;
+        # a finite bound never rules out an infinite best.
+        assert _rules_out(math.inf, 1.0) and _rules_out(math.inf, math.inf)
+        assert not _rules_out(1.0, math.inf)
 
 
 class TestBestSubsetFloor:
