@@ -16,10 +16,10 @@ the default 61-value lambda grid, gamma = 1, with one worker and with two,
 each recording the digest of its front and how many of the 61 K_max
 (lambda, K) rows it sent to the exact search (the rest a best-subset cost
 floor rules out); the exact search's fast kernel _enum_fast with one
-weight row of unit weights at d = 6, K = 10 (60.5M patterns); and
-exact_path on the same instance, free, under gamma = 1, one step shorter
-than the kernel (K = 9 and 10.1M patterns by default, as the benchmark's
-search workload runs it).
+weight row of unit weights at d = 6, K = 10 (60.5M patterns), recording
+its objective, pattern and broken flag; and exact_path on the same
+instance, free, under gamma = 1, one step shorter than the kernel (K = 9
+and 10.1M patterns by default, as the benchmark's search workload runs it).
 --K-max and --K shrink them for a quick run.
 
 local: local_improvement on seeded instances (n = 100), each row under its
@@ -199,12 +199,20 @@ def tradeoff_rows(pl, args) -> list:
     rows.append(Row({"layer": "_enum_fast", **instance, "K": args.K, "rows": 1,
                      "schedule": "unit weights"},
                     partial(pl.optimizers._enum_fast, stats, np.zeros(d), args.K,
-                            np.ones((1, args.K)))))
+                            np.ones((1, args.K))), kernel_outcome))
     cfg = pl.OptimizerConfig(K=args.K - 1, schedule=schedule, budget=10**8)
     rows.append(Row({"layer": "exact_path", **instance, "K": cfg.K, "endpoint": "free",
                      "schedule": schedule.describe()},
                     partial(pl.exact_path, stats, base, cfg), path_outcome(pl, stats, schedule)))
     return rows
+
+
+def kernel_outcome(result) -> dict:
+    """What an _enum_fast row records: each weight row's objective (as repr,
+    so that equal records mean equal bits), pattern and broken flag."""
+    values, patterns, broken = result
+    return {"objective": [repr(float(v)) for v in values], "pattern": patterns.tolist(),
+            "broken": broken.tolist()}
 
 
 def front_outcome(pl, report) -> dict:

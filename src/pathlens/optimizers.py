@@ -18,10 +18,11 @@ zero weights and pinned K = 1. One mask routes each weight row to one of
 the two enumerators, and one solve_patterns call then solves every row's
 winning pattern under its own weights: step sizes come from the inner
 solver only, so a path depends on its pattern only. Both enumerators rank
-by one tie rule: objectives within 1e-12 (relative) are ties, and a chunk's
-first candidate tied with its minimum replaces the incumbent only if it
-beats it by more than that, so ties resolve to the lexicographically
-smallest pattern.
+by one tie rule: objectives within 1e-12 (relative) are ties, and a
+chunk's least-index candidate tied with its minimum replaces the incumbent
+if it beats it by more than that, or ties it from a smaller lexicographic
+index, so ties resolve to the lexicographically smallest pattern whatever
+order the chunks come in (_enum_direct's come in lexicographic order).
 
 Unit steps move one coefficient by -1 or +1, or stay, so every model on the
 path is base + z for an integer z with ||z||_1 <= K: _unit_steps finds the
@@ -187,8 +188,8 @@ def _grow(nodes, G, gd, r, wm, broken, out):
     step's new rows of B (and E) are copied out of their transposed view, so
     every broadcast operand is contiguous along (c, N). The d*N children come
     back in the same layout, child c of node p at c*N + p; their QT, RT and
-    MT go to the buffers out, each (L, d, d, d, N). Broken rows are marked
-    in broken.
+    MT go to the buffers out, each (L, d, d, d, N), or to new arrays where
+    out holds None. Broken rows are marked in broken.
     """
     QT, uT, ssq = nodes[:3]
     L, d, N = uT.shape
@@ -257,38 +258,37 @@ def _fused_leaves(QT, uT, ssq, G, gd, r, w1, w2, top, broken, out):
     return np.subtract(C[:, :, None], rho, out=rho)
 
 
-def _pinned_leaves(nodes, order, prefix, G, gd, r, w1, w2, top, e, broken):
-    """Pinned objectives of the two-step completions of level-(K-2) nodes
-    that reach the target, a piece at a time: yields (vals (L, P), rank (P,)),
-    rank being the leaves' lexicographic indices within the chunk, ascending.
+def _pinned_leaves(nodes, index, m, G, gd, r, w1, w2, top, e, broken):
+    """Pinned objectives of the two-step completions of level-m nodes that
+    reach the target, a piece at a time: yields (vals (L, P), the leaves'
+    lexicographic indices (P,)).
 
-    nodes are (QT, uT, ssq, RT, MT, vT) in _grow's layout; order[l] is the
-    position of the l-th node in lexicographic order and prefix[l] its
-    pattern. w1, w2 and top are shaped (L, 1); e = target - base. A leaf
-    scores top - ssq + z'M~^-1 z, with z = v - e and M~ = M with a 1 on the
-    diagonal of each coordinate it leaves untouched, eliminated along the
-    leaf axis; a leaf that leaves a coordinate with e != 0 untouched is
-    skipped. A piece's [M~ | z] holds at most _PIECE_ENTRIES entries.
-    Rows whose pivots break down are marked in broken.
+    nodes are (QT, uT, ssq, RT, MT, vT) in _grow's layout, node n at
+    lexicographic index index[n]. w1, w2 and top are shaped (L, 1);
+    e = target - base. A leaf scores top - ssq + z'M~^-1 z, with z = v - e
+    and M~ = M with a 1 on the diagonal of each coordinate it leaves
+    untouched, eliminated along the leaf axis; a leaf that leaves a
+    coordinate with e != 0 untouched is skipped. A piece's [M~ | z] holds
+    at most _PIECE_ENTRIES entries. Rows whose pivots break down are marked
+    in broken.
     """
     QT, uT, ssq, RT, MT, vT = nodes
     L, d, N = uT.shape
     coords = np.arange(d)[:, None]
-    touched = np.zeros((prefix.shape[0], d), dtype=bool)
-    touched[np.arange(prefix.shape[0])[:, None], prefix] = True
+    touched = np.zeros((N, d), dtype=bool)
+    touched[np.arange(N)[:, None], _patterns(index, d, m)] = True
     need = e != 0
     miss = (~touched & need).astype(np.int16)
-    # Leaf (l, c1, c2) reaches iff c1 and c2 cover every needed coordinate l missed.
+    # Leaf (n, c1, c2) reaches iff c1 and c2 cover every needed coordinate n missed.
     covered = miss[:, :, None] + miss[:, None, :] * (1 - np.eye(d, dtype=np.int16))
-    ranks = np.flatnonzero(covered == miss.sum(axis=1, dtype=np.int16)[:, None, None])
+    leaves = np.flatnonzero(covered == miss.sum(axis=1, dtype=np.int16)[:, None, None])
     Qf, uf, Rf = QT.reshape(L, -1), uT.reshape(L, -1), RT.reshape(L, -1)
-    piece = max(1, min(ranks.size, _PIECE_ENTRIES // (L * d * (d + 1))))
+    piece = max(1, min(leaves.size, _PIECE_ENTRIES // (L * d * (d + 1))))
     mats = np.empty((2, L * d * (d + 1) * piece))
-    for s in range(0, ranks.size, piece):
-        rank = ranks[s:s + piece]
-        l, c = np.divmod(rank, d * d)
+    for s in range(0, leaves.size, piece):
+        leaf = leaves[s:s + piece]
+        n, c = np.divmod(leaf, d * d)
         c1, c2 = np.divmod(c, d)
-        n = order[l]
         at1, at2 = coords == c1, coords == c2
         piv1 = w1 * gd[c1] - w1 * w1 * np.take(Qf, c1 * (d + 1) * N + n, axis=1)
         _mark_broken(broken, piv1, _PIVOT_RTOL * w1 * gd[c1])
@@ -303,14 +303,14 @@ def _pinned_leaves(nodes, order, prefix, G, gd, r, w1, w2, top, e, broken):
         R2 = np.take(Rf, (c2 * d + coords) * N + n, axis=1)
         E2 = (at2 - w2[..., None] * (R2 + row[:, None] * E1)) / piv2[:, None]
         # [M~ | z] per leaf; eliminating it leaves L^-1 z in the last column.
-        Az, Tz = (buf[:L * d * (d + 1) * rank.size].reshape(L, d, d + 1, -1) for buf in mats)
+        Az, Tz = (buf[:L * d * (d + 1) * leaf.size].reshape(L, d, d + 1, -1) for buf in mats)
         A, T = Az[:, :, :d], Tz[:, :, :d]
         np.take(MT, n, axis=3, out=A, mode="clip")
         A += np.multiply(E1[:, :, None], E1[:, None], out=T)
         A += np.multiply(E2[:, :, None], E2[:, None], out=T)
         diag = Az.reshape(L, d * (d + 1), -1)[:, ::d + 2]
         if not need.all():  # else every reaching leaf touches every coordinate
-            diag += ~(touched[l].T | at1 | at2)
+            diag += ~(touched[n].T | at1 | at2)
         floor = _PIVOT_RTOL * diag
         z = np.take(vT, n, axis=2, out=Az[:, :, d], mode="clip")
         z += y1[:, None] * E1 + y2[:, None] * E2 - e[:, None]
@@ -321,15 +321,7 @@ def _pinned_leaves(nodes, order, prefix, G, gd, r, w1, w2, top, e, broken):
         _mark_broken(broken, diag, floor)
         vals = top - np.take(ssq, n, axis=1) - y1 * y1 - y2 * y2
         vals += np.einsum("ljp,ljp->lp", z, z / diag)
-        yield vals, rank
-
-
-def _lexicographic(a: np.ndarray, d: int) -> np.ndarray:
-    """`a` with its last axis, the children one _grow step made (child c of
-    node p at c*N + p), in lexicographic order (at p*d + c); always a copy,
-    as `a` may sit in a buffer that the next chunk reuses."""
-    lead = a.shape[:-1]
-    return a.reshape(lead + (d, -1)).swapaxes(-1, -2).copy().reshape(lead + (-1,))
+        yield vals, index[n] * (d * d) + c
 
 
 # Broken rows' arithmetic, overflowed or not, is discarded.
@@ -349,7 +341,9 @@ def _enum_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np.ndar
     arithmetic. One depth-first recursion grows `per` parent nodes at a time
     by one level and descends into their children before the next chunk;
     every node grows once by the same operations, so no result depends on
-    the chunk sizes. Free and pinned rows alike rank by the tie rule.
+    the chunk sizes. Children stay in _grow's layout, out of lexicographic
+    order, so each node carries its lexicographic index, and free and
+    pinned rows alike rank by the tie rule on those indices.
     """
     G = stats.gram
     d = stats.d
@@ -388,46 +382,48 @@ def _enum_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np.ndar
     best_val = np.full(L, math.inf)
     best = np.zeros(L, dtype=np.int64)  # lexicographic index of each row's best pattern
 
-    def keep(vals, lexicographic, index):
-        # vals (L, P): a piece of leaves; lexicographic: a view (L, ...) listing each
-        # row's in lexicographic order, the i-th being pattern index(i). Only rows whose
-        # minimum beats the incumbent are put in order, to apply the tie rule.
-        rows = np.flatnonzero(_beats(vals.min(axis=1), best_val))
-        if rows.size:
-            leaves = lexicographic[rows].reshape(rows.size, -1)
-            i = _first_tie(leaves)
-            tied = leaves[np.arange(rows.size), i]
-            win = _beats(tied, best_val[rows])
-            best_val[rows[win]], best[rows[win]] = tied[win], index(i[win])
+    def keep(vals, index, fan=1):
+        # vals (L, fan * N): a piece of leaves, leaf c * N + j at lexicographic index
+        # index[j] * fan + c. Only rows whose minimum beats or ties the incumbent are
+        # searched for their candidate (the tie rule), and only candidates get an index.
+        def index_of(p):  # the lexicographic indices of the leaves at positions p
+            return index[p % index.size] * fan + p // index.size
 
-    def descend(m, nodes, first, node_axes=(1,)):
-        # The level-m nodes, the first at lexicographic index `first`.
+        low = vals.min(axis=1)
+        rows = np.flatnonzero(np.isfinite(low) & ~_beats(best_val, low))
+        if rows.size:
+            piece, low = vals[rows], low[rows, None]
+            tie = piece <= low + _TIE_RTOL * abs(low)
+            at = tie.argmax(axis=1)
+            if np.count_nonzero(tie) > rows.size:  # a row ties several leaves: least index
+                at = np.where(tie, index_of(np.arange(tie.shape[1])),
+                              np.iinfo(np.int64).max).argmin(axis=1)
+            tied, i, held = piece[np.arange(rows.size), at], index_of(at), best_val[rows]
+            win = _beats(tied, held) | (i < best[rows]) & ~_beats(held, tied)
+            best_val[rows[win]], best[rows[win]] = tied[win], i[win]
+
+    def descend(m, nodes, index):
+        # The level-m nodes, node j at lexicographic index index[j].
         if m == stop and target is not None:
-            order = np.arange(nodes[2].shape[1]).reshape(node_axes).T.ravel()
-            prefix = _patterns(first + np.arange(order.size), d, m)
-            for vals, rank in _pinned_leaves(nodes, order, prefix, G, gd, r, w[:, K - 2, None],
-                                             w[:, K - 1, None], top[:, None], e, broken):
-                keep(vals, vals, lambda i: first * d * d + rank[i])
+            for vals, leaves in _pinned_leaves(nodes, index, m, G, gd, r, w[:, K - 2, None],
+                                               w[:, K - 1, None], top[:, None], e, broken):
+                keep(vals, leaves)
             return
-        if m == stop:  # score their leaves; node_axes makes the transpose lexicographic
+        if m == stop:  # score their leaves
             vals = (_fused_leaves(*nodes, G, gd, r, wb[:, K - 2], wb[:, K - 1], top, broken,
                                   (buf(1, nodes[0].shape), buf(2, nodes[0].shape))) if fuse
                     else top[:, None] - nodes[2])
-            lexicographic = vals.reshape(L, -1, *node_axes).transpose(
-                0, *range(len(node_axes) + 1, 0, -1))
-            keep(vals.reshape(L, -1), lexicographic, lambda i: first * d ** (K - m) + i)
+            keep(vals.reshape(L, -1), index, d * d if fuse else 1)
             return
         N = nodes[2].shape[1]
         for p0 in range(0, N, per):
             n = min(per, N - p0)
-            grown = _grow(tuple(a[..., p0:p0 + n] for a in nodes), G, gd, r, wb[:, m], broken,
-                          tuple(buf(i, (L, d, d, d, n)) for i in range(3)))
-            if m + 1 < stop:
-                descend(m + 1, tuple(_lexicographic(a, d) for a in grown), (first + p0) * d)
-            else:  # the scored level keeps _grow's layout
-                descend(m + 1, grown, (first + p0) * d, (d, n))
+            # Only the scored level's children go to work: the others outlive their chunk.
+            out = tuple(buf(i, (L, d, d, d, n)) if m + 1 == stop else None for i in range(3))
+            grown = _grow(tuple(a[..., p0:p0 + n] for a in nodes), G, gd, r, wb[:, m], broken, out)
+            descend(m + 1, grown, (index[p0:p0 + n] * d + np.arange(d)[:, None]).ravel())
 
-    descend(0, nodes, 0)
+    descend(0, nodes, np.zeros(1, dtype=np.int64))
     del descend  # its closure refers to itself: free work now, not at the next gc
     return best_val, _patterns(best, d, K), broken
 

@@ -4,7 +4,18 @@ import warnings
 import numpy as np
 import pytest
 
-from pathlens.cli import main
+from pathlens import (
+    LinearModel,
+    OptimizerConfig,
+    WeightSchedule,
+    default_lambda_grid,
+    exact_path,
+    stats_from_moments,
+    sweep,
+    weighted_loss,
+)
+from pathlens.cli import canonical_json, main
+from pathlens.pareto import front_to_json
 from conftest import TOY_CROSS, TOY_GRAM, TOY_TSM
 
 
@@ -77,9 +88,10 @@ class TestStats:
              "'names'"),
             (5, "JSON object"),
             ("gram cross tsm", "JSON object"),
+            ({"gram": [[1.0]], "cross": [0.5]}, "missing 'tsm' key"),
         ],
         ids=["gram_string", "gram_ragged", "cross_object", "tsm_string", "tsm_list",
-             "names_number", "names_string", "top_number", "top_string"],
+             "names_number", "names_string", "top_number", "top_string", "missing_key"],
     )
     def test_malformed_moments_exit_2(self, capsys, tmp_path, moments, key):
         f = tmp_path / "m.json"
@@ -124,6 +136,49 @@ class TestPath:
         payload = json.loads(text)
         assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == text
         assert [s["feature"] for s in payload["steps"]] == ["height", "weight"]
+
+    def test_direct_installs_the_fit(self, capsys, toy_moments):
+        code, out, _ = run(capsys, "path", "direct", "--moments", toy_moments, "--K", "2")
+        assert code == 0
+        assert out.strip().splitlines()[-2].split()[-1] == "0.2490"  # the OLS cost
+
+    def test_endpoint_file(self, capsys, toy_moments, tmp_path):
+        model = tmp_path / "target.json"
+        model.write_text(json.dumps({"coefficients": [1.274, 0.0]}), encoding="utf-8")
+        out_file = tmp_path / "path.json"
+        code, _, _ = run(capsys, "path", "exact", "--moments", toy_moments, "--K", "1",
+                         "--endpoint", str(model), "--out", str(out_file))
+        assert code == 0
+        steps = json.loads(out_file.read_text(encoding="utf-8"))["steps"]
+        assert steps == [{"feature": "height", "value": 1.274}]
+
+    def test_model_file_with_invalid_json_exits_2(self, capsys, toy_moments, tmp_path):
+        f = tmp_path / "model.json"
+        f.write_text('{"coefficients": [1.0, ', encoding="utf-8")
+        code, _, err = run(capsys, "path", "greedy", "--moments", toy_moments, "--K", "1",
+                           "--base", str(f))
+        assert code == 2
+        assert "invalid JSON" in err
+
+    @pytest.mark.parametrize("flag,value,schedule", [
+        ("--weights", "0.5,1", WeightSchedule.explicit([0.5, 1.0])),
+        ("--dist", "0.25,0.75", WeightSchedule.distribution([0.25, 0.75])),
+    ], ids=["weights", "dist"])
+    def test_schedule_flags(self, capsys, toy_moments, tmp_path, flag, value, schedule):
+        # path and pareto search under the schedule the flag gives.
+        stats = stats_from_moments(TOY_GRAM, TOY_CROSS, TOY_TSM, ("height", "weight"))
+        base = LinearModel.zeros(stats.feature_names)
+        code, out, _ = run(capsys, "path", "exact", "--moments", toy_moments, "--K", "2",
+                           "--endpoint", "free", flag, value)
+        assert code == 0
+        path = exact_path(stats, base, OptimizerConfig(K=2, schedule=schedule))
+        assert f"[{schedule.describe()}]: {weighted_loss(stats, path, schedule):.4f}" in out
+        code, _, _ = run(capsys, "pareto", "--moments", toy_moments, "--K", "2", flag, value,
+                         "--out", str(tmp_path / "front"))
+        assert code == 0
+        report = sweep(stats, base, schedule, default_lambda_grid(), 2)
+        text = (tmp_path / "front.json").read_text(encoding="utf-8")
+        assert text == canonical_json(front_to_json(report))
 
     def test_free_endpoint(self, capsys, toy_moments):
         code, out, _ = run(
@@ -273,6 +328,21 @@ class TestPareto:
         payload = json.loads((tmp_path / "front.json").read_text(encoding="utf-8"))
         assert payload["metadata"]["K_max"] == 3
 
+    def test_log_lambda_grid(self, capsys, toy_moments, tmp_path):
+        code, _, _ = run(capsys, "pareto", "--moments", toy_moments, "--K", "2",
+                         "--lambda-grid", "log:0.01:100:5", "--out", str(tmp_path / "front"))
+        assert code == 0
+        payload = json.loads((tmp_path / "front.json").read_text(encoding="utf-8"))
+        assert payload["metadata"]["lambda_grid"] == np.logspace(-2, 2, 5).tolist()
+
+    def test_out_suffix_is_stripped(self, capsys, toy_moments, tmp_path):
+        code, out, _ = run(capsys, "pareto", "--moments", toy_moments, "--K", "2",
+                           "--out", str(tmp_path / "front.csv"))
+        assert code == 0
+        written = sorted(f.name for f in tmp_path.iterdir())
+        assert written == ["front.csv", "front.json", "toy.json"]
+        assert f"front written to {tmp_path / 'front.csv'} and {tmp_path / 'front.json'}" in out
+
     def test_single_lambda_zero(self, capsys, toy_moments):
         code, out, _ = run(
             capsys, "pareto", "--moments", toy_moments, "--K", "2", "--lambda-grid", "0",
@@ -398,9 +468,12 @@ class TestVerifyPathArtifact:
             ("f.json", '{"points": [{"interp_loss": null, "cost": 1.0}]}', "point 1"),
             ("f.csv", "interp_loss,cost,K,lambda\n0.0,1.0,0,1\nx,0.5,1,0.5\n", "point 2"),
             ("f.json", '{"base": [0.0], "steps": 3}', "'steps'"),
+            ("f.csv", "interp_loss,cost,K,lambda\n0.0,1.0,0\n", "malformed row '0.0,1.0,0'"),
+            ("f.json", '{"nodes": []}', "unrecognized artifact"),
         ],
         ids=["missing_key", "not_an_object", "points_not_a_list", "non_numeric_cost",
-             "null_loss", "csv_non_numeric_loss", "steps_not_a_list"],
+             "null_loss", "csv_non_numeric_loss", "steps_not_a_list", "csv_wrong_cell_count",
+             "unrecognized"],
     )
     def test_malformed_artifact_exits_2(self, capsys, tmp_path, name, text, where):
         f = tmp_path / name
@@ -408,6 +481,14 @@ class TestVerifyPathArtifact:
         code, _, err = run(capsys, "verify", "--input", str(f))
         assert code == 2
         assert where in err
+
+    def test_malformed_step_fails(self, capsys, tmp_path):
+        f = tmp_path / "p.json"
+        f.write_text(canonical_json({"base": [0.0], "steps": [{"feature": "x1"}]}),
+                     encoding="utf-8")
+        code, _, err = run(capsys, "verify", "--input", str(f))
+        assert code == 1
+        assert "FAIL: step 1 is malformed" in err and "canonical" not in err
 
     def test_non_canonical_rejected(self, capsys, tmp_path):
         f = tmp_path / "p.json"

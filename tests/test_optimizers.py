@@ -229,6 +229,15 @@ class TestExactPath:
         with pytest.raises(InfeasibleError):
             exact_path(toy_stats, toy_zero, OptimizerConfig(K=1, schedule=GAMMA1, endpoint=target))
 
+    def test_k0_reaches_only_the_base(self, toy_stats, toy_zero):
+        # With no step, an endpoint equal to the base gives the empty path
+        # and any other is unreachable.
+        cfg = OptimizerConfig(K=0, schedule=GAMMA1, endpoint=toy_zero)
+        assert exact_path(toy_stats, toy_zero, cfg).steps == ()
+        target = LinearModel(TOY_OLS, toy_stats.feature_names)
+        with pytest.raises(InfeasibleError, match="K=0 steps cannot reach it"):
+            exact_path(toy_stats, toy_zero, replace(cfg, endpoint=target))
+
 
 def _blocking_battery():
     """((d, K, _BLOCK_LEAVES), upper, stats, base, alpha) for each run of the
@@ -265,6 +274,23 @@ def _blocking_battery():
             tiny[0] = 1e-20
         for a in ((tiny,) if pos else (alpha, tiny) if K >= 2 else (alpha,)):
             yield (d, K, block), bool(pos), stats, base, a
+
+
+def tied_moments(d, gram, tilt=0.0):
+    """(stats, perm): moments under which perm[iv], a pattern iv with its
+    coordinates relabeled, has iv's objective, up to rounding and the tilt,
+    which adds tilt * (0, 1, ...) to the cross moments. "identity": G = I
+    and equal cross moments, relabeled by i -> (i + 1) % d. "exchangeable":
+    a gram that is not the identity, under which only coordinates 0 and 1
+    are exchangeable, swapped."""
+    names = tuple(f"x{i}" for i in range(d))
+    if gram == "identity":
+        G, cross, perm = np.eye(d), np.full(d, 0.5), (np.arange(d) + 1) % d
+    else:
+        G = np.array([[1.0, 0.4, 0.2, 0.1], [0.4, 1.0, 0.2, 0.1],
+                      [0.2, 0.2, 1.0, -0.3], [0.1, 0.1, -0.3, 1.0]])[:d, :d]
+        cross, perm = np.array([0.5, 0.5, 0.3, 0.2])[:d], np.r_[1, 0, 2:d]
+    return stats_from_moments(G, cross + tilt * np.arange(d), 2.0, names), perm
 
 
 class TestEnumerationEngines:
@@ -370,20 +396,26 @@ class TestEnumerationEngines:
         assert abs(value - expected[0]) <= _TIE_RTOL * abs(expected[0])
         assert np.array_equal(iv, expected[1])
 
-    @pytest.mark.parametrize("d,K", [(3, 4), (4, 4), (2, 5)])
-    def test_ties_across_blocks_resolve_to_first_pattern(self, monkeypatch, d, K):
-        # With G = I and equal cross moments, relabeling the coordinates maps
-        # each pattern to one with exactly the same objective, so every
-        # optimum is tied with patterns in later blocks.
-        names = tuple(f"x{i}" for i in range(d))
-        stats = stats_from_moments(np.eye(d), np.full(d, 0.5), 2.0, names)
-        base = LinearModel.zeros(names)
+    @pytest.mark.parametrize("d,K,block,gram", [
+        (3, 4, 1, "identity"), (4, 4, 1, "identity"), (2, 5, 1, "identity"),
+        (3, 5, 2 * 3**3, "identity"), (4, 5, 2 * 4**3, "identity"),
+        (3, 5, 2 * 3**3, "exchangeable"), (4, 5, 2 * 4**3, "exchangeable")], ids=[
+        "3-4", "4-4", "2-5", "3-5-two-parents", "4-5-two-parents",
+        "3-5-two-parents-exchangeable", "4-5-two-parents-exchangeable"])
+    def test_ties_across_blocks_resolve_to_first_pattern(self, monkeypatch, d, K, block, gram):
+        # Relabeling the coordinates maps each pattern to one with exactly
+        # the same objective (tied_moments), so every optimum is tied with
+        # patterns in later blocks. Blocks of 2 d^3 leaves grow two parents
+        # per chunk at K = 5, so the level-2 nodes' subtrees are visited out
+        # of lexicographic order and a later tied pattern may come first.
+        stats, perm = tied_moments(d, gram)
+        base = LinearModel.zeros(stats.feature_names)
         alpha = as_weights(np.ones(K), K)
-        monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", 1)  # one parent per block
+        monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", block)
         _, (iv,), _ = _enum_fast(stats, base.coefficients, K, alpha[None])
         _, iv_direct, _ = _enum_direct(stats, base, K, alpha)
         assert np.array_equal(iv, iv_direct)
-        relabeled = (iv + 1) % d
+        relabeled = perm[iv]
         assert relabeled.tolist() > iv.tolist()
         assert solve_free(stats, base, relabeled, alpha)[1] == pytest.approx(
             solve_free(stats, base, iv, alpha)[1], rel=1e-12
@@ -572,22 +604,26 @@ class TestEnumerationEngines:
         assert checked > 100
 
     @pytest.mark.parametrize("tilt", [0.0, 1e-14], ids=["exact", "near"])
-    @pytest.mark.parametrize("block", [1, 50_000])
-    @pytest.mark.parametrize("d,K", [(3, 3), (3, 5), (4, 5)])
-    def test_pinned_ties_resolve_as_direct(self, monkeypatch, block, d, K, tilt):
-        # With G = I and the target at equal coefficients, relabeling the
-        # coordinates maps each pattern to one with the same objective, so
+    @pytest.mark.parametrize("d,K,block,gram", [
+        (3, 3, 1, "identity"), (3, 5, 1, "identity"), (4, 5, 1, "identity"),
+        (3, 3, 50_000, "identity"), (3, 5, 50_000, "identity"), (4, 5, 50_000, "identity"),
+        (3, 5, 2 * 3**3, "identity"), (4, 5, 2 * 4**3, "identity"),
+        (3, 5, 2 * 3**3, "exchangeable"), (4, 5, 2 * 4**3, "exchangeable")], ids=[
+        "3-3-1", "3-5-1", "4-5-1", "3-3-50000", "3-5-50000", "4-5-50000", "3-5-two-parents",
+        "4-5-two-parents", "3-5-two-parents-exchangeable", "4-5-two-parents-exchangeable"])
+    def test_pinned_ties_resolve_as_direct(self, monkeypatch, block, d, K, tilt, gram):
+        # With the target at the cross moments, relabeling the coordinates
+        # maps each pattern to one with the same objective (tied_moments), so
         # the pinned optimum ties with later patterns, within a piece of
         # leaves and across chunks and pieces (block 1 makes one parent per
-        # chunk and one leaf per piece). Tilting the cross moments (and the
-        # target, their least-squares fit) splits those ties by about 1e-14,
-        # far less than _TIE_RTOL: a later pattern is lower but still a tie,
-        # and the first one must win, as in _enum_direct.
-        names = tuple(f"x{i}" for i in range(d))
-        cross = np.full(d, 0.5) + tilt * np.arange(d)
-        stats = stats_from_moments(np.eye(d), cross, 2.0, names)
-        base = LinearModel.zeros(names)
-        target = LinearModel(cross, names)
+        # chunk and one leaf per piece; 2 d^3 two parents per chunk, whose
+        # level-2 subtrees are visited out of lexicographic order). Tilting
+        # the cross moments (and the target) splits those ties by about
+        # 1e-14, far less than _TIE_RTOL: a later pattern is lower but still
+        # a tie, and the first one must win, as in _enum_direct.
+        stats, perm = tied_moments(d, gram, tilt)
+        base = LinearModel.zeros(stats.feature_names)
+        target = LinearModel(stats.cross, stats.feature_names)
         alpha = as_weights(np.ones(K), K)
         monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", block)
         monkeypatch.setattr(optimizers, "_PIECE_ENTRIES", block)
@@ -596,7 +632,7 @@ class TestEnumerationEngines:
         _, iv_direct, _ = _enum_direct(stats, base, K, alpha, target)
         assert not broken
         assert np.array_equal(iv, iv_direct)
-        relabeled = (iv + 1) % d
+        relabeled = perm[iv]
         assert relabeled.tolist() > iv.tolist()
         assert solve_fixed_endpoint(stats, base, relabeled, alpha, target)[1] == pytest.approx(
             solve_fixed_endpoint(stats, base, iv, alpha, target)[1], rel=1e-12
@@ -832,6 +868,16 @@ class TestZeroRuns:
 
 
 class TestLocalImprovement:
+    def test_k0_returns_the_base(self, toy_stats, toy_zero):
+        path = local_improvement(toy_stats, toy_zero, OptimizerConfig(K=0, schedule=GAMMA1))
+        assert path.steps == ()
+        assert np.array_equal(path.base.coefficients, toy_zero.coefficients)
+
+    def test_iv0_of_wrong_length_rejected(self, toy_stats, toy_zero):
+        cfg = OptimizerConfig(K=3, schedule=GAMMA1)
+        with pytest.raises(InputError, match="iv0 has length 2, expected K=3"):
+            local_improvement(toy_stats, toy_zero, cfg, iv0=[0, 1])
+
     def test_t0_equals_inner_solved_start(self, toy_stats, toy_zero):
         cfg = OptimizerConfig(K=3, schedule=GAMMA1, T=0, q=1)
         iv0 = [0, 1, 0]
@@ -957,6 +1003,9 @@ WINDOW_CASES = {
     "near_tie_q1": (6, 8, 1, 100, None, False, None, [0] * 8, "near_tie"),
     "near_tie_q3": (4, 6, 3, 60, None, False, None, None, "near_tie"),
     "zero_variance": (4, 5, 2, 60, None, False, None, None, "zero_variance"),
+    # Every window keeps a position on the zero-variance coordinate, whose
+    # zero pivot makes the Cholesky factorization of H_AA raise.
+    "zero_variance_iv0": (4, 5, 2, 60, None, False, None, [2, 2, 0, 1, 2], "zero_variance"),
     # 66 position sets: the draws cross a block boundary before all are scored.
     "converged_after_blocks": (4, 12, 2, 600, None, False, None, None, "random"),
 }

@@ -12,6 +12,7 @@ from pathlens import (
     exact_path,
     expected_cost_path,
     greedy_path,
+    local_improvement,
     ols,
     solve_tradeoff,
     sweep,
@@ -363,6 +364,15 @@ class TestExpectedCostPath:
     def test_invalid_distribution(self, toy_stats, toy_zero):
         with pytest.raises(InputError):
             expected_cost_path(toy_stats, toy_zero, [0.5, 0.2])
+
+    def test_local_solver_runs_the_local_search(self, toy_stats, toy_zero):
+        # The search takes cfg's knobs and the distribution's length and weights.
+        p = [0.25, 0.25, 0.5]
+        cfg = OptimizerConfig(K=0, schedule=WeightSchedule.geometric(1.0), q=2, T=20, seed=3)
+        path = expected_cost_path(toy_stats, toy_zero, p, solver="local", cfg=cfg)
+        ref = local_improvement(toy_stats, toy_zero, OptimizerConfig(
+            K=3, schedule=WeightSchedule.distribution(p), q=2, T=20, seed=3))
+        assert path.steps == ref.steps
 
 
 class TestSerialization:

@@ -49,6 +49,10 @@ class TestLoadCsv:
         with pytest.raises(InputError, match="'z' not found"):
             load_csv(write(tmp_path, "a,b,y\n1,2,3\n"), "z")
 
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(InputError, match="cannot open"):
+            load_csv(tmp_path / "absent.csv", "y")
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(InputError, match="empty"):
             load_csv(write(tmp_path, ""), "y")

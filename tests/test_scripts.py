@@ -104,7 +104,9 @@ def test_bench_against_records_ratio_p50(tmp_path):
 
 def test_bench_tradeoff_records_solved_rows(tmp_path):
     # Each sweep row records its front's digest and how many of its
-    # (lambda, K) rows reached the exact search, for both trees.
+    # (lambda, K) rows reached the exact search, for both trees; the kernel
+    # row records its objective bits, pattern and broken flag, which both
+    # trees must match for the script to write.
     proc = run_script(["bench.py", "--topic", "tradeoff", "--K", "3", "--K-max", "3",
                        "--against", str(ROOT)], tmp_path)
     assert proc.returncode == 0, proc.stderr
@@ -116,6 +118,10 @@ def test_bench_tradeoff_records_solved_rows(tmp_path):
         assert 0 < record["rows_solved"] == record["against_rows_solved"] < record["rows"]
         assert len(record["front_sha256"]) == 64
     assert sweeps[0]["front_sha256"] == sweeps[1]["front_sha256"]
+    (kernel,) = [r for r in report["instances"] if r["instance"]["layer"] == "_enum_fast"]
+    (objective,), (pattern,), (broken,) = kernel["objective"], kernel["pattern"], kernel["broken"]
+    assert repr(float(objective)) == objective and float(objective) > 0
+    assert len(pattern) == 3 and set(pattern) <= set(range(6)) and broken is False
 
 
 def test_bench_local_rows_carry_their_schedules(tmp_path):
