@@ -42,7 +42,9 @@ quick run.
 pinned: the exact search pinned to the least-squares fit, under unit
 weights, on seeded instances (n = 100): exact_path at d = 6, K = 8 (1.7M
 patterns), next to _enum_direct, the batched enumerator it replaced for
-pinned endpoints, on the same instance; best_explanation at d = 5,
+pinned endpoints, on the same instance, and the fast kernel _enum_fast
+alone, with one weight row, recording its objective, pattern and broken
+flag, as the tradeoff topic's kernel row does; best_explanation at d = 5,
 K_max = 6 (as the benchmark's explain workload runs it) and 7; and
 best_explanation on the d = 6 instance with K_max = 8, the exact_path
 row's length. --K and --K-max shrink them for a quick run.
@@ -374,7 +376,10 @@ def pinned_rows(pl, args) -> list:
     outcome = path_outcome(pl, stats, schedule)
     rows = [Row({"layer": "exact_path", **instance, "d": PINNED_D, "K": args.K},
                 partial(pl.exact_path, stats, base, cfg), outcome),
-            Row({"layer": "_enum_direct", **instance, "d": PINNED_D, "K": args.K}, direct, outcome)]
+            Row({"layer": "_enum_direct", **instance, "d": PINNED_D, "K": args.K}, direct, outcome),
+            Row({"layer": "_enum_fast", **instance, "d": PINNED_D, "K": args.K, "rows": 1},
+                partial(pl.optimizers._enum_fast, stats, base.coefficients, args.K, alpha[None],
+                        cfg.endpoint.coefficients), kernel_outcome)]
     explained = tradeoff_stats(pl, BEST_D)
     zeros = pl.LinearModel.zeros(explained.feature_names)
     for K_max in (args.K_max, args.K_max + 1):

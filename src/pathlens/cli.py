@@ -188,7 +188,10 @@ def render_path_table(stats, path: CoordinatePath, precision: int) -> str:
 
 
 def write_out(path: str, text: str):
-    Path(path).write_text(text, encoding="utf-8")
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def report_path(args, stats, path: CoordinatePath, schedule: WeightSchedule,

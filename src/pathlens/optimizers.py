@@ -7,9 +7,10 @@ steps it solves the inner quadratic exactly for every index vector in
 segments). Positive weights run through an incremental Cholesky recursion
 (_enum_fast), free or, from K = 2 on, pinned: a pattern's factor L extends
 its prefix's, so a tree node carries only fixed-size summaries (Q = B'B,
-u = B'y, ssq = ||y||^2 for B = L^{-1} G[pattern, :], and when pinned R = B'E,
-M = E'E, v = E'y for E = L^{-1} C', C the pattern's coordinate-incidence
-matrix), grown by rank-one terms (_grow). A pattern's inner matrix, entry
+u = B'y, ssq = ||y||^2 for B = L^{-1} G[pattern, :]), grown by rank-one
+terms (_grow). A pinned search runs it on [G | I], so E = L^{-1} C' (C the
+pattern's coordinate-incidence matrix) joins B, R = B'E joins Q and
+v = E'y joins u; its nodes also carry M = E'E. A pattern's inner matrix, entry
 (j, l) min(w_j, w_l) G[i_j, i_l], is then positive definite (Schur product
 theorem) whenever diag(G) > 0, singular grams included, so only the weight
 rows whose factorization breaks down in floating point fall back to
@@ -97,6 +98,8 @@ class OptimizerConfig:
             raise InputError("K must be >= 0")
         if self.step_mode not in ("continuous", "unit"):
             raise InputError("step_mode must be 'continuous' or 'unit'")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
         if self.q < 1:
             raise InputError("q must be >= 1")
         if self.K >= 1 and self.q > self.K:
@@ -181,44 +184,36 @@ def _mark_broken(broken: np.ndarray, piv: np.ndarray, floor: np.ndarray) -> None
 def _grow(nodes, G, gd, r, wm, broken, out):
     """Expand every node by one step on each coordinate.
 
-    A node is (QT, uT, ssq), and under a pinned endpoint also (RT, MT, vT),
-    the transposed summaries R = B'E, M = E'E and v = E'y. Weight rows run
-    along the first axis and nodes along the last, QT, RT, MT (L, d, d, N)
-    and uT, vT (L, d, N), with the step's weight wm shaped (L, 1, 1); the
-    step's new rows of B (and E) are copied out of their transposed view, so
-    every broadcast operand is contiguous along (c, N). The d*N children come
-    back in the same layout, child c of node p at c*N + p; their QT, RT and
-    MT go to the buffers out, each (L, d, d, d, N), or to new arrays where
+    A node is (QT, uT, ssq) over a gram G (d, D): G itself (D = d) in a free
+    search, [G | I] (D = 2d) in a pinned one, whose nodes also carry MT = E'E.
+    QT = B'[B | E] is (L, d, D, N) and uT = [B | E]'y (L, D, N), weight rows
+    along the first axis and nodes along the last; wm is (L, 1, 1). Child c's
+    new row of [B | E], (G[c, :] - w QT[c, :]) / piv, is copied out of its
+    transposed view, so every broadcast operand is contiguous along (c, N).
+    The d*N children come back in the same layout, child c of node p at
+    c*N + p; their QT and MT go to the buffers out, or to new arrays where
     out holds None. Broken rows are marked in broken.
     """
     QT, uT, ssq = nodes[:3]
-    L, d, N = uT.shape
-    dQ = np.einsum("...iin->...in", QT)
+    L, d, D, N = QT.shape
+    dQ = np.einsum("...iin->...in", QT[:, :, :d])
     piv2 = wm * gd[:, None] - wm * wm * dQ
     _mark_broken(broken, piv2, _PIVOT_RTOL * wm * gd[:, None])
     piv = np.sqrt(piv2)
-    ynew = (wm * r[:, None] - wm * uT) / piv
+    ynew = (wm * r[:, None] - wm * uT[:, :d]) / piv
     ssq = (ssq[:, None, :] + ynew * ynew).reshape(L, d * N)
     row = ((G[:, :, None] - wm[..., None] * QT) / piv[:, :, None]).transpose(0, 2, 1, 3).copy()
-    QTc = np.multiply(row[:, :, None, :, :], row[:, None, :, :, :], out=out[0])
+    QTc = np.multiply(row[:, :d, None, :, :], row[:, None, :, :, :], out=out[0])
     QTc += QT[:, :, :, None, :]
     uTc = np.multiply(row, ynew[:, None, :, :])
     uTc += uT[:, :, None, :]
-    grown = (QTc.reshape(L, d, d, d * N), uTc.reshape(L, d, d * N), ssq)
+    grown = (QTc.reshape(L, d, D, d * N), uTc.reshape(L, D, d * N), ssq)
     if len(nodes) == 3:
         return grown
-    RT, MT, vT = nodes[3:]
-    # Child c's new row of E = L^-1 C' is (e_c - w R[c, :]) / piv, like B's.
-    E = ((np.eye(d)[:, :, None] - wm[..., None] * RT) / piv[:, :, None]).transpose(0, 2, 1, 3)
-    E = E.copy()
-    RTc = np.multiply(row[:, :, None, :, :], E[:, None, :, :, :], out=out[1])
-    RTc += RT[:, :, :, None, :]
-    MTc = np.multiply(E[:, :, None, :, :], E[:, None, :, :, :], out=out[2])
-    MTc += MT[:, :, :, None, :]
-    vTc = np.multiply(E, ynew[:, None, :, :])
-    vTc += vT[:, :, None, :]
-    return grown + (RTc.reshape(L, d, d, d * N), MTc.reshape(L, d, d, d * N),
-                    vTc.reshape(L, d, d * N))
+    E = row[:, d:]
+    MTc = np.multiply(E[:, :, None, :, :], E[:, None, :, :, :], out=out[1])
+    MTc += nodes[3][:, :, :, None, :]
+    return grown + (MTc.reshape(L, d, d, d * N),)
 
 
 def _fused_leaves(QT, uT, ssq, G, gd, r, w1, w2, top, broken, out):
@@ -263,8 +258,8 @@ def _pinned_leaves(nodes, index, m, G, gd, r, w1, w2, top, e, broken):
     reach the target, a piece at a time: yields (vals (L, P), the leaves'
     lexicographic indices (P,)).
 
-    nodes are (QT, uT, ssq, RT, MT, vT) in _grow's layout, node n at
-    lexicographic index index[n]. w1, w2 and top are shaped (L, 1);
+    nodes are (QT, uT, ssq, MT) in _grow's pinned layout, over [G | I], node
+    n at lexicographic index index[n]. w1, w2 and top are shaped (L, 1);
     e = target - base. A leaf scores top - ssq + z'M~^-1 z, with z = v - e
     and M~ = M with a 1 on the diagonal of each coordinate it leaves
     untouched, eliminated along the leaf axis; a leaf that leaves a
@@ -272,8 +267,8 @@ def _pinned_leaves(nodes, index, m, G, gd, r, w1, w2, top, e, broken):
     at most _PIECE_ENTRIES entries. Rows whose pivots break down are marked
     in broken.
     """
-    QT, uT, ssq, RT, MT, vT = nodes
-    L, d, N = uT.shape
+    QT, uT, ssq, MT = nodes
+    L, d, D, N = QT.shape
     coords = np.arange(d)[:, None]
     touched = np.zeros((N, d), dtype=bool)
     touched[np.arange(N)[:, None], _patterns(index, d, m)] = True
@@ -282,7 +277,12 @@ def _pinned_leaves(nodes, index, m, G, gd, r, w1, w2, top, e, broken):
     # Leaf (n, c1, c2) reaches iff c1 and c2 cover every needed coordinate n missed.
     covered = miss[:, :, None] + miss[:, None, :] * (1 - np.eye(d, dtype=np.int16))
     leaves = np.flatnonzero(covered == miss.sum(axis=1, dtype=np.int16)[:, None, None])
-    Qf, uf, Rf = QT.reshape(L, -1), uT.reshape(L, -1), RT.reshape(L, -1)
+    Qf, uf = QT.reshape(L, -1), uT.reshape(L, -1)
+    vT = np.ascontiguousarray(uT[:, d:])  # np.take copies a strided source on every call
+
+    def QT_at(i, j, n):  # QT[:, i, j, n]: Q[i, j] for j < d, R[i, j - d] beyond
+        return np.take(Qf, (i * D + j) * N + n, axis=1)
+
     piece = max(1, min(leaves.size, _PIECE_ENTRIES // (L * d * (d + 1))))
     mats = np.empty((2, L * d * (d + 1) * piece))
     for s in range(0, leaves.size, piece):
@@ -290,18 +290,17 @@ def _pinned_leaves(nodes, index, m, G, gd, r, w1, w2, top, e, broken):
         n, c = np.divmod(leaf, d * d)
         c1, c2 = np.divmod(c, d)
         at1, at2 = coords == c1, coords == c2
-        piv1 = w1 * gd[c1] - w1 * w1 * np.take(Qf, c1 * (d + 1) * N + n, axis=1)
+        piv1 = w1 * gd[c1] - w1 * w1 * QT_at(c1, c1, n)
         _mark_broken(broken, piv1, _PIVOT_RTOL * w1 * gd[c1])
         piv1 = np.sqrt(piv1)
         y1 = (w1 * r[c1] - w1 * np.take(uf, c1 * N + n, axis=1)) / piv1
-        E1 = (at1 - w1[..., None] * np.take(Rf, (c1 * d + coords) * N + n, axis=1)) / piv1[:, None]
-        row = (G[c1, c2] - w1 * np.take(Qf, (c1 * d + c2) * N + n, axis=1)) / piv1
-        piv2 = w2 * gd[c2] - w2 * w2 * (np.take(Qf, c2 * (d + 1) * N + n, axis=1) + row * row)
+        E1 = (at1 - w1[..., None] * QT_at(c1, d + coords, n)) / piv1[:, None]
+        row = (G[c1, c2] - w1 * QT_at(c1, c2, n)) / piv1
+        piv2 = w2 * gd[c2] - w2 * w2 * (QT_at(c2, c2, n) + row * row)
         _mark_broken(broken, piv2, _PIVOT_RTOL * w2 * gd[c2])
         piv2 = np.sqrt(piv2)
         y2 = (w2 * r[c2] - w2 * (np.take(uf, c2 * N + n, axis=1) + row * y1)) / piv2
-        R2 = np.take(Rf, (c2 * d + coords) * N + n, axis=1)
-        E2 = (at2 - w2[..., None] * (R2 + row[:, None] * E1)) / piv2[:, None]
+        E2 = (at2 - w2[..., None] * (QT_at(c2, d + coords, n) + row[:, None] * E1)) / piv2[:, None]
         # [M~ | z] per leaf; eliminating it leaves L^-1 z in the last column.
         Az, Tz = (buf[:L * d * (d + 1) * leaf.size].reshape(L, d, d + 1, -1) for buf in mats)
         A, T = Az[:, :, :d], Tz[:, :, :d]
@@ -335,15 +334,16 @@ def _enum_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np.ndar
     Returns each row's optimal objective (L,), its pattern (L, K), and a
     mask broken (L,) of the rows whose factorization hit a pivot at or
     below _PIVOT_RTOL of its scale, or a NaN one; their objective and
-    pattern mean nothing, and the caller solves them another way
-    (_enum_direct). A row's results are bitwise those of a one-row call: the
-    rows share every array operation along a leading axis but no
-    arithmetic. One depth-first recursion grows `per` parent nodes at a time
-    by one level and descends into their children before the next chunk;
-    every node grows once by the same operations, so no result depends on
-    the chunk sizes. Children stay in _grow's layout, out of lexicographic
-    order, so each node carries its lexicographic index, and free and
-    pinned rows alike rank by the tie rule on those indices.
+    pattern mean nothing, and the caller solves them another way (_enum_direct).
+    A pinned search grows its nodes over [G | I] and carries M too (_grow). A
+    row's results are bitwise those of a one-row call: the rows share every
+    array operation along a leading axis but no arithmetic. One depth-first
+    recursion grows `per` parent nodes at a time by one level and descends into
+    their children before the next chunk; every node grows once by the same
+    operations, so no result depends on the chunk sizes. Children stay in
+    _grow's layout, out of lexicographic order, so each node carries its
+    lexicographic index, and free and pinned rows alike rank by the tie rule on
+    those indices.
     """
     G = stats.gram
     d = stats.d
@@ -370,13 +370,13 @@ def _enum_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np.ndar
     per = max(1, _BLOCK_LEAVES // (below * L))  # parent nodes grown at a time
     # Each chunk's largest temporaries reuse these, so no page is mapped afresh per chunk.
     work = np.empty((3, L * d * d * min(d * per, d**stop)))
-    nodes = (np.zeros((L, d, d, 1)), np.zeros((L, d, 1)), np.zeros((L, 1)))
-    if target is not None:
-        e = target - base
-        nodes += (np.zeros((L, d, d, 1)), np.zeros((L, d, d, 1)), np.zeros((L, d, 1)))
+    e = None if target is None else target - base
+    Gx = G if e is None else np.hstack([G, np.eye(d)])  # a pinned search grows over [G | I]
+    nodes = (np.zeros((L, *Gx.shape, 1)), np.zeros((L, Gx.shape[1], 1)), np.zeros((L, 1)))
+    nodes += () if e is None else (np.zeros((L, d, d, 1)),)  # and its nodes carry M too
 
-    def buf(i, shape):
-        return work[i, :math.prod(shape)].reshape(shape)
+    def buf(i, shape):  # from work[i] on: a pinned QT block takes two rows
+        return work[i:].reshape(-1)[:math.prod(shape)].reshape(shape)
 
     broken = np.zeros(L, dtype=bool)
     best_val = np.full(L, math.inf)
@@ -404,7 +404,7 @@ def _enum_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np.ndar
 
     def descend(m, nodes, index):
         # The level-m nodes, node j at lexicographic index index[j].
-        if m == stop and target is not None:
+        if m == stop and e is not None:
             for vals, leaves in _pinned_leaves(nodes, index, m, G, gd, r, w[:, K - 2, None],
                                                w[:, K - 1, None], top[:, None], e, broken):
                 keep(vals, leaves)
@@ -419,8 +419,9 @@ def _enum_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np.ndar
         for p0 in range(0, N, per):
             n = min(per, N - p0)
             # Only the scored level's children go to work: the others outlive their chunk.
-            out = tuple(buf(i, (L, d, d, d, n)) if m + 1 == stop else None for i in range(3))
-            grown = _grow(tuple(a[..., p0:p0 + n] for a in nodes), G, gd, r, wb[:, m], broken, out)
+            out = ((buf(0, (L, *Gx.shape, d, n)), buf(2, (L, d, d, d, n))) if m + 1 == stop
+                   else (None, None))
+            grown = _grow(tuple(a[..., p0:p0 + n] for a in nodes), Gx, gd, r, wb[:, m], broken, out)
             descend(m + 1, grown, (index[p0:p0 + n] * d + np.arange(d)[:, None]).ravel())
 
     descend(0, nodes, np.zeros(1, dtype=np.int64))
@@ -775,10 +776,9 @@ def exact_paths(stats: SufficientStats, base: LinearModel, alphas: np.ndarray,
     K = alphas.shape[1]
     check_budget(stats.d, K, budget)
     alphas = as_weights(alphas, K)
-    target = None
+    target = None if endpoint is None else endpoint.coefficients
     if endpoint is not None:
         _check_reachable(base, endpoint, K)
-        target = endpoint.coefficients
     fast = np.all(alphas > 0, axis=1) & (target is None or K >= 2)
     ivs = np.zeros(alphas.shape, dtype=np.int64)
     if fast.any():
@@ -985,10 +985,9 @@ def local_improvement(stats: SufficientStats, base: LinearModel, cfg: OptimizerC
             raise InputError(f"iv0 has length {iv.shape[0]}, expected K={K}")
     alpha = as_weights(cfg.schedule, K)
 
-    target = None
-    if cfg.endpoint is not None:
+    target = None if cfg.endpoint is None else cfg.endpoint.coefficients
+    if target is not None:
         check_endpoint(stats, base, iv, cfg.endpoint)
-        target = cfg.endpoint.coefficients
     deltas, vals = solve_patterns(stats, base.coefficients, iv[None], alpha, target)
     best_obj, best_iv, best_delta = float(vals[0]), iv, deltas[0]
     assignments = np.asarray(list(itertools.product(range(stats.d), repeat=cfg.q)), dtype=int)
@@ -1103,9 +1102,7 @@ def best_explanation(stats: SufficientStats, base: LinearModel, target: LinearMo
     check_base(stats, base)
     complexity = model_complexity(base, target)
     if K_max < complexity:
-        raise InfeasibleError(
-            f"K_max={K_max} is below the target's complexity {complexity}"
-        )
+        raise InfeasibleError(f"K_max={K_max} is below the target's complexity {complexity}")
     if complexity == 0:
         # Extra steps can only add nonnegative weighted cost terms.
         return CoordinatePath(base, ())

@@ -222,12 +222,12 @@ def load_csv(path, target: str) -> Dataset:
     Parameters
     ----------
     path : str or Path
-        CSV file in UTF-8; every cell must parse as a finite real number.
+        UTF-8 CSV file, BOM or not; every cell must parse as a finite real number.
     target : str
         Header name of the target column, removed from the features.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")  # spreadsheets may write a BOM
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from exc
     try:

@@ -383,6 +383,16 @@ class TestPareto:
         assert code == 2
         assert "q must be >= 1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("path", "local", "--K", "2", "--seed", "-1"),
+        ("pareto", "--K", "2", "--solver", "local", "--seed", "-3"),
+        ("path", "exact", "--K", "2", "--seed", "-1"),
+    ])
+    def test_negative_seed_exits_2(self, capsys, toy_moments, argv):
+        code, _, err = run(capsys, *argv, "--moments", toy_moments)
+        assert code == 2
+        assert "seed must be >= 0" in err
+
     @pytest.mark.parametrize("argv,message", [
         (("pareto", "--K", "2", "--lambda-grid", "log:1e-3:inf:5"), "finite LO, HI > 0"),
         (("pareto", "--K", "2", "--lambda-grid", "log:nan:1:5"), "finite LO, HI > 0"),
@@ -400,6 +410,24 @@ class TestPareto:
         assert code == 2
         assert message in err
         assert "Warning" not in err and not caught, [str(w.message) for w in caught]
+
+
+class TestUnwritableOut:
+    """--out in a missing directory or at a directory exits 2, as bad input."""
+
+    @pytest.mark.parametrize("argv", [
+        ("path", "exact", "--K", "2"), ("stats",), ("pareto", "--K", "2"),
+    ], ids=["path-exact", "stats", "pareto"])
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_exits_2(self, capsys, toy_moments, tmp_path, argv, where):
+        out = tmp_path / "missing" / "a.json" if where == "missing-dir" else tmp_path
+        if argv[0] == "pareto" and where == "directory":
+            (tmp_path / "front.csv").mkdir()  # pareto writes out's .csv and .json siblings
+            out = tmp_path / "front"
+        code, _, err = run(capsys, *argv, "--moments", toy_moments, "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: cannot write ")
+        assert "Traceback" not in err
 
 
 class TestFormatting:

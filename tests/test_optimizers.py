@@ -49,10 +49,17 @@ from pathlens.optimizers import (
     _rules_out,
     _enum_direct,
     _enum_fast,
+    _grow,
     _kept_chunks,
     _l1_ball,
 )
-from pathlens.inner import _OBJECTIVE_RTOL, as_weights, path_from_deltas, solve_patterns
+from pathlens.inner import (
+    _OBJECTIVE_RTOL,
+    as_weights,
+    path_from_deltas,
+    solve_patterns,
+    tail_weights,
+)
 from conftest import TOY_OLS, collinear_stats, random_dataset, random_stats
 from oracles import (
     PivotBreakdown,
@@ -778,6 +785,80 @@ def assert_chunks(chunks, expected, chunk):
     assert np.array_equal(np.concatenate(chunks), expected)
 
 
+def grown_levels(stats, base, alphas, levels, pinned):
+    """The recursion's nodes, level by level, grown by _grow from the root
+    over G (free) or [G | I] with M (pinned): a list of (nodes, the nodes'
+    lexicographic indices, broken) for levels 1 to `levels`."""
+    G, d, L = stats.gram, stats.d, alphas.shape[0]
+    D = 2 * d if pinned else d
+    Gx = np.hstack([G, np.eye(d)]) if pinned else G
+    nodes = (np.zeros((L, d, D, 1)), np.zeros((L, D, 1)), np.zeros((L, 1)))
+    nodes += (np.zeros((L, d, d, 1)),) if pinned else ()
+    index, broken = np.zeros(1, dtype=np.int64), np.zeros(L, dtype=bool)
+    w = tail_weights(alphas)[:, :, None, None]
+    out = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for m in range(levels):
+            nodes = _grow(nodes, Gx, np.diag(G).copy(), stats.residual_cross(base), w[:, m],
+                          broken, (None, None))
+            index = (index * d + np.arange(d)[:, None]).ravel()
+            out.append((nodes, index, broken.copy()))
+    return out
+
+
+class TestNodeLayout:
+    """A pinned node is a free node over [G | I] plus M = E'E."""
+
+    @pytest.mark.parametrize("d,levels", [(1, 3), (3, 4), (4, 3)])
+    def test_free_search_is_the_pinned_one_without_e(self, d, levels):
+        # The first d columns of [G | I] are G, so Q, u, ssq and the broken
+        # mask must come out bitwise equal; the second weight row repeats
+        # its first step's tail weight, so a repeated coordinate breaks it.
+        stats = random_stats(31 + d, d=d)
+        base = np.random.default_rng(d).standard_normal(d) * 0.5
+        alphas = np.array([[1.0, 0.5, 2.0, 0.3], [0.0, 1.0, 1.5, 0.7]])[:, :levels]
+        free = grown_levels(stats, base, alphas, levels, pinned=False)
+        pinned = grown_levels(stats, base, alphas, levels, pinned=True)
+        for (fn, fi, fb), (pn, pi, pb) in zip(free, pinned):
+            assert len(fn) == 3 and len(pn) == 4
+            assert fn[0].shape[2] == d and pn[0].shape[2] == 2 * d
+            assert np.array_equal(fi, pi) and np.array_equal(fb, pb)
+            assert fn[0].tobytes() == np.ascontiguousarray(pn[0][:, :, :d]).tobytes()
+            assert fn[1].tobytes() == np.ascontiguousarray(pn[1][:, :d]).tobytes()
+            assert fn[2].tobytes() == pn[2].tobytes()
+        assert free[-1][2].tolist() == [False, True]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pinned_summaries_match_explicit_factor(self, seed):
+        # Node (i_1..i_m) under the tail weights w_1..w_m of a row's K = 4
+        # weights factors its inner matrix
+        # H[j, l] = min(w_j, w_l) G[i_j, i_l] as L L'; with B = L^-1 G[iv, :],
+        # E = L^-1 C' (C'[j, i_j] = 1) and y = L^-1 (w_j r[i_j])_j, its
+        # QT is [B'B | B'E], uT [B'y; E'y] and MT E'E.
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 5))
+        stats = random_stats(70 + seed, d=d)
+        base = rng.standard_normal(d) * 0.5
+        r = stats.residual_cross(base)
+        alphas = rng.uniform(0.2, 2.0, size=(2, 4))
+        for m, (nodes, index, broken) in enumerate(grown_levels(stats, base, alphas, 4, True), 1):
+            assert not broken.any()
+            QT, uT, ssq, MT = nodes
+            for p in rng.choice(index.size, min(index.size, 12), replace=False):
+                iv = optimizers._patterns(index[p], d, m)
+                for row, alpha in enumerate(alphas):
+                    w = tail_weights(alpha)[:m]
+                    H = np.minimum.outer(w, w) * stats.gram[np.ix_(iv, iv)]
+                    Lf = np.linalg.cholesky(H)
+                    B = np.linalg.solve(Lf, stats.gram[iv])
+                    E = np.linalg.solve(Lf, np.eye(d)[iv])
+                    y = np.linalg.solve(Lf, w * r[iv])
+                    for got, want in [(QT[row, :, :d, p], B.T @ B), (QT[row, :, d:, p], B.T @ E),
+                                      (MT[row, :, :, p], E.T @ E), (uT[row, :d, p], B.T @ y),
+                                      (uT[row, d:, p], E.T @ y), (ssq[row, p], y @ y)]:
+                        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestZeroRuns:
     @pytest.mark.parametrize("d,alpha,kept", [
         (6, (0, 0, 0, 1), 401),  # 360 orderings of 4 distinct, and 41 smaller sets
@@ -949,6 +1030,11 @@ class TestLocalImprovement:
     def test_patience_below_one_rejected(self, patience):
         with pytest.raises(InputError, match="patience must be >= 1"):
             OptimizerConfig(K=2, schedule=GAMMA1, patience=patience)
+
+    @pytest.mark.parametrize("seed", [-1, -3])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(InputError, match="seed must be >= 0"):
+            OptimizerConfig(K=2, schedule=GAMMA1, seed=seed)
 
 
 def path_bits(path):

@@ -212,6 +212,27 @@ def test_clean_body_skips_row_loop(tmp_path, monkeypatch):
     assert ds.feature_names == ("a\nb",) and np.array_equal(ds.features, [[1]])
 
 
+@pytest.mark.parametrize("body,row_loop", [("1.5,-2,3\n4,5e-3,6\n", False),
+                                           ("1.5,-2,3\n1_0,5e-3,6\n", True)],
+                         ids=["c-parse", "row-loop"])
+def test_byte_order_mark_is_dropped(tmp_path, monkeypatch, body, row_loop):
+    # Spreadsheets' "CSV UTF-8" exports start with a byte-order mark. It must
+    # not join the first column's name, whichever parse reads the body.
+    calls = []
+    parse_rows = regression._parse_rows
+    monkeypatch.setattr(regression, "_parse_rows", lambda *a: calls.append(a) or parse_rows(*a))
+    text = "x1,x2,y\n" + body
+    plain, marked = (write(tmp_path, prefix + text, name)
+                     for prefix, name in [("", "plain.csv"), ("\ufeff", "bom.csv")])
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    for target in ("y", "x1"):
+        want, got = load_csv(plain, target), load_csv(marked, target)
+        assert got.feature_names == want.feature_names
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.target.tobytes() == want.target.tobytes()
+    assert len(calls) == (4 if row_loop else 0)
+
+
 class TestStandardize:
     def test_unit_moments(self, tmp_path):
         ds = load_csv(write(tmp_path, "a,y\n1,2\n2,4\n3,9\n"), "y")

@@ -124,6 +124,22 @@ def test_bench_tradeoff_records_solved_rows(tmp_path):
     assert len(pattern) == 3 and set(pattern) <= set(range(6)) and broken is False
 
 
+def test_bench_pinned_records_kernel_outcome(tmp_path):
+    # The pinned topic's kernel row records the pinned _enum_fast's objective
+    # bits, pattern and broken flag. At K = d the fit, which changes every
+    # coordinate, is reached only by changing each coordinate once.
+    proc = run_script(["bench.py", "--topic", "pinned", "--K", "6", "--K-max", "5",
+                       "--against", str(ROOT)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "BENCH_pinned.json").read_text(encoding="utf-8"))
+    (kernel,) = [r for r in report["instances"] if r["instance"]["layer"] == "_enum_fast"]
+    assert kernel["instance"]["d"] == kernel["instance"]["K"] == 6
+    (objective,), (pattern,), (broken,) = kernel["objective"], kernel["pattern"], kernel["broken"]
+    assert repr(float(objective)) == objective and float(objective) > 0
+    assert sorted(pattern) == list(range(6)) and broken is False
+    assert "ratio_p50" in kernel
+
+
 def test_bench_local_rows_carry_their_schedules(tmp_path):
     # Each local row records its own schedule; the last two put weight on
     # the first and last models only, one free and one pinned to the fit.
