@@ -42,7 +42,8 @@ quick run.
 pinned: the exact search pinned to the least-squares fit, under unit
 weights, on seeded instances (n = 100): exact_path at d = 6, K = 8 (1.7M
 patterns), next to _enum_direct, the batched enumerator it replaced for
-pinned endpoints, on the same instance, and the fast kernel _enum_fast
+pinned endpoints, on the same instance (its pattern's steps solved once by
+solve_patterns, as exact_path does), and the fast kernel _enum_fast
 alone, with one weight row, recording its objective, pattern and broken
 flag, as the tradeoff topic's kernel row does; best_explanation at d = 5,
 K_max = 6 (as the benchmark's explain workload runs it) and 7; and
@@ -55,9 +56,10 @@ near-collinear d = 6 instance (the last feature repeats the first up to
 1e-7 noise, gram condition number 3.5e14) at K = 7 under geometric(1)
 weights, which the factor recursion serves; unit-step exact_path at d = 4,
 K = 5 and 6, which the dynamic program over lattice states serves, each
-also with the tracemalloc peak of one run; _enum_direct itself on a
-zero-weight schedule (0, 1, 1, ...) at d = 5, K = 7; and exact_path, which
-runs _enum_direct and then solves the winning pattern, on the benchmark's
+also with the tracemalloc peak of one run; _enum_direct itself, its
+pattern's steps solved once by solve_patterns, on a zero-weight schedule
+(0, 1, 1, ...) at d = 5, K = 7; and exact_path, which runs _enum_direct
+and then solves the winning pattern, on the benchmark's
 search workload's zero-weight schedule (1, 0, 0, 0, 1) at d = 6, K = 5, and
 on alpha = e_6 (weight on the last model only, best-subset selection) at
 d = 6 and 8. --K (default 7) shrinks the first, the _enum_direct and the
@@ -368,15 +370,12 @@ def pinned_rows(pl, args) -> list:
     cfg = pl.OptimizerConfig(K=args.K, schedule=schedule, endpoint=pl.ols(stats))
     alpha = schedule.weights(args.K)
 
-    def direct():
-        _, iv, delta = pl.optimizers._enum_direct(stats, base, args.K, alpha, cfg.endpoint)
-        return pl.inner.path_from_deltas(base, iv, delta)
-
     instance = {"seed": SEED, "n": 100, "endpoint": "ols", "schedule": schedule.describe()}
     outcome = path_outcome(pl, stats, schedule)
     rows = [Row({"layer": "exact_path", **instance, "d": PINNED_D, "K": args.K},
                 partial(pl.exact_path, stats, base, cfg), outcome),
-            Row({"layer": "_enum_direct", **instance, "d": PINNED_D, "K": args.K}, direct, outcome),
+            Row({"layer": "_enum_direct", **instance, "d": PINNED_D, "K": args.K},
+                partial(direct_path, pl, stats, base, args.K, alpha, cfg.endpoint), outcome),
             Row({"layer": "_enum_fast", **instance, "d": PINNED_D, "K": args.K, "rows": 1},
                 partial(pl.optimizers._enum_fast, stats, base.coefficients, args.K, alpha[None],
                         cfg.endpoint.coefficients), kernel_outcome)]
@@ -391,6 +390,15 @@ def pinned_rows(pl, args) -> list:
                     partial(pl.best_explanation, stats, base, cfg.endpoint, schedule, args.K),
                     outcome))
     return rows
+
+
+def direct_path(pl, stats, base, K: int, alpha, endpoint=None):
+    """_enum_direct's pattern, its result's second entry, with its steps
+    from one solve_patterns call, as exact_paths solves it."""
+    iv = pl.optimizers._enum_direct(stats, base, K, alpha, endpoint)[1]
+    target = None if endpoint is None else endpoint.coefficients
+    delta = pl.inner.solve_patterns(stats, base.coefficients, iv[None], alpha, target)[0][0]
+    return pl.inner.path_from_deltas(base, iv, delta)
 
 
 def direct_rows(pl, args) -> list:
@@ -414,15 +422,10 @@ def direct_rows(pl, args) -> list:
     stats = tradeoff_stats(pl, 5)
     base = pl.LinearModel.zeros(stats.feature_names)
     zero_first = pl.WeightSchedule.explicit([0.0] + [1.0] * (args.K - 1))
-
-    def zero_weight():
-        alpha = zero_first.weights(args.K)
-        _, iv, delta = pl.optimizers._enum_direct(stats, base, args.K, alpha)
-        return pl.inner.path_from_deltas(base, iv, delta)
-
     rows.append(Row({"layer": "_enum_direct", "seed": SEED, "n": 100, "d": 5, "endpoint": "free",
                      "schedule": zero_first.describe(), "K": args.K},
-                    zero_weight, path_outcome(pl, stats, zero_first)))
+                    partial(direct_path, pl, stats, base, args.K, zero_first.weights(args.K)),
+                    path_outcome(pl, stats, zero_first)))
     exact(6, pl.WeightSchedule.explicit([1.0, 0.0, 0.0, 0.0, 1.0]), 5)
     K = min(6, args.K)  # alpha = e_K
     for d in (6, 8):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from pathlib import Path
 
@@ -67,14 +69,20 @@ def read_text(path, what: str = "") -> str:
         raise not_utf8(path, exc) from None
 
 
+def parse_json(path, text: str):
+    """The payload of a JSON file's text, read past a leading UTF-8 byte-order
+    mark; InputError if it is not JSON."""
+    try:
+        return json.loads(text.removeprefix("\ufeff"))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON ({exc})") from exc
+
+
 def load_stats(args):
     if (args.input is None) == (args.moments is None):
         raise InputError("provide exactly one input source: --input CSV or --moments JSON")
     if args.moments is not None:
-        try:
-            payload = json.loads(read_text(args.moments))
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{args.moments}: invalid JSON ({exc})") from exc
+        payload = parse_json(args.moments, read_text(args.moments))
         if not isinstance(payload, dict):
             raise InputError(f"{args.moments}: expected a JSON object with 'gram', 'cross' "
                              "and 'tsm' keys")
@@ -135,11 +143,7 @@ def load_base(args, stats) -> LinearModel:
 
 
 def load_model_file(path: str, stats) -> LinearModel:
-    try:
-        payload = json.loads(read_text(path, "model "))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON ({exc})") from exc
-    return model_from_json(payload, stats.feature_names)
+    return model_from_json(parse_json(path, read_text(path, "model ")), stats.feature_names)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +189,24 @@ def render_path_table(stats, path: CoordinatePath, precision: int) -> str:
     for r in rows:
         lines.append("  ".join(v.rjust(w) for v, w in zip(r, widths)))
     return "\n".join(lines)
+
+
+def out_files(args) -> list[Path]:
+    """The files --out names: pareto's front CSV and JSON twins (any .csv or
+    .json suffix dropped from the stem), else the path itself. InputError if
+    one is a directory or not in a directory that may be written."""
+    if not getattr(args, "out", None):
+        return []
+    out = Path(args.out)
+    stem = out.with_suffix("") if out.suffix in (".csv", ".json") else out
+    files = ([stem.with_suffix(".csv"), stem.with_suffix(".json")] if args.command == "pareto"
+             else [out])
+    for path in files:
+        if path.is_dir():
+            raise InputError(f"cannot write {path}: is a directory")
+        if not (path.parent.is_dir() and os.access(path.parent, os.W_OK)):
+            raise InputError(f"cannot write {path}: {path.parent} is not a writable directory")
+    return files
 
 
 def write_out(path: str, text: str):
@@ -310,11 +332,7 @@ def cmd_pareto(args) -> int:
             f"loss={point.interp_loss:.{p}f}"
         )
     if args.out:
-        stem = Path(args.out)
-        if stem.suffix in (".csv", ".json"):
-            stem = stem.with_suffix("")
-        csv_file = stem.with_suffix(".csv")
-        json_file = stem.with_suffix(".json")
+        csv_file, json_file = out_files(args)
         write_out(csv_file, front_to_csv(report))
         write_out(json_file, canonical_json(front_to_json(report)))
         print(f"front written to {csv_file} and {json_file}")
@@ -347,14 +365,11 @@ def cmd_verify(args) -> int:
             cells = ln.split(",")
             if len(cells) != 4:
                 raise InputError(f"{path}: malformed row '{ln}'")
-            rows.append(_front_row(path, i, cells[0], cells[1]))
-        problems = check_front_rows(rows)
+            rows.append(_front_row(path, i, *cells, problems))
+        problems += check_front_rows(rows)
         kind = f"front CSV ({len(rows)} points)"
     else:
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc})") from exc
+        payload = parse_json(path, text)
         if isinstance(payload, dict) and "points" in payload:
             if not isinstance(payload["points"], list):
                 raise InputError(f"{path}: 'points' is not a list")
@@ -363,8 +378,9 @@ def cmd_verify(args) -> int:
                 if not isinstance(pt, dict) or "interp_loss" not in pt or "cost" not in pt:
                     raise InputError(f"{path}: point {i} is not an object with "
                                      "'interp_loss' and 'cost'")
-                rows.append(_front_row(path, i, pt["interp_loss"], pt["cost"]))
-            problems = check_front_rows(rows)
+                rows.append(_front_row(path, i, pt["interp_loss"], pt["cost"], pt.get("K"),
+                                       pt.get("lambda"), problems))
+            problems += check_front_rows(rows)
             kind = f"front JSON ({len(rows)} points)"
         elif isinstance(payload, dict) and "base" in payload and "steps" in payload:
             if not isinstance(payload["steps"], list):
@@ -374,6 +390,8 @@ def cmd_verify(args) -> int:
             for s, step in enumerate(payload["steps"]):
                 if not isinstance(step, dict) or "feature" not in step or "value" not in step:
                     problems.append(f"step {s + 1} is malformed")
+                elif not math.isfinite(_number(step["value"])):
+                    problems.append(f"step {s + 1}: value {step['value']!r} is not a finite number")
             kind = f"path JSON ({len(payload['steps'])} steps)"
         else:
             raise InputError(f"{path}: unrecognized artifact (not a front or a path)")
@@ -385,14 +403,27 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _front_row(path, i: int, interp_loss, cost) -> tuple[float, float]:
+def _front_row(path, i: int, interp_loss, cost, K, lam, problems) -> tuple[float, float]:
+    """Point i's (interp_loss, cost) as floats, InputError if either is not a
+    number. A NaN or infinite interp_loss or cost, a K that is not an integer
+    >= 0 or a lambda that is not a finite number >= 0 is a problem."""
     try:
-        return float(interp_loss), float(cost)
+        row = float(interp_loss), float(cost)
     except (TypeError, ValueError):
-        raise InputError(
-            f"{path}: point {i}: interp_loss {interp_loss!r} and cost {cost!r} "
-            "must be numbers"
-        ) from None
+        raise InputError(f"{path}: point {i}: interp_loss {interp_loss!r} and cost {cost!r} "
+                         "must be numbers") from None
+    if not (all(map(math.isfinite, row)) and str(K).isdecimal() and 0 <= _number(lam) < math.inf):
+        problems.append(f"point {i}: interp_loss {interp_loss!r}, cost {cost!r} and lambda "
+                        f"{lam!r} must be finite, lambda >= 0, and K {K!r} an integer >= 0")
+    return row
+
+
+def _number(value) -> float:
+    """float(value), or NaN if value is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +516,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        out_files(args)  # before any search or table
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

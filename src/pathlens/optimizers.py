@@ -19,11 +19,11 @@ zero weights and pinned K = 1. One mask routes each weight row to one of
 the two enumerators, and one solve_patterns call then solves every row's
 winning pattern under its own weights: step sizes come from the inner
 solver only, so a path depends on its pattern only. Both enumerators rank
-by one tie rule: objectives within 1e-12 (relative) are ties, and a
-chunk's least-index candidate tied with its minimum replaces the incumbent
-if it beats it by more than that, or ties it from a smaller lexicographic
-index, so ties resolve to the lexicographically smallest pattern whatever
-order the chunks come in (_enum_direct's come in lexicographic order).
+through one tie rule (_keep): objectives within 1e-12 (relative) are ties,
+and a chunk's least-index candidate tied with its minimum replaces the
+incumbent if it beats it by more than that, or ties it from a smaller
+lexicographic index, so ties resolve to the lexicographically smallest
+pattern whatever order the patterns are visited in.
 
 Unit steps move one coefficient by -1 or +1, or stay, so every model on the
 path is base + z for an integer z with ||z||_1 <= K: _unit_steps finds the
@@ -342,8 +342,8 @@ def _enum_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np.ndar
     their children before the next chunk; every node grows once by the same
     operations, so no result depends on the chunk sizes. Children stay in
     _grow's layout, out of lexicographic order, so each node carries its
-    lexicographic index, and free and pinned rows alike rank by the tie rule on
-    those indices.
+    lexicographic index, and free and pinned rows alike rank by the tie rule
+    (_keep) on those indices.
     """
     G = stats.gram
     d = stats.d
@@ -382,38 +382,18 @@ def _enum_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np.ndar
     best_val = np.full(L, math.inf)
     best = np.zeros(L, dtype=np.int64)  # lexicographic index of each row's best pattern
 
-    def keep(vals, index, fan=1):
-        # vals (L, fan * N): a piece of leaves, leaf c * N + j at lexicographic index
-        # index[j] * fan + c. Only rows whose minimum beats or ties the incumbent are
-        # searched for their candidate (the tie rule), and only candidates get an index.
-        def index_of(p):  # the lexicographic indices of the leaves at positions p
-            return index[p % index.size] * fan + p // index.size
-
-        low = vals.min(axis=1)
-        rows = np.flatnonzero(np.isfinite(low) & ~_beats(best_val, low))
-        if rows.size:
-            piece, low = vals[rows], low[rows, None]
-            tie = piece <= low + _TIE_RTOL * abs(low)
-            at = tie.argmax(axis=1)
-            if np.count_nonzero(tie) > rows.size:  # a row ties several leaves: least index
-                at = np.where(tie, index_of(np.arange(tie.shape[1])),
-                              np.iinfo(np.int64).max).argmin(axis=1)
-            tied, i, held = piece[np.arange(rows.size), at], index_of(at), best_val[rows]
-            win = _beats(tied, held) | (i < best[rows]) & ~_beats(held, tied)
-            best_val[rows[win]], best[rows[win]] = tied[win], i[win]
-
     def descend(m, nodes, index):
         # The level-m nodes, node j at lexicographic index index[j].
         if m == stop and e is not None:
             for vals, leaves in _pinned_leaves(nodes, index, m, G, gd, r, w[:, K - 2, None],
                                                w[:, K - 1, None], top[:, None], e, broken):
-                keep(vals, leaves)
+                _keep(best_val, best, vals, leaves)
             return
         if m == stop:  # score their leaves
             vals = (_fused_leaves(*nodes, G, gd, r, wb[:, K - 2], wb[:, K - 1], top, broken,
                                   (buf(1, nodes[0].shape), buf(2, nodes[0].shape))) if fuse
                     else top[:, None] - nodes[2])
-            keep(vals.reshape(L, -1), index, d * d if fuse else 1)
+            _keep(best_val, best, vals.reshape(L, -1), index, d * d if fuse else 1)
             return
         N = nodes[2].shape[1]
         for p0 in range(0, N, per):
@@ -455,15 +435,42 @@ def _first_tie(vals: np.ndarray) -> np.ndarray:
     return np.argmax(vals <= low + _TIE_RTOL * abs(low), axis=-1)
 
 
+def _keep(best_val: np.ndarray, best: np.ndarray, vals: np.ndarray, index: np.ndarray,
+          fan: int = 1) -> None:
+    """The tie rule, for a piece of candidates vals (L, fan * N) of L weight
+    rows, candidate c * N + j at lexicographic index index[j] * fan + c:
+    each row's least-index candidate within _TIE_RTOL of its minimum
+    replaces the row's incumbent, objective best_val[l] at index best[l]
+    (updated in place), if it beats it, or ties it from a smaller index. So
+    ties resolve to the lexicographically least pattern, in whatever order
+    the pieces come. Only rows whose minimum beats or ties the incumbent are
+    searched for their candidate, and only candidates get an index."""
+    def index_of(p):  # the lexicographic indices of the candidates at positions p
+        return index[p % index.size] * fan + p // index.size
+
+    low = vals.min(axis=1)
+    rows = np.flatnonzero(np.isfinite(low) & ~_beats(best_val, low))
+    if rows.size:
+        piece, low = vals[rows], low[rows, None]
+        tie = piece <= low + _TIE_RTOL * abs(low)
+        at = tie.argmax(axis=1)
+        if np.count_nonzero(tie) > rows.size:  # a row ties several candidates: least index
+            cols = np.flatnonzero(tie.any(axis=0))
+            at = cols[np.where(tie[:, cols], index_of(cols), np.iinfo(np.int64).max).argmin(axis=1)]
+        tied, i, held = piece[np.arange(rows.size), at], index_of(at), best_val[rows]
+        win = _beats(tied, held) | (i < best[rows]) & ~_beats(held, tied)
+        best_val[rows[win]], best[rows[win]] = tied[win], i[win]
+
+
 def _kept_chunks(d: int, K: int, alpha: np.ndarray, chunk: int):
-    """The index vectors in lexicographic order, `chunk` rows at a time, less
-    the patterns that repeat a coordinate inside a zero run of at most d
-    steps, unless the run is its coordinate set's first arrangement (the
-    least coordinate repeated, then the rest ascending). A zero run is a
-    maximal block of steps whose models before its last one weigh zero; it
-    ends at a weighted model or at step K. Each such run is one block of its
-    kept segments, every other step a block of d coordinates; the blocks are
-    contiguous in step order, so their product in C order is lexicographic."""
+    """The index vectors, `chunk` rows at a time, less the patterns that
+    repeat a coordinate inside a zero run of at most d steps, unless the run
+    is its coordinate set's first arrangement (the least coordinate
+    repeated, then the rest ascending). A zero run is a maximal block of
+    steps whose models before its last one weigh zero; it ends at a weighted
+    model or at step K. Each such run is one block of its kept segments,
+    every other step a block of d coordinates, and the patterns are the
+    blocks' product, in no promised order."""
     stops = np.union1d(np.flatnonzero(alpha > 0) + 1, [K]).tolist()
     blocks = []
     for s, t in zip([0] + stops[:-1], stops):
@@ -476,37 +483,23 @@ def _kept_chunks(d: int, K: int, alpha: np.ndarray, chunk: int):
 
 
 def _run_segments(d: int, n: int) -> np.ndarray:
-    """A zero run's kept segments (rows of n <= d coordinates) in
-    lexicographic order, in the narrowest integer type that holds d - 1:
-    every ordering of n distinct coordinates, and each smaller set's first
-    arrangement. permutations() lists the orderings in order; the first
-    arrangements led by c, (c, c, ...), fall between the orderings led by
-    (c, j) with j < c and those with j > c, shortest set first."""
-    dtype = np.min_scalar_type(d - 1)
-    if n == 1:
-        return np.arange(d, dtype=dtype)[:, None]
-    orderings = itertools.permutations(range(d), n)
-    step = math.perm(d - 2, n - 2)  # orderings led by each (c, j)
-
-    def rows():
-        for c in range(d):
-            yield from itertools.islice(orderings, c * step)
-            for m in range(1, n):
-                for rest in itertools.combinations(range(c + 1, d), m - 1):
-                    yield (c,) * (n - m + 1) + rest
-            yield from itertools.islice(orderings, (d - 1 - c) * step)
-
+    """A zero run's kept segments (rows of n <= d coordinates), in the
+    narrowest integer type that holds d - 1: every ordering of n distinct
+    coordinates, then each smaller set's first arrangement."""
+    firsts = ((c[0],) * (n - m + 1) + c[1:]
+              for m in range(1, n) for c in itertools.combinations(range(d), m))
     count = math.perm(d, n) + sum(math.comb(d, m) for m in range(1, n))
-    return np.fromiter(itertools.chain.from_iterable(rows()), dtype,
+    rows = itertools.chain(itertools.permutations(range(d), n), firsts)
+    return np.fromiter(itertools.chain.from_iterable(rows), np.min_scalar_type(d - 1),
                        count=count * n).reshape(count, n)
 
 
 def _enum_direct(stats: SufficientStats, base: LinearModel, K: int, alpha: np.ndarray,
                  endpoint: LinearModel | None = None):
     """Chunked exhaustive search by batched inner solves, free or pinned to
-    `endpoint`, for zero weights and the rows _enum_fast marks broken.
-    Returns (objective, iv, delta) of the lexicographically first best
-    pattern under the tie rule.
+    an `endpoint` the caller has checked K steps can reach, for zero weights
+    and the rows _enum_fast marks broken. Returns (objective, pattern) of the
+    best pattern under the tie rule (_keep).
 
     Inside a zero run only the run's coordinate set changes the weighted
     models, so _kept_chunks generates only the patterns that no earlier one
@@ -514,18 +507,16 @@ def _enum_direct(stats: SufficientStats, base: LinearModel, K: int, alpha: np.nd
     ordering of distinct coordinates stays: on collinear grams their float
     objectives differ by rounding, which decides the rank.
     """
-    if endpoint is not None:
-        _check_reachable(base, endpoint, K)
+    d = stats.d
     target = None if endpoint is None else endpoint.coefficients
-    best = (math.inf, None, None)
-    for ivs in _kept_chunks(stats.d, K, alpha, max(256, _CHUNK_ENTRIES // (K * K))):
-        deltas, vals = solve_patterns(stats, base.coefficients, ivs, alpha, target)
-        j = int(_first_tie(vals))
-        if _beats(vals[j], best[0]):
-            best = (float(vals[j]), ivs[j].copy(), deltas[j].copy())
-    if best[1] is None:
+    best_val, best = np.full(1, math.inf), np.zeros(1, dtype=np.int64)
+    place = d ** np.arange(K - 1, -1, -1, dtype=np.int64)
+    for ivs in _kept_chunks(d, K, alpha, max(256, _CHUNK_ENTRIES // (K * K))):
+        vals = solve_patterns(stats, base.coefficients, ivs, alpha, target)[1]
+        _keep(best_val, best, vals[None], ivs @ place)
+    if best_val[0] == math.inf:
         raise InfeasibleError("no index pattern of this length reaches the target")
-    return best
+    return float(best_val[0]), _patterns(best[0], d, K)
 
 
 def _l1_ball(d: int, K: int):

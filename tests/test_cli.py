@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from pathlens import (
     sweep,
     weighted_loss,
 )
+from pathlens import cli
 from pathlens.cli import canonical_json, main
 from pathlens.pareto import front_to_json
 from conftest import TOY_CROSS, TOY_GRAM, TOY_TSM
@@ -429,6 +431,34 @@ class TestUnwritableOut:
         assert err.startswith("error: cannot write ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("path", "exact", "--K", "2"), ("path", "local", "--K", "2"), ("explain", "--K", "2"),
+        ("pareto", "--K", "2"), ("expected-cost", "--dist", "0.5,0.5"), ("stats",),
+    ], ids=["path-exact", "path-local", "explain", "pareto", "expected-cost", "stats"])
+    def test_checked_before_the_search(self, capsys, toy_moments, tmp_path, monkeypatch, argv):
+        # An unwritable --out exits 2 before any search runs or any table prints.
+        def searched(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        for name in ("exact_path", "local_improvement", "best_explanation", "sweep",
+                     "expected_cost_path", "ols"):
+            monkeypatch.setattr(cli, name, searched)
+        code, out, err = run(capsys, *argv, "--moments", toy_moments,
+                             "--out", str(tmp_path / "missing" / "a.json"))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {tmp_path / 'missing' / 'a.'}")
+        assert err.endswith(f": {tmp_path / 'missing'} is not a writable directory\n")
+
+    @pytest.mark.parametrize("twin", [".json", ".csv"])
+    def test_pareto_writes_both_files_or_neither(self, capsys, toy_moments, tmp_path, twin):
+        # With one of the front's two files unwritable, the other is not written.
+        (tmp_path / f"front{twin}").mkdir()
+        code, out, err = run(capsys, "pareto", "--moments", toy_moments, "--K", "2",
+                             "--out", str(tmp_path / "front"))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {tmp_path / f'front{twin}'}: is a directory")
+        assert sorted(f.name for f in tmp_path.iterdir()) == [f"front{twin}", "toy.json"]
+
 
 class TestFormatting:
     def test_precision_flag(self, capsys, toy_moments):
@@ -524,3 +554,113 @@ class TestVerifyPathArtifact:
         code, _, err = run(capsys, "verify", "--input", str(f))
         assert code == 1
         assert "canonical" in err
+
+
+def written_artifacts(capsys, toy_moments, tmp_path):
+    """A front CSV, a front JSON and a path JSON, as the CLI writes them."""
+    run(capsys, "pareto", "--moments", toy_moments, "--K", "3", "--out", str(tmp_path / "front"))
+    run(capsys, "path", "exact", "--moments", toy_moments, "--K", "2",
+        "--out", str(tmp_path / "p.json"))
+    return tmp_path / "front.csv", tmp_path / "front.json", tmp_path / "p.json"
+
+
+class TestVerifyRejectsUncheckableValues:
+    """A value verify cannot compare (NaN, inf, a bad K or lambda, a
+    non-numeric step) is a named FAIL, exit 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ("pareto", "--K", "2", "--lambda-grid", "0"), ("pareto", "--K", "2", "--solver", "local"),
+        ("path", "local", "--K", "2"), ("path", "exact", "--K", "3", "--endpoint", "free"),
+        ("explain", "--K", "3"), ("expected-cost", "--dist", "0.5,0.5"),
+    ], ids=["pareto-lambda-0", "pareto-local", "path-local", "path-free", "explain",
+            "expected-cost"])
+    def test_cli_artifacts_verify(self, capsys, toy_moments, tmp_path, argv):
+        out = tmp_path / ("front" if argv[0] == "pareto" else "p.json")
+        assert run(capsys, *argv, "--moments", toy_moments, "--out", str(out))[0] == 0
+        for f in ([out.with_suffix(".csv"), out.with_suffix(".json")] if argv[0] == "pareto"
+                  else [out]):
+            code, stdout, err = run(capsys, "verify", "--input", str(f))
+            assert code == 0 and "OK" in stdout, err
+
+    @pytest.mark.parametrize("cell,value,where", [
+        (0, "nan", "interp_loss 'nan'"), (1, "inf", "cost 'inf'"),
+        (0, "-inf", "interp_loss '-inf'"), (2, "-1", "K '-1'"), (2, "1.5", "K '1.5'"),
+        (3, "nan", "lambda 'nan'"), (3, "-0.5", "lambda '-0.5'"), (3, "x", "lambda 'x'"),
+    ], ids=["nan-loss", "inf-cost", "minus-inf-loss", "negative-K", "fractional-K",
+            "nan-lambda", "negative-lambda", "text-lambda"])
+    def test_front_csv(self, capsys, toy_moments, tmp_path, cell, value, where):
+        f, _, _ = written_artifacts(capsys, toy_moments, tmp_path)
+        lines = f.read_text(encoding="utf-8").splitlines()
+        cells = lines[2].split(",")
+        cells[cell] = value
+        lines[2] = ",".join(cells)
+        f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run(capsys, "verify", "--input", str(f))
+        assert code == 1
+        (named,) = [line for line in err.splitlines() if line.startswith("FAIL: point 2: ")]
+        assert where in named
+
+    @pytest.mark.parametrize("key,value,where", [
+        ("interp_loss", math.nan, "interp_loss nan"), ("cost", math.inf, "cost inf"),
+        ("K", -1, "K -1"), ("K", 1.0, "K 1.0"), ("K", True, "K True"), ("K", None, "K None"),
+        ("lambda", math.nan, "lambda nan"), ("lambda", -1.0, "lambda -1.0"),
+        ("lambda", math.inf, "lambda inf"),
+    ], ids=["nan-loss", "inf-cost", "negative-K", "float-K", "bool-K", "missing-K",
+            "nan-lambda", "negative-lambda", "inf-lambda"])
+    def test_front_json(self, capsys, toy_moments, tmp_path, key, value, where):
+        _, f, _ = written_artifacts(capsys, toy_moments, tmp_path)
+        payload = json.loads(f.read_text(encoding="utf-8"))
+        if value is None:
+            del payload["points"][1][key]
+        else:
+            payload["points"][1][key] = value
+        f.write_text(canonical_json(payload), encoding="utf-8")
+        code, _, err = run(capsys, "verify", "--input", str(f))
+        assert code == 1
+        (named,) = [line for line in err.splitlines() if line.startswith("FAIL: point 2: ")]
+        assert where in named
+
+    @pytest.mark.parametrize("value,where", [
+        (math.nan, "value nan"), (math.inf, "value inf"), ("abc", "value 'abc'"),
+        ([0.5], "value [0.5]"),
+    ], ids=["nan", "inf", "text", "list"])
+    def test_path_step(self, capsys, toy_moments, tmp_path, value, where):
+        _, _, f = written_artifacts(capsys, toy_moments, tmp_path)
+        payload = json.loads(f.read_text(encoding="utf-8"))
+        payload["steps"][1]["value"] = value
+        f.write_text(canonical_json(payload), encoding="utf-8")  # still canonical
+        code, _, err = run(capsys, "verify", "--input", str(f))
+        assert code == 1
+        assert f"FAIL: step 2: {where} is not a finite number" in err
+        assert "canonical" not in err
+
+
+class TestByteOrderMark:
+    """JSON inputs load with or without a leading UTF-8 byte-order mark."""
+
+    @pytest.mark.parametrize("flag", ["--moments", "--model", "--base", "--endpoint"])
+    def test_json_input(self, capsys, toy_moments, tmp_path, flag):
+        model = json.dumps({"coefficients": [1.274, 0.0], "features": ["height", "weight"]})
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        if flag == "--moments":
+            text = open(toy_moments, encoding="utf-8").read()
+            argv = ("path", "exact", "--K", "2")
+        else:
+            text = model
+            argv = {"--model": ("explain", "--moments", toy_moments, "--K", "2"),
+                    "--base": ("path", "exact", "--moments", toy_moments, "--K", "2"),
+                    "--endpoint": ("path", "exact", "--moments", toy_moments, "--K", "1")}[flag]
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        expected = run(capsys, *argv, flag, str(plain))
+        assert expected[0] == 0, expected[2]
+        assert run(capsys, *argv, flag, str(marked)) == expected
+
+    def test_verify_reads_bytes_as_written(self, capsys, toy_moments, tmp_path):
+        # verify compares a path JSON's bytes with its canonical form, so a
+        # marked one parses but fails.
+        _, _, f = written_artifacts(capsys, toy_moments, tmp_path)
+        f.write_text(f.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        code, _, err = run(capsys, "verify", "--input", str(f))
+        assert code == 1 and err == "FAIL: file is not in canonical form (round-trip differs)\n"

@@ -90,6 +90,15 @@ def searched_lengths(monkeypatch) -> list:
     return lengths
 
 
+def enum_direct_path(stats, base, K, alpha, endpoint=None) -> CoordinatePath:
+    """_enum_direct's pattern with its steps from solve_patterns, as
+    exact_paths solves it."""
+    iv = _enum_direct(stats, base, K, alpha, endpoint)[1]
+    target = None if endpoint is None else endpoint.coefficients
+    delta = solve_patterns(stats, base.coefficients, iv[None], alpha, target)[0][0]
+    return path_from_deltas(base, iv, delta)
+
+
 class TestGreedyPath:
     def test_toy_costs(self, toy_stats, toy_zero):
         path = greedy_path(toy_stats, toy_zero, 2)
@@ -310,9 +319,7 @@ class TestEnumerationEngines:
         rng = np.random.default_rng(seed)
         alpha = as_weights(rng.uniform(0.1, 2.0, size=K), K)
         (v_fast,), (iv_fast,), (broken,) = _enum_fast(stats, base, K, alpha[None])
-        v_direct, iv_direct, _ = _enum_direct(
-            stats, LinearModel(base, stats.feature_names), K, alpha
-        )
+        v_direct, iv_direct = _enum_direct(stats, LinearModel(base, stats.feature_names), K, alpha)
         assert not broken
         assert v_fast == pytest.approx(v_direct, rel=1e-8, abs=1e-10)
         assert np.array_equal(iv_fast, iv_direct)
@@ -323,9 +330,7 @@ class TestEnumerationEngines:
         base = rng.standard_normal(3) * 0.5
         alpha = as_weights(rng.uniform(0.1, 2.0, size=4), 4)
         (v_fast,), (iv_fast,), (broken,) = _enum_fast(stats, base, 4, alpha[None])
-        v_direct, iv_direct, _ = _enum_direct(
-            stats, LinearModel(base, stats.feature_names), 4, alpha
-        )
+        v_direct, iv_direct = _enum_direct(stats, LinearModel(base, stats.feature_names), 4, alpha)
         assert not broken
         assert v_fast == pytest.approx(v_direct, rel=1e-8, abs=1e-10)
         assert np.array_equal(iv_fast, iv_direct)
@@ -395,9 +400,8 @@ class TestEnumerationEngines:
                 expected = unblocked_enum_free_fast(stats, base.coefficients, K, alpha,
                                                     folded=False)
         except PivotBreakdown:
-            _, iv_direct, delta = _enum_direct(stats, base, K, alpha)
             assert broken
-            assert path.steps == path_from_deltas(base, iv_direct, delta).steps
+            assert path.steps == enum_direct_path(stats, base, K, alpha).steps
             return
         assert not broken
         assert abs(value - expected[0]) <= _TIE_RTOL * abs(expected[0])
@@ -420,7 +424,7 @@ class TestEnumerationEngines:
         alpha = as_weights(np.ones(K), K)
         monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", block)
         _, (iv,), _ = _enum_fast(stats, base.coefficients, K, alpha[None])
-        _, iv_direct, _ = _enum_direct(stats, base, K, alpha)
+        _, iv_direct = _enum_direct(stats, base, K, alpha)
         assert np.array_equal(iv, iv_direct)
         relabeled = perm[iv]
         assert relabeled.tolist() > iv.tolist()
@@ -438,8 +442,7 @@ class TestEnumerationEngines:
         alpha = as_weights(schedule, 4)
         assert _enum_fast(stats, base.coefficients, 4, alpha[None])[2].tolist() == [True]
         path = exact_path(stats, base, OptimizerConfig(K=4, schedule=schedule))
-        _, iv, delta = _enum_direct(stats, base, 4, alpha)
-        assert path.steps == path_from_deltas(base, iv, delta).steps
+        assert path.steps == enum_direct_path(stats, base, 4, alpha).steps
 
     def test_marked_rows_fall_back_to_direct(self, monkeypatch):
         # exact_paths must solve a row _enum_fast marks as broken
@@ -458,8 +461,7 @@ class TestEnumerationEngines:
 
         monkeypatch.setattr(optimizers, "_enum_fast", mark_middle_row)
         paths = optimizers.exact_paths(stats, base, alphas)
-        _, iv, delta = _enum_direct(stats, base, 3, alphas[1])
-        assert paths[1].steps == path_from_deltas(base, iv, delta).steps
+        assert paths[1].steps == enum_direct_path(stats, base, 3, alphas[1]).steps
         assert paths[0].steps == expected[0].steps and paths[2].steps == expected[2].steps
 
     @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
@@ -603,8 +605,8 @@ class TestEnumerationEngines:
             values, ivs, broken = _enum_fast(stats, base, K, alphas, target)
             assert not broken.any(), (d, K)
             for value, iv, alpha in zip(values, ivs, alphas):
-                expected, iv_direct, _ = _enum_direct(stats, LinearModel(base, names), K, alpha,
-                                                      LinearModel(target, names))
+                expected, iv_direct = _enum_direct(stats, LinearModel(base, names), K, alpha,
+                                                   LinearModel(target, names))
                 assert np.array_equal(iv, iv_direct), (d, K)
                 assert value == pytest.approx(expected, rel=1e-12, abs=1e-12), (d, K)
                 checked += 1
@@ -636,7 +638,7 @@ class TestEnumerationEngines:
         monkeypatch.setattr(optimizers, "_PIECE_ENTRIES", block)
         _, (iv,), (broken,) = _enum_fast(stats, base.coefficients, K, alpha[None],
                                          target.coefficients)
-        _, iv_direct, _ = _enum_direct(stats, base, K, alpha, target)
+        _, iv_direct = _enum_direct(stats, base, K, alpha, target)
         assert not broken
         assert np.array_equal(iv, iv_direct)
         relabeled = perm[iv]
@@ -656,8 +658,7 @@ class TestEnumerationEngines:
         assert _enum_fast(stats, base.coefficients, 4, alpha[None],
                           target.coefficients)[2].tolist() == [True]
         path = exact_path(stats, base, OptimizerConfig(K=4, schedule=schedule, endpoint=target))
-        _, iv, delta = _enum_direct(stats, base, 4, alpha, target)
-        assert path.steps == path_from_deltas(base, iv, delta).steps
+        assert path.steps == enum_direct_path(stats, base, 4, alpha, target).steps
 
     @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
     def test_overflowing_weights_fall_back_to_direct(self, pinned):
@@ -674,9 +675,8 @@ class TestEnumerationEngines:
             _, _, broken = _enum_fast(stats, base.coefficients, 3, alpha[None],
                                       None if endpoint is None else endpoint.coefficients)
             path = exact_path(stats, base, cfg)
-        _, iv, delta = _enum_direct(stats, base, 3, alpha, endpoint)
         assert broken.tolist() == [True]
-        assert path.steps == path_from_deltas(base, iv, delta).steps
+        assert path.steps == enum_direct_path(stats, base, 3, alpha, endpoint).steps
 
     def test_zero_weight_schedule_uses_direct_engine(self, toy_stats, toy_zero):
         # alpha with zeros makes the system singular; exact_path must still work.
@@ -710,8 +710,7 @@ class TestEnumerationEngines:
         assume(not pinned or model_complexity(base, endpoint) <= K)
         schedule = WeightSchedule.explicit(weights[:K])
         path = exact_path(stats, base, OptimizerConfig(K=K, schedule=schedule, endpoint=endpoint))
-        _, iv, delta = _enum_direct(stats, base, K, schedule.weights(K), endpoint)
-        assert path.steps == path_from_deltas(base, iv, delta).steps
+        assert path.steps == enum_direct_path(stats, base, K, schedule.weights(K), endpoint).steps
 
     def test_positive_weights_on_singular_gram_use_recursion(self, monkeypatch):
         # An exactly repeated feature makes the gram singular, but with
@@ -731,8 +730,7 @@ class TestEnumerationEngines:
         schedule = WeightSchedule.explicit([1.0, 0.5, 2.0, 1.0])
         alpha = schedule.weights(4)
         endpoints = (None, ols(stats))
-        expected = [path_from_deltas(base, *_enum_direct(stats, base, 4, alpha, e)[1:])
-                    for e in endpoints]
+        expected = [enum_direct_path(stats, base, 4, alpha, e) for e in endpoints]
         X, y = random_dataset(5, d=3)
         X[:, 1] = 0.0
         flat = compute_stats(Dataset(X, y, stats.feature_names))
@@ -759,7 +757,7 @@ def test_iv_chunks_match_itertools_product(d, K, chunk):
 
 def test_kept_chunks_match_the_keep_rule():
     # The product of run segments lists exactly the patterns the keep rule
-    # filters from itertools.product, in its order, on schedules mixing
+    # filters from itertools.product, each once, on schedules mixing
     # zero and positive weights (leading, interior and trailing zero runs,
     # runs longer than d).
     rng = np.random.default_rng(20)
@@ -776,13 +774,15 @@ def test_kept_chunks_match_the_keep_rule():
 
 
 def assert_chunks(chunks, expected, chunk):
-    """chunks are expected's rows, `chunk` at a time, as int64."""
+    """chunks are expected's rows, `chunk` at a time, as int64, in any order
+    (expected is in lexicographic order)."""
     K = expected.shape[1]
     assert [c.shape for c in chunks] == [
         (min(chunk, len(expected) - s), K) for s in range(0, len(expected), chunk)
     ]
     assert all(c.dtype == np.int64 for c in chunks)
-    assert np.array_equal(np.concatenate(chunks), expected)
+    ivs = np.concatenate(chunks)
+    assert np.array_equal(ivs[np.lexsort(ivs.T[::-1])], expected)
 
 
 def grown_levels(stats, base, alphas, levels, pinned):
@@ -875,9 +875,7 @@ class TestZeroRuns:
         chunks = list(optimizers._kept_chunks(d, len(alpha), np.array(alpha, float), chunk))
         assert [len(c) for c in chunks] == [chunk] * (kept // chunk) + [kept % chunk] * (
             kept % chunk > 0)
-        ivs = np.concatenate(chunks)
-        order = np.lexsort(ivs.T[::-1])
-        assert np.array_equal(order, np.arange(kept))  # still in lexicographic order
+        assert len(np.unique(np.concatenate(chunks), axis=0)) == kept  # each pattern once
 
     def test_kept_patterns_are_first_arrangements(self):
         ivs = np.concatenate(list(optimizers._kept_chunks(3, 3, np.array([0.0, 0.0, 1.0]), 7)))
@@ -924,8 +922,39 @@ class TestZeroRuns:
         if changed:
             target = np.where(np.arange(d) < min(changed, d, K), ols(stats).coefficients, 0.0)
         endpoint = None if target is None else LinearModel(target, stats.feature_names)
-        value, iv, _ = _enum_direct(stats, base, K, alpha, endpoint)
+        value, iv = _enum_direct(stats, base, K, alpha, endpoint)
         expected = every_pattern_direct(stats, base.coefficients, K, alpha, target)
+        assert np.array_equal(iv, expected[1])
+        assert value == expected[0]
+
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+    @pytest.mark.parametrize("correlated", [False, True], ids=["identity", "correlated"])
+    @pytest.mark.parametrize("d,alpha", [(3, (0, 0, 1, 0, 0)), (4, (1, 0, 0, 1)),
+                                         (4, (0, 0, 0, 0, 1, 1)), (3, (1, 0, 0, 0, 0, 1))],
+                             ids=["3-interior", "4-ill-conditioned", "4-leading", "3-run>d"])
+    def test_direct_ignores_visiting_order(self, monkeypatch, d, alpha, correlated, pinned):
+        # _enum_direct must return the same objective and pattern when
+        # _kept_chunks lists its patterns reversed and in uneven chunks
+        # (1, 2, 3, ... rows), on the tilted near-tie grams of
+        # test_direct_matches_every_pattern: relabeled patterns tie there,
+        # so a rule that kept the first tie visited would pick another.
+        gram = np.eye(d) + 0.3 * correlated * (1 - np.eye(d))
+        stats = stats_from_moments(gram, 1 + 1e-14 * np.arange(d), 2.0 * d,
+                                   tuple(f"x{i}" for i in range(d)))
+        base = LinearModel.zeros(stats.feature_names)
+        endpoint = ols(stats) if pinned else None
+        alpha = np.array(alpha, dtype=float)
+        K = len(alpha)
+        expected = _enum_direct(stats, base, K, alpha, endpoint)
+        kept = optimizers._kept_chunks
+
+        def reversed_uneven(d, K, alpha, chunk):
+            ivs = np.concatenate(list(kept(d, K, alpha, chunk)))[::-1]
+            cuts = np.arange(1, ivs.shape[0]).cumsum()
+            yield from np.split(ivs, cuts[cuts < ivs.shape[0]])
+
+        monkeypatch.setattr(optimizers, "_kept_chunks", reversed_uneven)
+        value, iv = _enum_direct(stats, base, K, alpha, endpoint)
         assert np.array_equal(iv, expected[1])
         assert value == expected[0]
 
