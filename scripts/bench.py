@@ -67,9 +67,11 @@ e_6 rows (to e_K), --K-max (default 6) the longer unit row, for a quick run.
 
 cli: the command line end to end, as subprocesses (python -m pathlens.cli,
 so the import counts), on a moments JSON of the tradeoff instance (d = 6):
-pathlens pareto --K 6 --gamma 1 and pathlens path exact --K 6 (pinned to
-the least-squares fit), each recording the digests of its artifacts.
---K-max and --K set the two K.
+pathlens pareto --K 6 --gamma 1, pathlens pareto --K 1000000 --gamma 1
+(over the budget, so it exits 3 and writes nothing) and pathlens path exact
+--K 6 (pinned to the least-squares fit), each recording its exit code and
+the digests of its artifacts, and, per tree and not compared, the peak RSS
+of one run (os.wait4). --K-max and --K set the first and last K.
 
 --against DIR imports DIR/src/pathlens (for example a checkout of the parent
 commit) as a second package and builds every row on both trees. Each row
@@ -246,7 +248,8 @@ def solved_rows(pl, run: Callable) -> dict:
 
 
 def cli_rows(pl, args) -> list:
-    """pathlens pareto and path exact as subprocesses of the tree that holds pl."""
+    """pathlens pareto (twice) and path exact as subprocesses of the tree that
+    holds pl, each with the probe of its peak RSS."""
     src = Path(pl.__file__).resolve().parents[1]
     work = args.tmp / pl.__name__
     work.mkdir()
@@ -257,27 +260,36 @@ def cli_rows(pl, args) -> list:
                                    "names": list(stats.feature_names)}), encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(src)}
 
-    def command(argv, outs):
+    def row(instance, argv, outs):
+        argv = [sys.executable, "-m", "pathlens.cli", *argv]
+
         def run():
-            proc = subprocess.run([sys.executable, "-m", "pathlens.cli", *argv], env=env,
-                                  capture_output=True, check=False)
+            proc = subprocess.run(argv, env=env, capture_output=True, check=False)
             return proc.returncode, [out.read_bytes() if out.exists() else b"" for out in outs]
-        return run
+
+        def peak():  # ru_maxrss is in KiB on Linux
+            proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
+                                    stderr=subprocess.DEVNULL)
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            return {"peak_rss_mb": usage.ru_maxrss / 1024.0}
+
+        return Row({**instance, "seed": SEED, "n": 100, "d": 6, "input": "moments",
+                    "schedule": "gamma=1"}, run, outcome, probe=peak)
 
     def outcome(result):
         code, blobs = result
         return {"exit": code, "artifacts_sha256": [hashlib.sha256(b).hexdigest() for b in blobs]}
 
-    instance = {"seed": SEED, "n": 100, "d": 6, "input": "moments"}
     common = ["--moments", str(moments), "--gamma", "1"]
-    front = work / "front"
-    return [Row({"layer": "pathlens pareto", **instance, "K": args.K_max, "schedule": "gamma=1"},
-                command(["pareto", *common, "--K", str(args.K_max), "--out", str(front)],
-                        [front.with_suffix(".json"), front.with_suffix(".csv")]), outcome),
-            Row({"layer": "pathlens path exact", **instance, "K": args.K, "endpoint": "ols",
-                 "schedule": "gamma=1"},
-                command(["path", "exact", *common, "--K", str(args.K), "--out",
-                         str(work / "path.json")], [work / "path.json"]), outcome)]
+    rows = []
+    for K, stem in ((args.K_max, work / "front"), (10**6, work / "huge")):  # 10^6: over budget
+        rows.append(row({"layer": "pathlens pareto", "K": K},
+                        ["pareto", *common, "--K", str(K), "--out", str(stem)],
+                        [stem.with_suffix(".json"), stem.with_suffix(".csv")]))
+    path = work / "path.json"
+    return rows + [row({"layer": "pathlens path exact", "K": args.K, "endpoint": "ols"},
+                       ["path", "exact", *common, "--K", str(args.K), "--out", str(path)], [path])]
 
 
 # (d, K, q, T, patience, endpoint, search seed, explicit weights or None for
@@ -490,6 +502,10 @@ def measure(build: Callable, args) -> list:
             line += f", {record['rows_solved']} of {record['rows']} (lambda, K) rows solved"
         if "peak_mb" in record:
             line += f", tracemalloc peak {record['peak_mb']:.1f} MB"
+        if "peak_rss_mb" in record:
+            line += f", peak RSS {record['peak_rss_mb']:.0f} MB"
+            if "against_peak_rss_mb" in record:
+                line += f" (against {record['against_peak_rss_mb']:.0f} MB)"
         print(line)
     return records
 
@@ -509,7 +525,7 @@ def main(argv=None) -> int:
                     help="ingestion: CSV rows (default 100000)")
     ap.add_argument("--K-max", type=int, default=6,
                     help="tradeoff: sweep K_max; pinned: the first best_explanation K_max; "
-                         "direct: the longer unit-step length; cli: pareto's K (default 6)")
+                         "direct: the longer unit-step length; cli: the first pareto's K (default 6)")
     ap.add_argument("--K", type=int,
                     help="tradeoff: kernel path length, one more than exact_path's; "
                          "heuristic: path length (default 10); pinned: exact_path length "

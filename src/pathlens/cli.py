@@ -380,6 +380,7 @@ def cmd_verify(args) -> int:
                                      "'interp_loss' and 'cost'")
                 rows.append(_front_row(path, i, pt["interp_loss"], pt["cost"], pt.get("K"),
                                        pt.get("lambda"), problems))
+                problems += _point_problems(i, pt)
             problems += check_front_rows(rows)
             kind = f"front JSON ({len(rows)} points)"
         elif isinstance(payload, dict) and "base" in payload and "steps" in payload:
@@ -387,11 +388,7 @@ def cmd_verify(args) -> int:
                 raise InputError(f"{path}: 'steps' is not a list")
             if canonical_json(payload) != text:
                 problems.append("file is not in canonical form (round-trip differs)")
-            for s, step in enumerate(payload["steps"]):
-                if not isinstance(step, dict) or "feature" not in step or "value" not in step:
-                    problems.append(f"step {s + 1} is malformed")
-                elif not math.isfinite(_number(step["value"])):
-                    problems.append(f"step {s + 1}: value {step['value']!r} is not a finite number")
+            problems += _path_problems(payload)
             kind = f"path JSON ({len(payload['steps'])} steps)"
         else:
             raise InputError(f"{path}: unrecognized artifact (not a front or a path)")
@@ -416,6 +413,49 @@ def _front_row(path, i: int, interp_loss, cost, K, lam, problems) -> tuple[float
         problems.append(f"point {i}: interp_loss {interp_loss!r}, cost {cost!r} and lambda "
                         f"{lam!r} must be finite, lambda >= 0, and K {K!r} an integer >= 0")
     return row
+
+
+def _path_problems(payload) -> list[str]:
+    """The problems of a path's JSON form {"base": [...], "steps": [{feature,
+    value}]}: not an object with both keys, a base that is not a list of
+    finite numbers, steps that are not a list, or a step without a string
+    feature and a finite value."""
+    if not isinstance(payload, dict) or "base" not in payload or "steps" not in payload:
+        return [f"{payload!r} is not an object with 'base' and 'steps'"]
+    problems = [] if _numbers(payload["base"]) else [
+        f"base {payload['base']!r} is not a list of finite numbers"]
+    if not isinstance(payload["steps"], list):
+        return problems + [f"steps {payload['steps']!r} is not a list"]
+    for s, step in enumerate(payload["steps"], start=1):
+        if not isinstance(step, dict) or "feature" not in step or "value" not in step:
+            problems.append(f"step {s} is malformed")
+            continue
+        if not isinstance(step["feature"], str):
+            problems.append(f"step {s}: feature {step['feature']!r} is not a string")
+        if not math.isfinite(_number(step["value"])):
+            problems.append(f"step {s}: value {step['value']!r} is not a finite number")
+    return problems
+
+
+def _point_problems(i: int, pt: dict) -> list[str]:
+    """Front JSON point i's problems with its stored path (_path_problems),
+    and, where that path is sound, a model that is not one finite number
+    per coefficient of the path's base or an integer K that is not the
+    path's step count."""
+    path, model, K = pt.get("path"), pt.get("model"), pt.get("K")
+    problems = [f"point {i}: path {p}" for p in _path_problems(path)]
+    sound = not problems
+    if not _numbers(model) or sound and len(model) != len(path["base"]):
+        problems.append(f"point {i}: model {model!r} is not a list of finite numbers, "
+                        "one per coefficient of its path's base")
+    if sound and str(K).isdecimal() and int(K) != len(path["steps"]):
+        problems.append(f"point {i}: K {K!r} is not its path's step count {len(path['steps'])}")
+    return problems
+
+
+def _numbers(value) -> bool:
+    """True iff value is a list of finite numbers."""
+    return isinstance(value, list) and all(math.isfinite(_number(v)) for v in value)
 
 
 def _number(value) -> float:

@@ -607,11 +607,9 @@ def _unit_steps(stats: SufficientStats, base: LinearModel, K: int, alpha: np.nda
     The forward pass from the origin follows the unit tie rule: each step
     takes the first move within _TIE_RTOL of the best, in (coordinate, sign)
     order, a stay counting as (0, 0). The caller checks the budget first
-    (_check_unit_budget).
+    (_check_unit_budget), and that K steps can reach `endpoint`.
     """
     d = stats.d
-    if endpoint is not None:
-        _check_reachable(base, endpoint, K)
     atoms, bits, layer, find = _l1_ball(d, K)
     costs = _ball_costs(stats, base, atoms, bits, K)
     coord = np.insert(np.repeat(np.arange(d), 2), 1, 0)  # the moves, in (coordinate, sign) order
@@ -655,19 +653,21 @@ def exact_path(stats: SufficientStats, base: LinearModel, cfg: OptimizerConfig) 
     dynamic program over the L1 ball's states (_unit_steps).
     Respects cfg.endpoint. Raises BudgetError if the work exceeds cfg.budget
     (check_budget, _check_unit_budget), before anything of size K is built,
-    and InfeasibleError if no path reaches the endpoint.
+    then InputError for invalid weights and InfeasibleError if K steps cannot
+    reach the endpoint, at every K: the searches check none of these again.
+    They raise InfeasibleError if no path reaches the endpoint.
     """
     K = cfg.K
     check_base(stats, base)
-    if K == 0:
-        if cfg.endpoint is not None:
-            _check_reachable(base, cfg.endpoint, 0)
-        return CoordinatePath(base, ())
     continuous = cfg.step_mode == "continuous"
     (check_budget if continuous else _check_unit_budget)(stats.d, K, cfg.budget)
     alpha = as_weights(cfg.schedule, K)
+    if cfg.endpoint is not None:
+        _check_reachable(base, cfg.endpoint, K)
+    if K == 0:
+        return CoordinatePath(base, ())
     if continuous:
-        return exact_paths(stats, base, alpha[None], cfg.budget, cfg.endpoint)[0]
+        return exact_paths(stats, base, alpha[None], cfg.endpoint)[0]
     return _unit_steps(stats, base, K, alpha, cfg.endpoint)
 
 
@@ -749,27 +749,24 @@ def _amount(n, digits: float) -> str:
 
 
 def exact_paths(stats: SufficientStats, base: LinearModel, alphas: np.ndarray,
-                budget: int = DEFAULT_BUDGET,
                 endpoint: LinearModel | None = None) -> list[CoordinatePath]:
     """exact_path with continuous steps, free or pinned to `endpoint`, under
     each row of a stack of weight rows alphas (L, K), K >= 1, as its schedule.
+    Its callers, exact_path and pareto._solve_grid, check first that the rows
+    are valid (as_weights), that d^K is within the budget (check_budget, an
+    upper bound) and that K steps can reach the endpoint (_check_reachable).
 
     One mask routes the rows: those with strictly positive weights share one
     _enum_fast pass (pinned ones need K >= 2), whatever the gram; the rest,
     and the rows that pass marks as broken, run _enum_direct one at a time,
     which skips the orderings a zero-weight run makes equivalent (a zero
-    weight makes two tail weights equal, so the recursion would break). The
-    budget counts all d^K patterns, an upper bound. Each row's winning
-    pattern, from either enumerator, is then solved by one solve_patterns
-    call under its own weight row, so every path is bitwise the one a
-    one-row call returns.
+    weight makes two tail weights equal, so the recursion would break).
+    Each row's winning pattern, from either enumerator, is then solved by
+    one solve_patterns call under its own weight row, so every path is
+    bitwise the one a one-row call returns.
     """
     K = alphas.shape[1]
-    check_budget(stats.d, K, budget)
-    alphas = as_weights(alphas, K)
     target = None if endpoint is None else endpoint.coefficients
-    if endpoint is not None:
-        _check_reachable(base, endpoint, K)
     fast = np.all(alphas > 0, axis=1) & (target is None or K >= 2)
     ivs = np.zeros(alphas.shape, dtype=np.int64)
     if fast.any():

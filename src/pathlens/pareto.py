@@ -94,22 +94,20 @@ def _solve_grid(stats: SufficientStats, base: LinearModel, schedule: WeightSched
     best score by more than _OBJECTIVE_RTOL max(1, |best|) (_rules_out)
     are skipped; the exact solver enumerates the patterns once for the rest
     (optimizers.exact_paths), the local solver runs per remaining value. The
-    exact solver raises BudgetError before any search if the longest
-    length's d**K_max patterns exceed the budget.
+    exact solver checks d**K_max against the budget before any weight is
+    built; checking the longest rows checks every length's prefix of them.
     """
     if K_max < 0:
         raise InputError("K_max must be >= 0")
     if solver not in ("exact", "local"):
         raise InputError("solver must be 'exact' or 'local'")
     base_cfg = cfg if cfg is not None else OptimizerConfig(K=0, schedule=schedule)
+    if solver == "exact":
+        check_budget(stats.d, K_max, base_cfg.budget)
     best = [(cost(stats, base), CoordinatePath(base, ()), 0)] * len(lams)  # value, path, K
     with np.errstate(over="ignore", invalid="ignore"):  # as_weights rejects inf and nan
         scaled = lams[:, None] * schedule.weights(K_max)
-    # Each length's rows are a prefix of these with +1 at its end, so checking
-    # the longest rows checks them all, before any search.
-    as_weights(scaled + (np.arange(K_max) == K_max - 1), K_max)
-    if solver == "exact":
-        check_budget(stats.d, K_max, base_cfg.budget)
+    as_weights(scaled + (np.arange(K_max) == K_max - 1), K_max)  # exact_paths checks no row
     # Every (lam, K) row's search scores at least d candidates; the floor
     # solves no more subsets than that in all, nor more than the budget.
     floor = _best_subset_floor(stats, base, K_max,
@@ -130,7 +128,7 @@ def _solve_grid(stats: SufficientStats, base: LinearModel, schedule: WeightSched
         kcfg = replace(base_cfg, K=K, endpoint=None, step_mode="continuous",
                        seed=base_cfg.seed + K, q=min(base_cfg.q, K))
         if solver == "exact":
-            paths = exact_paths(stats, base, alphas, kcfg.budget)
+            paths = exact_paths(stats, base, alphas)
         else:
             paths = [local_improvement(stats, base, replace(kcfg, schedule=s)) for s in weights]
         for j, path, s in zip(live, paths, weights):
@@ -168,8 +166,9 @@ def sweep(stats: SufficientStats, base: LinearModel, schedule: WeightSchedule,
           cfg: OptimizerConfig | None = None, workers: int = 1) -> FrontReport:
     """Trace the front by solving the tradeoff at every grid value.
 
-    The exact solver makes one batched enumeration per K for the grid values
-    that length can still improve (see the module docstring). Duplicate
+    The exact solver checks its budget before it builds anything of size
+    K_max, then makes one batched enumeration per K for the grid values that
+    length can still improve (see the module docstring). Duplicate
     models across lambdas are merged keeping the smallest lambda; dominated
     points are dropped; points are sorted by interp_loss. `workers` splits
     the sorted grid into that many contiguous chunks, each solved by one

@@ -635,6 +635,50 @@ class TestVerifyRejectsUncheckableValues:
         assert "canonical" not in err
 
 
+class TestVerifyRejectsContradictions:
+    """A path JSON whose base or a step's feature is malformed, and a front
+    JSON point whose stored path is malformed or disagrees with its model
+    or K, is a named FAIL, exit 1."""
+
+    @pytest.mark.parametrize("value,where", [
+        ("abc", "base 'abc' is not a list of finite numbers"),
+        ([math.nan] * 2, "base [nan, nan] is not a list of finite numbers"),
+        (3, "step 2: feature 3 is not a string"),
+    ], ids=["text-base", "nan-base", "number-feature"])
+    def test_path(self, capsys, toy_moments, tmp_path, value, where):
+        _, _, f = written_artifacts(capsys, toy_moments, tmp_path)
+        payload = json.loads(f.read_text(encoding="utf-8"))
+        if where.startswith("base"):
+            payload["base"] = value
+        else:
+            payload["steps"][1]["feature"] = value
+        f.write_text(canonical_json(payload), encoding="utf-8")  # still canonical
+        code, _, err = run(capsys, "verify", "--input", str(f))
+        assert code == 1 and err == f"FAIL: {where}\n"
+
+    @pytest.mark.parametrize("key,value,where", [
+        ("K", 2, ["K 2 is not its path's step count 1"]),
+        ("path", None, ["path None is not an object with 'base' and 'steps'"]),
+        ("path", {"base": "abc", "steps": 7}, ["path base 'abc' is not a list of finite numbers",
+                                               "path steps 7 is not a list"]),
+        ("model", "x", ["model 'x' is not a list of finite numbers, one per coefficient of "
+                        "its path's base"]),
+        ("model", [1.0], ["model [1.0] is not a list of finite numbers, one per coefficient "
+                          "of its path's base"]),
+    ], ids=["K-off-by-one", "missing-path", "malformed-path", "text-model", "short-model"])
+    def test_front_json(self, capsys, toy_moments, tmp_path, key, value, where):
+        _, f, _ = written_artifacts(capsys, toy_moments, tmp_path)
+        payload = json.loads(f.read_text(encoding="utf-8"))
+        assert payload["points"][1]["K"] == 1
+        if value is None:
+            del payload["points"][1][key]
+        else:
+            payload["points"][1][key] = value
+        f.write_text(canonical_json(payload), encoding="utf-8")
+        code, _, err = run(capsys, "verify", "--input", str(f))
+        assert code == 1 and err.splitlines() == [f"FAIL: point 2: {w}" for w in where]
+
+
 class TestByteOrderMark:
     """JSON inputs load with or without a leading UTF-8 byte-order mark."""
 

@@ -208,16 +208,31 @@ class TestExactPath:
         with pytest.raises(BudgetError, match=re.escape(f"needs {count} inner solves")):
             exact_path(toy_stats, toy_zero, cfg)
 
-    @pytest.mark.parametrize("step_mode", ["continuous", "unit"])
-    def test_budget_checked_before_weights(self, toy_stats, toy_zero, step_mode, monkeypatch):
-        # A huge K is refused before its K weights are built.
-        def no_weights(*args):
-            raise AssertionError("weights built before the budget check")
+    @pytest.mark.parametrize("entry", ["continuous", "unit", "pinned", "unit_pinned", "sweep",
+                                       "solve_tradeoff", "best_explanation"])
+    def test_budget_checked_before_weights(self, toy_stats, toy_zero, entry, monkeypatch):
+        # At K = 10^6 every exact entry raises BudgetError before it asks the
+        # schedule for its K weights (a sweep's rows would take 0.5 GB).
+        weights = WeightSchedule.weights
 
-        monkeypatch.setattr(optimizers, "as_weights", no_weights)
-        cfg = OptimizerConfig(K=10_000_000, schedule=GAMMA1, step_mode=step_mode)
+        def spy(schedule, K):
+            assert K <= 2, f"{K:,} weights built before the budget check"
+            return weights(schedule, K)
+
+        monkeypatch.setattr(WeightSchedule, "weights", spy)
+        K, target = 10**6, LinearModel(TOY_OLS, toy_stats.feature_names)
+        cfg = OptimizerConfig(K=K, schedule=GAMMA1,
+                              step_mode="unit" if entry.startswith("unit") else "continuous",
+                              endpoint=target if entry.endswith("pinned") else None)
         with pytest.raises(BudgetError):
-            exact_path(toy_stats, toy_zero, cfg)
+            if entry == "sweep":
+                sweep(toy_stats, toy_zero, GAMMA1, default_lambda_grid(), K)
+            elif entry == "solve_tradeoff":
+                pareto.solve_tradeoff(toy_stats, toy_zero, GAMMA1, 1.0, K)
+            elif entry == "best_explanation":
+                best_explanation(toy_stats, toy_zero, target, GAMMA1, K)
+            else:
+                exact_path(toy_stats, toy_zero, cfg)
 
     def test_k0(self, toy_stats, toy_zero):
         assert exact_path(toy_stats, toy_zero, OptimizerConfig(K=0, schedule=GAMMA1)).K == 0
@@ -253,6 +268,26 @@ class TestExactPath:
         target = LinearModel(TOY_OLS, toy_stats.feature_names)
         with pytest.raises(InfeasibleError, match="K=0 steps cannot reach it"):
             exact_path(toy_stats, toy_zero, replace(cfg, endpoint=target))
+
+    @pytest.mark.parametrize("K,weights,step_mode", [
+        (0, None, "continuous"), (1, None, "continuous"), (2, None, "continuous"),
+        (2, (1.0, 0.0), "continuous"), (2, None, "unit"),
+    ], ids=["k0", "pinned_k1_direct", "recursion", "zero_weight_direct", "unit"])
+    def test_unreachable_endpoint_on_every_route(self, K, weights, step_mode):
+        # A target K steps cannot reach raises the same InfeasibleError
+        # whichever search the length, weights and step mode would pick;
+        # over budget it raises BudgetError first.
+        stats = random_stats(71, d=3)
+        base = LinearModel.zeros(stats.feature_names)
+        target = LinearModel((np.arange(3) <= K).astype(float), stats.feature_names)
+        schedule = GAMMA1 if weights is None else WeightSchedule.explicit(weights)
+        cfg = OptimizerConfig(K=K, schedule=schedule, step_mode=step_mode, endpoint=target)
+        message = f"target differs from base in {K + 1} coordinates; K={K} steps cannot reach it"
+        with pytest.raises(InfeasibleError, match=re.escape(message)):
+            exact_path(stats, base, cfg)
+        if K > 0:  # d**0 = 1 pattern is within any budget
+            with pytest.raises(BudgetError):
+                exact_path(stats, base, replace(cfg, budget=1))
 
 
 def _blocking_battery():

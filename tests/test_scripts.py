@@ -1,5 +1,6 @@
 """Smoke tests: the example scripts run end to end against the public API."""
 
+import hashlib
 import json
 import os
 import statistics
@@ -79,6 +80,23 @@ def test_bench_refuses_another_path(argv, tmp_path):
     assert proc.returncode != 0
     assert "exact_path, " in proc.stderr and "found" in proc.stderr, proc.stderr
     assert not list(tmp_path.glob("BENCH_*.json"))
+
+
+def test_bench_cli_records_peak_rss(tmp_path):
+    # Each cli row records its subprocess's peak RSS; pareto at K = 10^6 is
+    # over the budget, so it exits 3 and writes no artifact.
+    proc = run_script(["bench.py", "--topic", "cli", "--K-max", "2"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "BENCH_cli.json").read_text(encoding="utf-8"))
+    records = {(r["instance"]["layer"], r["instance"]["K"]): r for r in report["instances"]}
+    assert list(records) == [("pathlens pareto", 2), ("pathlens pareto", 10**6),
+                             ("pathlens path exact", 6)]
+    assert all(0 < r["peak_rss_mb"] < 1e4 for r in records.values())
+    assert [r["exit"] for r in records.values()] == [0, 3, 0]
+    empty = hashlib.sha256(b"").hexdigest()
+    assert records["pathlens pareto", 10**6]["artifacts_sha256"] == [empty, empty]
+    assert empty not in records["pathlens pareto", 2]["artifacts_sha256"]
+    assert "peak RSS" in proc.stdout
 
 
 def test_bench_direct_rejects_k1(tmp_path):
