@@ -56,14 +56,16 @@ near-collinear d = 6 instance (the last feature repeats the first up to
 1e-7 noise, gram condition number 3.5e14) at K = 7 under geometric(1)
 weights, which the factor recursion serves; unit-step exact_path at d = 4,
 K = 5 and 6, which the dynamic program over lattice states serves, each
-also with the tracemalloc peak of one run; _enum_direct itself, its
-pattern's steps solved once by solve_patterns, on a zero-weight schedule
-(0, 1, 1, ...) at d = 5, K = 7; and exact_path, which runs _enum_direct
-and then solves the winning pattern, on the benchmark's
-search workload's zero-weight schedule (1, 0, 0, 0, 1) at d = 6, K = 5, and
-on alpha = e_6 (weight on the last model only, best-subset selection) at
-d = 6 and 8. --K (default 7) shrinks the first, the _enum_direct and the
-e_6 rows (to e_K), --K-max (default 6) the longer unit row, for a quick run.
+also with the tracemalloc peak of one run; exact_path on zero-weight
+schedules, which the recursion serves with null steps: (0, 1, 1, ...) at
+d = 5, K = 7, the benchmark's search workload's (1, 0, 0, 0, 1) at d = 6,
+K = 5, and alpha = e_6 (weight on the last model only, best-subset
+selection) at d = 6 and 8; and _enum_direct itself, its pattern's steps
+solved once by solve_patterns, on a row the recursion marks broken: the
+search workload's ill-conditioned shape, (1, 0, 0, 1) at d = 4, K = 4 with
+the last feature the first up to 1e-7 noise. --K (default 7) shrinks the
+first, the zero-first and the e_6 rows (to e_K), --K-max (default 6) the
+longer unit row, for a quick run.
 
 cli: the command line end to end, as subprocesses (python -m pathlens.cli,
 so the import counts), on a moments JSON of the tradeoff instance (d = 6):
@@ -431,17 +433,18 @@ def direct_rows(pl, args) -> list:
     exact(6, geometric, args.K, noise=1e-7)
     for K in (args.K_max - 1, args.K_max):
         exact(4, geometric, K, peak=True, step_mode="unit")
-    stats = tradeoff_stats(pl, 5)
-    base = pl.LinearModel.zeros(stats.feature_names)
-    zero_first = pl.WeightSchedule.explicit([0.0] + [1.0] * (args.K - 1))
-    rows.append(Row({"layer": "_enum_direct", "seed": SEED, "n": 100, "d": 5, "endpoint": "free",
-                     "schedule": zero_first.describe(), "K": args.K},
-                    partial(direct_path, pl, stats, base, args.K, zero_first.weights(args.K)),
-                    path_outcome(pl, stats, zero_first)))
+    exact(5, pl.WeightSchedule.explicit([0.0] + [1.0] * (args.K - 1)), args.K)
     exact(6, pl.WeightSchedule.explicit([1.0, 0.0, 0.0, 0.0, 1.0]), 5)
     K = min(6, args.K)  # alpha = e_K
     for d in (6, 8):
         exact(d, pl.WeightSchedule.explicit([0.0] * (K - 1) + [1.0]), K)
+    stats = tradeoff_stats(pl, 4, noise=1e-7)
+    base = pl.LinearModel.zeros(stats.feature_names)
+    ill = pl.WeightSchedule.explicit([1.0, 0.0, 0.0, 1.0])
+    rows.append(Row({"layer": "_enum_direct", "seed": SEED, "n": 100, "d": 4, "endpoint": "free",
+                     "schedule": ill.describe(), "K": 4, "noise": 1e-7},
+                    partial(direct_path, pl, stats, base, 4, ill.weights(4)),
+                    path_outcome(pl, stats, ill)))
     return rows
 
 

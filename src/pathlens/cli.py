@@ -350,8 +350,6 @@ def cmd_expected_cost(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.input is None:
-        raise InputError("verify needs --input FILE (front CSV/JSON or path JSON)")
     path = Path(args.input)
     text = read_text(path)
 

@@ -2,23 +2,23 @@
 
 exact_path is globally optimal for the configured objective. With continuous
 steps it solves the inner quadratic exactly for every index vector in
-{0..d-1}^K but those a zero-weight run makes equivalent to an earlier one
-(_enum_direct, which generates the kept patterns as a product of each run's
-segments). Positive weights run through an incremental Cholesky recursion
-(_enum_fast), free or, from K = 2 on, pinned: a pattern's factor L extends
-its prefix's, so a tree node carries only fixed-size summaries (Q = B'B,
-u = B'y, ssq = ||y||^2 for B = L^{-1} G[pattern, :]), grown by rank-one
-terms (_grow). A pinned search runs it on [G | I], so E = L^{-1} C' (C the
-pattern's coordinate-incidence matrix) joins B, R = B'E joins Q and
-v = E'y joins u; its nodes also carry M = E'E. A pattern's inner matrix, entry
-(j, l) min(w_j, w_l) G[i_j, i_l], is then positive definite (Schur product
-theorem) whenever diag(G) > 0, singular grams included, so only the weight
-rows whose factorization breaks down in floating point fall back to
-_enum_direct, batched inner solves (inner.solve_patterns), which also serve
-zero weights and pinned K = 1. One mask routes each weight row to one of
-the two enumerators, and one solve_patterns call then solves every row's
-winning pattern under its own weights: step sizes come from the inner
-solver only, so a path depends on its pattern only. Both enumerators rank
+{0..d-1}^K through an incremental Cholesky recursion (_enum_fast), free or,
+from K = 2 on, pinned: a pattern's factor L extends its prefix's, so a tree
+node carries only fixed-size summaries (Q = B'B, u = B'y, ssq = ||y||^2 for
+B = L^{-1} G[pattern, :]), grown by rank-one terms (_grow). A pinned search
+runs it on [G | I], so E = L^{-1} C' (C the pattern's coordinate-incidence
+matrix) joins B, R = B'E joins Q and v = E'y joins u; its nodes also carry
+M = E'E. A pattern's inner matrix, entry (j, l) min(w_j, w_l) G[i_j, i_l], is
+positive definite (Schur product theorem) whenever diag(G) > 0 and the
+weights are positive, singular grams included; a step that only repeats a
+row of it, as zero weights allow, is a null step (_null_steps). So only the
+weight rows whose factorization breaks down in floating point fall back to
+_enum_direct, batched inner solves (inner.solve_patterns) of all d^K
+patterns, which also serve pinned K = 1 and pinned rows whose last weight
+is 0. One mask routes each weight row to one of the two enumerators, and
+one solve_patterns call then solves every row's winning pattern under its
+own weights: step sizes come from the inner solver only, so a path depends
+on its pattern only. Both enumerators rank
 through one tie rule (_keep): objectives within 1e-12 (relative) are ties,
 and a chunk's least-index candidate tied with its minimum replaces the
 incumbent if it beats it by more than that, or ties it from a smaller
@@ -173,15 +173,18 @@ def _install_order(stats: SufficientStats, base: LinearModel, target: LinearMode
 # ---------------------------------------------------------------------------
 
 
-def _mark_broken(broken: np.ndarray, piv: np.ndarray, floor: np.ndarray) -> None:
+def _mark_broken(broken: np.ndarray, piv: np.ndarray, floor: np.ndarray, null=None) -> None:
     """Set broken[l] for each weight row l (leading axis) holding a pivot at
-    or below its floor, or a NaN pivot (arithmetic that overflowed)."""
+    or below its floor, or a NaN pivot (arithmetic that overflowed); a null
+    step's pivot (where null) is set to inf first, so it breaks nothing."""
+    if null is not None:
+        piv[null] = np.inf
     ok = piv > floor  # False for NaN
     if not ok.all():
         broken |= ~ok.reshape(ok.shape[0], -1).all(axis=1)
 
 
-def _grow(nodes, G, gd, r, wm, broken, out):
+def _grow(nodes, G, gd, r, wm, broken, out, null=None):
     """Expand every node by one step on each coordinate.
 
     A node is (QT, uT, ssq) over a gram G (d, D): G itself (D = d) in a free
@@ -192,13 +195,14 @@ def _grow(nodes, G, gd, r, wm, broken, out):
     transposed view, so every broadcast operand is contiguous along (c, N).
     The d*N children come back in the same layout, child c of node p at
     c*N + p; their QT and MT go to the buffers out, or to new arrays where
-    out holds None. Broken rows are marked in broken.
+    out holds None. Broken rows are marked in broken, null steps (L, d, N)
+    grown as their parents.
     """
     QT, uT, ssq = nodes[:3]
     L, d, D, N = QT.shape
     dQ = np.einsum("...iin->...in", QT[:, :, :d])
     piv2 = wm * gd[:, None] - wm * wm * dQ
-    _mark_broken(broken, piv2, _PIVOT_RTOL * wm * gd[:, None])
+    _mark_broken(broken, piv2, _PIVOT_RTOL * wm * gd[:, None], null)
     piv = np.sqrt(piv2)
     ynew = (wm * r[:, None] - wm * uT[:, :d]) / piv
     ssq = (ssq[:, None, :] + ynew * ynew).reshape(L, d * N)
@@ -216,7 +220,7 @@ def _grow(nodes, G, gd, r, wm, broken, out):
     return grown + (MTc.reshape(L, d, d, d * N),)
 
 
-def _fused_leaves(QT, uT, ssq, G, gd, r, w1, w2, top, broken, out):
+def _fused_leaves(QT, uT, ssq, G, gd, r, w1, w2, top, broken, out, null1=None, null2=None):
     """Objectives of every two-step completion of each node, as vals[l, c1, c2, n].
 
     Computed in the two buffers out, shaped like QT (L, d, d, N), in _grow's
@@ -231,11 +235,13 @@ def _fused_leaves(QT, uT, ssq, G, gd, r, w1, w2, top, broken, out):
     (1 - _PIVOT_RTOL) gd / w2 - diag(Q), so that a gd / w2 that overflows
     breaks nothing), or at a NaN. Each value goes through the same operations
     in the same order whatever L and N are, so it does not depend on how rows
-    and nodes are blocked.
+    and nodes are blocked. A null first step (null1 (L, d, N)) gets s = 0, a
+    null second step (null2 (L, d, d N), c2 after c1 of node n at
+    [c2, c1 N + n]) b - rho^2 = inf, out of the check.
     """
     dQ = np.einsum("...iin->...in", QT)
     piv1 = w1 * gd[:, None] - w1 * w1 * dQ
-    _mark_broken(broken, piv1, _PIVOT_RTOL * w1 * gd[:, None])
+    _mark_broken(broken, piv1, _PIVOT_RTOL * w1 * gd[:, None], null1)
     s = 1 / np.sqrt(piv1)
     a = r[:, None] - uT
     y1 = w1 * a * s
@@ -244,6 +250,8 @@ def _fused_leaves(QT, uT, ssq, G, gd, r, w1, w2, top, broken, out):
     np.subtract(G[:, :, None], rho, out=rho)
     rho *= s[:, :, None]
     h = np.multiply(rho, rho, out=out[1])
+    if null2 is not None:
+        h[null2.reshape(h.shape).swapaxes(1, 2)] = -np.inf
     _mark_broken(broken, (1 - _PIVOT_RTOL) * gd[:, None] / w2 - dQ, h.max(axis=1))
     np.subtract((gd[:, None] / w2 - dQ)[:, None], h, out=h)
     rho *= y1[:, :, None]
@@ -253,7 +261,7 @@ def _fused_leaves(QT, uT, ssq, G, gd, r, w1, w2, top, broken, out):
     return np.subtract(C[:, :, None], rho, out=rho)
 
 
-def _pinned_leaves(nodes, index, m, G, gd, r, w1, w2, top, e, broken):
+def _pinned_leaves(nodes, index, m, G, gd, r, w1, w2, top, e, broken, null1=None, null2=None):
     """Pinned objectives of the two-step completions of level-m nodes that
     reach the target, a piece at a time: yields (vals (L, P), the leaves'
     lexicographic indices (P,)).
@@ -265,7 +273,7 @@ def _pinned_leaves(nodes, index, m, G, gd, r, w1, w2, top, e, broken):
     untouched, eliminated along the leaf axis; a leaf that leaves a
     coordinate with e != 0 untouched is skipped. A piece's [M~ | z] holds
     at most _PIECE_ENTRIES entries. Rows whose pivots break down are marked
-    in broken.
+    in broken. Null steps (null1, null2 as in _fused_leaves) add no E row.
     """
     QT, uT, ssq, MT = nodes
     L, d, D, N = QT.shape
@@ -290,14 +298,15 @@ def _pinned_leaves(nodes, index, m, G, gd, r, w1, w2, top, e, broken):
         n, c = np.divmod(leaf, d * d)
         c1, c2 = np.divmod(c, d)
         at1, at2 = coords == c1, coords == c2
+        n1, n2 = (None, None) if null1 is None else (null1[:, c1, n], null2[:, c2, c1 * N + n])
         piv1 = w1 * gd[c1] - w1 * w1 * QT_at(c1, c1, n)
-        _mark_broken(broken, piv1, _PIVOT_RTOL * w1 * gd[c1])
+        _mark_broken(broken, piv1, _PIVOT_RTOL * w1 * gd[c1], n1)
         piv1 = np.sqrt(piv1)
         y1 = (w1 * r[c1] - w1 * np.take(uf, c1 * N + n, axis=1)) / piv1
         E1 = (at1 - w1[..., None] * QT_at(c1, d + coords, n)) / piv1[:, None]
         row = (G[c1, c2] - w1 * QT_at(c1, c2, n)) / piv1
         piv2 = w2 * gd[c2] - w2 * w2 * (QT_at(c2, c2, n) + row * row)
-        _mark_broken(broken, piv2, _PIVOT_RTOL * w2 * gd[c2])
+        _mark_broken(broken, piv2, _PIVOT_RTOL * w2 * gd[c2], n2)
         piv2 = np.sqrt(piv2)
         y2 = (w2 * r[c2] - w2 * (np.take(uf, c2 * N + n, axis=1) + row * y1)) / piv2
         E2 = (at2 - w2[..., None] * (QT_at(c2, d + coords, n) + row[:, None] * E1)) / piv2[:, None]
@@ -335,6 +344,7 @@ def _enum_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np.ndar
     mask broken (L,) of the rows whose factorization hit a pivot at or
     below _PIVOT_RTOL of its scale, or a NaN one; their objective and
     pattern mean nothing, and the caller solves them another way (_enum_direct).
+    Zero weights make null steps (_null_steps); pinned rows need alpha_K > 0.
     A pinned search grows its nodes over [G | I] and carries M too (_grow). A
     row's results are bitwise those of a one-row call: the rows share every
     array operation along a leading axis but no arithmetic. One depth-first
@@ -381,18 +391,23 @@ def _enum_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np.ndar
     broken = np.zeros(L, dtype=bool)
     best_val = np.full(L, math.inf)
     best = np.zeros(L, dtype=np.int64)  # lexicographic index of each row's best pattern
+    zero = not alphas.all()  # else no step is null, and no mask is built
 
     def descend(m, nodes, index):
         # The level-m nodes, node j at lexicographic index index[j].
+        nulls = (None, None)  # the last two steps' null steps, the second's after each c1
+        if m == stop and fuse and zero:
+            nulls = (_null_steps(alphas, w, m, index, d),
+                     _null_steps(alphas, w, m + 1, (index * d + np.arange(d)[:, None]).ravel(), d))
         if m == stop and e is not None:
             for vals, leaves in _pinned_leaves(nodes, index, m, G, gd, r, w[:, K - 2, None],
-                                               w[:, K - 1, None], top[:, None], e, broken):
+                                               w[:, K - 1, None], top[:, None], e, broken, *nulls):
                 _keep(best_val, best, vals, leaves)
             return
         if m == stop:  # score their leaves
             vals = (_fused_leaves(*nodes, G, gd, r, wb[:, K - 2], wb[:, K - 1], top, broken,
-                                  (buf(1, nodes[0].shape), buf(2, nodes[0].shape))) if fuse
-                    else top[:, None] - nodes[2])
+                                  (buf(1, nodes[0].shape), buf(2, nodes[0].shape)), *nulls)
+                    if fuse else top[:, None] - nodes[2])
             _keep(best_val, best, vals.reshape(L, -1), index, d * d if fuse else 1)
             return
         N = nodes[2].shape[1]
@@ -401,12 +416,24 @@ def _enum_fast(stats: SufficientStats, base: np.ndarray, K: int, alphas: np.ndar
             # Only the scored level's children go to work: the others outlive their chunk.
             out = ((buf(0, (L, *Gx.shape, d, n)), buf(2, (L, d, d, d, n))) if m + 1 == stop
                    else (None, None))
-            grown = _grow(tuple(a[..., p0:p0 + n] for a in nodes), Gx, gd, r, wb[:, m], broken, out)
+            null = _null_steps(alphas, w, m, index[p0:p0 + n], d) if zero else None
+            grown = _grow(tuple(a[..., p0:p0 + n] for a in nodes), Gx, gd, r, wb[:, m], broken,
+                          out, null)
             descend(m + 1, grown, (index[p0:p0 + n] * d + np.arange(d)[:, None]).ravel())
 
     descend(0, nodes, np.zeros(1, dtype=np.int64))
     del descend  # its closure refers to itself: free work now, not at the next gc
     return best_val, _patterns(best, d, K), broken
+
+
+def _null_steps(alphas, w, m, index, d):
+    """null[l, c, n] (L, d, N): whether step m + 1 on coordinate c after the
+    m steps at lexicographic index index[n] is null under weight row l: its
+    tail weight w is 0, or the zero run it continues already wrote c at the
+    same tail weight, so it repeats a row of the system."""
+    run = np.cumsum(alphas[:, :m][:, ::-1] > 0, axis=1)[:, ::-1] == 0  # (L, m): step m+1's run
+    wrote = _patterns(index, d, m).T[:, None, :] == np.arange(d)[:, None]  # (m, d, N)
+    return (run[:, :, None, None] & wrote).any(axis=1) | (w[:, m] == 0)[:, None, None]
 
 
 def _patterns(index: np.ndarray, d: int, K: int) -> np.ndarray:
@@ -462,58 +489,23 @@ def _keep(best_val: np.ndarray, best: np.ndarray, vals: np.ndarray, index: np.nd
         best_val[rows[win]], best[rows[win]] = tied[win], i[win]
 
 
-def _kept_chunks(d: int, K: int, alpha: np.ndarray, chunk: int):
-    """The index vectors, `chunk` rows at a time, less the patterns that
-    repeat a coordinate inside a zero run of at most d steps, unless the run
-    is its coordinate set's first arrangement (the least coordinate
-    repeated, then the rest ascending). A zero run is a maximal block of
-    steps whose models before its last one weigh zero; it ends at a weighted
-    model or at step K. Each such run is one block of its kept segments,
-    every other step a block of d coordinates, and the patterns are the
-    blocks' product, in no promised order."""
-    stops = np.union1d(np.flatnonzero(alpha > 0) + 1, [K]).tolist()
-    blocks = []
-    for s, t in zip([0] + stops[:-1], stops):
-        blocks += [_run_segments(d, t - s)] if t - s <= d else [np.arange(d)[:, None]] * (t - s)
-    sizes = [len(b) for b in blocks]
-    total = math.prod(sizes)
-    for s in range(0, total, chunk):
-        rows = np.unravel_index(np.arange(s, min(s + chunk, total)), sizes)
-        yield np.concatenate([b[i] for b, i in zip(blocks, rows)], axis=1, dtype=np.int64)
-
-
-def _run_segments(d: int, n: int) -> np.ndarray:
-    """A zero run's kept segments (rows of n <= d coordinates), in the
-    narrowest integer type that holds d - 1: every ordering of n distinct
-    coordinates, then each smaller set's first arrangement."""
-    firsts = ((c[0],) * (n - m + 1) + c[1:]
-              for m in range(1, n) for c in itertools.combinations(range(d), m))
-    count = math.perm(d, n) + sum(math.comb(d, m) for m in range(1, n))
-    rows = itertools.chain(itertools.permutations(range(d), n), firsts)
-    return np.fromiter(itertools.chain.from_iterable(rows), np.min_scalar_type(d - 1),
-                       count=count * n).reshape(count, n)
-
-
 def _enum_direct(stats: SufficientStats, base: LinearModel, K: int, alpha: np.ndarray,
                  endpoint: LinearModel | None = None):
-    """Chunked exhaustive search by batched inner solves, free or pinned to
-    an `endpoint` the caller has checked K steps can reach, for zero weights
-    and the rows _enum_fast marks broken. Returns (objective, pattern) of the
-    best pattern under the tie rule (_keep).
-
-    Inside a zero run only the run's coordinate set changes the weighted
-    models, so _kept_chunks generates only the patterns that no earlier one
-    matches run by run, as the product of each run's kept segments. Every
-    ordering of distinct coordinates stays: on collinear grams their float
-    objectives differ by rounding, which decides the rank.
+    """Exhaustive search by batched inner solves (solve_patterns) over all
+    d^K patterns, free or pinned to an `endpoint` the caller has checked K
+    steps can reach: the fallback for the rows _enum_fast marks broken, for
+    pinned K = 1 and for pinned rows whose last weight is 0. Returns
+    (objective, pattern) of the best pattern under the tie rule (_keep),
+    a chunk of consecutive lexicographic indices at a time.
     """
     d = stats.d
     target = None if endpoint is None else endpoint.coefficients
     best_val, best = np.full(1, math.inf), np.zeros(1, dtype=np.int64)
-    place = d ** np.arange(K - 1, -1, -1, dtype=np.int64)
-    for ivs in _kept_chunks(d, K, alpha, max(256, _CHUNK_ENTRIES // (K * K))):
-        vals = solve_patterns(stats, base.coefficients, ivs, alpha, target)[1]
-        _keep(best_val, best, vals[None], ivs @ place)
+    total, chunk = d**K, max(1, _CHUNK_ENTRIES // (K * K))
+    for s in range(0, total, chunk):
+        index = np.arange(s, min(s + chunk, total))
+        vals = solve_patterns(stats, base.coefficients, _patterns(index, d, K), alpha, target)[1]
+        _keep(best_val, best, vals[None], index)
     if best_val[0] == math.inf:
         raise InfeasibleError("no index pattern of this length reaches the target")
     return float(best_val[0]), _patterns(best[0], d, K)
@@ -624,19 +616,17 @@ def _unit_steps(stats: SufficientStats, base: LinearModel, K: int, alpha: np.nda
     togo = [np.zeros(len(atoms))]
     if endpoint is not None:
         togo[0][:] = np.inf
-        t = endpoint.coefficients - base.coefficients
-        z = np.round(t)
-        if np.all(np.abs(t - z) <= 1e-9) and np.abs(z).sum() <= K:
-            nz = np.flatnonzero(z)
-            at = np.full((1, atoms.shape[1]), (d << bits) + K)
-            at[0, :nz.size] = (nz << bits) + K + z[nz].astype(np.int64)
-            togo[0][find(at)] = 0.0
+        z = np.round(endpoint.coefficients - base.coefficients)
+        nz = np.flatnonzero(z)
+        at = np.full((1, atoms.shape[1]), (d << bits) + K)
+        at[0, :nz.size] = (nz << bits) + K + z[nz].astype(np.int64)
+        togo[0][find(at)] = 0.0
     for k in range(K - 1, -1, -1):  # move by move, so temporaries stay one layer long
         best = np.full(layer[k], np.inf)
         for m in succ[:, :layer[k]]:
             np.minimum(best, alpha[k] * costs[m] + togo[0][m], out=best)
         togo.insert(0, best)
-    if togo[0][0] == np.inf:
+    if togo[0][0] == np.inf:  # costs that overflow leave no finite path
         raise InfeasibleError("no unit-step path of this length reaches the target")
     state, steps = 0, []
     for k in range(K):
@@ -664,6 +654,9 @@ def exact_path(stats: SufficientStats, base: LinearModel, cfg: OptimizerConfig) 
     alpha = as_weights(cfg.schedule, K)
     if cfg.endpoint is not None:
         _check_reachable(base, cfg.endpoint, K)
+        z = cfg.endpoint.coefficients - base.coefficients  # unit steps reach integer z, |z|_1 <= K
+        if not (continuous or np.all(abs(z - np.round(z)) <= 1e-9) and abs(np.round(z)).sum() <= K):
+            raise InfeasibleError("no unit-step path of this length reaches the target")
     if K == 0:
         return CoordinatePath(base, ())
     if continuous:
@@ -756,18 +749,18 @@ def exact_paths(stats: SufficientStats, base: LinearModel, alphas: np.ndarray,
     are valid (as_weights), that d^K is within the budget (check_budget, an
     upper bound) and that K steps can reach the endpoint (_check_reachable).
 
-    One mask routes the rows: those with strictly positive weights share one
-    _enum_fast pass (pinned ones need K >= 2), whatever the gram; the rest,
-    and the rows that pass marks as broken, run _enum_direct one at a time,
-    which skips the orderings a zero-weight run makes equivalent (a zero
-    weight makes two tail weights equal, so the recursion would break).
+    One mask routes the rows: every free row, and every pinned row with
+    K >= 2 and a positive last weight, share one _enum_fast pass, whatever
+    the gram and zero weights. The rest, and the rows that pass marks as
+    broken, run _enum_direct one at a time (a pinned step at tail weight 0
+    still moves the endpoint, which no null step expresses).
     Each row's winning pattern, from either enumerator, is then solved by
     one solve_patterns call under its own weight row, so every path is
     bitwise the one a one-row call returns.
     """
     K = alphas.shape[1]
     target = None if endpoint is None else endpoint.coefficients
-    fast = np.all(alphas > 0, axis=1) & (target is None or K >= 2)
+    fast = (alphas[:, -1] > 0) & (K >= 2) if target is not None else np.ones(len(alphas), bool)
     ivs = np.zeros(alphas.shape, dtype=np.int64)
     if fast.any():
         _, ivs[fast], broken = _enum_fast(stats, base.coefficients, K, alphas[fast], target)
@@ -1081,9 +1074,11 @@ def best_explanation(stats: SufficientStats, base: LinearModel, target: LinearMo
     cost(target). The band covers a final model within K_max ulps of the
     target in each coordinate; steps that overshoot a coordinate far along
     a near-null direction can leave it further off, which the margin covers
-    unless that drift reaches 1e-9 max(1, |best|).
-    Each length's weights are validated before its bound, as its search
-    would, so a schedule too short for K_max raises at the same length.
+    unless that drift reaches 1e-9 max(1, |best|). No term is below 0, so
+    once sum_{k<K} alpha_k floor[k] alone rules out, every longer length
+    does too and the loop ends; the weights of all lengths are validated
+    after the first search, so a schedule too short for K_max raises for
+    the first length it cannot give, as a search of every length would.
     """
     if K_max < 0:
         raise InputError("K_max must be >= 0")
@@ -1097,12 +1092,16 @@ def best_explanation(stats: SufficientStats, base: LinearModel, target: LinearMo
     check_budget(stats.d, K_max, budget)  # the longest length's count, before any search
     best = (math.inf, None)  # (loss, path); ties keep the shorter path
     for K in range(complexity, K_max + 1):
-        if K == complexity + 1:  # after the first search: the bound's terms
+        if K == complexity + 1:  # after the first search: every length's weights, the bound's terms
+            as_weights(schedule, min(K_max, len(schedule.values or range(K_max)) + 1))
             floor = _best_subset_floor(stats, base, K_max - 1, min(budget, stats.d**complexity))
             end = _cost_floor_near(stats, target, K_max)
         if K > complexity:
             alpha = as_weights(schedule, K)
-            if _rules_out(float(alpha[:-1] @ floor[1:K]) + float(alpha[-1]) * end, best[0]):
+            spent = float(alpha[:-1] @ floor[1:K])
+            if _rules_out(spent, best[0]):
+                break  # and so does every longer length's
+            if _rules_out(spent + float(alpha[-1]) * end, best[0]):
                 continue
         cfg = OptimizerConfig(K=K, schedule=schedule, endpoint=target, budget=budget)
         path = exact_path(stats, base, cfg)

@@ -11,10 +11,8 @@ blocked form (and, with folded=False, for the algebra of its last two
 steps), iterwise_local_improvement, the local search with one
 solve_patterns call per iteration, kept as the reference for the search
 that scores windows of iterations in one call, and every_pattern_direct,
-the general enumerator over all d^K patterns, the reference for the one
-that skips equivalent orderings inside zero-weight runs; kept_patterns
-filters itertools.product by that enumerator's keep rule, the reference for
-the product of run segments that generates its patterns. rowwise_load_csv
+the general enumerator over all d^K patterns from itertools.product, the
+reference for the recursion's null steps inside zero-weight runs. rowwise_load_csv
 is the pure-Python CSV reader that load_csv's one-call numpy parse must
 match.
 per_lambda_sweep is the tradeoff sweep that solves one exact_path (or
@@ -329,7 +327,7 @@ def every_pattern_direct(stats, base, K, alpha, target=None, chunk=None):
     chunk's first candidate tied with its minimum replacing the incumbent
     only if it beats it by more than a tie. Returns (objective, pattern)."""
     if chunk is None:
-        chunk = max(256, _CHUNK_ENTRIES // (K * K))
+        chunk = max(1, _CHUNK_ENTRIES // (K * K))
     patterns = np.asarray(list(itertools.product(range(stats.d), repeat=K)), dtype=int)
     best = (math.inf, None)
     for s in range(0, len(patterns), chunk):
@@ -340,24 +338,6 @@ def every_pattern_direct(stats, base, K, alpha, target=None, chunk=None):
         if vals[j] + _TIE_RTOL * abs(vals[j]) < best[0]:
             best = (float(vals[j]), ivs[j])
     return best
-
-
-def kept_patterns(d, K, alpha):
-    """itertools.product(range(d), repeat=K) filtered by _enum_direct's
-    keep rule: inside each zero run of at most d steps (a maximal block of
-    steps ending at a weighted model or at step K), a pattern's segment has
-    distinct coordinates or is its set's first arrangement (the least
-    coordinate repeated, then the rest ascending). Rows (n, K) as int64."""
-    stops = [k + 1 for k in range(K) if alpha[k] > 0 or k == K - 1]
-    runs = [(s, t) for s, t in zip([0] + stops[:-1], stops) if t - s <= d]
-
-    def kept(segment):
-        c = sorted(set(segment))
-        return len(c) == len(segment) or list(segment) == [c[0]] * (len(segment) - len(c)) + c
-
-    rows = [iv for iv in itertools.product(range(d), repeat=K)
-            if all(kept(iv[s:t]) for s, t in runs)]
-    return np.array(rows, dtype=np.int64).reshape(-1, K)
 
 
 def best_subset_costs(stats, base, K_max):

@@ -414,6 +414,27 @@ class TestPareto:
         assert "Warning" not in err and not caught, [str(w.message) for w in caught]
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("stats", "--input", "{csv}"), "--target is required with --input"),
+    (("path", "exact", "--K", "2", "--moments", "{moments}", "--gamma", "1", "--weights", "1,1"),
+     "give at most one of --gamma/--weights/--dist"),
+    (("path", "exact", "--K", "2", "--moments", "{moments}", "--weights", "1,x"),
+     "--weights: expected comma-separated numbers"),
+    (("pareto", "--K", "2", "--moments", "{moments}", "--lambda-grid", "log:1:2"),
+     "log form is log:LO:HI:N"),
+    (("pareto", "--K", "2", "--moments", "{moments}", "--lambda-grid", "log:1:2:3.5"),
+     "cannot parse 'log:1:2:3.5'"),
+    (("stats", "--moments", "{missing}"), "cannot read"),
+    (("verify", "--input", "{missing}"), "cannot read"),
+], ids=["input_without_target", "two_schedules", "non_numeric_weights", "log_grid_parts",
+        "log_grid_count", "unreadable_moments", "unreadable_verify_input"])
+def test_bad_arguments_exit_2(capsys, toy_moments, toy_csv, tmp_path, argv, message):
+    paths = {"csv": toy_csv, "moments": toy_moments, "missing": str(tmp_path / "missing.json")}
+    code, _, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert message in err
+
+
 class TestUnwritableOut:
     """--out in a missing directory or at a directory exits 2, as bad input."""
 
@@ -528,10 +549,11 @@ class TestVerifyPathArtifact:
             ("f.json", '{"base": [0.0], "steps": 3}', "'steps'"),
             ("f.csv", "interp_loss,cost,K,lambda\n0.0,1.0,0\n", "malformed row '0.0,1.0,0'"),
             ("f.json", '{"nodes": []}', "unrecognized artifact"),
+            ("f.csv", "0.0,1.0,0,1\n", "expected header"),
         ],
         ids=["missing_key", "not_an_object", "points_not_a_list", "non_numeric_cost",
              "null_loss", "csv_non_numeric_loss", "steps_not_a_list", "csv_wrong_cell_count",
-             "unrecognized"],
+             "unrecognized", "csv_without_header"],
     )
     def test_malformed_artifact_exits_2(self, capsys, tmp_path, name, text, where):
         f = tmp_path / name

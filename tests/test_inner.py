@@ -326,6 +326,10 @@ class TestGreedyStep:
         assert abs(got_v - grid_v) <= 4 * (8 / 9999)
         assert got_c <= grid_c + 1e-9
 
+    def test_model_of_other_dimension_rejected(self, toy_stats):
+        with pytest.raises(InputError, match="model dimension"):
+            greedy_step(toy_stats, LinearModel.zeros(("a", "b", "c")))
+
     def test_zero_diagonal_rejected(self):
         stats = stats_from_moments(np.zeros((2, 2)), np.zeros(2), 1.0)
         with pytest.raises(InputError, match="diagonal"):
@@ -335,6 +339,22 @@ class TestGreedyStep:
         stats = stats_from_moments(np.eye(2), [0.5, 0.5], 1.0)
         i, _, _ = greedy_step(stats, LinearModel.zeros(stats.feature_names))
         assert i == 0
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda stats, base: inner.as_weights(np.ones(3), 2), "expected 2 weights"),
+    (lambda stats, base: inner.as_weights(np.ones((1, 1, 2)), 2), "expected 2 weights"),
+    (lambda stats, base: inner.check_index_vector([[0, 1]], 2), "nonempty 1-d"),
+    (lambda stats, base: inner.check_index_vector([], 2), "nonempty 1-d"),
+    (lambda stats, base: inner.check_index_vector([0, 2], 2), "must lie in 0..1"),
+    (lambda stats, base: inner.check_endpoint(stats, base, np.array([0]),
+                                              LinearModel.zeros(("a", "b", "c"))),
+     "target dimension"),
+], ids=["weights_length", "weights_3d", "index_2d", "index_empty", "index_range",
+        "endpoint_dimension"])
+def test_input_checks(toy_stats, toy_zero, call, message):
+    with pytest.raises(InputError, match=message):
+        call(toy_stats, toy_zero)
 
 
 def test_path_from_deltas_matches_weighted_loss(toy_stats, toy_zero):

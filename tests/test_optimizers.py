@@ -50,7 +50,6 @@ from pathlens.optimizers import (
     _enum_direct,
     _enum_fast,
     _grow,
-    _kept_chunks,
     _l1_ball,
 )
 from pathlens.inner import (
@@ -70,7 +69,6 @@ from oracles import (
     brute_force_unit,
     every_pattern_direct,
     iterwise_local_improvement,
-    kept_patterns,
     unblocked_enum_free_fast,
 )
 
@@ -501,15 +499,18 @@ class TestEnumerationEngines:
 
     @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
     def test_every_route_gets_steps_from_one_solve(self, pinned, monkeypatch):
-        # One call whose rows take every route: the recursion, a zero weight
-        # (at d = 2 its winner must repeat a coordinate), and a row the
-        # recursion marks broken. Each row's steps must be solve_patterns'
-        # for its pattern under its own weights, and its one-row call's.
+        # One call whose rows take every route: the recursion, the recursion
+        # with null steps (a zero-weight run; at d = 2 its winner must repeat
+        # a coordinate), a row the recursion marks broken, and a last weight
+        # of 0 (pinned, _enum_direct). Each row's steps must be
+        # solve_patterns' for its pattern under its own weights, and its
+        # one-row call's.
         stats = random_stats(9, d=2)
         base = LinearModel(np.array([0.2, -0.1]), stats.feature_names)
         endpoint = ols(stats) if pinned else None
         target = None if endpoint is None else endpoint.coefficients
-        alphas = np.array([[1.0, 0.5, 2.0, 0.7], [1.0, 0.0, 0.0, 1.0], [0.3, 1.0, 1.0, 0.4]])
+        alphas = np.array([[1.0, 0.5, 2.0, 0.7], [1.0, 0.0, 0.0, 1.0], [0.3, 1.0, 1.0, 0.4],
+                           [1.0, 2.0, 0.0, 0.0]])
         fast = optimizers._enum_fast
 
         def mark_last_row(stats, base, K, alphas, target):
@@ -547,9 +548,10 @@ class TestEnumerationEngines:
 
     def test_weight_rows_match_one_row_calls(self, monkeypatch):
         # Each row of a multi-row call must equal its own one-row call: same
-        # objective bit for bit and same pattern. A row with a zero or
-        # near-zero weight breaks down; the call must mark it, and no row
-        # that does not break down alone. Small blocks and row-node minimums
+        # objective bit for bit and same pattern. A row with a near-zero
+        # weight breaks down; the call must mark it, and no row that does not
+        # break down alone. A row with a zero weight takes null steps, which
+        # must leave the other rows' arithmetic alone. Small blocks and row-node minimums
         # run passes of one and of several rows, and one parent per chunk.
         # The fixed cases put several rows in one pass with one parent per
         # chunk: (d, K, _BLOCK_LEAVES, _BLOCK_ROW_NODES).
@@ -569,7 +571,7 @@ class TestEnumerationEngines:
             alphas = rng.uniform(0.1, 2.0, size=(int(rng.integers(2, 6)), K))
             if K >= 3 and seed % 3 == 0:
                 alphas[int(rng.integers(len(alphas))), K - 2] = 1e-14
-            elif K >= 2 and seed % 3 == 1:  # equal first two tail weights: fails at step 2
+            elif K >= 2 and seed % 3 == 1:  # equal first two tail weights: null steps
                 alphas[int(rng.integers(len(alphas))), 0] = 0.0
             monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", block)
             monkeypatch.setattr(optimizers, "_BLOCK_ROW_NODES", row_nodes)
@@ -713,8 +715,9 @@ class TestEnumerationEngines:
         assert broken.tolist() == [True]
         assert path.steps == enum_direct_path(stats, base, 3, alpha, endpoint).steps
 
-    def test_zero_weight_schedule_uses_direct_engine(self, toy_stats, toy_zero):
-        # alpha with zeros makes the system singular; exact_path must still work.
+    def test_zero_weight_schedule_reaches_the_fit(self, toy_stats, toy_zero):
+        # A zero first weight makes a repeated first coordinate a null step;
+        # the search must still reach the fit's cost.
         cfg = OptimizerConfig(K=2, schedule=WeightSchedule.explicit([0.0, 1.0]))
         path = exact_path(toy_stats, toy_zero, cfg)
         assert cost(toy_stats, path.final) <= cost(toy_stats, ols(toy_stats)) + 1e-8
@@ -751,8 +754,10 @@ class TestEnumerationEngines:
         # An exactly repeated feature makes the gram singular, but with
         # positive weights every pattern's inner matrix stays positive
         # definite, so the recursion must serve it, free and pinned, with
-        # _enum_direct's path. A zero-variance coordinate (the recursion
-        # marks the row broken) and a zero weight must still fall back.
+        # _enum_direct's path. A zero-variance coordinate, and a zero weight
+        # whose run may write both copies of the repeated feature, make a
+        # pivot vanish: the recursion marks the row broken, and it must
+        # still fall back.
         class DirectRan(Exception):
             pass
 
@@ -780,44 +785,29 @@ class TestEnumerationEngines:
 
 @pytest.mark.parametrize("d,K,chunk", [
     (1, 1, 3), (1, 4, 2), (3, 1, 2), (3, 4, 7), (2, 3, 8),
-    (6, 6, max(256, optimizers._CHUNK_ENTRIES // 36)),  # _enum_direct's chunk at K=6
+    (6, 6, optimizers._CHUNK_ENTRIES // 36),  # _enum_direct's chunk at K=6
     (4, 6, max(1, 200_000 // 3**6)),  # 4**6 in uneven chunks
     (4, 6, 5),  # 4**6 in many short chunks
 ])
-def test_iv_chunks_match_itertools_product(d, K, chunk):
-    # Positive weights keep every pattern.
+def test_iv_chunks_match_itertools_product(d, K, chunk, monkeypatch):
+    # _enum_direct solves every pattern, `chunk` at a time, as int64 rows
+    # in itertools.product's (lexicographic) order.
+    stats = random_stats(d, d=d)
+    chunks = []
+
+    def spy(stats, base, ivs, *args):
+        chunks.append(ivs)
+        return solve_patterns(stats, base, ivs, *args)
+
+    monkeypatch.setattr(optimizers, "_CHUNK_ENTRIES", chunk * K * K)
+    monkeypatch.setattr(optimizers, "solve_patterns", spy)
+    _enum_direct(stats, LinearModel.zeros(stats.feature_names), K, np.ones(K))
     expected = np.asarray(list(itertools.product(range(d), repeat=K)), dtype=np.int64)
-    assert_chunks(list(_kept_chunks(d, K, np.ones(K), chunk)), expected, chunk)
-
-
-def test_kept_chunks_match_the_keep_rule():
-    # The product of run segments lists exactly the patterns the keep rule
-    # filters from itertools.product, each once, on schedules mixing
-    # zero and positive weights (leading, interior and trailing zero runs,
-    # runs longer than d).
-    rng = np.random.default_rng(20)
-    schedules = [(3, (0, 0, 0, 1)), (2, (1, 0, 0, 1, 0, 0)), (4, (0, 0, 0, 0)), (5, (0,) * 6)]
-    for _ in range(40):
-        d, K = int(rng.integers(1, 6)), int(rng.integers(1, 7))
-        schedules.append((d, np.where(rng.random(K) < 0.6, 0.0, rng.uniform(0.1, 2.0, K))))
-    for d, alpha in schedules:
-        alpha = np.asarray(alpha, dtype=float)
-        K = len(alpha)
-        expected = kept_patterns(d, K, alpha)
-        for chunk in (1, 7, 100):
-            assert_chunks(list(_kept_chunks(d, K, alpha, chunk)), expected, chunk)
-
-
-def assert_chunks(chunks, expected, chunk):
-    """chunks are expected's rows, `chunk` at a time, as int64, in any order
-    (expected is in lexicographic order)."""
-    K = expected.shape[1]
     assert [c.shape for c in chunks] == [
         (min(chunk, len(expected) - s), K) for s in range(0, len(expected), chunk)
     ]
     assert all(c.dtype == np.int64 for c in chunks)
-    ivs = np.concatenate(chunks)
-    assert np.array_equal(ivs[np.lexsort(ivs.T[::-1])], expected)
+    assert np.array_equal(np.concatenate(chunks), expected)
 
 
 def grown_levels(stats, base, alphas, levels, pinned):
@@ -895,30 +885,29 @@ class TestNodeLayout:
 
 
 class TestZeroRuns:
-    @pytest.mark.parametrize("d,alpha,kept", [
-        (6, (0, 0, 0, 1), 401),  # 360 orderings of 4 distinct, and 41 smaller sets
-        (6, (1, 0, 0, 0, 1), 2406),  # search's zero-weight slice: 6 first steps x 401
-        (4, (1, 0, 0, 1), 136),  # search's ill-conditioned slice: 4 x (24 + 10)
-        (8, (0, 0, 0, 0, 0, 1), 20378),
-        (3, (0, 0, 1, 0, 0), 12 * 9),  # a run of 3 (6 + 3 + 3), then a trailing run of 2
-        (6, (1, 1, 1, 1), 1296),  # positive weights keep every pattern
-        (3, (0, 0, 0, 1), 81),  # a run longer than d keeps every pattern
-        (2, (1, 0, 0, 1), 16),
-    ])
-    def test_kept_pattern_counts(self, d, alpha, kept):
-        chunk = 100
-        chunks = list(optimizers._kept_chunks(d, len(alpha), np.array(alpha, float), chunk))
-        assert [len(c) for c in chunks] == [chunk] * (kept // chunk) + [kept % chunk] * (
-            kept % chunk > 0)
-        assert len(np.unique(np.concatenate(chunks), axis=0)) == kept  # each pattern once
+    """Inside a zero-weight run the tail weights are equal, so a step that
+    repeats a coordinate the run wrote is a null step of the recursion."""
 
-    def test_kept_patterns_are_first_arrangements(self):
-        ivs = np.concatenate(list(optimizers._kept_chunks(3, 3, np.array([0.0, 0.0, 1.0]), 7)))
-        kept = {tuple(iv) for iv in ivs.tolist()}
-        assert set(itertools.permutations(range(3))) <= kept  # every ordering of a full set
-        assert {(0, 0, 1), (0, 0, 2), (1, 1, 2), (0, 0, 0), (2, 2, 2)} <= kept
-        assert not {(0, 1, 0), (1, 0, 0), (0, 1, 1), (1, 1, 0), (2, 1, 1)} & kept
-        assert len(kept) == 6 + 3 + 3
+    def test_kept_patterns_are_first_arrangements(self, monkeypatch):
+        # Under G = I with no gain on coordinate 2, every pattern whose
+        # zero run writes 0 and 1 ties, with or without 2; the search must
+        # keep the first arrangement of {0, 1}, the least coordinate
+        # repeated, then the rest ascending, free and pinned, in blocks of
+        # one parent and of many, and whether the null steps fall in the
+        # grown levels or the fused last two.
+        stats = stats_from_moments(np.eye(3), np.array([0.5, 0.5, 0.0]), 2.0, ("a", "b", "c"))
+        base = LinearModel.zeros(stats.feature_names)
+        cases = (((0.0, 0.0, 1.0), [0, 0, 1]), ((0.0, 0.0, 0.0, 1.0), [0, 0, 0, 1]),
+                 ((1.0, 0.0, 0.0, 1.0), [0, 0, 0, 1]))
+        for endpoint, block, (alpha, first) in itertools.product((None, ols(stats)),
+                                                                 (1, 50_000), cases):
+            monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", block)
+            K = len(alpha)
+            cfg = OptimizerConfig(K=K, schedule=WeightSchedule.explicit(alpha), endpoint=endpoint)
+            assert [i for i, _ in exact_path(stats, base, cfg).steps] == first
+            target = None if endpoint is None else endpoint.coefficients
+            assert every_pattern_direct(stats, base.coefficients, K, np.array(alpha),
+                                        target)[1].tolist() == first
 
     @given(kind=st.sampled_from(["random", "tilted"]), d=st.integers(1, 4),
            K=st.integers(1, 6), seed=st.integers(0, 999), changed=st.integers(0, 4),
@@ -930,20 +919,22 @@ class TestZeroRuns:
     @example(kind="random", d=3, K=4, seed=1, changed=0, correlated=False, tilt=1e-16,
              zeros=[False, True, True, True, True, True], weights=[1.0] * 6)  # trailing zeros
     @example(kind="random", d=3, K=4, seed=1, changed=2, correlated=False, tilt=1e-16,
-             zeros=[False, True, True, True, True, True], weights=[1.0] * 6)
+             zeros=[False, True, True, True, True, True], weights=[1.0] * 6)  # pinned, alpha_K = 0
     @example(kind="random", d=2, K=5, seed=2, changed=2, correlated=False, tilt=1e-16,
              zeros=[True, True, True, True, False, True], weights=[1.0] * 6)  # run > d
     @example(kind="tilted", d=4, K=6, seed=3, changed=4, correlated=True, tilt=1e-14,
              zeros=[False, True, True, False, True, True], weights=[0.5] * 6)
     def test_direct_matches_every_pattern(self, kind, d, K, seed, changed, correlated, tilt,
                                           zeros, weights):
-        # Skipping equivalent orderings inside zero-weight runs must leave
-        # the pattern of the search over all d^K patterns bit for bit, with
-        # leading, interior and trailing zeros, runs longer than d, free and
-        # pinned endpoints, and near-ties (the tilted grams relabel patterns
-        # to within about tilt, see test_paths_do_not_depend_on_the_engine).
-        # A pinned target changes the first `changed` coordinates, so the
-        # best set of a run may be smaller than the run.
+        # exact_path, whose zero-weight rows run the recursion's null steps
+        # (pinned rows whose last weight is 0 the fallback over all
+        # patterns), must return the pattern of the search over all d^K
+        # patterns, with leading, interior and trailing zeros, runs longer
+        # than d, free and pinned endpoints, and near-ties (the tilted grams
+        # relabel patterns to within about tilt, see
+        # test_paths_do_not_depend_on_the_engine). A pinned target changes
+        # the first `changed` coordinates, so the best set of a run may be
+        # smaller than the run.
         if kind == "random":
             stats = random_stats(seed, d=d)
         else:
@@ -957,10 +948,12 @@ class TestZeroRuns:
         if changed:
             target = np.where(np.arange(d) < min(changed, d, K), ols(stats).coefficients, 0.0)
         endpoint = None if target is None else LinearModel(target, stats.feature_names)
-        value, iv = _enum_direct(stats, base, K, alpha, endpoint)
+        cfg = OptimizerConfig(K=K, schedule=WeightSchedule.explicit(alpha), endpoint=endpoint)
+        path = exact_path(stats, base, cfg)
         expected = every_pattern_direct(stats, base.coefficients, K, alpha, target)
-        assert np.array_equal(iv, expected[1])
-        assert value == expected[0]
+        assert [i for i, _ in path.steps] == expected[1].tolist()
+        if target is None or K >= 2 and alpha[-1] > 0:  # the recursion's row, not a fallback
+            assert not _enum_fast(stats, base.coefficients, K, alpha[None], target)[2][0]
 
     @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
     @pytest.mark.parametrize("correlated", [False, True], ids=["identity", "correlated"])
@@ -968,11 +961,14 @@ class TestZeroRuns:
                                          (4, (0, 0, 0, 0, 1, 1)), (3, (1, 0, 0, 0, 0, 1))],
                              ids=["3-interior", "4-ill-conditioned", "4-leading", "3-run>d"])
     def test_direct_ignores_visiting_order(self, monkeypatch, d, alpha, correlated, pinned):
-        # _enum_direct must return the same objective and pattern when
-        # _kept_chunks lists its patterns reversed and in uneven chunks
-        # (1, 2, 3, ... rows), on the tilted near-tie grams of
+        # The exact search must return the same pattern whatever order it
+        # visits the patterns in, on the tilted near-tie grams of
         # test_direct_matches_every_pattern: relabeled patterns tie there,
-        # so a rule that kept the first tie visited would pick another.
+        # so a rule that kept the first tie visited would pick another. The
+        # recursion runs with one parent per chunk and with many, which
+        # visits subtrees in another order; _enum_direct, which serves the
+        # pinned row whose last weight is 0, with one pattern per chunk and
+        # with many. Each must give the pattern of the search over all d^K.
         gram = np.eye(d) + 0.3 * correlated * (1 - np.eye(d))
         stats = stats_from_moments(gram, 1 + 1e-14 * np.arange(d), 2.0 * d,
                                    tuple(f"x{i}" for i in range(d)))
@@ -980,22 +976,39 @@ class TestZeroRuns:
         endpoint = ols(stats) if pinned else None
         alpha = np.array(alpha, dtype=float)
         K = len(alpha)
-        expected = _enum_direct(stats, base, K, alpha, endpoint)
-        kept = optimizers._kept_chunks
+        target = None if endpoint is None else endpoint.coefficients
+        expected = every_pattern_direct(stats, base.coefficients, K, alpha, target)[1].tolist()
+        cfg = OptimizerConfig(K=K, schedule=WeightSchedule.explicit(alpha), endpoint=endpoint)
+        for block, chunk in ((1, 1), (2 * d**3, 7), (50_000, 4096)):
+            monkeypatch.setattr(optimizers, "_BLOCK_LEAVES", block)
+            monkeypatch.setattr(optimizers, "_CHUNK_ENTRIES", chunk * K * K)
+            assert [i for i, _ in exact_path(stats, base, cfg).steps] == expected, (block, chunk)
 
-        def reversed_uneven(d, K, alpha, chunk):
-            ivs = np.concatenate(list(kept(d, K, alpha, chunk)))[::-1]
-            cuts = np.arange(1, ivs.shape[0]).cumsum()
-            yield from np.split(ivs, cuts[cuts < ivs.shape[0]])
-
-        monkeypatch.setattr(optimizers, "_kept_chunks", reversed_uneven)
-        value, iv = _enum_direct(stats, base, K, alpha, endpoint)
-        assert np.array_equal(iv, expected[1])
-        assert value == expected[0]
+    def test_null_steps_match_the_run_rule(self):
+        # Step m + 1 on coordinate c after pattern p is null iff its tail
+        # weight is 0 or an earlier step of p with only zero weights from
+        # it to step m wrote c, on schedules mixing zero and positive
+        # weights (leading, interior and trailing zero runs, runs longer
+        # than d), several rows at once.
+        rng = np.random.default_rng(20)
+        for _ in range(40):
+            d, K = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+            alphas = np.where(rng.random((3, K)) < 0.6, 0.0, rng.uniform(0.1, 2.0, (3, K)))
+            alphas[:, 0] += np.where(alphas.any(axis=1), 0.0, 1.0)
+            w = tail_weights(alphas)
+            for m in range(K):
+                index = np.arange(d**m)
+                null = optimizers._null_steps(alphas, w, m, index, d)
+                for l, p, c in itertools.product(range(3), range(d**m), range(d)):
+                    pattern = optimizers._patterns(np.int64(p), d, m)
+                    run = [j for j in range(m) if not alphas[l, j:m].any()]
+                    expected = w[l, m] == 0 or c in pattern[run].tolist()
+                    assert null[l, c, p] == expected, (alphas[l], m, p, c)
 
     def test_zero_weight_search_solves_kept_patterns_only(self, monkeypatch):
-        # search's zero-weight shape, d = 6, K = 5, weights (1, 0, 0, 0, 1):
-        # 2,406 of the 7,776 patterns, then the winner once more.
+        # search's zero-weight shape, d = 6, K = 5, weights (1, 0, 0, 0, 1),
+        # runs through the recursion: one solve_patterns call, for the
+        # winner's steps.
         stats = random_stats(5, n=100, d=6)
         base = LinearModel.zeros(stats.feature_names)
         items = []
@@ -1007,7 +1020,7 @@ class TestZeroRuns:
         monkeypatch.setattr(optimizers, "solve_patterns", spy)
         cfg = OptimizerConfig(K=5, schedule=WeightSchedule.explicit([1.0, 0.0, 0.0, 0.0, 1.0]))
         path = exact_path(stats, base, cfg)
-        assert items == [2406, 1]
+        assert items == [1]
         steps = [i for i, _ in path.steps]
         assert steps[1:] == sorted(set(steps[1:]))  # the run's set, ascending
 
@@ -1099,6 +1112,19 @@ class TestLocalImprovement:
     def test_negative_seed_rejected(self, seed):
         with pytest.raises(InputError, match="seed must be >= 0"):
             OptimizerConfig(K=2, schedule=GAMMA1, seed=seed)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("K", -1, "K must be >= 0"), ("step_mode", "integer", "step_mode must be"),
+        ("T", -1, "T must be >= 0"), ("budget", 0, "budget must be >= 1"),
+    ])
+    def test_invalid_config_rejected(self, field, value, message):
+        with pytest.raises(InputError, match=message):
+            OptimizerConfig(**{"K": 2, "schedule": GAMMA1, field: value})
+
+    @pytest.mark.parametrize("build", [greedy_path, direct_path], ids=["greedy", "direct"])
+    def test_negative_length_rejected(self, toy_stats, toy_zero, build):
+        with pytest.raises(InputError, match="K must be >= 0"):
+            build(toy_stats, toy_zero, -1)
 
 
 def path_bits(path):
@@ -1367,6 +1393,18 @@ def test_unreachable_endpoint_names_missing_coordinates(through):
             solve_fixed_endpoint(stats, base, iv0, GAMMA1, ols(stats))
 
 
+def test_screen_declines_a_vanishing_pivot():
+    # A first weight of 1e-13 leaves the first two tail weights equal to
+    # 3e-14 (relative), so an incumbent that writes coordinate 0 at both
+    # steps has a block H_AA whose second Cholesky pivot, positive, is
+    # 3e-14 of its scale: below _PIVOT_RTOL, so the screen declines the
+    # window and the search scores it in full.
+    stats = random_stats(3, d=3)
+    alpha = np.array([1e-13, 1.0, 1.0, 1.0])
+    screen = optimizers._Screen(stats, np.zeros(3), alpha, np.arange(3)[:, None])
+    assert screen(np.array([0, 0, 1, 2]), np.array([[3]]), 1e-9) is None
+
+
 def test_screen_is_sure_only_within_the_margin():
     # A weight of 1e-9 makes two tail weights nearly equal. On collinear
     # moments (gram condition number 7e10) that keeps every pivot above
@@ -1607,6 +1645,36 @@ class TestUnitMode:
         with pytest.raises(InfeasibleError, match="3 coordinates"):
             exact_path(stats, LinearModel.zeros(stats.feature_names), cfg)
 
+    @pytest.mark.parametrize("target,K", [([0.5, 0.0, 0.0], 2), ([3.0, 0.0, 0.0], 2),
+                                          ([2.0, -1.0, 0.0], 2), ([1.0, 1.0, 1.0 + 1e-6], 3)],
+                             ids=["fraction", "too_far", "too_far_two", "near_integer"])
+    def test_off_lattice_target_fails_before_the_ball_is_built(self, monkeypatch, target, K):
+        # A target that is not an integer vector from the base, or lies
+        # more than K unit steps from it, fails at the entry, with the
+        # search's own message, before the dynamic program builds anything.
+        stats = random_stats(64, d=3)
+        endpoint = LinearModel(np.array(target), stats.feature_names)
+        cfg = OptimizerConfig(K=K, schedule=GAMMA1, step_mode="unit", endpoint=endpoint)
+
+        def no_ball(*args):
+            raise AssertionError("the ball was built before the reachability check")
+
+        monkeypatch.setattr(optimizers, "_l1_ball", no_ball)
+        with pytest.raises(InfeasibleError, match="no unit-step path of this length"):
+            exact_path(stats, LinearModel.zeros(stats.feature_names), cfg)
+
+    def test_overflowing_costs_leave_no_path(self):
+        # Every model along a path keeps the base's 1e200 coefficient, so
+        # every cost overflows and no state has a finite cost-to-go: the
+        # search itself raises, though the target is one unit step away.
+        stats = random_stats(65, d=2)
+        base = LinearModel(np.array([0.0, 1e200]), stats.feature_names)
+        endpoint = LinearModel(np.array([1.0, 1e200]), stats.feature_names)
+        cfg = OptimizerConfig(K=1, schedule=GAMMA1, step_mode="unit", endpoint=endpoint)
+        with np.errstate(over="ignore"), pytest.raises(InfeasibleError,
+                                                       match="no unit-step path of this length"):
+            exact_path(stats, base, cfg)
+
     def test_unit_endpoint_unreachable(self):
         stats = random_stats(44, d=2)
         base = LinearModel.zeros(stats.feature_names)
@@ -1739,6 +1807,21 @@ class TestBestExplanation:
             best_explanation(stats, base, target, schedule, 5)
         assert str(pruned.value) == str(oracle.value)
         assert lengths[0] == 2 and set(lengths) <= {2, 3}
+
+    def test_long_k_max_stops_at_the_first_ruled_out_prefix(self):
+        # At d = 1 no length is over budget, and every length's bound grows
+        # with K: the loop must end at the first length whose bound without
+        # the target term rules out, not build the weights of all 20,000.
+        stats = stats_from_moments([[1.0]], [0.7], 1.0, ("only",))
+        base = LinearModel.zeros(stats.feature_names)
+        target = ols(stats)
+        t0 = time.perf_counter()
+        path = best_explanation(stats, base, target, GAMMA1, 20_000)
+        assert time.perf_counter() - t0 < 0.1
+        assert path.steps == all_lengths_explanation(stats, base, target, GAMMA1, 3).steps
+        with pytest.raises(InputError, match="asked for K=4"):
+            best_explanation(stats, base, target, WeightSchedule.explicit([1.0, 1.0, 1.0]),
+                             20_000)
 
     def test_bench_instance_runs_one_search(self, monkeypatch):
         # scripts/bench.py's pinned topic explains the d = 5 fit: the floor

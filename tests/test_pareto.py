@@ -18,7 +18,7 @@ from pathlens import (
     sweep,
     weighted_loss,
 )
-from pathlens import pareto
+from pathlens import optimizers, pareto
 from pathlens.cli import canonical_json
 from pathlens.optimizers import exact_paths
 from pathlens.pareto import check_front_rows, front_to_csv, front_to_json
@@ -280,6 +280,35 @@ class TestSkippedLengths:
         assert front_artifacts(report) == front_artifacts(
             per_lambda_sweep(stats, base, GAMMA1, default_lambda_grid(), 6))
 
+    def test_zero_weight_schedule_runs_one_recursion_pass_per_length(self, monkeypatch):
+        # A zero weight leaves a zero in the scalarized rows of each length
+        # past it; those rows take null steps in the recursion, so every
+        # length a row reaches is one _enum_fast pass, and no row falls back.
+        stats = random_stats(8, d=4)
+        base = LinearModel.zeros(stats.feature_names)
+        schedule = WeightSchedule.explicit([1.0, 0.0, 0.0, 1.0])
+        lengths, passes = [], []
+        fast = optimizers._enum_fast
+
+        def spy_paths(stats, base, alphas, *args):
+            lengths.append(alphas.shape[1])
+            return exact_paths(stats, base, alphas, *args)
+
+        def spy_fast(stats, base, K, alphas, *args):
+            passes.append(K)
+            return fast(stats, base, K, alphas, *args)
+
+        def no_direct(*args):
+            raise AssertionError("a zero-weight row fell back to _enum_direct")
+
+        monkeypatch.setattr(pareto, "exact_paths", spy_paths)
+        monkeypatch.setattr(optimizers, "_enum_fast", spy_fast)
+        monkeypatch.setattr(optimizers, "_enum_direct", no_direct)
+        report = sweep(stats, base, schedule, default_lambda_grid(), 4)
+        assert passes == lengths and {3, 4} <= set(lengths)
+        monkeypatch.undo()
+        assert front_artifacts(report) == front_artifacts(
+            per_lambda_sweep(stats, base, schedule, default_lambda_grid(), 4))
 
     def test_floor_solves_at_most_d_subsets_per_row(self, monkeypatch):
         # 2 values x 4 lengths at d = 12 allow 96 subsets: the 12 singles and

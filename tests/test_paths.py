@@ -20,6 +20,7 @@ from pathlens import (
     stats_from_moments,
     weighted_loss,
 )
+from pathlens.paths import model_from_json
 from conftest import TOY_OLS, random_stats
 
 
@@ -123,6 +124,12 @@ class TestWeightSchedule:
         WeightSchedule.distribution([0.25, 0.75])
         with pytest.raises(InputError, match="sum to 1"):
             WeightSchedule.distribution([0.5, 0.2])
+        with pytest.raises(InputError, match="finite and >= 0"):
+            WeightSchedule.distribution([1.5, -0.5])
+
+    def test_step_index_is_one_based(self):
+        with pytest.raises(InputError, match="1-based"):
+            WeightSchedule.geometric(1.0).weight(0)
 
 
 class TestWeightedLoss:
@@ -176,6 +183,9 @@ class TestJson:
             path_from_json({"base": [0.0], "steps": []}, toy_zero.feature_names)
 
     @pytest.mark.parametrize("payload", [
+        [0.0, 0.0],
+        {"base": [0.0, 0.0], "steps": [5]},
+        {"base": [0.0, 0.0], "steps": [{"feature": "x1"}]},
         {"base": 5, "steps": []},
         {"base": [0.0, 0.0], "steps": 5},
         {"base": ["a", 0], "steps": []},
@@ -187,6 +197,17 @@ class TestJson:
     def test_malformed_payload_rejected(self, payload):
         with pytest.raises(InputError):
             path_from_json(payload, ("x1", "x2"))
+
+    def test_model_payload_must_be_an_object(self):
+        with pytest.raises(InputError, match="model JSON must look like"):
+            model_from_json([1.0, 2.0], ("x1", "x2"))
+
+    def test_dimension_mismatches_rejected(self, toy_stats, toy_zero):
+        other = LinearModel.zeros(("a", "b", "c"))
+        with pytest.raises(InputError, match="path dimension"):
+            cost_sequence(toy_stats, CoordinatePath(other, ((0, 1.0),)))
+        with pytest.raises(InputError, match="dimensions differ"):
+            model_complexity(toy_zero, other)
 
 
 # ---------------------------------------------------------------------------

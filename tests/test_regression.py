@@ -318,7 +318,47 @@ class TestStatsFromMoments:
             stats_from_moments(np.eye(2), [1.0, 1.0], 0.5)
 
 
+X2 = np.arange(6.0).reshape(3, 2)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Dataset(np.zeros(3), np.zeros(3), ("a",)), "2-d matrix"),
+    (lambda: Dataset(X2, np.zeros(2), ("a", "b")), "target length"),
+    (lambda: Dataset(np.zeros((0, 2)), np.zeros(0), ("a", "b")), "at least one row"),
+    (lambda: Dataset(X2, np.array([0.0, np.nan, 1.0]), ("a", "b")), "non-finite"),
+    (lambda: Dataset(X2, np.zeros(3), ("a",)), "feature_names length"),
+    (lambda: Dataset(X2, np.zeros(3), ("a", "a")), "distinct"),
+    (lambda: LinearModel(np.zeros((1, 2)), ("a", "b")), "1-d vector"),
+    (lambda: LinearModel(np.array([0.0, np.inf]), ("a", "b")), "finite"),
+    (lambda: LinearModel(np.zeros(2), ("a",)), "feature_names length"),
+    (lambda: regression.SufficientStats(np.ones((2, 3)), np.zeros(2), 1.0, ("a", "b")),
+     "square"),
+    (lambda: regression.SufficientStats(np.eye(2), np.zeros(3), 1.0, ("a", "b")),
+     "cross must be a vector"),
+    (lambda: regression.SufficientStats(np.eye(2), np.array([np.nan, 0.0]), 1.0, ("a", "b")),
+     "non-finite"),
+    (lambda: regression.SufficientStats(np.eye(2), np.zeros(2), -1.0, ("a", "b")),
+     "target second moment"),
+    (lambda: regression.SufficientStats(np.eye(2), np.zeros(2), 1.0, ("a",)),
+     "feature_names length"),
+    (lambda: regression.SufficientStats(np.eye(2), np.zeros(2), 1.0, ("a", "a")), "distinct"),
+], ids=["dataset_1d", "dataset_target_length", "dataset_empty", "dataset_nan",
+        "dataset_names", "dataset_duplicate_names", "model_2d", "model_inf", "model_names",
+        "stats_not_square", "stats_cross_shape", "stats_nan", "stats_negative_tsm",
+        "stats_names", "stats_duplicate_names"])
+def test_constructors_reject_invalid_input(build, message):
+    with pytest.raises(InputError, match=message):
+        build()
+
+
 class TestCost:
+    def test_negative_cost_is_inconsistent(self):
+        # Moments no dataset has (tsm 0 with a nonzero cross moment) give
+        # the fit a negative cost, which cost_of refuses.
+        stats = regression.SufficientStats(np.eye(1), np.ones(1), 0.0, ("a",))
+        with pytest.raises(InputError, match="negative cost"):
+            regression.cost_of(stats, np.ones(1))
+
     def test_toy_values(self, toy_stats):
         names = toy_stats.feature_names
         assert cost(toy_stats, LinearModel(TOY_OLS, names)) == pytest.approx(0.25, abs=0.005)
