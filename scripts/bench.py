@@ -46,9 +46,12 @@ pinned endpoints, on the same instance (its pattern's steps solved once by
 solve_patterns, as exact_path does), and the fast kernel _enum_fast
 alone, with one weight row, recording its objective, pattern and broken
 flag, as the tradeoff topic's kernel row does; best_explanation at d = 5,
-K_max = 6 (as the benchmark's explain workload runs it) and 7; and
+K_max = 6 (as the benchmark's explain workload runs it) and 7;
 best_explanation on the d = 6 instance with K_max = 8, the exact_path
-row's length. --K and --K-max shrink them for a quick run.
+row's length; and exact_path at K = d = 5 (the length every explain call
+searches first) and K = d = 7 (the largest dense fit the default budget
+allows), which the dynamic program over subsets serves. --K and --K-max
+shrink the first rows for a quick run.
 
 direct: the searches that once ran through the general enumerator
 _enum_direct, all with a free endpoint, on seeded instances (n = 100): a
@@ -375,6 +378,7 @@ def heuristic_summary(instances: list):
 
 PINNED_D = 6
 BEST_D = 5
+SUBSET_D = (5, 7)
 
 
 def pinned_rows(pl, args) -> list:
@@ -403,6 +407,13 @@ def pinned_rows(pl, args) -> list:
     rows.append(Row({"layer": "best_explanation", **instance, "d": PINNED_D, "K_max": args.K},
                     partial(pl.best_explanation, stats, base, cfg.endpoint, schedule, args.K),
                     outcome))
+    for d in SUBSET_D:  # pinned at K = c: each changed coordinate once
+        dense = tradeoff_stats(pl, d)
+        zeros = pl.LinearModel.zeros(dense.feature_names)
+        rows.append(Row({"layer": "exact_path", **instance, "d": d, "K": d},
+                        partial(pl.exact_path, dense, zeros,
+                                pl.OptimizerConfig(K=d, schedule=schedule, endpoint=pl.ols(dense))),
+                        path_outcome(pl, dense, schedule)))
     return rows
 
 

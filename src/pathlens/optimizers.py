@@ -11,14 +11,18 @@ matrix) joins B, R = B'E joins Q and v = E'y joins u; its nodes also carry
 M = E'E. A pattern's inner matrix, entry (j, l) min(w_j, w_l) G[i_j, i_l], is
 positive definite (Schur product theorem) whenever diag(G) > 0 and the
 weights are positive, singular grams included; a step that only repeats a
-row of it, as zero weights allow, is a null step (_null_steps). So only the
-weight rows whose factorization breaks down in floating point fall back to
+row of it, as zero weights allow, is a null step (_null_steps). A pinned
+search whose K is the target's complexity c needs no patterns at all: its
+paths write each changed coordinate once, to its target value, so it is a
+shortest path over the 2^c subsets of those coordinates (_subset_steps),
+whatever the weights and the gram. So three routes serve the weight rows:
+that dynamic program for pinned K = c, the recursion for the rest, and
 _enum_direct, batched inner solves (inner.solve_patterns) of all d^K
-patterns, which also serve pinned K = 1 and pinned rows whose last weight
-is 0. One mask routes each weight row to one of the two enumerators, and
-one solve_patterns call then solves every row's winning pattern under its
-own weights: step sizes come from the inner solver only, so a path depends
-on its pattern only. Both enumerators rank
+patterns, for the rows the recursion marks broken, pinned K = 1 with c = 0
+and pinned rows with K > c whose last weight is 0. One solve_patterns call
+then solves every row's winning pattern under its own weights: step sizes
+come from the inner solver only, so a path depends on its pattern only.
+Both enumerators rank
 through one tie rule (_keep): objectives within 1e-12 (relative) are ties,
 and a chunk's least-index candidate tied with its minimum replaces the
 incumbent if it beats it by more than that, or ties it from a smaller
@@ -28,7 +32,8 @@ pattern whatever order the patterns are visited in.
 Unit steps move one coefficient by -1 or +1, or stay, so every model on the
 path is base + z for an integer z with ||z||_1 <= K: _unit_steps finds the
 shortest path over K layers of that L1 ball by dynamic programming
-(Bellman), breaking ties move by move (the unit tie rule).
+(Bellman), breaking ties move by move (the unit tie rule), as _subset_steps
+does.
 
 local_improvement is a batch-q local search warm-started from the greedy
 pattern, for instances too large for exact search (see its docstring).
@@ -493,8 +498,9 @@ def _enum_direct(stats: SufficientStats, base: LinearModel, K: int, alpha: np.nd
                  endpoint: LinearModel | None = None):
     """Exhaustive search by batched inner solves (solve_patterns) over all
     d^K patterns, free or pinned to an `endpoint` the caller has checked K
-    steps can reach: the fallback for the rows _enum_fast marks broken, for
-    pinned K = 1 and for pinned rows whose last weight is 0. Returns
+    steps can reach: the fallback for the rows _enum_fast marks broken, and
+    for the pinned rows longer than the target's complexity c that neither
+    other route serves, K = 1 with c = 0 and a last weight of 0. Returns
     (objective, pattern) of the best pattern under the tie rule (_keep),
     a chunk of consecutive lexicographic indices at a time.
     """
@@ -636,11 +642,61 @@ def _unit_steps(stats: SufficientStats, base: LinearModel, K: int, alpha: np.nda
     return path_from_deltas(base, coord[steps], sign[steps].astype(float))
 
 
+# Costs that overflow leave no finite loss, which raises below.
+@np.errstate(over="ignore", invalid="ignore")
+def _subset_steps(stats: SufficientStats, base: np.ndarray, target: np.ndarray,
+                  alphas: np.ndarray) -> np.ndarray:
+    """The optimal patterns (L, c) of the pinned paths of exactly
+    c = model_complexity steps, under each weight row of alphas (L, c).
+
+    Such a path writes each changed coordinate (C, ascending) once, to its
+    target value, so model k is the base with a set S_k of k of them at
+    target, and the loss sum_k alpha_k cost(S_k) depends on the chain of
+    sets only: a shortest path over the 2^c subsets (Held & Karp), with no
+    inner solve and no pivot, whatever the weights and the gram. Subset s
+    (bit j for C[j]) costs c0 + x'(G_CC x - 2 r_C) with x = bits(s) e_C,
+    e = target - base, clamped at 0. One subset size at a time, from C
+    down, a backward pass gives V(s) = min over j not in s of
+    alpha_{|s|+1} cost(s + j) + V(s + j), from V(C) = 0, and records the
+    move of the unit tie rule, the least j within _TIE_RTOL of the best,
+    which the forward pass follows from the empty set. Raises
+    InfeasibleError if no loss is finite.
+    """
+    C = np.flatnonzero(target != base)
+    c, rows = C.size, np.arange(alphas.shape[0])
+    e, r, G = (target - base)[C], stats.residual_cross(base)[C], stats.gram[np.ix_(C, C)]
+    c0 = cost_of(stats, base)
+    bits = 1 << np.arange(c)
+    size = np.zeros(1, dtype=np.int64)
+    for _ in range(c):
+        size = np.concatenate([size, size + 1])
+    layers = np.split(np.argsort(size, kind="stable"), np.cumsum(np.bincount(size))[:-1])
+    cost, togo = np.zeros(2**c), np.zeros((rows.size, 2**c))
+    move = np.zeros((rows.size, 2**c), dtype=np.int64)
+    for k in range(c, 0, -1):
+        X = (layers[k][:, None] & bits > 0) * e
+        cost[layers[k]] = np.maximum(c0 + np.einsum("sj,sj->s", X @ G - 2 * r, X), 0.0)
+        nxt = layers[k - 1][:, None] | bits
+        vals = alphas[:, k - 1, None, None] * cost[nxt] + togo[:, nxt]
+        vals[:, nxt == layers[k - 1][:, None]] = np.inf  # j is in the set already
+        togo[:, layers[k - 1]] = vals.min(axis=2)
+        move[:, layers[k - 1]] = _first_tie(vals)
+    if not np.isfinite(togo[:, 0]).all():
+        raise InfeasibleError("no index pattern of this length reaches the target")
+    state, steps = np.zeros_like(rows), []
+    for _ in range(c):
+        steps.append(move[rows, state])
+        state = state | bits[steps[-1]]
+    return C[np.stack(steps, axis=1)]
+
+
 def exact_path(stats: SufficientStats, base: LinearModel, cfg: OptimizerConfig) -> CoordinatePath:
     """Globally optimal path of length cfg.K for sum_k alpha_k * cost(model_k).
 
-    Continuous steps search the d^K patterns (exact_paths), unit steps run a
-    dynamic program over the L1 ball's states (_unit_steps).
+    Continuous steps search the d^K patterns (exact_paths), or, pinned at
+    K = the target's complexity c, the subsets of the changed coordinates
+    (_subset_steps, whose c 2^(c-1) moves the d^K budget bounds); unit
+    steps run a dynamic program over the L1 ball's states (_unit_steps).
     Respects cfg.endpoint. Raises BudgetError if the work exceeds cfg.budget
     (check_budget, _check_unit_budget), before anything of size K is built,
     then InputError for invalid weights and InfeasibleError if K steps cannot
@@ -679,38 +735,52 @@ def _best_subset_floor(stats: SufficientStats, base: LinearModel, K_max: int,
     best-subset cost C*(k)); floor[0] is cost(base).
 
     Size k solves every k-subset S from the base, G_SS delta = r_S with
-    r = g - G base (solve_batch, in chunks), and takes the least attained
-    cost v less its rounding band, 8 k eps (sum_{j in S} |delta_j|
-    sqrt(G_jj))^2 + 1e-12 |v|. Sizes from d on, and those past the subsets the budget
-    allows in all, get the full least-squares fit's bound: no C*(k) is
-    below it. Costs are clamped at 0, so the floor is too.
+    r = g - G base, and takes the least attained cost v less its rounding
+    band, 8 k eps (sum_{j in S} |delta_j| sqrt(G_jj))^2 + 1e-12 |v|. Sizes
+    from d on, and those past the subsets the budget allows in all, get the
+    full least-squares fit's bound: no C*(k) is below it. Subsets of every
+    size, ascending, and the full fit share solve_batch calls: each stack
+    holds at most _CHUNK_ENTRIES entries, its items padded to its largest
+    size by an identity block scaled to the item's largest diagonal entry of
+    G_SS, which solves to zero steps and leaves the item's largest
+    eigenvalue, so its pinv cut-off, as it is. Costs are clamped at 0, so
+    the floor is too.
     """
-    d, G = stats.d, stats.gram
-    r = stats.residual_cross(base.coefficients)
+    d = stats.d
+    Gx, r = np.zeros((d + 1, d + 1)), np.zeros(d + 1)  # coordinate d pads a stack
+    Gx[:d, :d], r[:d] = stats.gram, stats.residual_cross(base.coefficients)
+    gd = np.diag(Gx)
     c0 = cost_of(stats, base.coefficients)
-    root = np.sqrt(np.diag(G))
-
-    def least(S):
-        H, b = G[S[:, :, None], S[:, None, :]], r[S]
-        delta, Hd = solve_batch(H, b)
-        v = attained_objectives(c0, H, b, delta, Hd)
-        spread = np.einsum("bk,bk->b", np.abs(delta), root[S])
-        return (v - 8 * S.shape[1] * _EPS * spread * spread - 1e-12 * np.abs(v)).min()
-
-    floor = np.full(K_max + 1, least(np.arange(d)[None]))
-    floor[0] = c0
-    solved = 0
+    sizes, solved = [], 0
     for k in range(1, min(K_max + 1, d)):
-        total = math.comb(d, k)
-        solved += total
+        solved += math.comb(d, k)
         if solved > budget:
             break
-        subsets = itertools.chain.from_iterable(itertools.combinations(range(d), k))
-        chunk = max(1, _CHUNK_ENTRIES // (k * k))
-        floor[k] = np.inf
-        for s in range(0, total, chunk):
-            S = np.fromiter(subsets, np.intp, count=min(chunk, total - s) * k)
-            floor[k] = min(floor[k], least(S.reshape(-1, k)))
+        sizes.append(k)
+    queue = [[k, math.comb(d, k)] for k in sizes + [d]]  # [size, subsets left]
+    subsets = itertools.chain.from_iterable(itertools.chain.from_iterable(
+        itertools.combinations(range(d), k) for k in sizes + [d]))
+    least = np.full(d + 1, np.inf)  # by size
+    while queue:
+        parts, n = [], 0
+        while queue and (take := min(queue[0][1], max(1, _CHUNK_ENTRIES // queue[0][0]**2) - n)) > 0:
+            parts.append((queue[0][0], take))
+            n, queue[0][1] = n + take, queue[0][1] - take
+            if not queue[0][1]:
+                queue.pop(0)
+        ks = np.repeat(*np.transpose(parts))
+        m = parts[-1][0]
+        S = np.full((n, m), d)
+        S[ks[:, None] > np.arange(m)] = np.fromiter(subsets, np.intp, count=ks.sum())
+        H, b = Gx[S[:, :, None], S[:, None, :]], r[S]
+        H.reshape(n, -1)[:, ::m + 1] += (S == d) * gd[S].max(axis=1, keepdims=True)
+        delta, Hd = solve_batch(H, b)
+        v = attained_objectives(c0, H, b, delta, Hd)
+        spread = np.einsum("bk,bk->b", np.abs(delta), np.sqrt(gd)[S])
+        np.minimum.at(least, ks, v - 8 * ks * _EPS * spread * spread - 1e-12 * np.abs(v))
+    floor = np.full(K_max + 1, least[d])
+    floor[0] = c0
+    floor[1:len(sizes) + 1] = least[1:len(sizes) + 1]
     return np.maximum(np.minimum.accumulate(floor), 0.0)
 
 
@@ -749,24 +819,30 @@ def exact_paths(stats: SufficientStats, base: LinearModel, alphas: np.ndarray,
     are valid (as_weights), that d^K is within the budget (check_budget, an
     upper bound) and that K steps can reach the endpoint (_check_reachable).
 
-    One mask routes the rows: every free row, and every pinned row with
-    K >= 2 and a positive last weight, share one _enum_fast pass, whatever
-    the gram and zero weights. The rest, and the rows that pass marks as
-    broken, run _enum_direct one at a time (a pinned step at tail weight 0
-    still moves the endpoint, which no null step expresses).
-    Each row's winning pattern, from either enumerator, is then solved by
-    one solve_patterns call under its own weight row, so every path is
-    bitwise the one a one-row call returns.
+    Three routes serve the rows. Pinned at K = model_complexity(base,
+    endpoint), every row goes to the dynamic program over subsets
+    (_subset_steps), whatever its weights and the gram. Otherwise one mask
+    routes them: every free row, and every pinned row with K >= 2 and a
+    positive last weight, share one _enum_fast pass, whatever the gram and
+    zero weights. The rest, and the rows that pass marks as broken, run
+    _enum_direct one at a time (a pinned step at tail weight 0 still moves
+    the endpoint, which no null step expresses). Each row's winning
+    pattern, from any route, is then solved by one solve_patterns call
+    under its own weight row, so every path is bitwise the one a one-row
+    call returns.
     """
     K = alphas.shape[1]
     target = None if endpoint is None else endpoint.coefficients
-    fast = (alphas[:, -1] > 0) & (K >= 2) if target is not None else np.ones(len(alphas), bool)
-    ivs = np.zeros(alphas.shape, dtype=np.int64)
-    if fast.any():
-        _, ivs[fast], broken = _enum_fast(stats, base.coefficients, K, alphas[fast], target)
-        fast[np.flatnonzero(fast)[broken]] = False
-    for j in np.flatnonzero(~fast):
-        ivs[j] = _enum_direct(stats, base, K, alphas[j], endpoint)[1]
+    if target is not None and model_complexity(base, endpoint) == K:
+        ivs = _subset_steps(stats, base.coefficients, target, alphas)
+    else:
+        fast = (alphas[:, -1] > 0) & (K >= 2) if target is not None else np.ones(len(alphas), bool)
+        ivs = np.zeros(alphas.shape, dtype=np.int64)
+        if fast.any():
+            _, ivs[fast], broken = _enum_fast(stats, base.coefficients, K, alphas[fast], target)
+            fast[np.flatnonzero(fast)[broken]] = False
+        for j in np.flatnonzero(~fast):
+            ivs[j] = _enum_direct(stats, base, K, alphas[j], endpoint)[1]
     deltas = solve_patterns(stats, base.coefficients, ivs, alphas, target)[0]
     return [path_from_deltas(base, iv, delta) for iv, delta in zip(ivs, deltas)]
 

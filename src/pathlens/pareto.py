@@ -93,9 +93,11 @@ def _solve_grid(stats: SufficientStats, base: LinearModel, schedule: WeightSched
     once. Rows whose lower bound (see the module docstring) exceeds their
     best score by more than _OBJECTIVE_RTOL max(1, |best|) (_rules_out)
     are skipped; the exact solver enumerates the patterns once for the rest
-    (optimizers.exact_paths), the local solver runs per remaining value. The
-    exact solver checks d**K_max against the budget before any weight is
-    built; checking the longest rows checks every length's prefix of them.
+    (optimizers.exact_paths), the local solver runs per remaining value.
+    Once the bound without its final-cost term rules out every row, so do
+    all longer lengths, and the loop ends: a K_max that no budget bounds
+    (the local solver's) costs only the lengths walked. The exact solver
+    checks d**K_max against the budget before any weight is built.
     """
     if K_max < 0:
         raise InputError("K_max must be >= 0")
@@ -105,24 +107,30 @@ def _solve_grid(stats: SufficientStats, base: LinearModel, schedule: WeightSched
     if solver == "exact":
         check_budget(stats.d, K_max, base_cfg.budget)
     best = [(cost(stats, base), CoordinatePath(base, ()), 0)] * len(lams)  # value, path, K
+    alpha = schedule.weights(K_max)
+    # exact_paths checks no row. Products are monotone, so the largest
+    # lambda's row overflows wherever any row does (0 * inf is nan).
     with np.errstate(over="ignore", invalid="ignore"):  # as_weights rejects inf and nan
-        scaled = lams[:, None] * schedule.weights(K_max)
-    as_weights(scaled + (np.arange(K_max) == K_max - 1), K_max)  # exact_paths checks no row
+        as_weights(lams.max() * alpha + (np.arange(K_max) == K_max - 1), K_max)
     # Every (lam, K) row's search scores at least d candidates; the floor
     # solves no more subsets than that in all, nor more than the budget.
     floor = _best_subset_floor(stats, base, K_max,
                                min(base_cfg.budget, len(lams) * K_max * stats.d))
-    with np.errstate(over="ignore"):  # where a term overflows, the row's scores do too
-        spent = np.cumsum(scaled * floor[1:], axis=1)
+    spent = np.zeros(len(lams))  # sum_{k <= K} lam alpha_k floor[k], each row's
     for K in range(1, K_max + 1):
         # No length-K path of a row scores below its bound, and `value < best`
         # is strict: a bound above best by more than rounding cannot improve.
+        # No term is below 0, so once spent alone rules out every row, every
+        # longer length does too.
         values = np.array([value for value, _, _ in best])
-        bound = floor[K] + spent[:, K - 1]
-        live = np.flatnonzero(~_rules_out(bound, values))
+        with np.errstate(over="ignore"):  # where a term overflows, the row's scores do too
+            spent = spent + lams * alpha[K - 1] * floor[K]
+        if _rules_out(spent, values).all():
+            break
+        live = np.flatnonzero(~_rules_out(floor[K] + spent, values))
         if not live.size:
             continue
-        alphas = scaled[live, :K]
+        alphas = lams[live, None] * alpha[:K]
         alphas[:, -1] += 1.0
         weights = [WeightSchedule.explicit(a) for a in alphas]
         kcfg = replace(base_cfg, K=K, endpoint=None, step_mode="continuous",

@@ -23,7 +23,9 @@ best_subset_costs refits every coordinate subset by lstsq, the reference
 for the best-subset cost floor that lets the sweep skip lengths.
 all_lengths_explanation is best_explanation with an exact_path at every
 length, the reference for the one that skips the lengths that floor rules
-out.
+out. permutation_explanation scores every order of the changed
+coordinates, the reference for the dynamic program over subsets that
+serves pinned searches at the target's complexity.
 """
 
 import csv
@@ -57,7 +59,7 @@ from pathlens.optimizers import (
 from pathlens.errors import InfeasibleError, InputError
 from pathlens.pareto import FrontReport, ParetoPoint, _drop_dominated
 from pathlens.paths import CoordinatePath, WeightSchedule, model_complexity, weighted_loss
-from pathlens.regression import Dataset, cost, cost_of
+from pathlens.regression import Dataset, LinearModel, cost, cost_of
 
 
 def eval_objective(stats, base, iv, delta, alpha):
@@ -353,6 +355,23 @@ def best_subset_costs(stats, base, K_max):
             least = min(least, cost_of(stats, beta))
         costs.append(least)
     return np.array(costs)
+
+
+def permutation_explanation(stats, base, target, alpha):
+    """The pinned path of exactly model_complexity(base, target) steps: each
+    order of the changed coordinates, each set to its target value, scored
+    by weighted_loss under the weights alpha; returns (loss, pattern) of the
+    first order in itertools.permutations order (lexicographic) within
+    1e-12 (relative) of the least loss."""
+    base, target = np.asarray(base, dtype=float), np.asarray(target, dtype=float)
+    names = tuple(f"x{i}" for i in range(base.size))
+    schedule = WeightSchedule.explicit(alpha)
+    found = []
+    for order in itertools.permutations(np.flatnonzero(target != base).tolist()):
+        path = CoordinatePath(LinearModel(base, names), tuple((i, target[i]) for i in order))
+        found.append((weighted_loss(stats, path, schedule), order))
+    low = min(loss for loss, _ in found)
+    return next((loss, order) for loss, order in found if loss <= low + 1e-12 * abs(low))
 
 
 def all_lengths_explanation(stats, base, target, schedule, K_max, budget=DEFAULT_BUDGET):

@@ -69,6 +69,7 @@ from oracles import (
     brute_force_unit,
     every_pattern_direct,
     iterwise_local_improvement,
+    permutation_explanation,
     unblocked_enum_free_fast,
 )
 
@@ -532,19 +533,24 @@ class TestEnumerationEngines:
                                                         endpoint=endpoint)[0].steps
 
     def test_pinned_k1_gets_steps_from_one_solve(self):
-        # Pinned K = 1 rows skip the recursion; each must still be the
-        # one-row call's path, with solve_patterns' step.
+        # Pinned K = 1 rows skip the recursion: a target one coordinate away
+        # goes to the dynamic program over subsets, the base itself to
+        # _enum_direct. Each row must still be the one-row call's path, with
+        # solve_patterns' step.
         stats = random_stats(10, d=3)
         base = LinearModel.zeros(stats.feature_names)
-        endpoint = LinearModel(np.array([0.0, 0.4, 0.0]), stats.feature_names)
         alphas = np.array([[1.0], [0.25], [3.0]])
-        paths = optimizers.exact_paths(stats, base, alphas, endpoint=endpoint)
-        for j, path in enumerate(paths):
-            delta = solve_patterns(stats, base.coefficients, np.array([[1]]), alphas[j],
-                                   endpoint.coefficients)[0][0]
-            assert path.steps == path_from_deltas(base, np.array([1]), delta).steps == ((1, 0.4),)
-            assert path.steps == optimizers.exact_paths(stats, base, alphas[j:j + 1],
-                                                        endpoint=endpoint)[0].steps
+        for endpoint in (LinearModel(np.array([0.0, 0.4, 0.0]), stats.feature_names), base):
+            iv = np.array([1]) if endpoint is not base else _enum_direct(stats, base, 1, alphas[0],
+                                                                         endpoint)[1]
+            paths = optimizers.exact_paths(stats, base, alphas, endpoint=endpoint)
+            for j, path in enumerate(paths):
+                delta = solve_patterns(stats, base.coefficients, iv[None], alphas[j],
+                                       endpoint.coefficients)[0][0]
+                assert path.steps == path_from_deltas(base, iv, delta).steps == (
+                    (int(iv[0]), float(endpoint.coefficients[iv[0]])),)
+                assert path.steps == optimizers.exact_paths(stats, base, alphas[j:j + 1],
+                                                            endpoint=endpoint)[0].steps
 
     def test_weight_rows_match_one_row_calls(self, monkeypatch):
         # Each row of a multi-row call must equal its own one-row call: same
@@ -1023,6 +1029,98 @@ class TestZeroRuns:
         assert items == [1]
         steps = [i for i, _ in path.steps]
         assert steps[1:] == sorted(set(steps[1:]))  # the run's set, ascending
+
+
+class TestSubsetSteps:
+    """Pinned at K = the target's complexity c, a path writes each changed
+    coordinate once, to its target value, and exact_path runs the dynamic
+    program over the subsets of those coordinates (_subset_steps)."""
+
+    @settings(max_examples=80)
+    @given(seed=st.integers(0, 9_999), d=st.integers(1, 6),
+           gram=st.sampled_from(["random", "duplicate", "collinear"]),
+           changed=st.integers(1, 6), fit=st.booleans(), nonzero_base=st.booleans(),
+           zeros=st.lists(st.booleans(), min_size=6, max_size=6),
+           weights=st.lists(st.floats(0.1, 2.0), min_size=6, max_size=6))
+    @example(seed=1, d=4, gram="random", changed=1, fit=True, nonzero_base=False,
+             zeros=[False] * 6, weights=[1.0] * 6)  # c = 1
+    @example(seed=2, d=5, gram="random", changed=5, fit=True, nonzero_base=True,
+             zeros=[True, False, False, False, False, False], weights=[1.0] * 6)  # leading zero
+    @example(seed=3, d=6, gram="random", changed=4, fit=False, nonzero_base=True,
+             zeros=[False, True, True, False, False, False], weights=[0.5] * 6)  # interior zeros
+    @example(seed=4, d=5, gram="random", changed=4, fit=True, nonzero_base=False,
+             zeros=[False, False, False, True, False, False], weights=[1.0] * 6)  # alpha_K = 0
+    @example(seed=5, d=5, gram="duplicate", changed=5, fit=True, nonzero_base=False,
+             zeros=[False] * 6, weights=[1.0] * 6)
+    @example(seed=6, d=5, gram="collinear", changed=5, fit=True, nonzero_base=False,
+             zeros=[False, True, True, True, False, False], weights=[1.0] * 6)
+    def test_matches_permutation_oracle(self, seed, d, gram, changed, fit, nonzero_base, zeros,
+                                        weights):
+        # The path must score no more than the best order of the changed
+        # coordinates by weighted_loss, with zero weights (leading, interior
+        # and alpha_K = 0), sparse targets, nonzero bases, c = 1, an exact
+        # duplicate column and a near-collinear pair (x_d = x_1 + 1e-7
+        # noise). On the random grams its pattern must be the recursion's,
+        # wherever that serves the row.
+        assume(d >= 2 or gram == "random")
+        stats = (random_stats(seed, d=d) if gram == "random"
+                 else collinear_stats(seed, d, noise=0.0 if gram == "duplicate" else 1e-7))
+        rng = np.random.default_rng(seed)
+        base = rng.standard_normal(d) * nonzero_base
+        S = rng.choice(d, min(changed, d), replace=False)
+        target = base.copy()
+        target[S] = ols(stats).coefficients[S] if fit else base[S] + rng.standard_normal(S.size)
+        c = int(np.sum(target != base))
+        alpha = np.where(zeros[:c], 0.0, weights[:c])
+        assume(c >= 1 and alpha.any())
+        names, schedule = stats.feature_names, WeightSchedule.explicit(alpha)
+        cfg = OptimizerConfig(K=c, schedule=schedule, endpoint=LinearModel(target, names))
+        path = exact_path(stats, LinearModel(base, names), cfg)
+        loss, _ = permutation_explanation(stats, base, target, alpha)
+        assert weighted_loss(stats, path, schedule) <= loss * (1 + 1e-12)
+        if gram == "random" and c >= 2 and alpha[-1] > 0:
+            _, (iv,), (broken,) = _enum_fast(stats, base, c, alpha[None], target)
+            if not broken:
+                assert [i for i, _ in path.steps] == iv.tolist()
+
+    def test_runs_no_enumerator(self, monkeypatch):
+        # Pinned K = c rows take neither enumerator, whatever their weights
+        # (zeros, alpha_K = 0, c = 1) and on a singular gram, through
+        # exact_paths, exact_path and best_explanation; one step more does.
+        stats = collinear_stats(5, d=4, noise=0.0)
+        base = LinearModel.zeros(stats.feature_names)
+        fit = ols(stats)
+        single = LinearModel(np.where(np.arange(4) == 2, fit.coefficients, 0.0), fit.feature_names)
+        alphas = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0],
+                           [0.0, 0.0, 0.0, 2.0]])
+        expected = [permutation_explanation(stats, base.coefficients, fit.coefficients, a)[1]
+                    for a in alphas]
+
+        def no_enumerator(*args, **kwargs):
+            raise AssertionError("an enumerator ran")
+
+        monkeypatch.setattr(optimizers, "_enum_fast", no_enumerator)
+        monkeypatch.setattr(optimizers, "_enum_direct", no_enumerator)
+        paths = optimizers.exact_paths(stats, base, alphas, endpoint=fit)
+        assert [tuple(i for i, _ in path.steps) for path in paths] == expected
+        assert optimizers.exact_paths(stats, base, np.array([[2.0]]), endpoint=single)[0].steps == (
+            (2, single.coefficients[2]),)
+        for a in alphas:
+            cfg = OptimizerConfig(K=4, schedule=WeightSchedule.explicit(a), endpoint=fit)
+            exact_path(stats, base, cfg)
+        best_explanation(stats, base, fit, GAMMA1, 4)
+        with pytest.raises(AssertionError, match="an enumerator ran"):
+            exact_path(stats, base, OptimizerConfig(K=5, schedule=GAMMA1, endpoint=fit))
+
+    def test_overflowing_costs_leave_no_path(self):
+        # Weights of 1e308 on costs above 2 overflow every loss to inf: no
+        # path, as the enumerators and the unit-step program report it.
+        stats = random_stats(2, d=3)
+        base = LinearModel(np.full(3, 10.0), stats.feature_names)
+        cfg = OptimizerConfig(K=3, schedule=WeightSchedule.explicit([1e308] * 3),
+                              endpoint=ols(stats))
+        with pytest.raises(InfeasibleError, match="reaches the target"):
+            exact_path(stats, base, cfg)
 
 
 class TestLocalImprovement:
@@ -1972,6 +2070,33 @@ class TestBestSubsetFloor:
         stats = collinear_stats(3, 4, noise=1e-7)
         base = LinearModel(np.array([0.5, -1.0, 0.0, 2.0]), stats.feature_names)
         self.check(stats, base, 6)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 40, optimizers._CHUNK_ENTRIES])
+    def test_stacks_pad_smaller_subsets(self, chunk, monkeypatch):
+        # Stacks pad smaller subsets to their largest size with an identity
+        # block; whatever the stack size, the floor stays at or below the
+        # brute-force costs on random, collinear (x5 = x1 + 1e-7 noise, and an
+        # exact duplicate) and zero-variance instances. At d = 5 every size
+        # and the full fit share one solve_batch call.
+        X, y = random_dataset(6, d=5)
+        X[:, 1] = 0.0
+        flat = compute_stats(Dataset(X, y, tuple(f"x{i}" for i in range(5))))
+        cases = [random_stats(3, d=5), collinear_stats(3, 5, noise=1e-7),
+                 collinear_stats(4, 5, noise=0.0), flat]
+        calls = []
+        solve = optimizers.solve_batch
+
+        def spy(H, b):
+            calls.append(len(H))
+            return solve(H, b)
+
+        monkeypatch.setattr(optimizers, "_CHUNK_ENTRIES", chunk)
+        monkeypatch.setattr(optimizers, "solve_batch", spy)
+        for stats in cases:
+            for base in (np.zeros(5), np.linspace(-1.0, 1.0, 5)):
+                calls.clear()
+                self.check(stats, LinearModel(base, stats.feature_names), 6)
+                assert sum(calls) == 31 and (len(calls) == 1) == (chunk >= 31 * 25)
 
     def test_budget_falls_back_to_the_full_fit(self):
         # A budget of d subsets covers size 1 only; larger sizes get the full

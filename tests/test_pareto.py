@@ -330,6 +330,29 @@ class TestSkippedLengths:
         monkeypatch.undo()
         assert front_artifacts(report) == front_artifacts(per_lambda_sweep(*args))
 
+    def test_local_grid_stops_once_spent_rules_out_every_row(self, monkeypatch):
+        # Nothing bounds K_max for the local solver. Each row's spent-so-far
+        # bound grows with K and its best score can only fall, so once that
+        # bound alone rules out every row, every longer length does too: a
+        # K_max of 10^6 must walk a few thousand lengths at most, and give
+        # the front a short K_max gives.
+        stats = random_stats(3, d=4)
+        base = LinearModel.zeros(stats.feature_names)
+        cfg = OptimizerConfig(K=0, schedule=GAMMA1, T=20, seed=1)
+        walked = []
+        rules_out = pareto._rules_out
+
+        def spy(bound, best):
+            walked.append(len(walked))
+            return rules_out(bound, best)
+
+        monkeypatch.setattr(pareto, "_rules_out", spy)
+        long = sweep(stats, base, GAMMA1, default_lambda_grid(), 10**6, solver="local", cfg=cfg)
+        assert 0 < len(walked) < 2 * 5_000
+        monkeypatch.undo()
+        short = sweep(stats, base, GAMMA1, default_lambda_grid(), 8, solver="local", cfg=cfg)
+        assert front_to_csv(long) == front_to_csv(short)
+
 
 class TestBruteForceValidation:
     def test_sweep_points_undominated_on_grid(self, toy_stats, toy_zero):

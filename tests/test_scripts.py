@@ -156,6 +156,14 @@ def test_bench_pinned_records_kernel_outcome(tmp_path):
     assert repr(float(objective)) == objective and float(objective) > 0
     assert sorted(pattern) == list(range(6)) and broken is False
     assert "ratio_p50" in kernel
+    # exact_path pinned at K = d = 5 and 7, where each coordinate changes once.
+    subsets = [r for r in report["instances"] if r["instance"]["layer"] == "exact_path"
+               and r["instance"]["K"] == r["instance"]["d"]]
+    assert [r["instance"]["d"] for r in subsets] == [6, 5, 7]
+    for record in subsets:
+        d = record["instance"]["d"]
+        assert sorted(i for i, _ in record["steps"]) == list(range(d)) and record["loss"] > 0
+        assert "ratio_p50" in record
 
 
 def test_bench_local_rows_carry_their_schedules(tmp_path):
