@@ -11,23 +11,23 @@ matrix) joins B, R = B'E joins Q and v = E'y joins u; its nodes also carry
 M = E'E. A pattern's inner matrix, entry (j, l) min(w_j, w_l) G[i_j, i_l], is
 positive definite (Schur product theorem) whenever diag(G) > 0 and the
 weights are positive, singular grams included; a step that only repeats a
-row of it, as zero weights allow, is a null step (_null_steps). A pinned
-search whose K is the target's complexity c needs no patterns at all: its
-paths write each changed coordinate once, to its target value, so it is a
-shortest path over the 2^c subsets of those coordinates (_subset_steps),
-whatever the weights and the gram. So three routes serve the weight rows:
-that dynamic program for pinned K = c, the recursion for the rest, and
-_enum_direct, batched inner solves (inner.solve_patterns) of all d^K
-patterns, for the rows the recursion marks broken, pinned K = 1 with c = 0
-and pinned rows with K > c whose last weight is 0. One solve_patterns call
-then solves every row's winning pattern under its own weights: step sizes
-come from the inner solver only, so a path depends on its pattern only.
-Both enumerators rank
-through one tie rule (_keep): objectives within 1e-12 (relative) are ties,
-and a chunk's least-index candidate tied with its minimum replaces the
-incumbent if it beats it by more than that, or ties it from a smaller
+row of it, as zero weights allow, is a null step (_null_steps). Two routes
+serve exact_paths' weight rows: the recursion, and _enum_direct, batched
+inner solves (inner.solve_patterns) of all d^K patterns, for the rows the
+recursion marks broken, pinned K = 1 and pinned rows whose last weight is
+0. One solve_patterns call then solves every row's winning pattern under
+its own weights, so a path depends on its pattern only. Both enumerators
+rank through one tie rule (_keep): objectives within 1e-12 (relative) are
+ties, and a chunk's least-index candidate tied with its minimum replaces
+the incumbent if it beats it by more than that, or ties it from a smaller
 lexicographic index, so ties resolve to the lexicographically smallest
 pattern whatever order the patterns are visited in.
+
+A pinned search whose K is the target's complexity c needs no patterns at
+all: its paths write each changed coordinate once, to its target value, so
+it is a shortest path over the 2^c subsets of those coordinates
+(_subset_steps), whatever the weights and the gram, and every step is a
+last write, of target - base, with no size to solve.
 
 Unit steps move one coefficient by -1 or +1, or stay, so every model on the
 path is base + z for an integer z with ||z||_1 <= K: _unit_steps finds the
@@ -499,8 +499,7 @@ def _enum_direct(stats: SufficientStats, base: LinearModel, K: int, alpha: np.nd
     """Exhaustive search by batched inner solves (solve_patterns) over all
     d^K patterns, free or pinned to an `endpoint` the caller has checked K
     steps can reach: the fallback for the rows _enum_fast marks broken, and
-    for the pinned rows longer than the target's complexity c that neither
-    other route serves, K = 1 with c = 0 and a last weight of 0. Returns
+    for the pinned rows it does not take, K = 1 and a last weight of 0. Returns
     (objective, pattern) of the best pattern under the tie rule (_keep),
     a chunk of consecutive lexicographic indices at a time.
     """
@@ -644,59 +643,61 @@ def _unit_steps(stats: SufficientStats, base: LinearModel, K: int, alpha: np.nda
 
 # Costs that overflow leave no finite loss, which raises below.
 @np.errstate(over="ignore", invalid="ignore")
-def _subset_steps(stats: SufficientStats, base: np.ndarray, target: np.ndarray,
-                  alphas: np.ndarray) -> np.ndarray:
-    """The optimal patterns (L, c) of the pinned paths of exactly
-    c = model_complexity steps, under each weight row of alphas (L, c).
+def _subset_steps(stats: SufficientStats, base: LinearModel, endpoint: LinearModel,
+                  alpha: np.ndarray) -> CoordinatePath:
+    """The optimal path pinned to `endpoint` of exactly its complexity c
+    steps, under the weights alpha (c,).
 
     Such a path writes each changed coordinate (C, ascending) once, to its
     target value, so model k is the base with a set S_k of k of them at
     target, and the loss sum_k alpha_k cost(S_k) depends on the chain of
     sets only: a shortest path over the 2^c subsets (Held & Karp), with no
-    inner solve and no pivot, whatever the weights and the gram. Subset s
-    (bit j for C[j]) costs c0 + x'(G_CC x - 2 r_C) with x = bits(s) e_C,
-    e = target - base, clamped at 0. One subset size at a time, from C
-    down, a backward pass gives V(s) = min over j not in s of
-    alpha_{|s|+1} cost(s + j) + V(s + j), from V(C) = 0, and records the
-    move of the unit tie rule, the least j within _TIE_RTOL of the best,
-    which the forward pass follows from the empty set. Raises
+    pivot, whatever the weights and the gram. Every write is a last write,
+    so each step moves its coordinate by e = target - base, which leaves no
+    step size to solve. Subset s (bit j for C[j]) costs
+    c0 + x'(G_CC x - 2 r_C) with x = bits(s) e_C, clamped at 0. One subset
+    size at a time, from C down, a backward pass gives V(s) = min over j
+    not in s of alpha_{|s|+1} cost(s + j) + V(s + j), from V(C) = 0, and
+    records the move of the unit tie rule, the least j within _TIE_RTOL of
+    the best, which the forward pass follows from the empty set. Raises
     InfeasibleError if no loss is finite.
     """
-    C = np.flatnonzero(target != base)
-    c, rows = C.size, np.arange(alphas.shape[0])
-    e, r, G = (target - base)[C], stats.residual_cross(base)[C], stats.gram[np.ix_(C, C)]
-    c0 = cost_of(stats, base)
+    beta, target = base.coefficients, endpoint.coefficients
+    C = np.flatnonzero(target != beta)
+    c, e = C.size, (target - beta)[C]
+    r, G = stats.residual_cross(beta)[C], stats.gram[np.ix_(C, C)]
+    c0 = cost_of(stats, beta)
     bits = 1 << np.arange(c)
     size = np.zeros(1, dtype=np.int64)
     for _ in range(c):
         size = np.concatenate([size, size + 1])
     layers = np.split(np.argsort(size, kind="stable"), np.cumsum(np.bincount(size))[:-1])
-    cost, togo = np.zeros(2**c), np.zeros((rows.size, 2**c))
-    move = np.zeros((rows.size, 2**c), dtype=np.int64)
+    cost, togo, move = np.zeros(2**c), np.zeros(2**c), np.zeros(2**c, dtype=np.int64)
     for k in range(c, 0, -1):
         X = (layers[k][:, None] & bits > 0) * e
         cost[layers[k]] = np.maximum(c0 + np.einsum("sj,sj->s", X @ G - 2 * r, X), 0.0)
         nxt = layers[k - 1][:, None] | bits
-        vals = alphas[:, k - 1, None, None] * cost[nxt] + togo[:, nxt]
-        vals[:, nxt == layers[k - 1][:, None]] = np.inf  # j is in the set already
-        togo[:, layers[k - 1]] = vals.min(axis=2)
-        move[:, layers[k - 1]] = _first_tie(vals)
-    if not np.isfinite(togo[:, 0]).all():
+        vals = alpha[k - 1] * cost[nxt] + togo[nxt]
+        vals[nxt == layers[k - 1][:, None]] = np.inf  # j is in the set already
+        togo[layers[k - 1]] = vals.min(axis=1)
+        move[layers[k - 1]] = _first_tie(vals)
+    if not np.isfinite(togo[0]):
         raise InfeasibleError("no index pattern of this length reaches the target")
-    state, steps = np.zeros_like(rows), []
+    state, steps = 0, []
     for _ in range(c):
-        steps.append(move[rows, state])
-        state = state | bits[steps[-1]]
-    return C[np.stack(steps, axis=1)]
+        steps.append(move[state])
+        state |= bits[steps[-1]]
+    return path_from_deltas(base, C[steps], e[steps])
 
 
 def exact_path(stats: SufficientStats, base: LinearModel, cfg: OptimizerConfig) -> CoordinatePath:
     """Globally optimal path of length cfg.K for sum_k alpha_k * cost(model_k).
 
-    Continuous steps search the d^K patterns (exact_paths), or, pinned at
-    K = the target's complexity c, the subsets of the changed coordinates
-    (_subset_steps, whose c 2^(c-1) moves the d^K budget bounds); unit
-    steps run a dynamic program over the L1 ball's states (_unit_steps).
+    One of three searches runs: unit steps, a dynamic program over the L1
+    ball's states (_unit_steps); continuous steps pinned at K = the target's
+    complexity c, a dynamic program over the subsets of the changed
+    coordinates (_subset_steps, whose c 2^(c-1) moves the d^K budget
+    bounds); any other continuous search, the d^K patterns (exact_paths).
     Respects cfg.endpoint. Raises BudgetError if the work exceeds cfg.budget
     (check_budget, _check_unit_budget), before anything of size K is built,
     then InputError for invalid weights and InfeasibleError if K steps cannot
@@ -715,9 +716,11 @@ def exact_path(stats: SufficientStats, base: LinearModel, cfg: OptimizerConfig) 
             raise InfeasibleError("no unit-step path of this length reaches the target")
     if K == 0:
         return CoordinatePath(base, ())
-    if continuous:
-        return exact_paths(stats, base, alpha[None], cfg.endpoint)[0]
-    return _unit_steps(stats, base, K, alpha, cfg.endpoint)
+    if not continuous:
+        return _unit_steps(stats, base, K, alpha, cfg.endpoint)
+    if cfg.endpoint is not None and model_complexity(base, cfg.endpoint) == K:
+        return _subset_steps(stats, base, cfg.endpoint, alpha)
+    return exact_paths(stats, base, alpha[None], cfg.endpoint)[0]
 
 
 def _check_reachable(base: LinearModel, target: LinearModel, K: int) -> None:
@@ -813,36 +816,31 @@ def _amount(n, digits: float) -> str:
 
 def exact_paths(stats: SufficientStats, base: LinearModel, alphas: np.ndarray,
                 endpoint: LinearModel | None = None) -> list[CoordinatePath]:
-    """exact_path with continuous steps, free or pinned to `endpoint`, under
-    each row of a stack of weight rows alphas (L, K), K >= 1, as its schedule.
-    Its callers, exact_path and pareto._solve_grid, check first that the rows
-    are valid (as_weights), that d^K is within the budget (check_budget, an
-    upper bound) and that K steps can reach the endpoint (_check_reachable).
+    """exact_path's search of the d^K patterns, free or pinned to `endpoint`,
+    under each row of a stack of weight rows alphas (L, K), K >= 1, as its
+    schedule. Its callers, exact_path and pareto._solve_grid, check first
+    that the rows are valid (as_weights), that d^K is within the budget
+    (check_budget, an upper bound) and that K steps can reach the endpoint
+    (_check_reachable).
 
-    Three routes serve the rows. Pinned at K = model_complexity(base,
-    endpoint), every row goes to the dynamic program over subsets
-    (_subset_steps), whatever its weights and the gram. Otherwise one mask
-    routes them: every free row, and every pinned row with K >= 2 and a
-    positive last weight, share one _enum_fast pass, whatever the gram and
-    zero weights. The rest, and the rows that pass marks as broken, run
-    _enum_direct one at a time (a pinned step at tail weight 0 still moves
-    the endpoint, which no null step expresses). Each row's winning
-    pattern, from any route, is then solved by one solve_patterns call
-    under its own weight row, so every path is bitwise the one a one-row
-    call returns.
+    Two routes serve the rows, and one mask sends them: every free row,
+    and every pinned row with K >= 2 and a positive last weight, share one
+    _enum_fast pass, whatever the gram and zero weights. The rest, and the
+    rows that pass marks as broken, run _enum_direct one at a time (a
+    pinned step at tail weight 0 still moves the endpoint, which no null
+    step expresses). Each row's winning pattern, from either route, is then
+    solved by one solve_patterns call under its own weight row, so every
+    path is bitwise the one a one-row call returns.
     """
     K = alphas.shape[1]
     target = None if endpoint is None else endpoint.coefficients
-    if target is not None and model_complexity(base, endpoint) == K:
-        ivs = _subset_steps(stats, base.coefficients, target, alphas)
-    else:
-        fast = (alphas[:, -1] > 0) & (K >= 2) if target is not None else np.ones(len(alphas), bool)
-        ivs = np.zeros(alphas.shape, dtype=np.int64)
-        if fast.any():
-            _, ivs[fast], broken = _enum_fast(stats, base.coefficients, K, alphas[fast], target)
-            fast[np.flatnonzero(fast)[broken]] = False
-        for j in np.flatnonzero(~fast):
-            ivs[j] = _enum_direct(stats, base, K, alphas[j], endpoint)[1]
+    fast = (alphas[:, -1] > 0) & (K >= 2) if target is not None else np.ones(len(alphas), bool)
+    ivs = np.zeros(alphas.shape, dtype=np.int64)
+    if fast.any():
+        _, ivs[fast], broken = _enum_fast(stats, base.coefficients, K, alphas[fast], target)
+        fast[np.flatnonzero(fast)[broken]] = False
+    for j in np.flatnonzero(~fast):
+        ivs[j] = _enum_direct(stats, base, K, alphas[j], endpoint)[1]
     deltas = solve_patterns(stats, base.coefficients, ivs, alphas, target)[0]
     return [path_from_deltas(base, iv, delta) for iv, delta in zip(ivs, deltas)]
 
@@ -1134,8 +1132,9 @@ def best_explanation(stats: SufficientStats, base: LinearModel, target: LinearMo
 
     The first length, the target's complexity c, is always searched. If
     K_max > c, a best-subset cost floor is then computed once
-    (_best_subset_floor, solving no more subsets than that search's d**c
-    patterns, nor more than the budget). Model k of a path differs from the
+    (_best_subset_floor, solving no more subsets than d**c, a d-th of the
+    d**(c+1) patterns of the first length it can rule out, nor more than
+    the budget). Model k of a path differs from the
     base in at most k coordinates, so it costs at least floor[k], and model
     K is the target: no length-K path scores below sum_{k<K} alpha_k
     floor[k] + alpha_K cost(target). A longer length is searched unless

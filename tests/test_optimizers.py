@@ -533,9 +533,10 @@ class TestEnumerationEngines:
                                                         endpoint=endpoint)[0].steps
 
     def test_pinned_k1_gets_steps_from_one_solve(self):
-        # Pinned K = 1 rows skip the recursion: a target one coordinate away
-        # goes to the dynamic program over subsets, the base itself to
-        # _enum_direct. Each row must still be the one-row call's path, with
+        # Pinned K = 1 rows skip the recursion and take _enum_direct, a
+        # target one coordinate away as well as the base itself; exact_path
+        # sends the first to the dynamic program over subsets instead. Each
+        # row must still be the one-row call's path, and exact_path's, with
         # solve_patterns' step.
         stats = random_stats(10, d=3)
         base = LinearModel.zeros(stats.feature_names)
@@ -551,6 +552,9 @@ class TestEnumerationEngines:
                     (int(iv[0]), float(endpoint.coefficients[iv[0]])),)
                 assert path.steps == optimizers.exact_paths(stats, base, alphas[j:j + 1],
                                                             endpoint=endpoint)[0].steps
+                cfg = OptimizerConfig(K=1, schedule=WeightSchedule.explicit(alphas[j]),
+                                      endpoint=endpoint)
+                assert path.steps == exact_path(stats, base, cfg).steps
 
     def test_weight_rows_match_one_row_calls(self, monkeypatch):
         # Each row of a multi-row call must equal its own one-row call: same
@@ -1060,8 +1064,9 @@ class TestSubsetSteps:
         # coordinates by weighted_loss, with zero weights (leading, interior
         # and alpha_K = 0), sparse targets, nonzero bases, c = 1, an exact
         # duplicate column and a near-collinear pair (x_d = x_1 + 1e-7
-        # noise). On the random grams its pattern must be the recursion's,
-        # wherever that serves the row.
+        # noise). Its steps must be solve_patterns' for its own pattern,
+        # bit for bit. On the random grams its pattern must be the
+        # recursion's, wherever that serves the row.
         assume(d >= 2 or gram == "random")
         stats = (random_stats(seed, d=d) if gram == "random"
                  else collinear_stats(seed, d, noise=0.0 if gram == "duplicate" else 1e-7))
@@ -1078,15 +1083,19 @@ class TestSubsetSteps:
         path = exact_path(stats, LinearModel(base, names), cfg)
         loss, _ = permutation_explanation(stats, base, target, alpha)
         assert weighted_loss(stats, path, schedule) <= loss * (1 + 1e-12)
+        iv = np.array([i for i, _ in path.steps])
+        delta = solve_patterns(stats, base, iv[None], alpha, target)[0][0]
+        assert path.steps == path_from_deltas(path.base, iv, delta).steps
         if gram == "random" and c >= 2 and alpha[-1] > 0:
             _, (iv,), (broken,) = _enum_fast(stats, base, c, alpha[None], target)
             if not broken:
                 assert [i for i, _ in path.steps] == iv.tolist()
 
     def test_runs_no_enumerator(self, monkeypatch):
-        # Pinned K = c rows take neither enumerator, whatever their weights
-        # (zeros, alpha_K = 0, c = 1) and on a singular gram, through
-        # exact_paths, exact_path and best_explanation; one step more does.
+        # Pinned K = c searches run neither enumerator nor an inner solve,
+        # whatever their weights (zeros, alpha_K = 0, c = 1) and on a
+        # singular gram, through exact_path and best_explanation; one step
+        # more does run an enumerator.
         stats = collinear_stats(5, d=4, noise=0.0)
         base = LinearModel.zeros(stats.feature_names)
         fit = ols(stats)
@@ -1096,20 +1105,19 @@ class TestSubsetSteps:
         expected = [permutation_explanation(stats, base.coefficients, fit.coefficients, a)[1]
                     for a in alphas]
 
-        def no_enumerator(*args, **kwargs):
-            raise AssertionError("an enumerator ran")
+        def no_search(*args, **kwargs):
+            raise AssertionError("an enumerator or an inner solve ran")
 
-        monkeypatch.setattr(optimizers, "_enum_fast", no_enumerator)
-        monkeypatch.setattr(optimizers, "_enum_direct", no_enumerator)
-        paths = optimizers.exact_paths(stats, base, alphas, endpoint=fit)
-        assert [tuple(i for i, _ in path.steps) for path in paths] == expected
-        assert optimizers.exact_paths(stats, base, np.array([[2.0]]), endpoint=single)[0].steps == (
-            (2, single.coefficients[2]),)
-        for a in alphas:
+        for name in ("_enum_fast", "_enum_direct", "solve_patterns"):
+            monkeypatch.setattr(optimizers, name, no_search)
+        for a, order in zip(alphas, expected):
             cfg = OptimizerConfig(K=4, schedule=WeightSchedule.explicit(a), endpoint=fit)
-            exact_path(stats, base, cfg)
+            assert tuple(i for i, _ in exact_path(stats, base, cfg).steps) == order
+        cfg = OptimizerConfig(K=1, schedule=WeightSchedule.explicit([2.0]), endpoint=single)
+        assert exact_path(stats, base, cfg).steps == ((2, single.coefficients[2]),)
         best_explanation(stats, base, fit, GAMMA1, 4)
-        with pytest.raises(AssertionError, match="an enumerator ran"):
+        best_explanation(stats, base, single, GAMMA1, 1)
+        with pytest.raises(AssertionError, match="an enumerator"):
             exact_path(stats, base, OptimizerConfig(K=5, schedule=GAMMA1, endpoint=fit))
 
     def test_overflowing_costs_leave_no_path(self):
